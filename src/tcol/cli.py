@@ -147,7 +147,6 @@ def _cmd_generate(args) -> int:
         distance=args.distance,
         fcs_variant=args.fcs_variant,
         budget=args.budget,
-        seed=args.seed,
     )
     ces = generate(encoded, encoded.X[args.query_index], config, model)
     payload = {
@@ -212,7 +211,7 @@ def _cmd_evaluate(args) -> int:
     for v in vectors:
         try:
             ratios.append(metrics_mod.centrality(v, encoded, n_neighbors=args.n_neighbors))
-        except ValueError:
+        except metrics_mod.CoincidentNeighborError:
             skipped += 1
     results["centrality"] = float(np.mean(ratios)) if ratios else 0.0
     results["reliability"] = metrics_mod.reliability_composite(

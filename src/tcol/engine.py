@@ -7,11 +7,13 @@ entries; within each group every one of the 2^depth local masks is scored
 and the best is kept, which is behaviourally identical to walking every
 root-to-leaf path of the full binary tree over that group (the masks ARE
 the paths, enumerated in ascending binary order) while using O(depth)
-memory. The per-group winners are spliced into a full-length path and the
-resulting vector is checked against the validation model. Failed checks
-fall back to the next-best full combination by total (summed local) score,
-within a candidate budget, and finally to the prototype itself with its
-immutable features pinned to the query.
+memory. Full-length paths are drawn best total (summed local) score
+first, starting with the splice of the per-group winners, up to a
+candidate budget. The drawn vectors are checked against the validation
+model in one batched call, and the first one it accepts, in draw order,
+is the counterfactual. When none is accepted, or when the prototype has a
+zero-norm group slice that no rule can score, the prototype itself with
+its immutable features pinned to the query is the fallback.
 
 Immutable features always keep the query's value: their path bits are
 forced to 1 in every mask considered.
@@ -22,7 +24,7 @@ from __future__ import annotations
 import heapq
 import warnings
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -64,7 +66,6 @@ class GenerationConfig:
     distance: str = EUCLIDEAN
     fcs_variant: str = FCS_SPARSITY_CORRECTED
     budget: int = 64
-    seed: int = 0
 
     def __post_init__(self):
         if self.preference not in PREFERENCES:
@@ -137,14 +138,11 @@ def select_prototypes(
     if preference == "e":
         center = centroid(data)
 
-    def rank_key(idx: int) -> float:
-        row = data.X[idx]
+    def rank_key(row: np.ndarray) -> float:
         if preference == "a":
             return float(count_diffs(row, query))
         if preference == "b":
             return dist(row, query)
-        if preference == "c":
-            return -model.predict_proba(row)
         if preference == "d":
             # zero-norm rows have no defined similarity; rank them last
             if np.linalg.norm(row) == 0.0 or np.linalg.norm(query) == 0.0:
@@ -152,13 +150,16 @@ def select_prototypes(
             return -cosine(row, query)
         return dist(row, center)
 
+    rows = data.X[candidates]
+    if preference == "c":
+        keys = -model.predict_proba_rows(rows)
+    else:
+        keys = np.array([rank_key(row) for row in rows])
     immutable = data.immutable_mask()
-
-    def conflicts(idx: int) -> bool:
-        return bool(np.any(data.X[idx][immutable] != query[immutable]))
-
-    ranked = sorted(candidates.tolist(), key=lambda i: (conflicts(i), rank_key(i), i))
-    return ranked[:count]
+    conflicts = np.any(rows[:, immutable] != query[immutable], axis=1)
+    # lexsort is stable and candidates ascend, so ties keep the lower row index
+    order = np.lexsort((keys, conflicts))
+    return candidates[order[:count]].tolist()
 
 
 def partition_features(n_features: int, depth: int) -> list[list[int]]:
@@ -299,8 +300,8 @@ def generate(
 ) -> list[CandidateCE]:
     """Produce up to ``num_ces`` counterfactuals for one encoded query.
 
-    One candidate per ranked prototype: per-group best paths spliced and
-    filled, validated by the model, with the budgeted next-best fallback
+    One candidate per ranked prototype: the first of its ``budget``
+    best-scoring combinations that the model accepts, or the fallback
     described in the module docstring. Output is deduplicated on vectors
     and deterministic for a fixed configuration.
     """
@@ -318,21 +319,21 @@ def generate(
     for proto_idx in prototypes:
         prototype = data.X[proto_idx]
         chosen = None
-        drawn = ranked_path_combinations(prototype, query, groups, rule, immutable)
-        for _ in range(config.budget):
-            try:
-                path, total = next(drawn)
-            except StopIteration:
-                break
-            vector = _fill(prototype, query, path)
-            if validation_model.predict(vector) == data.target_class:
-                chosen = CandidateCE(vector, path, proto_idx, total, validated=True)
-                break
+        # a zero-norm group slice has no similarity under any rule
+        if not any(np.linalg.norm(prototype[g]) == 0.0 for g in groups):
+            ranked = ranked_path_combinations(prototype, query, groups, rule, immutable)
+            drawn = list(islice(ranked, config.budget))
+            vectors = np.array([_fill(prototype, query, path) for path, _ in drawn])
+            accepted = np.flatnonzero(validation_model.predicts_target(vectors))
+            if len(accepted):
+                path, total = drawn[accepted[0]]
+                chosen = CandidateCE(vectors[accepted[0]], path, proto_idx, total, validated=True)
         if chosen is None:
-            # Budget exhausted: fall back to the prototype with immutable
-            # features pinned to the query (the prototype verbatim when it
-            # already conforms). It is a genuine target-class row, though the
-            # model may still disagree; the validated flag records the check.
+            # Budget exhausted or prototype unscoreable: fall back to the
+            # prototype with immutable features pinned to the query (the
+            # prototype verbatim when it already conforms). It is a genuine
+            # target-class row, though the model may still disagree; the
+            # validated flag records the check.
             path = _immutable_only_path(immutable)
             vector = _fill(prototype, query, path)
             total = _total_score(prototype, query, groups, rule, path)

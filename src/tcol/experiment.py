@@ -225,7 +225,6 @@ def _generate_for(
             depth=config.depth,
             num_ces=config.num_ces,
             budget=config.budget,
-            seed=config.seed,
         )
         return generate(data, query, gen_config, validation_model)
     if generator == "nearest_target":
@@ -327,7 +326,12 @@ def _decoded(encoder: Encoder, vector) -> dict:
 def _aggregate(
     dataset_name, generator, preference, sets, encoded, validation_model, jury, mean_time
 ) -> metrics_mod.MetricsRow:
-    """Average each metric over the per-query counterfactual sets."""
+    """Average each metric over the per-query counterfactual sets.
+
+    Counterfactuals that coincide with a centroid neighbor are left out of
+    centrality with a warning; a dataset with too few target rows for
+    centrality raises.
+    """
     prox, spar, val, fid, cen = [], [], [], [], []
     n_ces = 0
     skipped_centrality = 0
@@ -345,8 +349,8 @@ def _aggregate(
         for v in vectors:
             try:
                 ratios.append(metrics_mod.centrality(v, encoded))
-            except ValueError:
-                skipped_centrality += 1  # CE coincides with a centroid neighbor
+            except metrics_mod.CoincidentNeighborError:
+                skipped_centrality += 1
         if ratios:
             cen.append(float(np.mean(ratios)))
     if skipped_centrality:

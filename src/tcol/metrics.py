@@ -12,6 +12,10 @@ from .scoring import EUCLIDEAN, count_diffs, distance_fn
 from .tabular import EncodedDataset
 
 
+class CoincidentNeighborError(ValueError):
+    """A counterfactual coincides with a centroid neighbor; its centrality is undefined."""
+
+
 def _vectors(ces) -> list[np.ndarray]:
     """Accept raw vectors or CandidateCE-like objects with a .vector field."""
     out = [np.asarray(getattr(ce, "vector", ce), dtype=float) for ce in ces]
@@ -33,9 +37,17 @@ def sparsity(ces, query) -> float:
     return float(np.mean([count_diffs(v, query) for v in _vectors(ces)]))
 
 
+def _hits(model: ClassifierModel, ces, target_class) -> np.ndarray:
+    """Per counterfactual: does ``model`` predict ``target_class``? One batched call."""
+    hits = model.predicts_target(np.array(_vectors(ces)))
+    if target_class == model.target_class:
+        return hits
+    return ~hits if target_class == model.other_class else np.zeros_like(hits)
+
+
 def validity(ces, model: ClassifierModel, target_class) -> float:
     """Fraction of counterfactuals the model classifies as the target class."""
-    return float(np.mean([model.predict(v) == target_class for v in _vectors(ces)]))
+    return float(np.mean(_hits(model, ces, target_class)))
 
 
 def member_agreement(model: ClassifierModel, ces, target_class) -> float:
@@ -46,10 +58,10 @@ def member_agreement(model: ClassifierModel, ces, target_class) -> float:
     predicts the target class at all, and recall is the predicted-target
     fraction.
     """
-    preds = [model.predict(v) for v in _vectors(ces)]
-    agreeing = sum(1 for p in preds if p == target_class)
+    hits = _hits(model, ces, target_class)
+    agreeing = int(np.count_nonzero(hits))
     precision = 1.0 if agreeing else 0.0
-    recall = agreeing / len(preds)
+    recall = agreeing / len(hits)
     return f1_score(precision, recall)
 
 
@@ -74,7 +86,9 @@ def centrality(
     rows nearest the target-class centroid.
 
     A counterfactual that coincides with a neighbor makes a ratio undefined
-    and raises; callers may exclude such counterfactuals rather than smooth.
+    and raises ``CoincidentNeighborError``; callers may exclude such
+    counterfactuals rather than smooth. Fewer than ``n_neighbors`` target
+    rows is a plain ``ValueError``.
     """
     ce = np.asarray(getattr(ce, "vector", ce), dtype=float)
     dist = distance_fn(distance)
@@ -88,7 +102,7 @@ def centrality(
     for i in nearest:
         denom = dist(rows[i], ce)
         if denom == 0.0:
-            raise ValueError("counterfactual coincides with a centroid neighbor")
+            raise CoincidentNeighborError("counterfactual coincides with a centroid neighbor")
         ratios.append(to_center[i] / denom)
     return float(np.mean(ratios))
 

@@ -1,11 +1,21 @@
 """Built-in classifiers, the validation model, and the third-party jury.
 
 The classifiers are small from-scratch implementations over encoded
-vectors. Every model exposes ``predict_proba`` (probability of the desired
-class) and derives ``predict`` from it, so the contract
-``predict(v) == target_class iff predict_proba(v) >= 0.5`` holds by
-construction (ties resolve to the target class). Models are immutable
-after ``fit`` and safe to share across threads.
+vectors. Every model answers ``predict_proba_rows(X)``, the probability of
+the desired class for each row of a matrix, and ``predict_proba(v)`` for
+one row. A model implements either one and inherits the other: the base
+class derives a single row from a one-row matrix, and a matrix from one
+``predict_proba`` call per row, so a custom model that only knows single
+rows works unchanged. ``predicts_target(X)`` and ``predict(v)`` apply the
+one decision rule, ``proba >= 0.5`` means the target class (ties resolve
+to it), so ``predict(v) == target_class iff predict_proba(v) >= 0.5``
+holds by construction.
+
+Trees are compiled once, after fitting or loading, into flat node arrays
+and evaluate a whole matrix level by level (the tensorized-tree layout of
+Hummingbird, Nakandala et al., OSDI 2020). A decision tree is a forest of
+one tree. The nested-dict tree stays the persisted form. Models are
+immutable after ``fit`` and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from .tabular import EncodedDataset
 MODEL_KINDS = ("knn", "naive_bayes", "decision_tree", "random_forest")
 
 _VAR_FLOOR = 1e-9
+_THRESHOLD = 0.5  # predict_proba >= _THRESHOLD means the target class
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -78,13 +89,24 @@ class ClassifierModel:
         raise NotImplementedError
 
     def predict_proba(self, vector) -> float:
-        raise NotImplementedError
+        """Target-class probability of one encoded row."""
+        row = np.asarray(vector, dtype=float)[np.newaxis]
+        return float(self.predict_proba_rows(row)[0])
+
+    def predict_proba_rows(self, X) -> np.ndarray:
+        """Target-class probability of each row of the matrix ``X``."""
+        if type(self).predict_proba is ClassifierModel.predict_proba:
+            raise NotImplementedError(
+                f"{type(self).__name__} overrides neither predict_proba nor predict_proba_rows"
+            )
+        return np.array([self.predict_proba(row) for row in np.asarray(X, dtype=float)], dtype=float)
+
+    def predicts_target(self, X) -> np.ndarray:
+        """Per row of ``X``: does the model predict the target class?"""
+        return self.predict_proba_rows(X) >= _THRESHOLD
 
     def predict(self, vector):
-        return self.target_class if self.predict_proba(vector) >= 0.5 else self.other_class
-
-    def predict_many(self, X) -> list:
-        return [self.predict(row) for row in np.asarray(X, dtype=float)]
+        return self.target_class if self.predict_proba(vector) >= _THRESHOLD else self.other_class
 
     def hyperparameters(self) -> dict:
         return {}
@@ -179,6 +201,53 @@ class NaiveBayes(ClassifierModel):
         }
 
 
+class _FlatTrees:
+    """Nested-dict trees compiled to flat node arrays, evaluated by matrix.
+
+    Node ``i`` sends a row to ``left[i]`` when ``row[feature[i]] <=
+    threshold[i]`` and to ``right[i]`` otherwise. A leaf holds its
+    probability in ``value[i]``, has threshold +inf and points to itself
+    on both sides, so ``depth`` steps (the deepest leaf's depth) take
+    every row of every tree to its leaf. The result is the mean over trees.
+    """
+
+    def __init__(self, trees: Sequence[dict]):
+        self.depth = 0
+        feature, threshold, left, right, value = [], [], [], [], []
+
+        def add(node, depth) -> int:
+            i = len(feature)
+            feature.append(0)
+            threshold.append(math.inf)
+            left.append(i)
+            right.append(i)
+            value.append(node.get("leaf", 0.0))
+            if "leaf" in node:
+                self.depth = max(self.depth, depth)
+            else:
+                feature[i] = node["feature"]
+                threshold[i] = node["threshold"]
+                left[i] = add(node["left"], depth + 1)
+                right[i] = add(node["right"], depth + 1)
+            return i
+
+        self.roots = np.array([add(tree, 0) for tree in trees], dtype=np.intp)
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold, dtype=float)
+        self.left = np.array(left, dtype=np.intp)
+        self.right = np.array(right, dtype=np.intp)
+        self.value = np.array(value, dtype=float)
+
+    def proba(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        node = np.broadcast_to(self.roots, (len(X), len(self.roots)))
+        rows = np.arange(len(X))[:, np.newaxis]
+        for _ in range(self.depth):
+            goes_left = X[rows, self.feature[node]] <= self.threshold[node]
+            node = np.where(goes_left, self.left[node], self.right[node])
+        return self.value[node].mean(axis=1)
+
+
 class DecisionTree(ClassifierModel):
     """CART-style tree with Gini splits; leaf probability = target fraction."""
 
@@ -193,7 +262,7 @@ class DecisionTree(ClassifierModel):
 
     def _fit(self, X, y):
         hits = (y == self.target_class).astype(float)
-        self._tree = self._build(X, hits, depth=0)
+        self._restore({"tree": self._build(X, hits, depth=0)})
 
     @staticmethod
     def _gini(hits: np.ndarray) -> float:
@@ -237,12 +306,8 @@ class DecisionTree(ClassifierModel):
             "right": self._build(X[~left], hits[~left], depth + 1),
         }
 
-    def predict_proba(self, vector) -> float:
-        v = np.asarray(vector, dtype=float)
-        node = self._tree
-        while "leaf" not in node:
-            node = node["left"] if v[node["feature"]] <= node["threshold"] else node["right"]
-        return node["leaf"]
+    def predict_proba_rows(self, X) -> np.ndarray:
+        return self._flat.proba(X)
 
     def hyperparameters(self):
         return {"max_depth": self.max_depth, "min_samples_split": self.min_samples_split}
@@ -252,6 +317,7 @@ class DecisionTree(ClassifierModel):
 
     def _restore(self, params):
         self._tree = params["tree"]
+        self._flat = _FlatTrees([self._tree])
 
 
 class RandomForest(ClassifierModel):
@@ -269,39 +335,31 @@ class RandomForest(ClassifierModel):
         rng = np.random.default_rng(self.seed)
         n, n_features = X.shape
         max_features = max(1, int(round(math.sqrt(n_features))))
-        self._trees = []
+        hits = (y == self.target_class).astype(float)
+        trees = []
         for _ in range(self.n_trees):
             idx = rng.integers(0, n, size=n)
-            tree = DecisionTree(
+            grower = DecisionTree(
                 max_depth=self.max_depth,
                 max_features=max_features,
                 rng=np.random.default_rng(rng.integers(0, 2**63)),
             )
             # Bootstrap sample may be single-class; the tree is then a constant leaf.
-            tree.target_class = self.target_class
-            tree.other_class = self.other_class
-            tree._fit(X[idx], y[idx])
-            tree.fitted = True
-            self._trees.append(tree)
+            trees.append(grower._build(X[idx], hits[idx], depth=0))
+        self._restore({"trees": trees})
 
-    def predict_proba(self, vector) -> float:
-        return float(np.mean([t.predict_proba(vector) for t in self._trees]))
+    def predict_proba_rows(self, X) -> np.ndarray:
+        return self._flat.proba(X)
 
     def hyperparameters(self):
         return {"n_trees": self.n_trees, "max_depth": self.max_depth, "seed": self.seed}
 
     def _params(self):
-        return {"trees": [t._tree for t in self._trees]}
+        return {"trees": self._trees}
 
     def _restore(self, params):
-        self._trees = []
-        for raw in params["trees"]:
-            tree = DecisionTree(max_depth=self.max_depth)
-            tree.target_class = self.target_class
-            tree.other_class = self.other_class
-            tree._tree = raw
-            tree.fitted = True
-            self._trees.append(tree)
+        self._trees = params["trees"]
+        self._flat = _FlatTrees(self._trees)
 
 
 def make_model(kind: str, seed: int = 0) -> ClassifierModel:
@@ -341,8 +399,9 @@ def cross_val_f1(make, data: EncodedDataset, folds: int, seed: int = 0) -> float
         mask = np.ones(len(data), dtype=bool)
         mask[test] = False
         model = make().fit(data.X[mask], data.y[mask], data.target_class)
-        preds = model.predict_many(data.X[test])
-        scores.append(prediction_f1(preds, data.y[test].tolist(), data.target_class))
+        hits = model.predicts_target(data.X[test])
+        truth = data.y[test] == data.target_class
+        scores.append(prediction_f1(hits.tolist(), truth.tolist(), True))
     return float(np.mean(scores))
 
 

@@ -18,6 +18,7 @@ from tcol.engine import (
     splice_paths,
 )
 from tcol.scoring import ScoreRule
+from tcol.tabular import EncodedDataset
 
 PROTO = np.array([0.6, 0.89, 0.49])
 QUERY = np.array([0.8, 0.45, 0.87])
@@ -465,3 +466,26 @@ class TestGenerationConfig:
         assert GenerationConfig(preference="b").score_rule().tag == "ncs"
         for pref in ("c", "d", "e"):
             assert GenerationConfig(preference=pref).score_rule().tag == "rss"
+
+
+@pytest.mark.filterwarnings("ignore::tcol.engine.AlreadyTargetWarning")
+def test_zero_norm_prototype_slice_falls_back(synthetic_encoded, validation_model):
+    # Target row 0 becomes a copy of denied row 51 with age/job/education at
+    # their encoded minimum, so its first depth-3 group has zero norm.
+    X = synthetic_encoded.X.copy()
+    X[0] = X[51]
+    X[0, :3] = 0.0
+    data = EncodedDataset(
+        X=X, y=synthetic_encoded.y, target_class="approved", schema=synthetic_encoded.schema
+    )
+    query = X[51]
+    ces = generate(data, query, GenerationConfig(preference="b"), validation_model)
+    zero = [ce for ce in ces if ce.prototype_index == 0]
+    assert len(zero) == 1
+    ce = zero[0]
+    immutable = data.immutable_mask()
+    assert ce.fallback
+    assert ce.score == float("-inf")
+    assert ce.path == tuple(int(b) for b in immutable)
+    assert np.array_equal(ce.vector, np.where(immutable, query, X[0]))
+    assert ce.validated == (validation_model.predict(ce.vector) == "approved")

@@ -1,19 +1,23 @@
 import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import StubModel, make_encoded
+from tcol.engine import GenerationConfig, centroid, generate
 from tcol.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
     ExperimentError,
+    _aggregate,
     baseline_nearest_target,
     baseline_random_path,
     emit_report,
     run_experiment,
 )
+from tcol.tabular import EncodedDataset
 
 
 class TestNearestTargetBaseline:
@@ -228,3 +232,35 @@ class TestEmitReport:
     def test_unknown_format_rejected(self, small_record, tmp_path):
         with pytest.raises(ValueError, match="format"):
             emit_report(small_record, "yaml", tmp_path / "x.yaml")
+
+
+def _aggregate_one_set(encoded, ces, validation_model, jury):
+    return _aggregate("credit", "tcol", "a", [(1, ces)], encoded, validation_model, jury, 0.0)
+
+
+def test_aggregate_rejects_too_few_target_rows(synthetic_encoded, validation_model, synthetic_jury):
+    query = synthetic_encoded.X[1]
+    ces = generate(synthetic_encoded, query, GenerationConfig(preference="a"), validation_model)
+    target = synthetic_encoded.target_mask()
+    keep = np.flatnonzero(target)[:8].tolist() + np.flatnonzero(~target).tolist()
+    cut = EncodedDataset(
+        X=synthetic_encoded.X[keep],
+        y=synthetic_encoded.y[keep],
+        target_class=synthetic_encoded.target_class,
+        schema=synthetic_encoded.schema,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at least 10 target rows, got 8"):
+            _aggregate_one_set(cut, ces, validation_model, synthetic_jury)
+
+
+def test_aggregate_excludes_only_coincident_counterfactuals(
+    synthetic_encoded, validation_model, synthetic_jury
+):
+    rows = synthetic_encoded.X[synthetic_encoded.target_mask()]
+    nearest = rows[np.argmin(np.linalg.norm(rows - centroid(synthetic_encoded), axis=1))]
+    ces = [SimpleNamespace(vector=v) for v in (nearest, synthetic_encoded.X[1])]
+    with pytest.warns(UserWarning, match="1 counterfactuals coincided"):
+        row = _aggregate_one_set(synthetic_encoded, ces, validation_model, synthetic_jury)
+    assert row.centrality > 0.0
