@@ -12,13 +12,9 @@ from .engine import (
     GenerationConfig,
     PREFERENCES,
     centroid,
-    enumerate_local_paths,
-    fill_ce,
     generate,
     partition_features,
-    select_local_path,
     select_prototypes,
-    splice_paths,
 )
 from .experiment import (
     ExperimentConfig,
@@ -84,10 +80,8 @@ __all__ = [
     "data_fidelity",
     "emit_report",
     "encode_dataset",
-    "enumerate_local_paths",
     "f1_score",
     "fcs",
-    "fill_ce",
     "fit_builtin",
     "fit_encoder",
     "generate",
@@ -101,10 +95,8 @@ __all__ = [
     "rss",
     "run_experiment",
     "save_model",
-    "select_local_path",
     "select_prototypes",
     "sigmoid",
     "sparsity",
-    "splice_paths",
     "validity",
 ]

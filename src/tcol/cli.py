@@ -16,8 +16,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import data as bundled
 from . import metrics as metrics_mod
 from .engine import GenerationConfig, generate
@@ -201,26 +199,26 @@ def _cmd_evaluate(args) -> int:
         model = fit_builtin("random_forest", encoded, seed=args.seed)
     jury = cv_weights(args.jury.split(","), encoded, args.folds, seed=args.seed)
 
+    evaluated = metrics_mod.evaluate_set(
+        vectors, query, encoded, model, jury, n_neighbors=args.n_neighbors
+    )
     results = {
-        "proximity": metrics_mod.proximity(vectors, query),
-        "sparsity": metrics_mod.sparsity(vectors, query),
-        "validity": metrics_mod.validity(vectors, model, encoded.target_class),
-        "data_fidelity": metrics_mod.data_fidelity(vectors, jury, encoded.target_class),
+        "proximity": evaluated.proximity,
+        "sparsity": evaluated.sparsity,
+        "validity": evaluated.validity,
+        "data_fidelity": evaluated.data_fidelity,
+        "centrality": 0.0 if evaluated.centrality is None else evaluated.centrality,
     }
-    ratios, skipped = [], 0
-    for v in vectors:
-        try:
-            ratios.append(metrics_mod.centrality(v, encoded, n_neighbors=args.n_neighbors))
-        except metrics_mod.CoincidentNeighborError:
-            skipped += 1
-    results["centrality"] = float(np.mean(ratios)) if ratios else 0.0
     results["reliability"] = metrics_mod.reliability_composite(
         results["data_fidelity"], results["validity"]
     )
     for name, value in results.items():
         print(f"{name}: {value:.6f}")
-    if skipped:
-        print(f"centrality: excluded {skipped} coincident counterfactuals", file=sys.stderr)
+    if evaluated.excluded:
+        print(
+            f"centrality: excluded {evaluated.excluded} coincident counterfactuals",
+            file=sys.stderr,
+        )
     if args.out:
         Path(args.out).write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
         print(f"wrote {args.out}")

@@ -3,17 +3,20 @@
 A counterfactual candidate is described by a path mask over the feature
 axis: bit 0 takes the prototype's value, bit 1 keeps the query's value.
 Features are partitioned into contiguous groups of at most ``depth``
-entries; within each group every one of the 2^depth local masks is scored
-and the best is kept, which is behaviourally identical to walking every
-root-to-leaf path of the full binary tree over that group (the masks ARE
-the paths, enumerated in ascending binary order) while using O(depth)
-memory. Full-length paths are drawn best total (summed local) score
-first, starting with the splice of the per-group winners, up to a
-candidate budget. The drawn vectors are checked against the validation
-model in one batched call, and the first one it accepts, in draw order,
-is the counterfactual. When none is accepted, or when the prototype has a
-zero-norm group slice that no rule can score, the prototype itself with
-its immutable features pinned to the query is the fallback.
+entries; within each group every admissible local mask is scored and
+ranked, which is behaviourally identical to walking every root-to-leaf
+path of the full binary tree over that group (the masks ARE the paths,
+enumerated in ascending binary order) while using O(depth) memory. A mask
+whose filled slice, or whose prototype slice, has zero norm cannot be
+scored by any rule and is skipped. Full-length paths are drawn best total
+(summed local) score first, starting with the splice of the per-group
+winners, up to a candidate budget. The drawn vectors are checked against
+the validation model in one batched call, and the first one it accepts,
+in draw order, is the counterfactual.
+
+One fallback rule covers every other case: a group with no scoreable
+mask, or no accepted draw, gives the prototype itself with its immutable
+features pinned to the query.
 
 Immutable features always keep the query's value: their path bits are
 forced to 1 in every mask considered.
@@ -50,8 +53,7 @@ PREFERENCES = ("a", "b", "c", "d", "e")
 #   e: nearest to target centroid, rss
 RULE_BY_PREFERENCE = {"a": "fcs", "b": "ncs", "c": "rss", "d": "rss", "e": "rss"}
 
-MIN_DEPTH, MAX_DEPTH = 3, 9
-MAX_GROUP = 9  # memory guard: a group spans at most 2^9 local paths
+MIN_DEPTH, MAX_DEPTH = 3, 9  # a group spans at most 2^9 local masks
 
 
 class AlreadyTargetWarning(UserWarning):
@@ -171,87 +173,27 @@ def partition_features(n_features: int, depth: int) -> list[list[int]]:
     return [list(range(s, min(s + depth, n_features))) for s in range(0, n_features, depth)]
 
 
-def enumerate_local_paths(group_len: int) -> list[PathMask]:
-    """All 2^group_len masks in ascending binary order, all-prototype first."""
-    if not 1 <= group_len <= MAX_GROUP:
-        raise ValueError(f"group length must lie in [1, {MAX_GROUP}], got {group_len}")
-    return [mask for mask in product((0, 1), repeat=group_len)]
-
-
 def _fill(prototype: np.ndarray, query: np.ndarray, path) -> np.ndarray:
-    bits = np.asarray(path)
-    return np.where(bits == 1, query, prototype)
-
-
-def fill_ce(prototype, query, path: Sequence[int]) -> np.ndarray:
     """Componentwise select: path bit 0 takes the prototype, bit 1 the query."""
-    prototype = np.asarray(prototype, dtype=float)
-    query = np.asarray(query, dtype=float)
-    if prototype.shape != query.shape or len(path) != len(prototype):
-        raise ValueError("prototype, query, and path lengths must match")
-    if any(b not in (0, 1) for b in path):
-        raise ValueError("path bits must be 0 or 1")
-    return _fill(prototype, query, path)
+    return np.where(np.asarray(path) == 1, query, prototype)
 
 
-def splice_paths(local_paths: Sequence[PathMask], expected_length: int | None = None) -> PathMask:
-    """Concatenate per-group paths, in group order, into one full-length path."""
-    full = tuple(bit for path in local_paths for bit in path)
-    if expected_length is not None and len(full) != expected_length:
-        raise ValueError(f"spliced path has length {len(full)}, expected {expected_length}")
-    return full
-
-
-def _scored_paths(
-    proto_slice: np.ndarray,
-    query_slice: np.ndarray,
-    rule: ScoreRule,
-    immutable_slice: np.ndarray | None,
+def _group_scores(
+    proto_slice: np.ndarray, query_slice: np.ndarray, masks, rule: ScoreRule
 ) -> list[tuple[float, PathMask]]:
-    """Score every admissible local mask; best first.
+    """Score each local mask of one feature group, keeping input order.
 
-    Admissible means bit 1 at every immutable position. Candidates with a
-    zero-norm slice cannot be scored by any rule and are skipped. Ordering:
-    descending score, then more query-side bits, then ascending binary.
+    No rule can score a zero-norm vector, so a zero-norm prototype slice
+    gives no scores at all and a mask whose fill has zero norm is skipped.
     """
     if np.linalg.norm(proto_slice) == 0.0:
-        raise ValueError("prototype slice has zero norm; similarity undefined")
+        return []
     scored = []
-    for index, mask in enumerate(enumerate_local_paths(len(proto_slice))):
-        if immutable_slice is not None and any(
-            imm and bit == 0 for imm, bit in zip(immutable_slice, mask)
-        ):
-            continue
+    for mask in masks:
         candidate = _fill(proto_slice, query_slice, mask)
-        if np.linalg.norm(candidate) == 0.0:
-            continue
-        score = rule.score(candidate, proto_slice, query_slice)
-        scored.append((score, sum(mask), index, mask))
-    if not scored:
-        raise ValueError("no scoreable path for feature group")
-    scored.sort(key=lambda t: (-t[0], -t[1], t[2]))
-    return [(score, mask) for score, _, _, mask in scored]
-
-
-def select_local_path(
-    proto_slice,
-    query_slice,
-    rule: ScoreRule,
-    immutable_mask: Sequence[bool] | None = None,
-) -> PathMask:
-    """Best-scoring local mask for one feature group.
-
-    Ties prefer the mask with more query-side bits, then ascending binary
-    order; immutable positions are constrained to the query side.
-    """
-    proto_slice = np.asarray(proto_slice, dtype=float)
-    query_slice = np.asarray(query_slice, dtype=float)
-    if proto_slice.shape != query_slice.shape:
-        raise ValueError("slice lengths differ")
-    imm = None if immutable_mask is None else np.asarray(immutable_mask, dtype=bool)
-    if imm is not None and len(imm) != len(proto_slice):
-        raise ValueError("immutable mask length differs from slice length")
-    return _scored_paths(proto_slice, query_slice, rule, imm)[0][1]
+        if np.linalg.norm(candidate) != 0.0:
+            scored.append((rule.score(candidate, proto_slice, query_slice), mask))
+    return scored
 
 
 def ranked_path_combinations(
@@ -263,20 +205,28 @@ def ranked_path_combinations(
 ) -> Iterator[tuple[PathMask, float]]:
     """Yield full-length paths in descending total (summed local) score.
 
-    Lazy best-first product over the per-group ranked path lists, so the
-    first yield is exactly the splice of the per-group winners and only
-    O(drawn) combinations are ever materialized.
+    Each group's admissible masks (bit 1 at every immutable position) are
+    ranked by descending score, then more query-side bits, then ascending
+    binary order. A lazy best-first product over the ranked lists follows,
+    so the first yield is exactly the splice of the per-group winners and
+    only O(drawn) combinations are ever materialized. Nothing is yielded
+    when some group has no scoreable mask.
     """
-    per_group = [
-        _scored_paths(prototype[g], query[g], rule, immutable_mask[g]) for g in groups
-    ]
+    per_group = []
+    for g in groups:
+        bits = [(1,) if imm else (0, 1) for imm in immutable_mask[g]]
+        # product runs in ascending binary order, which the stable sort keeps on ties
+        scored = _group_scores(prototype[g], query[g], product(*bits), rule)
+        if not scored:
+            return
+        scored.sort(key=lambda t: (-t[0], -sum(t[1])))
+        per_group.append(scored)
     start = (0,) * len(groups)
     heap = [(-sum(paths[0][0] for paths in per_group), start)]
     seen = {start}
     while heap:
         neg_total, choice = heapq.heappop(heap)
-        full = splice_paths([per_group[g][c][1] for g, c in enumerate(choice)])
-        yield full, -neg_total
+        yield tuple(bit for g, c in enumerate(choice) for bit in per_group[g][c][1]), -neg_total
         for g, c in enumerate(choice):
             if c + 1 >= len(per_group[g]):
                 continue
@@ -286,10 +236,6 @@ def ranked_path_combinations(
             seen.add(succ)
             delta = per_group[g][c + 1][0] - per_group[g][c][0]
             heapq.heappush(heap, (neg_total - delta, succ))
-
-
-def _immutable_only_path(immutable_mask: np.ndarray) -> PathMask:
-    return tuple(1 if imm else 0 for imm in immutable_mask)
 
 
 def generate(
@@ -319,24 +265,26 @@ def generate(
     for proto_idx in prototypes:
         prototype = data.X[proto_idx]
         chosen = None
-        # a zero-norm group slice has no similarity under any rule
-        if not any(np.linalg.norm(prototype[g]) == 0.0 for g in groups):
-            ranked = ranked_path_combinations(prototype, query, groups, rule, immutable)
-            drawn = list(islice(ranked, config.budget))
+        ranked = ranked_path_combinations(prototype, query, groups, rule, immutable)
+        drawn = list(islice(ranked, config.budget))
+        if drawn:
             vectors = np.array([_fill(prototype, query, path) for path, _ in drawn])
             accepted = np.flatnonzero(validation_model.predicts_target(vectors))
             if len(accepted):
                 path, total = drawn[accepted[0]]
                 chosen = CandidateCE(vectors[accepted[0]], path, proto_idx, total, validated=True)
         if chosen is None:
-            # Budget exhausted or prototype unscoreable: fall back to the
-            # prototype with immutable features pinned to the query (the
-            # prototype verbatim when it already conforms). It is a genuine
-            # target-class row, though the model may still disagree; the
-            # validated flag records the check.
-            path = _immutable_only_path(immutable)
+            # No scoreable mask in some group, or no accepted draw: fall back
+            # to the prototype with immutable features pinned to the query
+            # (the prototype verbatim when it already conforms). It is a
+            # genuine target-class row, though the model may still disagree;
+            # the validated flag records the check.
+            path = tuple(int(b) for b in immutable)
             vector = _fill(prototype, query, path)
-            total = _total_score(prototype, query, groups, rule, path)
+            total = 0.0
+            for g in groups:
+                scored = _group_scores(prototype[g], query[g], [immutable[g]], rule)
+                total += scored[0][0] if scored else float("-inf")
             chosen = CandidateCE(
                 vector,
                 path,
@@ -355,13 +303,3 @@ def generate(
             deduped.append(ce)
     return deduped
 
-
-def _total_score(prototype, query, groups, rule, path) -> float:
-    total = 0.0
-    for g in groups:
-        candidate = _fill(prototype[g], query[g], [path[i] for i in g])
-        try:
-            total += rule.score(candidate, prototype[g], query[g])
-        except ValueError:  # zero-norm slice: contributes the worst score
-            total += float("-inf")
-    return total

@@ -332,27 +332,20 @@ def _aggregate(
     centrality with a warning; a dataset with too few target rows for
     centrality raises.
     """
-    prox, spar, val, fid, cen = [], [], [], [], []
-    n_ces = 0
-    skipped_centrality = 0
-    for qi, ces in sets:
-        if not ces:
-            continue
-        n_ces += len(ces)
-        query = encoded.X[qi]
-        vectors = [ce.vector for ce in ces]
-        prox.append(metrics_mod.proximity(vectors, query))
-        spar.append(metrics_mod.sparsity(vectors, query))
-        val.append(metrics_mod.validity(vectors, validation_model, encoded.target_class))
-        fid.append(metrics_mod.data_fidelity(vectors, jury, encoded.target_class))
-        ratios = []
-        for v in vectors:
-            try:
-                ratios.append(metrics_mod.centrality(v, encoded))
-            except metrics_mod.CoincidentNeighborError:
-                skipped_centrality += 1
-        if ratios:
-            cen.append(float(np.mean(ratios)))
+    per_set = [
+        metrics_mod.evaluate_set(
+            [ce.vector for ce in ces], encoded.X[qi], encoded, validation_model, jury
+        )
+        for qi, ces in sets
+        if ces
+    ]
+    n_ces = sum(len(ces) for _, ces in sets)
+    skipped_centrality = sum(m.excluded for m in per_set)
+
+    def mean(name: str) -> float:
+        values = [getattr(m, name) for m in per_set if getattr(m, name) is not None]
+        return float(np.mean(values)) if values else 0.0
+
     if skipped_centrality:
         warnings.warn(
             f"{skipped_centrality} counterfactuals coincided with centroid neighbors "
@@ -365,11 +358,11 @@ def _aggregate(
         dataset=dataset_name,
         generator=generator,
         preference=preference,
-        proximity=float(np.mean(prox)) if prox else 0.0,
-        sparsity=float(np.mean(spar)) if spar else 0.0,
-        validity=float(np.mean(val)) if val else 0.0,
-        data_fidelity=float(np.mean(fid)) if fid else 0.0,
-        centrality=float(np.mean(cen)) if cen else 0.0,
+        proximity=mean("proximity"),
+        sparsity=mean("sparsity"),
+        validity=mean("validity"),
+        data_fidelity=mean("data_fidelity"),
+        centrality=mean("centrality"),
         runtime_s=mean_time,
         n_queries=len(sets),
         n_ces=n_ces,

@@ -107,6 +107,48 @@ def centrality(
     return float(np.mean(ratios))
 
 
+@dataclass(frozen=True)
+class SetMetrics:
+    """The metric suite for the counterfactual set of one query.
+
+    ``centrality`` is the mean over the counterfactuals not excluded for
+    coinciding with a centroid neighbor, or ``None`` when every one is;
+    ``excluded`` counts them.
+    """
+
+    proximity: float
+    sparsity: float
+    validity: float
+    data_fidelity: float
+    centrality: float | None
+    excluded: int
+
+
+def evaluate_set(
+    vectors,
+    query,
+    data: EncodedDataset,
+    model: ClassifierModel,
+    jury: ThirdPartyJury,
+    n_neighbors: int = 10,
+) -> SetMetrics:
+    """Score one query's counterfactual set with every metric."""
+    ratios, excluded = [], 0
+    for v in vectors:
+        try:
+            ratios.append(centrality(v, data, n_neighbors=n_neighbors))
+        except CoincidentNeighborError:
+            excluded += 1
+    return SetMetrics(
+        proximity=proximity(vectors, query),
+        sparsity=sparsity(vectors, query),
+        validity=validity(vectors, model, data.target_class),
+        data_fidelity=data_fidelity(vectors, jury, data.target_class),
+        centrality=float(np.mean(ratios)) if ratios else None,
+        excluded=excluded,
+    )
+
+
 def reliability_composite(data_fidelity_value: float, validity_value: float) -> float:
     """Reliability under model change: 0.75 * data fidelity + 0.25 * validity."""
     for name, v in (("data_fidelity", data_fidelity_value), ("validity", validity_value)):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -112,11 +113,17 @@ def _conform(value, feat: FeatureSchema):
             )
         return value
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise SchemaViolationError(
             f"value {value!r} is not numeric for feature {feat.name!r}"
         ) from None
+    lo, hi = float(feat.domain[0]), float(feat.domain[1])
+    if not (math.isfinite(number) and lo <= number <= hi):
+        raise SchemaViolationError(
+            f"value {value!r} outside domain [{lo:g}, {hi:g}] of numeric feature {feat.name!r}"
+        )
+    return number
 
 
 @dataclass(frozen=True)

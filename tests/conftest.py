@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tcol.data import SYNTHETIC_TARGET, SYNTHETIC_TARGET_CLASS, load_synthetic, synthetic_paths
+from tcol.engine import ranked_path_combinations
 from tcol.models import ClassifierModel, cv_weights, fit_builtin
 from tcol.tabular import EncodedDataset, FeatureSchema, encode_dataset, fit_encoder
 
@@ -27,6 +28,21 @@ def make_encoded(X, y, target_class="yes", immutable=()):
         target_class=target_class,
         schema=numeric_schema(X.shape[1], immutable=immutable),
     )
+
+
+def select_local_path(proto_slice, query_slice, rule, immutable_mask=None):
+    """The engine's best local mask for one feature group: the first ranked
+    combination when the slices form the only group."""
+    proto_slice = np.asarray(proto_slice, dtype=float)
+    immutable = np.zeros(len(proto_slice), dtype=bool) if immutable_mask is None else immutable_mask
+    ranked = ranked_path_combinations(
+        proto_slice,
+        np.asarray(query_slice, dtype=float),
+        [list(range(len(proto_slice)))],
+        rule,
+        np.asarray(immutable, dtype=bool),
+    )
+    return next(ranked)[0]
 
 
 class StubModel(ClassifierModel):

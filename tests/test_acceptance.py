@@ -12,9 +12,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import StubModel, make_encoded
+from conftest import StubModel, make_encoded, select_local_path
 from tcol.cli import main as cli_main
-from tcol.engine import GenerationConfig, PREFERENCES, generate, select_local_path
+from tcol.engine import GenerationConfig, PREFERENCES, generate
 from tcol.experiment import ExperimentConfig, baseline_random_path, run_experiment
 from tcol.metrics import centrality, data_fidelity, proximity, sparsity
 from tcol.models import ThirdPartyJury, fit_builtin

@@ -1,6 +1,7 @@
 """The batched model path: ``predict_proba_rows`` against single-row calls,
 and ``generate`` against a sequential reference that validates one drawn
-combination at a time."""
+combination at a time. The reference keeps its own fill and fallback-score
+helpers, independent of the engine's."""
 
 import warnings
 
@@ -13,9 +14,6 @@ from conftest import StubModel, make_encoded
 from tcol.engine import (
     CandidateCE,
     GenerationConfig,
-    _fill,
-    _immutable_only_path,
-    _total_score,
     centroid,
     generate,
     partition_features,
@@ -74,6 +72,26 @@ def test_single_row_model_gets_rows_by_default():
     X = np.array([[0.1, 0.2], [0.3, 0.4], [0.1, 0.2]])
     assert model.predict_proba_rows(X).tolist() == [1.0, 0.0, 1.0]
     assert model.predicts_target(X).tolist() == [True, False, True]
+
+
+def _fill(prototype: np.ndarray, query: np.ndarray, path) -> np.ndarray:
+    bits = np.asarray(path)
+    return np.where(bits == 1, query, prototype)
+
+
+def _immutable_only_path(immutable_mask: np.ndarray):
+    return tuple(1 if imm else 0 for imm in immutable_mask)
+
+
+def _total_score(prototype, query, groups, rule, path) -> float:
+    total = 0.0
+    for g in groups:
+        candidate = _fill(prototype[g], query[g], [path[i] for i in g])
+        try:
+            total += rule.score(candidate, prototype[g], query[g])
+        except ValueError:  # zero-norm slice: contributes the worst score
+            total += float("-inf")
+    return total
 
 
 def sequential_generate(data, query, config, model):

@@ -3,19 +3,16 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import StubModel, make_encoded
+from conftest import StubModel, make_encoded, select_local_path
 from tcol.engine import (
     AlreadyTargetWarning,
     GenerationConfig,
+    _fill,
     centroid,
-    enumerate_local_paths,
-    fill_ce,
     generate,
     partition_features,
     ranked_path_combinations,
-    select_local_path,
     select_prototypes,
-    splice_paths,
 )
 from tcol.scoring import ScoreRule
 from tcol.tabular import EncodedDataset
@@ -163,26 +160,30 @@ class TestPartition:
             assert 1 <= len(groups[-1]) <= depth
 
 
+def group_masks(proto, query):
+    """Every local mask the engine ranks when the slices form the only group."""
+    groups = [list(range(len(proto)))]
+    immutable = np.zeros(len(proto), dtype=bool)
+    ranked = ranked_path_combinations(proto, query, groups, ScoreRule("rss"), immutable)
+    return [path for path, _ in ranked]
+
+
 class TestEnumerate:
+    """A group's ranked masks are exactly the root-to-leaf paths of its binary tree."""
+
     def test_single_bit(self):
-        assert enumerate_local_paths(1) == [(0,), (1,)]
+        assert sorted(group_masks(PROTO[:1], QUERY[:1])) == [(0,), (1,)]
 
     def test_three_bits_ascending_binary(self):
-        paths = enumerate_local_paths(3)
+        # equal slices tie every score: more query-side bits first, then ascending binary
+        paths = group_masks(QUERY, QUERY)
         assert len(paths) == 8
-        assert paths[0] == (0, 0, 0) and paths[-1] == (1, 1, 1)
-        values = [int("".join(map(str, p)), 2) for p in paths]
-        assert values == list(range(8))
+        assert paths == sorted(product((0, 1), repeat=3), key=lambda mask: -sum(mask))
 
     def test_nine_bits_all_distinct(self):
-        paths = enumerate_local_paths(9)
+        rng = np.random.default_rng(12)
+        paths = group_masks(rng.random(9) + 0.01, rng.random(9) + 0.01)
         assert len(paths) == 512 == len(set(paths))
-
-    def test_group_length_guard(self):
-        with pytest.raises(ValueError):
-            enumerate_local_paths(10)
-        with pytest.raises(ValueError):
-            enumerate_local_paths(0)
 
     def test_equivalent_to_materialized_binary_tree(self):
         # oracle: build the full tree with explicit nodes, walk root to leaf,
@@ -200,10 +201,12 @@ class TestEnumerate:
             walk(node["proto"], prefix + [0], out)
             walk(node["query"], prefix + [1], out)
 
+        rng = np.random.default_rng(14)
         for depth in (1, 2, 3, 5):
             out = []
             walk(build(depth), [], out)
-            assert enumerate_local_paths(depth) == out
+            proto, query = rng.random(depth) + 0.01, rng.random(depth) + 0.01
+            assert sorted(group_masks(proto, query)) == out
 
 
 class TestSelectLocalPath:
@@ -219,8 +222,7 @@ class TestSelectLocalPath:
         assert path[0] == 1
 
     def test_zero_norm_prototype_rejected(self):
-        with pytest.raises(ValueError, match="zero norm"):
-            select_local_path(np.zeros(3), QUERY, ScoreRule("rss"))
+        assert group_masks(np.zeros(3), QUERY) == []
 
     @pytest.mark.parametrize(
         "rule",
@@ -244,36 +246,17 @@ class TestSelectLocalPath:
 
 
 class TestSpliceAndFill:
-    def test_splice_concatenates_in_group_order(self):
-        assert splice_paths([(1, 0, 1), (1, 0, 0)]) == (1, 0, 1, 1, 0, 0)
-
-    def test_splice_single_group_is_identity(self):
-        assert splice_paths([(0, 1, 1)]) == (0, 1, 1)
-
-    def test_splice_singletons(self):
-        assert splice_paths([(0,), (1,), (0,)]) == (0, 1, 0)
-
-    def test_splice_length_check(self):
-        with pytest.raises(ValueError, match="length"):
-            splice_paths([(0, 1)], expected_length=3)
-
     def test_fill_all_prototype(self):
-        assert np.array_equal(fill_ce(PROTO, QUERY, (0, 0, 0)), PROTO)
+        assert np.array_equal(_fill(PROTO, QUERY, (0, 0, 0)), PROTO)
 
     def test_fill_all_query(self):
-        assert np.array_equal(fill_ce(PROTO, QUERY, (1, 1, 1)), QUERY)
+        assert np.array_equal(_fill(PROTO, QUERY, (1, 1, 1)), QUERY)
 
     def test_fill_mixed_path_takes_componentwise(self):
         proto = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         query = np.array([10.0, 20.0, 30.0, 40.0, 50.0, 60.0])
-        ce = fill_ce(proto, query, (1, 0, 1, 1, 0, 0))
+        ce = _fill(proto, query, (1, 0, 1, 1, 0, 0))
         assert np.array_equal(ce, [10.0, 2.0, 30.0, 40.0, 5.0, 6.0])
-
-    def test_fill_validates_lengths_and_bits(self):
-        with pytest.raises(ValueError):
-            fill_ce(PROTO, QUERY, (0, 1))
-        with pytest.raises(ValueError):
-            fill_ce(PROTO, QUERY, (0, 1, 2))
 
 
 class TestRankedCombinations:
@@ -286,8 +269,8 @@ class TestRankedCombinations:
             rule = ScoreRule("rss")
             immutable = np.zeros(7, dtype=bool)
             first, _ = next(ranked_path_combinations(proto, query, groups, rule, immutable))
-            expected = splice_paths(
-                [select_local_path(proto[g], query[g], rule) for g in groups]
+            expected = tuple(
+                bit for g in groups for bit in brute_force_path(proto[g], query[g], rule)
             )
             assert first == expected
 
@@ -301,6 +284,15 @@ class TestRankedCombinations:
         scores = [s for _, s in drawn]
         assert scores == sorted(scores, reverse=True)
         assert len({p for p, _ in drawn}) == 64  # full product space, no repeats
+
+    def test_all_immutable_zero_query_group_yields_nothing(self):
+        # every admissible mask of the first group fills to the query's zero slice
+        groups = partition_features(6, 3)
+        query = np.array([0.0, 0.0, 0.0, 0.7, 0.2, 0.9])
+        immutable = np.array([True, True, True, False, False, False])
+        proto = np.tile(PROTO, 2)
+        drawn = ranked_path_combinations(proto, query, groups, ScoreRule("ncs"), immutable)
+        assert list(drawn) == []
 
 
 class StaticModel(StubModel):
@@ -327,11 +319,8 @@ class TestGenerate:
             ces = generate(data, query, config, StubModel(always=True))
             assert len(ces) == 1
             groups = partition_features(6, 3)
-            expected = splice_paths(
-                [
-                    brute_force_path(proto[g], query[g], rule)
-                    for g in groups
-                ]
+            expected = tuple(
+                bit for g in groups for bit in brute_force_path(proto[g], query[g], rule)
             )
             assert ces[0].path == expected
             assert ces[0].validated and not ces[0].fallback
@@ -356,7 +345,7 @@ class TestGenerate:
             )
         )
         # validation accepts only the third-best candidate
-        third = fill_ce(proto, query, ranked[2][0])
+        third = np.where(np.array(ranked[2][0]) == 1, query, proto)
         model = StubModel(yes_vectors=[third])
         ces = generate(data, query, config, model)
         assert ces[0].path == ranked[2][0]
@@ -489,3 +478,22 @@ def test_zero_norm_prototype_slice_falls_back(synthetic_encoded, validation_mode
     assert ce.path == tuple(int(b) for b in immutable)
     assert np.array_equal(ce.vector, np.where(immutable, query, X[0]))
     assert ce.validated == (validation_model.predict(ce.vector) == "approved")
+
+
+@pytest.mark.filterwarnings("ignore::tcol.engine.AlreadyTargetWarning")
+def test_all_immutable_group_at_encoded_minimum_falls_back():
+    # Features 0-2 are immutable and zero for the query, so every admissible
+    # mask of the first group fills to the query's zero slice.
+    rng = np.random.default_rng(31)
+    X = rng.random((20, 6)) * 0.8 + 0.1
+    X[15, :3] = 0.0
+    data = make_encoded(X, ["yes"] * 10 + ["no"] * 10, immutable=(0, 1, 2))
+    query = X[15]
+    ces = generate(data, query, GenerationConfig(preference="b"), StubModel(always=True))
+    assert len(ces) == 5
+    for ce in ces:
+        assert ce.fallback and ce.validated
+        assert ce.score == float("-inf")
+        assert ce.path == (1, 1, 1, 0, 0, 0)
+        assert np.array_equal(ce.vector[:3], query[:3])
+        assert np.array_equal(ce.vector[3:], X[ce.prototype_index, 3:])

@@ -8,6 +8,7 @@ from tcol.metrics import (
     MetricsRow,
     centrality,
     data_fidelity,
+    evaluate_set,
     member_agreement,
     proximity,
     reliability_composite,
@@ -170,6 +171,27 @@ class TestCentrality:
         data = make_encoded([[0.1], [0.2], [0.9]], ["yes", "yes", "no"])
         with pytest.raises(ValueError, match="target rows"):
             centrality(np.array([0.5]), data, n_neighbors=5)
+
+
+class TestEvaluateSet:
+    def test_coincident_counterfactuals_are_excluded_and_counted(self):
+        rng = np.random.default_rng(37)
+        X = rng.random((12, 3))
+        data = make_encoded(X, ["yes"] * 10 + ["no"] * 2)
+        center = X[:10].mean(axis=0)
+        nearest = min(range(10), key=lambda i: float(np.linalg.norm(X[i] - center)))
+        model = StubModel(always=True)
+        jury = jury_with((0.5, 0.5), (StubModel(always=True), StubModel(always=False)))
+        query = X[11]
+        ce = rng.random(3)
+        got = evaluate_set([ce, X[nearest].copy()], query, data, model, jury, n_neighbors=3)
+        assert got.excluded == 1
+        assert got.centrality == centrality(ce, data, n_neighbors=3)
+        assert got.proximity == proximity([ce, X[nearest]], query)
+        assert got.sparsity == sparsity([ce, X[nearest]], query)
+        assert (got.validity, got.data_fidelity) == (1.0, 0.5)
+        alone = evaluate_set([X[nearest].copy()], query, data, model, jury, n_neighbors=3)
+        assert alone.excluded == 1 and alone.centrality is None
 
 
 class TestReliabilityComposite:

@@ -81,6 +81,13 @@ class TestLoadCsv:
             load_csv(path, SCHEMA, "loan", "yes")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-1e9"])
+    def test_non_finite_or_out_of_domain_numeric_rejected(self, tmp_path, cell):
+        path = write_csv(tmp_path, f"job,income,loan\nservice,100,yes\ntech,{cell},no\n")
+        with pytest.raises(SchemaViolationError) as err:
+            load_csv(path, SCHEMA, "loan", "yes")
+        assert "income" in str(err.value) and repr(float(cell)) in str(err.value)
+
     def test_missing_column_rejected(self, tmp_path):
         path = write_csv(tmp_path, "job,loan\nservice,yes\n")
         with pytest.raises(SchemaViolationError, match="income"):
