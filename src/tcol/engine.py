@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 import warnings
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -40,6 +40,7 @@ from .scoring import (
     cosine,
     count_diffs,
     distance_fn,
+    norm,
 )
 from .tabular import EncodedDataset
 
@@ -137,26 +138,21 @@ def select_prototypes(
         )
 
     dist = distance_fn(distance)
-    if preference == "e":
-        center = centroid(data)
-
-    def rank_key(row: np.ndarray) -> float:
-        if preference == "a":
-            return float(count_diffs(row, query))
-        if preference == "b":
-            return dist(row, query)
-        if preference == "d":
-            # zero-norm rows have no defined similarity; rank them last
-            if np.linalg.norm(row) == 0.0 or np.linalg.norm(query) == 0.0:
-                return 2.0
-            return -cosine(row, query)
-        return dist(row, center)
-
     rows = data.X[candidates]
-    if preference == "c":
+    if preference == "a":
+        keys = count_diffs(rows, query)
+    elif preference == "b":
+        keys = dist(rows, query)
+    elif preference == "c":
         keys = -model.predict_proba_rows(rows)
+    elif preference == "d":
+        # zero-norm rows have no defined similarity; rank them last
+        keys = np.full(len(rows), 2.0)
+        scoreable = norm(rows) != 0.0
+        if norm(query) != 0.0:
+            keys[scoreable] = -cosine(rows[scoreable], query)
     else:
-        keys = np.array([rank_key(row) for row in rows])
+        keys = dist(rows, centroid(data))
     immutable = data.immutable_mask()
     conflicts = np.any(rows[:, immutable] != query[immutable], axis=1)
     # lexsort is stable and candidates ascend, so ties keep the lower row index
@@ -179,21 +175,22 @@ def _fill(prototype: np.ndarray, query: np.ndarray, path) -> np.ndarray:
 
 
 def _group_scores(
-    proto_slice: np.ndarray, query_slice: np.ndarray, masks, rule: ScoreRule
-) -> list[tuple[float, PathMask]]:
-    """Score each local mask of one feature group, keeping input order.
+    proto_slice: np.ndarray, query_slice: np.ndarray, masks: np.ndarray, rule: ScoreRule
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score the rows of a local mask matrix with one rule call and rank
+    them: descending score, then more query-side bits, then input order.
 
     No rule can score a zero-norm vector, so a zero-norm prototype slice
-    gives no scores at all and a mask whose fill has zero norm is skipped.
+    gives no rows at all and a mask whose fill has zero norm is dropped.
     """
-    if np.linalg.norm(proto_slice) == 0.0:
-        return []
-    scored = []
-    for mask in masks:
-        candidate = _fill(proto_slice, query_slice, mask)
-        if np.linalg.norm(candidate) != 0.0:
-            scored.append((rule.score(candidate, proto_slice, query_slice), mask))
-    return scored
+    if norm(proto_slice) == 0.0:
+        return np.empty(0), masks[:0]
+    candidates = _fill(proto_slice, query_slice, masks)
+    scoreable = norm(candidates) != 0.0
+    scores = rule.score(candidates[scoreable], proto_slice, query_slice)
+    masks = masks[scoreable]
+    order = np.lexsort((-masks.sum(axis=1), -scores))
+    return scores[order], masks[order]
 
 
 def ranked_path_combinations(
@@ -212,30 +209,27 @@ def ranked_path_combinations(
     only O(drawn) combinations are ever materialized. Nothing is yielded
     when some group has no scoreable mask.
     """
-    per_group = []
+    scores, masks = [], []
     for g in groups:
-        bits = [(1,) if imm else (0, 1) for imm in immutable_mask[g]]
-        # product runs in ascending binary order, which the stable sort keeps on ties
-        scored = _group_scores(prototype[g], query[g], product(*bits), rule)
-        if not scored:
+        # rows count up in binary, the order of product((0, 1), repeat=len(g))
+        local = np.arange(2 ** len(g))[:, None] >> np.arange(len(g) - 1, -1, -1) & 1
+        admissible = local[np.all(local >= immutable_mask[g], axis=1)]
+        group_scores, group_masks = _group_scores(prototype[g], query[g], admissible, rule)
+        if len(group_scores) == 0:
             return
-        scored.sort(key=lambda t: (-t[0], -sum(t[1])))
-        per_group.append(scored)
+        scores.append(group_scores.tolist())
+        masks.append(group_masks.tolist())
     start = (0,) * len(groups)
-    heap = [(-sum(paths[0][0] for paths in per_group), start)]
+    heap = [(-sum(s[0] for s in scores), start)]
     seen = {start}
     while heap:
         neg_total, choice = heapq.heappop(heap)
-        yield tuple(bit for g, c in enumerate(choice) for bit in per_group[g][c][1]), -neg_total
+        yield tuple(bit for m, c in zip(masks, choice) for bit in m[c]), -neg_total
         for g, c in enumerate(choice):
-            if c + 1 >= len(per_group[g]):
-                continue
             succ = choice[:g] + (c + 1,) + choice[g + 1 :]
-            if succ in seen:
-                continue
-            seen.add(succ)
-            delta = per_group[g][c + 1][0] - per_group[g][c][0]
-            heapq.heappush(heap, (neg_total - delta, succ))
+            if c + 1 < len(scores[g]) and succ not in seen:
+                seen.add(succ)
+                heapq.heappush(heap, (neg_total - (scores[g][c + 1] - scores[g][c]), succ))
 
 
 def generate(
@@ -268,7 +262,7 @@ def generate(
         ranked = ranked_path_combinations(prototype, query, groups, rule, immutable)
         drawn = list(islice(ranked, config.budget))
         if drawn:
-            vectors = np.array([_fill(prototype, query, path) for path, _ in drawn])
+            vectors = _fill(prototype, query, [path for path, _ in drawn])
             accepted = np.flatnonzero(validation_model.predicts_target(vectors))
             if len(accepted):
                 path, total = drawn[accepted[0]]
@@ -283,8 +277,8 @@ def generate(
             vector = _fill(prototype, query, path)
             total = 0.0
             for g in groups:
-                scored = _group_scores(prototype[g], query[g], [immutable[g]], rule)
-                total += scored[0][0] if scored else float("-inf")
+                scores, _ = _group_scores(prototype[g], query[g], immutable[None, g], rule)
+                total += scores[0].item() if len(scores) else float("-inf")
             chosen = CandidateCE(
                 vector,
                 path,

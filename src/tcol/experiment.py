@@ -143,8 +143,7 @@ def baseline_nearest_target(
     target_idx = np.flatnonzero(data.target_mask())
     if len(target_idx) < m:
         raise ValueError(f"requested {m} counterfactuals but only {len(target_idx)} target rows")
-    dist = distance_fn(distance)
-    d = np.array([dist(data.X[i], query) for i in target_idx])
+    d = distance_fn(distance)(data.X[target_idx], query)
     order = np.argsort(d, kind="stable")[:m]
     all_prototype = (0,) * data.n_features
     return [
@@ -375,21 +374,9 @@ def emit_report(record: RunRecord, fmt: str, path: str | Path) -> Path:
     if fmt == "csv":
         lines = [",".join(CSV_COLUMNS)]
         for row in record.rows:
-            lines.append(
-                ",".join(
-                    [
-                        row.dataset,
-                        row.generator,
-                        row.preference,
-                        f"{row.proximity:.6f}",
-                        f"{row.sparsity:.6f}",
-                        f"{row.validity:.6f}",
-                        f"{row.data_fidelity:.6f}",
-                        f"{row.centrality:.6f}",
-                        f"{row.runtime_s:.6f}",
-                    ]
-                )
-            )
+            cells = [row.dataset, row.generator, row.preference]
+            cells += [f"{getattr(row, name):.6f}" for name in CSV_COLUMNS[3:]]
+            lines.append(",".join(cells))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return path
     if fmt == "structured":

@@ -16,30 +16,27 @@ class CoincidentNeighborError(ValueError):
     """A counterfactual coincides with a centroid neighbor; its centrality is undefined."""
 
 
-def _vectors(ces) -> list[np.ndarray]:
-    """Accept raw vectors or CandidateCE-like objects with a .vector field."""
-    out = [np.asarray(getattr(ce, "vector", ce), dtype=float) for ce in ces]
-    if not out:
+def _vectors(ces) -> np.ndarray:
+    """Raw vectors or CandidateCE-like objects with a .vector field, as rows."""
+    out = np.array([getattr(ce, "vector", ce) for ce in ces], dtype=float)
+    if not len(out):
         raise ValueError("empty counterfactual list")
     return out
 
 
 def proximity(ces, query, distance: str = EUCLIDEAN) -> float:
     """Mean distance from each counterfactual to the query."""
-    dist = distance_fn(distance)
-    query = np.asarray(query, dtype=float)
-    return float(np.mean([dist(v, query) for v in _vectors(ces)]))
+    return float(np.mean(distance_fn(distance)(_vectors(ces), query)))
 
 
 def sparsity(ces, query) -> float:
     """Mean count of features where a counterfactual differs from the query."""
-    query = np.asarray(query, dtype=float)
-    return float(np.mean([count_diffs(v, query) for v in _vectors(ces)]))
+    return float(np.mean(count_diffs(_vectors(ces), query)))
 
 
 def _hits(model: ClassifierModel, ces, target_class) -> np.ndarray:
     """Per counterfactual: does ``model`` predict ``target_class``? One batched call."""
-    hits = model.predicts_target(np.array(_vectors(ces)))
+    hits = model.predicts_target(_vectors(ces))
     if target_class == model.target_class:
         return hits
     return ~hits if target_class == model.other_class else np.zeros_like(hits)
@@ -96,15 +93,12 @@ def centrality(
     if len(rows) < n_neighbors:
         raise ValueError(f"need at least {n_neighbors} target rows, got {len(rows)}")
     center = rows.mean(axis=0)
-    to_center = np.array([dist(r, center) for r in rows])
+    to_center = dist(rows, center)
     nearest = np.argsort(to_center, kind="stable")[:n_neighbors]
-    ratios = []
-    for i in nearest:
-        denom = dist(rows[i], ce)
-        if denom == 0.0:
-            raise CoincidentNeighborError("counterfactual coincides with a centroid neighbor")
-        ratios.append(to_center[i] / denom)
-    return float(np.mean(ratios))
+    denom = dist(rows[nearest], ce)
+    if np.any(denom == 0.0):
+        raise CoincidentNeighborError("counterfactual coincides with a centroid neighbor")
+    return float(np.mean(to_center[nearest] / denom))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,13 @@ borrows values from and the query it explains, on encoded vectors:
   rss  exp(cos(candidate, prototype)) / sigmoid(d(candidate, query))
 
 Higher is better for every rule. Distances default to Euclidean.
+
+Each function takes one vector (giving a Python number) or a matrix of
+rows (giving one array entry per row) and compares it with one vector. A
+row gives the same bits alone as in a matrix: every dot product, norms
+included, is one BLAS dot per row (``_dot``), and every exponential is
+``math.exp`` per element. A matrix-vector product or an axis reduction
+sums in another order, and ``np.exp`` rounds some inputs differently.
 """
 
 from __future__ import annotations
@@ -25,21 +32,49 @@ FCS_LITERAL = "literal"
 FCS_SPARSITY_CORRECTED = "sparsity_corrected"
 
 
-def sigmoid(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
+_exp = np.vectorize(math.exp, otypes=[float])
 
 
-def euclidean(a, b) -> float:
+def _rows(values):
+    """A Python number for a single row, the array itself for a matrix."""
+    values = np.asarray(values)
+    return values if values.ndim else values.item()
+
+
+def sigmoid(z):
+    # exp(-|z|) never overflows: 1 / (1 + e) for z >= 0, e / (1 + e) below
+    z = np.asarray(z, dtype=float)
+    e = _exp(-np.abs(z))
+    return _rows(np.where(z >= 0, 1.0, e) / (1.0 + e))
+
+
+def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(a, dtype=float, order="C")
+    b = np.asarray(b, dtype=float, order="C")
+    if a.ndim not in (1, 2) or b.ndim != 1 or a.shape[-1] != len(b):
+        raise ValueError(f"vector shapes differ: {a.shape} vs {b.shape}")
+    return a, b
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """Row-wise dot product, one BLAS dot per row (see the module docstring)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def norm(a):
+    """Euclidean norm of a vector or of each row of a matrix."""
+    a = np.asarray(a, dtype=float, order="C")
+    return _rows(np.sqrt(_dot(a, a)))
+
+
+def euclidean(a, b):
     a, b = _pair(a, b)
-    return float(np.linalg.norm(a - b))
+    return norm(a - b)
 
 
-def manhattan(a, b) -> float:
+def manhattan(a, b):
     a, b = _pair(a, b)
-    return float(np.abs(a - b).sum())
+    return _rows(np.abs(a - b).sum(axis=-1))
 
 
 DISTANCES = {EUCLIDEAN: euclidean, MANHATTAN: manhattan}
@@ -52,35 +87,26 @@ def distance_fn(tag: str):
         raise ValueError(f"unknown distance {tag!r}, expected one of {sorted(DISTANCES)}") from None
 
 
-def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"vector shapes differ: {a.shape} vs {b.shape}")
-    return a, b
-
-
-def cosine(a, b) -> float:
-    """Cosine similarity; undefined (error) when either vector is all zero."""
+def cosine(a, b):
+    """Cosine similarity; undefined (error) when any vector or row is all zero."""
     a, b = _pair(a, b)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+    na, nb = np.sqrt(_dot(a, a)), np.sqrt(_dot(b, b))
+    if (na == 0.0).any() or nb == 0.0:
         raise ValueError("cosine similarity undefined for zero-norm vector")
-    c = float(np.dot(a, b) / (na * nb))
-    return min(1.0, max(-1.0, c))
+    return _rows(np.clip(_dot(a, b) / (na * nb), -1.0, 1.0))
 
 
-def count_diffs(a, b) -> int:
+def count_diffs(a, b):
     """Number of components where the vectors differ, by exact equality.
 
     Feature-based candidates copy components verbatim from their sources,
     so equality is bitwise and no tolerance is appropriate.
     """
     a, b = _pair(a, b)
-    return int(np.sum(a != b))
+    return _rows(np.count_nonzero(a != b, axis=-1))
 
 
-def fcs(candidate, prototype, query, variant: str = FCS_SPARSITY_CORRECTED) -> float:
+def fcs(candidate, prototype, query, variant: str = FCS_SPARSITY_CORRECTED):
     """Few-counterfactual score.
 
     The literal form grows with the number of differing features; the
@@ -92,20 +118,20 @@ def fcs(candidate, prototype, query, variant: str = FCS_SPARSITY_CORRECTED) -> f
     if variant == FCS_LITERAL:
         return sim * diffs
     if variant == FCS_SPARSITY_CORRECTED:
-        return sim * (len(np.asarray(candidate)) - diffs)
+        return sim * (np.shape(candidate)[-1] - diffs)
     raise ValueError(f"unknown fcs variant {variant!r}")
 
 
-def ncs(candidate, prototype, query, distance: str = EUCLIDEAN) -> float:
+def ncs(candidate, prototype, query, distance: str = EUCLIDEAN):
     """Near-counterfactual score: prototype similarity over exp(query distance)."""
     sim = sigmoid(cosine(candidate, prototype))
-    return sim / math.exp(distance_fn(distance)(candidate, query))
+    return _rows(sim / _exp(distance_fn(distance)(candidate, query)))
 
 
-def rss(candidate, prototype, query, distance: str = EUCLIDEAN) -> float:
+def rss(candidate, prototype, query, distance: str = EUCLIDEAN):
     """Relative similarity score: exp(prototype similarity) over sigmoid(query distance)."""
-    sim = math.exp(cosine(candidate, prototype))
-    return sim / sigmoid(distance_fn(distance)(candidate, query))
+    sim = _exp(cosine(candidate, prototype))
+    return _rows(sim / sigmoid(distance_fn(distance)(candidate, query)))
 
 
 RULE_TAGS = ("fcs", "ncs", "rss")
@@ -126,7 +152,8 @@ class ScoreRule:
         if self.fcs_variant not in (FCS_LITERAL, FCS_SPARSITY_CORRECTED):
             raise ValueError(f"unknown fcs variant {self.fcs_variant!r}")
 
-    def score(self, candidate, prototype, query) -> float:
+    def score(self, candidate, prototype, query):
+        """One score for a candidate vector, or one per row of a candidate matrix."""
         if self.tag == "fcs":
             return fcs(candidate, prototype, query, variant=self.fcs_variant)
         if self.tag == "ncs":

@@ -247,10 +247,11 @@ class Encoder:
     Categorical value -> mean(target == target_class) over its rows, then
     min-max to [0, 1]; numeric -> min-max over training rows, clamped for
     out-of-range inputs at encode time. ``decode`` inverts exactly for the
-    fitted rows: categorical by a stored reverse map (rate ties broken by
-    first occurrence in the training data), numeric by the inverse affine
-    map. Two categories with identical target rates encode identically and
-    cannot both round-trip; fitting warns implicitly through decode.
+    fitted rows: categorical by a stored reverse map, numeric by the inverse
+    affine map. Two categories of one feature with the same target rate
+    would encode identically and could not both round-trip, so building an
+    encoder from them (``fit_encoder`` or ``from_json``) raises
+    ``SchemaViolationError``.
     """
 
     schema: tuple[FeatureSchema, ...]
@@ -349,7 +350,12 @@ class Encoder:
             rev = {}
             for category, rate in rates[i].items():
                 key = float(_scale(rate, mins[i], maxs[i]))
-                rev.setdefault(key, category)  # first occurrence wins on ties
+                if key in rev:
+                    raise SchemaViolationError(
+                        f"categories {rev[key]!r} and {category!r} of feature {feat.name!r} "
+                        "have the same target rate and could not be told apart when decoding"
+                    )
+                rev[key] = category
             reverse.append(rev)
         return cls(
             schema=schema,
@@ -372,7 +378,6 @@ def fit_encoder(data: Dataset) -> Encoder:
             per_category: dict = {}
             for value, hit in zip(column, hits):
                 per_category.setdefault(value, []).append(hit)
-            # Insertion order == first occurrence order; kept for decode ties.
             rate_map = {v: float(np.mean(h)) for v, h in per_category.items()}
             rates.append(rate_map)
             encoded = [rate_map[v] for v in column]

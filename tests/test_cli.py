@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -160,10 +162,14 @@ def test_bench_bad_config_key_is_data_error(tmp_path, synthetic_files, capsys):
 
 
 def test_console_entry_point_runs():
+    # the child does not see pytest's pythonpath setting, so hand it src/
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
         [sys.executable, "-m", "tcol.cli", "--help"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "encode" in proc.stdout

@@ -1,9 +1,11 @@
-"""Property tests: the guarantees of ``generate`` on random small schemas.
+"""The guarantees of ``generate``: property tests on random small schemas,
+and decoding on the bundled credit set.
 
-Values lie on the grid {0, 0.5, 1}, so zero-norm group slices, constant
-columns and prototypes equal to the query all occur, and immutable shares
-run from none to every feature."""
+In the property tests values lie on the grid {0, 0.5, 1}, so zero-norm
+group slices, constant columns and prototypes equal to the query all
+occur, and immutable shares run from none to every feature."""
 
+import csv
 import warnings
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import StubModel, make_encoded
+from tcol.data import synthetic_paths
 from tcol.engine import PREFERENCES, GenerationConfig, generate
 from tcol.models import make_model
 
@@ -60,3 +63,30 @@ def test_generate_invariants(case):
         assert ce.validated == (model.predict(ce.vector) == data.target_class)
         if ce.fallback:
             assert ce.path == tuple(int(b) for b in immutable)
+
+
+def test_decoded_ces_copy_raw_csv_values_of_their_sources(
+    synthetic, synthetic_encoder, synthetic_encoded, validation_model
+):
+    """Every CE of every denied credit row decodes, feature by feature, to
+    the CSV cell of the query (path bit 1) or of the prototype (bit 0)."""
+    csv_path, _ = synthetic_paths()
+    with open(csv_path, encoding="utf-8", newline="") as fh:
+        raw = [[record[f.name] for f in synthetic.schema] for record in csv.DictReader(fh)]
+    assert len(raw) == len(synthetic_encoded.X)
+    checked = 0
+    for preference in PREFERENCES:
+        config = GenerationConfig(preference=preference)
+        for qi in np.flatnonzero(~synthetic_encoded.target_mask()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                ces = generate(synthetic_encoded, synthetic_encoded.X[qi], config, validation_model)
+            for ce in ces:
+                decoded = synthetic_encoder.decode(ce.vector)
+                for i, (value, feat) in enumerate(zip(decoded, synthetic.schema)):
+                    cell = raw[qi if ce.path[i] == 1 else ce.prototype_index][i]
+                    assert value == (cell if feat.kind == "categorical" else float(cell)), (
+                        f"query {qi}, preference {preference}, feature {feat.name}"
+                    )
+                checked += 1
+    assert checked > 5 * 70

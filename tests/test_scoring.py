@@ -1,9 +1,13 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcol.scoring import (
+    RULE_TAGS,
     ScoreRule,
     cosine,
     count_diffs,
@@ -11,6 +15,7 @@ from tcol.scoring import (
     fcs,
     manhattan,
     ncs,
+    norm,
     rss,
     sigmoid,
 )
@@ -219,3 +224,70 @@ def test_score_rule_validates_fields():
         ScoreRule("rss", distance="chebyshev")
     with pytest.raises(ValueError):
         ScoreRule("fcs", fcs_variant="inverted")
+
+
+@st.composite
+def rows_prototype_query(draw):
+    """1-64 rows of width 1-48 with zero components, rows equal to the
+    query and, where ``nonzero`` is drawn False, all-zero rows."""
+    width = draw(st.integers(1, 48))
+    n_rows = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e-3, 10.0]))
+    prototype, query = rng.random((2, width)) * scale + 1e-9
+    rows = rng.random((n_rows, width)) * scale
+    rows[rng.random((n_rows, width)) < 0.25] = 0.0
+    rows[rng.random(n_rows) < 0.2] = query
+    rows[rng.random(n_rows) < 0.1] = prototype
+    if not draw(st.booleans()):
+        rows[rng.random(n_rows) < 0.2] = 0.0
+    return rows, prototype, query
+
+
+def one_by_one(fn, rows, *args):
+    return np.array([fn(row, *args) for row in rows])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=rows_prototype_query())
+def test_matrix_gives_the_bits_of_per_row_calls(case):
+    rows, prototype, query = case
+    for fn in (euclidean, manhattan, count_diffs):
+        assert fn(rows, query).tobytes() == one_by_one(fn, rows, query).tobytes()
+    assert norm(rows).tobytes() == one_by_one(norm, rows).tobytes()
+    z = ((rows - query) * 40.0).ravel()
+    assert sigmoid(z).tobytes() == one_by_one(sigmoid, z).tobytes()
+    scoreable = rows[np.any(rows != 0.0, axis=1)]
+    if len(scoreable) < len(rows):
+        with pytest.raises(ValueError, match="zero-norm"):
+            cosine(rows, prototype)
+    if len(scoreable) == 0:
+        return
+    assert cosine(scoreable, prototype).tobytes() == one_by_one(cosine, scoreable, prototype).tobytes()
+    for fn in (fcs, ncs, rss):
+        assert fn(scoreable, prototype, query).tobytes() == one_by_one(
+            fn, scoreable, prototype, query
+        ).tobytes()
+    for tag, distance, variant in product(
+        RULE_TAGS, ("euclidean", "manhattan"), ("literal", "sparsity_corrected")
+    ):
+        rule = ScoreRule(tag, distance=distance, fcs_variant=variant)
+        assert rule.score(scoreable, prototype, query).tobytes() == one_by_one(
+            rule.score, scoreable, prototype, query
+        ).tobytes()
+
+
+def test_vector_gives_a_python_number_and_matrix_an_array():
+    assert isinstance(cosine(QUERY, PROTO), float)
+    assert isinstance(count_diffs(QUERY, PROTO), int)
+    assert isinstance(ScoreRule("rss").score(QUERY, PROTO, QUERY), float)
+    both = np.array([QUERY, PROTO])
+    assert ScoreRule("ncs").score(both, PROTO, QUERY).shape == (2,)
+    assert count_diffs(both, QUERY).tolist() == [0, 3]
+
+
+def test_matrix_width_must_match_the_vector():
+    with pytest.raises(ValueError, match="shapes differ"):
+        euclidean(np.ones((2, 3)), np.ones(2))
+    with pytest.raises(ValueError, match="shapes differ"):
+        cosine(np.ones((2, 3)), np.ones((2, 3)))

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from tcol.tabular import (
     CsvParseError,
     Dataset,
+    Encoder,
     FeatureSchema,
     SchemaViolationError,
     encode_dataset,
@@ -126,6 +129,18 @@ def two_value_dataset():
     return Dataset(schema, rows, target, "loan", "yes")
 
 
+def red_blue_dataset(blue_yes=2):
+    """12 rows: red 2 of 4 approved, blue ``blue_yes`` of 4, green 4 of 4."""
+    colors = ("red",) * 4 + ("blue",) * 4 + ("green",) * 4
+    target = ("yes", "no") * 2 + ("yes",) * blue_yes + ("no",) * (4 - blue_yes) + ("yes",) * 4
+    schema = (
+        FeatureSchema("size", "numeric", "mutable", (0, 20)),
+        FeatureSchema("color", "categorical", "mutable", ("red", "blue", "green")),
+    )
+    rows = tuple((float(i + 1), c) for i, c in enumerate(colors))
+    return Dataset(schema, rows, target, "loan", "yes")
+
+
 class TestEncoder:
     def test_category_rates_are_target_means(self):
         enc = fit_encoder(two_value_dataset())
@@ -164,6 +179,20 @@ class TestEncoder:
         with pytest.raises(SchemaViolationError, match="C"):
             enc.encode(("C", 10.0))
 
+    def test_target_rate_collision_rejected(self, tmp_path):
+        # red and blue both have rate 0.5 and would decode to one category
+        with pytest.raises(SchemaViolationError, match="'red' and 'blue' of feature 'color'"):
+            fit_encoder(red_blue_dataset())
+        enc = fit_encoder(red_blue_dataset(blue_yes=1))
+        assert enc.decode(enc.encode((1.0, "blue")))[1] == "blue"
+        path = tmp_path / "enc.json"
+        enc.to_json(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["features"][1]["category_rates"]["blue"] = 0.5
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(SchemaViolationError, match="'red' and 'blue' of feature 'color'"):
+            Encoder.from_json(path)
+
     def test_components_stay_in_unit_interval(self, synthetic, synthetic_encoder):
         for row in synthetic.rows:
             v = synthetic_encoder.encode(row)
@@ -193,8 +222,6 @@ class TestEncoder:
         assert a.mins == b.mins and a.maxs == b.maxs
 
     def test_encoder_json_round_trip(self, tmp_path, synthetic, synthetic_encoder):
-        from tcol.tabular import Encoder
-
         path = tmp_path / "enc.json"
         synthetic_encoder.to_json(path)
         loaded = Encoder.from_json(path)
