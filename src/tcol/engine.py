@@ -44,8 +44,6 @@ from .scoring import (
 )
 from .tabular import EncodedDataset
 
-PathMask = tuple  # bits over {0, 1}; 0 = prototype value, 1 = query value
-
 PREFERENCES = ("a", "b", "c", "d", "e")
 
 # preference -> (prototype ranking, scoring rule):
@@ -94,7 +92,7 @@ class CandidateCE:
     """One generated counterfactual with its provenance."""
 
     vector: np.ndarray
-    path: PathMask
+    path: tuple  # bits over {0, 1}; 0 = prototype value, 1 = query value
     prototype_index: int
     score: float
     validated: bool
@@ -199,7 +197,7 @@ def ranked_path_combinations(
     groups: Sequence[Sequence[int]],
     rule: ScoreRule,
     immutable_mask: np.ndarray,
-) -> Iterator[tuple[PathMask, float]]:
+) -> Iterator[tuple[tuple, float]]:
     """Yield full-length paths in descending total (summed local) score.
 
     Each group's admissible masks (bit 1 at every immutable position) are

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,24 +39,7 @@ CSV_COLUMNS = (
     "runtime_s",
 )
 
-CONFIG_KEYS = (
-    "dataset",
-    "schema",
-    "target",
-    "target_class",
-    "preferences",
-    "generators",
-    "queries",
-    "seed",
-    "depth",
-    "num_ces",
-    "budget",
-    "jury",
-    "folds",
-    "out",
-)
-
-_REQUIRED_KEYS = ("dataset", "schema", "target", "target_class")
+_RANDOM_PATH_ATTEMPTS = 200  # random fills drawn per query by the random-path baseline
 
 
 class ExperimentError(RuntimeError):
@@ -108,20 +91,14 @@ class ExperimentConfig:
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        unknown = set(raw) - set(CONFIG_KEYS)
+        keys = fields(cls)
+        unknown = set(raw) - {f.name for f in keys}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        missing = set(_REQUIRED_KEYS) - set(raw)
+        missing = {f.name for f in keys if f.default is MISSING} - set(raw)
         if missing:
             raise ValueError(f"missing config keys: {sorted(missing)}")
         return cls(**raw)
-
-    def snapshot(self) -> dict:
-        snap = asdict(self)
-        snap["preferences"] = list(self.preferences)
-        snap["generators"] = list(self.generators)
-        snap["jury"] = list(self.jury)
-        return snap
 
 
 @dataclass
@@ -164,31 +141,28 @@ def baseline_random_path(
     m: int,
     seed: int,
     validation_model: ClassifierModel,
-    attempts: int = 200,
 ) -> list[CandidateCE]:
     """Random full-length paths over the nearest prototype, validated.
 
-    Immutable positions are forced to the query side. Keeps the first m
-    distinct validated fills; returns fewer (with a warning when zero) if
-    the attempt budget runs out.
+    Immutable positions are forced to the query side. All attempts are
+    drawn as one matrix and validated in one model call. Keeps the first m
+    distinct validated fills in draw order; returns fewer (with a warning
+    when zero) if the attempts run out.
     """
     query = np.asarray(query, dtype=float)
     proto_idx = baseline_nearest_target(data, query, 1)[0].prototype_index
     prototype = data.X[proto_idx]
-    immutable = data.immutable_mask()
     rng = np.random.default_rng(seed)
+    paths = rng.integers(0, 2, size=(_RANDOM_PATH_ATTEMPTS, data.n_features))
+    paths[:, data.immutable_mask()] = 1
+    vectors = np.where(paths == 1, query, prototype)
     out, seen = [], set()
-    for _ in range(attempts):
-        bits = rng.integers(0, 2, size=data.n_features)
-        bits[immutable] = 1
-        path = tuple(int(b) for b in bits)
-        vector = np.where(np.asarray(path) == 1, query, prototype)
+    for bits, vector, accepted in zip(paths, vectors, validation_model.predicts_target(vectors)):
         key = vector.tobytes()
-        if key in seen:
-            continue
-        if validation_model.predict(vector) != data.target_class:
+        if not accepted or key in seen:
             continue
         seen.add(key)
+        path = tuple(bits.tolist())
         out.append(
             CandidateCE(
                 vector=vector, path=path, prototype_index=proto_idx, score=0.0, validated=True
@@ -259,7 +233,7 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = True) -> Ru
     query_indices = stage("sample", _sample_queries, encoded, config.queries, config.seed)
 
     record = RunRecord(
-        config=config.snapshot(),
+        config=asdict(config),
         dataset_name=Path(config.dataset).stem,
         query_indices=query_indices,
     )

@@ -84,9 +84,11 @@ def centrality(
 
     A counterfactual that coincides with a neighbor makes a ratio undefined
     and raises ``CoincidentNeighborError``; callers may exclude such
-    counterfactuals rather than smooth. Fewer than ``n_neighbors`` target
-    rows is a plain ``ValueError``.
+    counterfactuals rather than smooth. ``n_neighbors`` below 1, or fewer
+    than ``n_neighbors`` target rows, is a plain ``ValueError``.
     """
+    if n_neighbors < 1:
+        raise ValueError(f"n_neighbors must be at least 1, got {n_neighbors}")
     ce = np.asarray(getattr(ce, "vector", ce), dtype=float)
     dist = distance_fn(distance)
     rows = data.X[data.target_mask()]

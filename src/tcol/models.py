@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -47,9 +48,11 @@ def f1_score(precision: float, recall: float) -> float:
 
 
 def _precision_recall(predictions, reference, positive) -> tuple[float, float]:
-    tp = sum(1 for p, r in zip(predictions, reference) if p == positive and r == positive)
-    fp = sum(1 for p, r in zip(predictions, reference) if p == positive and r != positive)
-    fn = sum(1 for p, r in zip(predictions, reference) if p != positive and r == positive)
+    predicted = np.asarray(predictions) == positive
+    actual = np.asarray(reference) == positive
+    tp = int(np.count_nonzero(predicted & actual))
+    fp = int(np.count_nonzero(predicted & ~actual))
+    fn = int(np.count_nonzero(~predicted & actual))
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     return precision, recall
@@ -248,82 +251,94 @@ class _FlatTrees:
         return self.value[node].mean(axis=1)
 
 
-class DecisionTree(ClassifierModel):
-    """CART-style tree with Gini splits; leaf probability = target fraction."""
+def _gini(hits: np.ndarray) -> float:
+    p = hits.mean()
+    return 2.0 * p * (1.0 - p)
 
-    kind = "decision_tree"
 
-    def __init__(self, max_depth: int = 8, min_samples_split: int = 2, max_features=None, rng=None):
-        super().__init__()
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.max_features = max_features
-        self._rng = rng
+def _grow(X, hits, candidates, max_depth: int, min_samples_split: int, depth: int = 0) -> dict:
+    """Grow a nested-dict CART tree on Gini splits, left subtree first.
 
-    def _fit(self, X, y):
-        hits = (y == self.target_class).astype(float)
-        self._restore({"tree": self._build(X, hits, depth=0)})
-
-    @staticmethod
-    def _gini(hits: np.ndarray) -> float:
-        p = hits.mean()
-        return 2.0 * p * (1.0 - p)
-
-    def _split_candidates(self, n_features: int) -> np.ndarray:
-        if self.max_features is None or self.max_features >= n_features:
-            return np.arange(n_features)
-        chosen = self._rng.choice(n_features, size=self.max_features, replace=False)
-        return np.sort(chosen)
-
-    def _build(self, X, hits, depth) -> dict:
-        n = len(hits)
-        proba = float(hits.mean())
-        if depth >= self.max_depth or n < self.min_samples_split or proba in (0.0, 1.0):
-            return {"leaf": proba, "n": n}
-        best = None
-        for feat in self._split_candidates(X.shape[1]):
-            values = np.unique(X[:, feat])
-            if len(values) < 2:
+    ``candidates(n_features)`` gives the ascending features one node may
+    split on; ties go to the lowest ``(impurity, feature, threshold)``.
+    """
+    n = len(hits)
+    proba = float(hits.mean())
+    if depth >= max_depth or n < min_samples_split or proba in (0.0, 1.0):
+        return {"leaf": proba, "n": n}
+    best = None
+    for feat in candidates(X.shape[1]):
+        values = np.unique(X[:, feat])
+        if len(values) < 2:
+            continue
+        for threshold in (values[:-1] + values[1:]) / 2.0:
+            left = X[:, feat] <= threshold
+            nl = int(left.sum())
+            if nl == 0 or nl == n:
                 continue
-            for threshold in (values[:-1] + values[1:]) / 2.0:
-                left = X[:, feat] <= threshold
-                nl = int(left.sum())
-                if nl == 0 or nl == n:
-                    continue
-                impurity = (
-                    nl * self._gini(hits[left]) + (n - nl) * self._gini(hits[~left])
-                ) / n
-                key = (impurity, int(feat), float(threshold))
-                if best is None or key < best[0]:
-                    best = (key, feat, threshold, left)
-        if best is None:
-            return {"leaf": proba, "n": n}
-        _, feat, threshold, left = best
-        return {
-            "feature": int(feat),
-            "threshold": float(threshold),
-            "left": self._build(X[left], hits[left], depth + 1),
-            "right": self._build(X[~left], hits[~left], depth + 1),
-        }
+            impurity = (nl * _gini(hits[left]) + (n - nl) * _gini(hits[~left])) / n
+            key = (impurity, int(feat), float(threshold))
+            if best is None or key < best[0]:
+                best = (key, feat, threshold, left)
+    if best is None:
+        return {"leaf": proba, "n": n}
+    _, feat, threshold, left = best
+    return {
+        "feature": int(feat),
+        "threshold": float(threshold),
+        "left": _grow(X[left], hits[left], candidates, max_depth, min_samples_split, depth + 1),
+        "right": _grow(X[~left], hits[~left], candidates, max_depth, min_samples_split, depth + 1),
+    }
+
+
+def _random_features(rng: np.random.Generator, size: int, n_features: int) -> np.ndarray:
+    """The forest's per-node rule: ``size`` random features, or all of them."""
+    if size >= n_features:
+        return np.arange(n_features)
+    return np.sort(rng.choice(n_features, size=size, replace=False))
+
+
+class _CartModel(ClassifierModel):
+    """CART models: nested-dict trees persisted under ``_key`` (``tree``: one
+    tree, ``trees``: a list), compiled once into ``_FlatTrees``."""
+
+    _key: str
 
     def predict_proba_rows(self, X) -> np.ndarray:
         return self._flat.proba(X)
 
+    def _params(self):
+        return {self._key: self._persisted}
+
+    def _restore(self, params):
+        self._persisted = params[self._key]
+        self._flat = _FlatTrees(self._persisted if self._key == "trees" else [self._persisted])
+
+
+class DecisionTree(_CartModel):
+    """CART tree with Gini splits; leaf probability = target fraction."""
+
+    kind = "decision_tree"
+    _key = "tree"
+
+    def __init__(self, max_depth: int = 8, min_samples_split: int = 2):
+        super().__init__()
+        self.max_depth = max_depth
+        self.min_samples_split = min_samples_split
+
+    def _fit(self, X, y):
+        hits = (y == self.target_class).astype(float)
+        self._restore({"tree": _grow(X, hits, np.arange, self.max_depth, self.min_samples_split)})
+
     def hyperparameters(self):
         return {"max_depth": self.max_depth, "min_samples_split": self.min_samples_split}
 
-    def _params(self):
-        return {"tree": self._tree}
 
-    def _restore(self, params):
-        self._tree = params["tree"]
-        self._flat = _FlatTrees([self._tree])
-
-
-class RandomForest(ClassifierModel):
+class RandomForest(_CartModel):
     """Bagged Gini trees with sqrt-feature splits; probability = mean of trees."""
 
     kind = "random_forest"
+    _key = "trees"
 
     def __init__(self, n_trees: int = 25, max_depth: int = 8, seed: int = 0):
         super().__init__()
@@ -339,27 +354,14 @@ class RandomForest(ClassifierModel):
         trees = []
         for _ in range(self.n_trees):
             idx = rng.integers(0, n, size=n)
-            grower = DecisionTree(
-                max_depth=self.max_depth,
-                max_features=max_features,
-                rng=np.random.default_rng(rng.integers(0, 2**63)),
-            )
+            tree_rng = np.random.default_rng(rng.integers(0, 2**63))
+            candidates = partial(_random_features, tree_rng, max_features)
             # Bootstrap sample may be single-class; the tree is then a constant leaf.
-            trees.append(grower._build(X[idx], hits[idx], depth=0))
+            trees.append(_grow(X[idx], hits[idx], candidates, self.max_depth, min_samples_split=2))
         self._restore({"trees": trees})
-
-    def predict_proba_rows(self, X) -> np.ndarray:
-        return self._flat.proba(X)
 
     def hyperparameters(self):
         return {"n_trees": self.n_trees, "max_depth": self.max_depth, "seed": self.seed}
-
-    def _params(self):
-        return {"trees": self._trees}
-
-    def _restore(self, params):
-        self._trees = params["trees"]
-        self._flat = _FlatTrees(self._trees)
 
 
 def make_model(kind: str, seed: int = 0) -> ClassifierModel:
@@ -401,7 +403,7 @@ def cross_val_f1(make, data: EncodedDataset, folds: int, seed: int = 0) -> float
         model = make().fit(data.X[mask], data.y[mask], data.target_class)
         hits = model.predicts_target(data.X[test])
         truth = data.y[test] == data.target_class
-        scores.append(prediction_f1(hits.tolist(), truth.tolist(), True))
+        scores.append(prediction_f1(hits, truth, True))
     return float(np.mean(scores))
 
 
@@ -410,7 +412,6 @@ class ThirdPartyJury:
     """Auxiliary classifiers with cross-validated weights, for fidelity checks."""
 
     members: tuple  # ((ClassifierModel, weight), ...)
-    protocol: str = "cv-f1"
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
@@ -434,7 +435,7 @@ def cv_weights(kinds: Sequence[str], data: EncodedDataset, folds: int, seed: int
         weight = cross_val_f1(lambda: make_model(kind, seed=seed), data, folds, seed=seed)
         model = make_model(kind, seed=seed).fit(data.X, data.y, data.target_class)
         members.append((model, weight))
-    return ThirdPartyJury(members=tuple(members), protocol=f"{folds}-fold-cv-f1")
+    return ThirdPartyJury(members=tuple(members))
 
 
 _MODEL_CLASSES = {cls.kind: cls for cls in (Knn, NaiveBayes, DecisionTree, RandomForest)}

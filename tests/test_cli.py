@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -94,6 +96,31 @@ def test_evaluate_reads_generate_output(ce_file, capsys):
     out = capsys.readouterr().out
     for name in ("proximity", "sparsity", "validity", "data_fidelity", "centrality", "reliability"):
         assert name in out
+
+
+@pytest.mark.parametrize("n_neighbors", ["0", "-3"])
+def test_evaluate_rejects_non_positive_n_neighbors(ce_file, n_neighbors, capsys):
+    code = main(["evaluate", "--ces", str(ce_file), "--folds", "5", "--n-neighbors", n_neighbors])
+    assert code != 0
+    captured = capsys.readouterr()
+    assert "n_neighbors" in captured.err
+    assert "centrality:" not in captured.out
+
+
+def test_readme_quick_start_prints_documented_metrics(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start (CLI)")[1].split("```bash")[1].split("```")[0]
+    lines = block.splitlines()
+    commands = [
+        shlex.split(line)[1:] for line in lines if line.startswith(("tcol generate", "tcol evaluate"))
+    ]
+    documented = [line[2:] for line in lines if re.fullmatch(r"# \w+: -?\d+\.\d+", line)]
+    assert len(commands) == 2 and len(documented) == 6
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        capsys.readouterr()
+        assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == documented
 
 
 def test_evaluate_writes_json(ce_file, tmp_path):

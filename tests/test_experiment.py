@@ -17,6 +17,7 @@ from tcol.experiment import (
     emit_report,
     run_experiment,
 )
+from tcol.models import ClassifierModel
 from tcol.tabular import EncodedDataset
 
 
@@ -73,12 +74,52 @@ class TestRandomPathBaseline:
             assert ce.validated
             assert validation_model.predict(ce.vector) == synthetic_encoded.target_class
 
+    def test_validates_all_attempts_in_one_call_in_draw_order(self, synthetic_encoded, validation_model):
+        class CountingModel(ClassifierModel):
+            def __init__(self):
+                super().__init__()
+                self.target_class = validation_model.target_class
+                self.calls = 0
+
+            def predict_proba_rows(self, X):
+                self.calls += 1
+                return validation_model.predict_proba_rows(X)
+
+        def sequential(data, query, m, seed):
+            """The per-attempt loop: one draw and one single-row model call each."""
+            prototype = data.X[baseline_nearest_target(data, query, 1)[0].prototype_index]
+            rng = np.random.default_rng(seed)
+            out, seen = [], set()
+            for _ in range(200):
+                bits = rng.integers(0, 2, size=data.n_features)
+                bits[data.immutable_mask()] = 1
+                vector = np.where(bits == 1, query, prototype)
+                if vector.tobytes() in seen or validation_model.predict(vector) != data.target_class:
+                    continue
+                seen.add(vector.tobytes())
+                out.append((vector, tuple(int(b) for b in bits)))
+                if len(out) == m:
+                    break
+            return out
+
+        found = 0
+        for qi in np.flatnonzero(~synthetic_encoded.target_mask())[:8]:
+            query = synthetic_encoded.X[qi]
+            model = CountingModel()
+            ces = baseline_random_path(synthetic_encoded, query, 5, seed=int(qi), validation_model=model)
+            assert model.calls == 1
+            expected = sequential(synthetic_encoded, query, 5, int(qi))
+            assert [(ce.vector.tobytes(), ce.path) for ce in ces] == [
+                (v.tobytes(), path) for v, path in expected
+            ]
+            found += len(ces)
+        assert found > 0
+
     def test_zero_hits_warns_and_returns_empty(self):
         data = make_encoded([[0.2], [0.8]], ["yes", "no"])
         with pytest.warns(UserWarning, match="no valid counterfactual"):
             ces = baseline_random_path(
-                data, np.array([0.5]), 2, seed=0,
-                validation_model=StubModel(always=False), attempts=10,
+                data, np.array([0.5]), 2, seed=0, validation_model=StubModel(always=False)
             )
         assert ces == []
 

@@ -166,7 +166,6 @@ class TestCrossValidation:
 
     def test_cv_weights_builds_fitted_jury(self, synthetic_encoded):
         jury = cv_weights(("knn", "decision_tree"), synthetic_encoded, folds=5, seed=0)
-        assert jury.protocol == "5-fold-cv-f1"
         assert len(jury.members) == 2
         for model, weight in jury.members:
             assert 0.0 <= weight <= 1.0
