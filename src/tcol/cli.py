@@ -45,6 +45,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _n_neighbors(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"n_neighbors must be at least 1, got {value}")
+    return value
+
+
 def _add_data_options(parser: argparse.ArgumentParser) -> None:
     csv_path, schema_path = bundled.synthetic_paths()
     parser.add_argument("--data", default=str(csv_path), help="dataset CSV path")
@@ -91,7 +98,7 @@ def build_parser() -> _Parser:
     p.add_argument("--jury", default="knn,naive_bayes,decision_tree")
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-neighbors", type=int, default=10)
+    p.add_argument("--n-neighbors", type=_n_neighbors, default=10)
     p.add_argument("--out", default=None, help="optional JSON output path")
 
     p = sub.add_parser("bench", help="run a full experiment from a JSON config")

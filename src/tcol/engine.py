@@ -6,13 +6,14 @@ Features are partitioned into contiguous groups of at most ``depth``
 entries; within each group every admissible local mask is scored and
 ranked, which is behaviourally identical to walking every root-to-leaf
 path of the full binary tree over that group (the masks ARE the paths,
-enumerated in ascending binary order) while using O(depth) memory. A mask
-whose filled slice, or whose prototype slice, has zero norm cannot be
-scored by any rule and is skipped. Full-length paths are drawn best total
-(summed local) score first, starting with the splice of the per-group
-winners, up to a candidate budget. The drawn vectors are checked against
-the validation model in one batched call, and the first one it accepts,
-in draw order, is the counterfactual.
+enumerated in ascending binary order). A mask whose filled slice, or
+whose prototype slice, has zero norm cannot be scored by any rule and is
+skipped. A full-length path's total is the left-to-right sum of its group
+scores. The top ``budget`` paths by total are drawn with an exact merge,
+one group at a time, so the first draw is the splice of the per-group
+winners. The drawn vectors are checked against the validation model in
+one batched call, and the first one it accepts, in draw order, is the
+counterfactual.
 
 One fallback rule covers every other case: a group with no scoreable
 mask, or no accepted draw, gives the prototype itself with its immutable
@@ -24,10 +25,8 @@ forced to 1 in every mask considered.
 
 from __future__ import annotations
 
-import heapq
 import warnings
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -99,14 +98,6 @@ class CandidateCE:
     fallback: bool = False
 
 
-def centroid(data: EncodedDataset) -> np.ndarray:
-    """Componentwise mean of the encoded target-class rows."""
-    rows = data.X[data.target_mask()]
-    if len(rows) == 0:
-        raise ValueError("no target-class rows to average")
-    return rows.mean(axis=0)
-
-
 def select_prototypes(
     data: EncodedDataset,
     query: np.ndarray,
@@ -150,7 +141,7 @@ def select_prototypes(
         if norm(query) != 0.0:
             keys[scoreable] = -cosine(rows[scoreable], query)
     else:
-        keys = dist(rows, centroid(data))
+        keys = dist(rows, data.target_centroid)
     immutable = data.immutable_mask()
     conflicts = np.any(rows[:, immutable] != query[immutable], axis=1)
     # lexsort is stable and candidates ascend, so ties keep the lower row index
@@ -197,37 +188,39 @@ def ranked_path_combinations(
     groups: Sequence[Sequence[int]],
     rule: ScoreRule,
     immutable_mask: np.ndarray,
+    budget: int,
 ) -> Iterator[tuple[tuple, float]]:
-    """Yield full-length paths in descending total (summed local) score.
+    """Yield the ``budget`` best full-length paths, best total first.
 
     Each group's admissible masks (bit 1 at every immutable position) are
     ranked by descending score, then more query-side bits, then ascending
-    binary order. A lazy best-first product over the ranked lists follows,
-    so the first yield is exactly the splice of the per-group winners and
-    only O(drawn) combinations are ever materialized. Nothing is yielded
-    when some group has no scoreable mask.
+    binary order. A path's total is the left-to-right sum of its group
+    scores, starting at 0.0. Totals never increase along the draw; equal
+    totals keep the previous group's rank of their prefix, then this
+    group's rank, so the first draw is the splice of the per-group
+    winners. Nothing is yielded when some group has no scoreable mask.
+
+    Keeping only the ``budget`` best rows after each group is exact,
+    because float addition is monotone: if a prefix P is cut, ``budget``
+    kept prefixes rank before it, and each of them plus a mask c ranks
+    before P plus c. The same argument cuts each group to its ``budget``
+    best masks before the merge.
     """
-    scores, masks = [], []
+    totals, paths = np.zeros(1), np.zeros((1, 0), dtype=int)
     for g in groups:
         # rows count up in binary, the order of product((0, 1), repeat=len(g))
         local = np.arange(2 ** len(g))[:, None] >> np.arange(len(g) - 1, -1, -1) & 1
         admissible = local[np.all(local >= immutable_mask[g], axis=1)]
-        group_scores, group_masks = _group_scores(prototype[g], query[g], admissible, rule)
-        if len(group_scores) == 0:
+        scores, masks = _group_scores(prototype[g], query[g], admissible, rule)
+        if len(scores) == 0:
             return
-        scores.append(group_scores.tolist())
-        masks.append(group_masks.tolist())
-    start = (0,) * len(groups)
-    heap = [(-sum(s[0] for s in scores), start)]
-    seen = {start}
-    while heap:
-        neg_total, choice = heapq.heappop(heap)
-        yield tuple(bit for m, c in zip(masks, choice) for bit in m[c]), -neg_total
-        for g, c in enumerate(choice):
-            succ = choice[:g] + (c + 1,) + choice[g + 1 :]
-            if c + 1 < len(scores[g]) and succ not in seen:
-                seen.add(succ)
-                heapq.heappush(heap, (neg_total - (scores[g][c + 1] - scores[g][c]), succ))
+        scores, masks = scores[:budget], masks[:budget]
+        totals = (totals[:, None] + scores).ravel()
+        keep = np.argsort(-totals, kind="stable")[:budget]
+        prefix, rank = np.divmod(keep, len(scores))
+        totals, paths = totals[keep], np.hstack((paths[prefix], masks[rank]))
+    for path, total in zip(paths.tolist(), totals.tolist()):
+        yield tuple(path), total
 
 
 def generate(
@@ -257,8 +250,9 @@ def generate(
     for proto_idx in prototypes:
         prototype = data.X[proto_idx]
         chosen = None
-        ranked = ranked_path_combinations(prototype, query, groups, rule, immutable)
-        drawn = list(islice(ranked, config.budget))
+        drawn = list(
+            ranked_path_combinations(prototype, query, groups, rule, immutable, config.budget)
+        )
         if drawn:
             vectors = _fill(prototype, query, [path for path, _ in drawn])
             accepted = np.flatnonzero(validation_model.predicts_target(vectors))

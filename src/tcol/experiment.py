@@ -22,7 +22,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .engine import CandidateCE, GenerationConfig, generate, select_prototypes
 from .models import ClassifierModel, cv_weights, fit_builtin
-from .scoring import EUCLIDEAN, distance_fn
+from .scoring import euclidean
 from .tabular import Dataset, EncodedDataset, Encoder, encode_dataset, fit_encoder, load_csv, load_schema
 
 GENERATORS = ("tcol", "nearest_target", "random_path")
@@ -112,15 +112,14 @@ class RunRecord:
     query_indices: list = field(default_factory=list)
 
 
-def baseline_nearest_target(
-    data: EncodedDataset, query, m: int, distance: str = EUCLIDEAN
-) -> list[CandidateCE]:
-    """The m nearest target-class rows, returned verbatim as counterfactuals."""
+def baseline_nearest_target(data: EncodedDataset, query, m: int) -> list[CandidateCE]:
+    """The m nearest target-class rows by Euclidean distance, returned
+    verbatim as counterfactuals."""
     query = np.asarray(query, dtype=float)
     target_idx = np.flatnonzero(data.target_mask())
     if len(target_idx) < m:
         raise ValueError(f"requested {m} counterfactuals but only {len(target_idx)} target rows")
-    d = distance_fn(distance)(data.X[target_idx], query)
+    d = euclidean(data.X[target_idx], query)
     order = np.argsort(d, kind="stable")[:m]
     all_prototype = (0,) * data.n_features
     return [

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ClassifierModel, ThirdPartyJury, f1_score
-from .scoring import EUCLIDEAN, count_diffs, distance_fn
+from .scoring import count_diffs, euclidean
 from .tabular import EncodedDataset
 
 
@@ -24,9 +24,9 @@ def _vectors(ces) -> np.ndarray:
     return out
 
 
-def proximity(ces, query, distance: str = EUCLIDEAN) -> float:
-    """Mean distance from each counterfactual to the query."""
-    return float(np.mean(distance_fn(distance)(_vectors(ces), query)))
+def proximity(ces, query) -> float:
+    """Mean Euclidean distance from each counterfactual to the query."""
+    return float(np.mean(euclidean(_vectors(ces), query)))
 
 
 def sparsity(ces, query) -> float:
@@ -73,14 +73,9 @@ def data_fidelity(ces, jury: ThirdPartyJury, target_class) -> float:
     return weighted / total
 
 
-def centrality(
-    ce,
-    data: EncodedDataset,
-    n_neighbors: int = 10,
-    distance: str = EUCLIDEAN,
-) -> float:
+def centrality(ce, data: EncodedDataset, n_neighbors: int = 10) -> float:
     """Mean ratio d(neighbor, centroid) / d(neighbor, ce) over the target
-    rows nearest the target-class centroid.
+    rows nearest the target-class centroid, with Euclidean d.
 
     A counterfactual that coincides with a neighbor makes a ratio undefined
     and raises ``CoincidentNeighborError``; callers may exclude such
@@ -90,17 +85,13 @@ def centrality(
     if n_neighbors < 1:
         raise ValueError(f"n_neighbors must be at least 1, got {n_neighbors}")
     ce = np.asarray(getattr(ce, "vector", ce), dtype=float)
-    dist = distance_fn(distance)
-    rows = data.X[data.target_mask()]
+    rows, to_center = data.centroid_neighbors
     if len(rows) < n_neighbors:
         raise ValueError(f"need at least {n_neighbors} target rows, got {len(rows)}")
-    center = rows.mean(axis=0)
-    to_center = dist(rows, center)
-    nearest = np.argsort(to_center, kind="stable")[:n_neighbors]
-    denom = dist(rows[nearest], ce)
+    denom = euclidean(rows[:n_neighbors], ce)
     if np.any(denom == 0.0):
         raise CoincidentNeighborError("counterfactual coincides with a centroid neighbor")
-    return float(np.mean(to_center[nearest] / denom))
+    return float(np.mean(to_center[:n_neighbors] / denom))
 
 
 @dataclass(frozen=True)

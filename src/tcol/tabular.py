@@ -15,10 +15,13 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .scoring import euclidean
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
@@ -416,6 +419,23 @@ class EncodedDataset:
 
     def immutable_mask(self) -> np.ndarray:
         return np.array([f.immutable for f in self.schema], dtype=bool)
+
+    @cached_property
+    def target_centroid(self) -> np.ndarray:
+        """Componentwise mean of the target-class rows."""
+        rows = self.X[self.target_mask()]
+        if len(rows) == 0:
+            raise ValueError("no target-class rows to average")
+        return rows.mean(axis=0)
+
+    @cached_property
+    def centroid_neighbors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The target-class rows in stable order of Euclidean distance to
+        ``target_centroid``, and those distances."""
+        rows = self.X[self.target_mask()]
+        to_center = euclidean(rows, self.target_centroid)
+        order = np.argsort(to_center, kind="stable")
+        return rows[order], to_center[order]
 
 
 def encode_dataset(encoder: Encoder, data: Dataset) -> EncodedDataset:

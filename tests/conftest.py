@@ -41,8 +41,23 @@ def select_local_path(proto_slice, query_slice, rule, immutable_mask=None):
         [list(range(len(proto_slice)))],
         rule,
         np.asarray(immutable, dtype=bool),
+        budget=1,
     )
     return next(ranked)[0]
+
+
+def path_total(prototype, query, groups, rule, path):
+    """A path's total, scored group by group outside the engine: the
+    left-to-right sum of its group scores from 0.0, where a group whose
+    prototype slice or fill has zero norm adds -inf."""
+    total = 0.0
+    for g in groups:
+        candidate = np.where(np.asarray(path)[g] == 1, query[g], prototype[g])
+        if np.linalg.norm(prototype[g]) == 0.0 or np.linalg.norm(candidate) == 0.0:
+            total += float("-inf")
+        else:
+            total += rule.score(candidate, prototype[g], query[g])
+    return total
 
 
 class StubModel(ClassifierModel):

@@ -14,7 +14,6 @@ from conftest import StubModel, make_encoded
 from tcol.engine import (
     CandidateCE,
     GenerationConfig,
-    centroid,
     generate,
     partition_features,
     ranked_path_combinations,
@@ -99,7 +98,7 @@ def sequential_generate(data, query, config, model):
     ``predict`` per drawn combination until one validates."""
     query = np.asarray(query, dtype=float)
     dist = distance_fn(config.distance)
-    center = centroid(data)
+    center = data.X[data.target_mask()].mean(axis=0)
     immutable = data.immutable_mask()
 
     def rank_key(idx):
@@ -127,7 +126,7 @@ def sequential_generate(data, query, config, model):
     for proto_idx in prototypes:
         prototype = data.X[proto_idx]
         chosen = None
-        drawn = ranked_path_combinations(prototype, query, groups, rule, immutable)
+        drawn = ranked_path_combinations(prototype, query, groups, rule, immutable, config.budget)
         for _ in range(config.budget):
             try:
                 path, total = next(drawn)

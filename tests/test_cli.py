@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from tcol import cli
 from tcol.cli import main
 from tcol.models import load_model
 
@@ -107,6 +108,16 @@ def test_evaluate_rejects_non_positive_n_neighbors(ce_file, n_neighbors, capsys)
     assert "centrality:" not in captured.out
 
 
+@pytest.mark.parametrize("n_neighbors", ["0", "-3"])
+def test_non_positive_n_neighbors_is_a_usage_error_before_any_fit(ce_file, n_neighbors, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate fitted a model before checking --n-neighbors")
+
+    monkeypatch.setattr(cli, "fit_builtin", refuse)
+    monkeypatch.setattr(cli, "cv_weights", refuse)
+    assert main(["evaluate", "--ces", str(ce_file), "--n-neighbors", n_neighbors]) == 1
+
+
 def test_readme_quick_start_prints_documented_metrics(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Quick start (CLI)")[1].split("```bash")[1].split("```")[0]
@@ -121,6 +132,20 @@ def test_readme_quick_start_prints_documented_metrics(tmp_path, monkeypatch, cap
         capsys.readouterr()
         assert main(argv) == 0
     assert capsys.readouterr().out.splitlines() == documented
+
+
+def test_readme_library_quick_start_prints_one_line_per_ce(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start (library)")[1].split("```python")[1].split("```")[0]
+    namespace = {}
+    exec(block, namespace)
+    lines = capsys.readouterr().out.splitlines()
+    ces = namespace["generate"](
+        namespace["encoded"], namespace["query"], namespace["config"], namespace["model"]
+    )
+    assert len(lines) == len(ces) >= 1
+    for line, ce in zip(lines, ces):
+        assert line.endswith(str(ce.validated))
 
 
 def test_evaluate_writes_json(ce_file, tmp_path):

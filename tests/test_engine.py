@@ -2,13 +2,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import StubModel, make_encoded, select_local_path
+from conftest import StubModel, make_encoded, path_total, select_local_path
 from tcol.engine import (
     AlreadyTargetWarning,
     GenerationConfig,
     _fill,
-    centroid,
     generate,
     partition_features,
     ranked_path_combinations,
@@ -119,18 +120,18 @@ class TestSelectPrototypes:
 class TestCentroid:
     def test_single_row_is_its_own_centroid(self):
         data = make_encoded([[0.3, 0.7], [0.9, 0.9]], ["yes", "no"])
-        assert np.array_equal(centroid(data), np.array([0.3, 0.7]))
+        assert np.array_equal(data.target_centroid, np.array([0.3, 0.7]))
 
     def test_midpoint_of_two_rows(self):
         data = make_encoded([[0.0, 0.0], [1.0, 1.0], [0.2, 0.2]], ["yes", "yes", "no"])
-        assert np.allclose(centroid(data), [0.5, 0.5])
+        assert np.allclose(data.target_centroid, [0.5, 0.5])
 
     def test_matches_independent_mean(self):
         rng = np.random.default_rng(9)
         X = rng.random((100, 4))
         data = make_encoded(X, ["yes"] * 60 + ["no"] * 40)
         expected = np.array([sum(X[i][j] for i in range(60)) / 60 for j in range(4)])
-        assert np.max(np.abs(centroid(data) - expected)) < 1e-12
+        assert np.max(np.abs(data.target_centroid - expected)) < 1e-12
 
 
 class TestPartition:
@@ -164,7 +165,9 @@ def group_masks(proto, query):
     """Every local mask the engine ranks when the slices form the only group."""
     groups = [list(range(len(proto)))]
     immutable = np.zeros(len(proto), dtype=bool)
-    ranked = ranked_path_combinations(proto, query, groups, ScoreRule("rss"), immutable)
+    ranked = ranked_path_combinations(
+        proto, query, groups, ScoreRule("rss"), immutable, 2 ** len(proto)
+    )
     return [path for path, _ in ranked]
 
 
@@ -259,7 +262,42 @@ class TestSpliceAndFill:
         assert np.array_equal(ce, [10.0, 2.0, 30.0, 40.0, 5.0, 6.0])
 
 
+@st.composite
+def combination_cases(draw):
+    """Slices on the grid {0, 0.5, 1}, so that score ties, zero-norm slices
+    and equal prototype and query values all occur."""
+    n_features = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    proto, query = rng.integers(0, 3, size=(2, n_features)) / 2.0
+    immutable = rng.random(n_features) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    groups = partition_features(n_features, draw(st.integers(3, 4)))
+    rule = ScoreRule(draw(st.sampled_from(["fcs", "ncs", "rss"])))
+    return proto, query, groups, rule, immutable, draw(st.integers(1, 70))
+
+
 class TestRankedCombinations:
+    @settings(max_examples=200, deadline=None)
+    @given(case=combination_cases())
+    def test_budgeted_draw_is_the_head_of_the_exact_enumeration(self, case):
+        proto, query, groups, rule, immutable, budget = case
+        n = len(proto)
+        everything = list(ranked_path_combinations(proto, query, groups, rule, immutable, 2**n))
+        drawn = list(ranked_path_combinations(proto, query, groups, rule, immutable, budget))
+        assert drawn == everything[:budget]
+        totals = [total for _, total in everything]
+        assert totals == sorted(totals, reverse=True)
+        for path, total in everything:
+            expected = path_total(proto, query, groups, rule, path)
+            assert np.float64(total).tobytes() == np.float64(expected).tobytes()
+        scoreable = {
+            mask
+            for mask in product((0, 1), repeat=n)
+            if all(b or not i for b, i in zip(mask, immutable))
+            and path_total(proto, query, groups, rule, mask) > float("-inf")
+        }
+        assert len(everything) == len(scoreable)
+        assert {path for path, _ in everything} == scoreable
+
     def test_first_yield_is_the_per_group_argmax(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
@@ -268,7 +306,7 @@ class TestRankedCombinations:
             groups = partition_features(7, 3)
             rule = ScoreRule("rss")
             immutable = np.zeros(7, dtype=bool)
-            first, _ = next(ranked_path_combinations(proto, query, groups, rule, immutable))
+            first, _ = next(ranked_path_combinations(proto, query, groups, rule, immutable, 1))
             expected = tuple(
                 bit for g in groups for bit in brute_force_path(proto[g], query[g], rule)
             )
@@ -280,7 +318,9 @@ class TestRankedCombinations:
         query = rng.random(6) + 0.01
         groups = partition_features(6, 3)
         immutable = np.zeros(6, dtype=bool)
-        drawn = list(ranked_path_combinations(proto, query, groups, ScoreRule("ncs"), immutable))
+        drawn = list(
+            ranked_path_combinations(proto, query, groups, ScoreRule("ncs"), immutable, 2**6)
+        )
         scores = [s for _, s in drawn]
         assert scores == sorted(scores, reverse=True)
         assert len({p for p, _ in drawn}) == 64  # full product space, no repeats
@@ -291,7 +331,7 @@ class TestRankedCombinations:
         query = np.array([0.0, 0.0, 0.0, 0.7, 0.2, 0.9])
         immutable = np.array([True, True, True, False, False, False])
         proto = np.tile(PROTO, 2)
-        drawn = ranked_path_combinations(proto, query, groups, ScoreRule("ncs"), immutable)
+        drawn = ranked_path_combinations(proto, query, groups, ScoreRule("ncs"), immutable, 2**6)
         assert list(drawn) == []
 
 
@@ -341,7 +381,7 @@ class TestGenerate:
         groups = partition_features(6, 3)
         ranked = list(
             ranked_path_combinations(
-                proto, query, groups, ScoreRule("rss"), np.zeros(6, dtype=bool)
+                proto, query, groups, ScoreRule("rss"), np.zeros(6, dtype=bool), 2**6
             )
         )
         # validation accepts only the third-best candidate

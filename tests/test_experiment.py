@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import StubModel, make_encoded
-from tcol.engine import GenerationConfig, centroid, generate
+from tcol.engine import GenerationConfig, generate
 from tcol.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -300,7 +300,7 @@ def test_aggregate_excludes_only_coincident_counterfactuals(
     synthetic_encoded, validation_model, synthetic_jury
 ):
     rows = synthetic_encoded.X[synthetic_encoded.target_mask()]
-    nearest = rows[np.argmin(np.linalg.norm(rows - centroid(synthetic_encoded), axis=1))]
+    nearest = rows[np.argmin(np.linalg.norm(rows - rows.mean(axis=0), axis=1))]
     ces = [SimpleNamespace(vector=v) for v in (nearest, synthetic_encoded.X[1])]
     with pytest.warns(UserWarning, match="1 counterfactuals coincided"):
         row = _aggregate_one_set(synthetic_encoded, ces, validation_model, synthetic_jury)

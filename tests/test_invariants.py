@@ -12,9 +12,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import StubModel, make_encoded
+from conftest import StubModel, make_encoded, path_total
 from tcol.data import synthetic_paths
-from tcol.engine import PREFERENCES, GenerationConfig, generate
+from tcol.engine import PREFERENCES, GenerationConfig, generate, partition_features
 from tcol.models import make_model
 
 
@@ -52,6 +52,7 @@ def test_generate_invariants(case):
         warnings.simplefilter("ignore")
         ces = generate(data, query, config, model)
     immutable = data.immutable_mask()
+    groups = partition_features(data.n_features, config.depth)
     assert 1 <= len(ces) <= config.num_ces
     assert len({ce.vector.tobytes() for ce in ces}) == len(ces)
     for ce in ces:
@@ -61,6 +62,8 @@ def test_generate_invariants(case):
         assert ce.vector.tobytes() == expected.tobytes()
         assert np.array_equal(ce.vector[immutable], query[immutable])
         assert ce.validated == (model.predict(ce.vector) == data.target_class)
+        total = path_total(prototype, query, groups, config.score_rule(), ce.path)
+        assert np.float64(ce.score).tobytes() == np.float64(total).tobytes()
         if ce.fallback:
             assert ce.path == tuple(int(b) for b in immutable)
 
