@@ -113,22 +113,22 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_encoded(args):
-    schema = load_schema(args.schema)
-    dataset = load_csv(args.data, schema, args.target, args.target_class)
+def _load_encoded(data_path, schema_path, target, target_class):
+    schema = load_schema(schema_path)
+    dataset = load_csv(data_path, schema, target, target_class)
     encoder = fit_encoder(dataset)
     return dataset, encoder, encode_dataset(encoder, dataset)
 
 
 def _cmd_encode(args) -> int:
-    dataset, encoder, _ = _load_encoded(args)
+    dataset, encoder, _ = _load_encoded(args.data, args.schema, args.target, args.target_class)
     encoder.to_json(args.out)
     print(f"fitted encoder on {len(dataset)} rows ({dataset.dropped_rows} dropped) -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_train(args) -> int:
-    _, _, encoded = _load_encoded(args)
+    _, _, encoded = _load_encoded(args.data, args.schema, args.target, args.target_class)
     kinds = MODEL_KINDS if args.kind == "all" else (args.kind,)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -141,18 +141,23 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    dataset, encoder, encoded = _load_encoded(args)
+    try:
+        config = GenerationConfig(
+            preference=args.preference,
+            depth=args.depth,
+            num_ces=args.num_ces,
+            distance=args.distance,
+            fcs_variant=args.fcs_variant,
+            budget=args.budget,
+        )
+    except ValueError as exc:
+        raise _UsageError(exc) from None
+    dataset, encoder, encoded = _load_encoded(
+        args.data, args.schema, args.target, args.target_class
+    )
     if not 0 <= args.query_index < len(dataset):
         raise ValueError(f"query index {args.query_index} outside [0, {len(dataset) - 1}]")
     model = fit_builtin("random_forest", encoded, seed=args.seed)
-    config = GenerationConfig(
-        preference=args.preference,
-        depth=args.depth,
-        num_ces=args.num_ces,
-        distance=args.distance,
-        fcs_variant=args.fcs_variant,
-        budget=args.budget,
-    )
     ces = generate(encoded, encoded.X[args.query_index], config, model)
     payload = {
         "format_version": 1,
@@ -187,14 +192,14 @@ def _cmd_generate(args) -> int:
 def _cmd_evaluate(args) -> int:
     with open(args.ces, encoding="utf-8") as fh:
         ce_file = json.load(fh)
-    data_path = args.data or ce_file["dataset"]
-    schema_path = args.schema or ce_file["schema"]
-    schema = load_schema(schema_path)
-    dataset = load_csv(data_path, schema, ce_file["target"], ce_file["target_class"])
-    encoder = fit_encoder(dataset)
-    encoded = encode_dataset(encoder, dataset)
+    dataset, encoder, encoded = _load_encoded(
+        args.data or ce_file["dataset"],
+        args.schema or ce_file["schema"],
+        ce_file["target"],
+        ce_file["target_class"],
+    )
 
-    names = [f.name for f in schema]
+    names = [f.name for f in dataset.schema]
     vectors = [encoder.encode([ce["values"][n] for n in names]) for ce in ce_file["ces"]]
     if not vectors:
         raise ValueError("counterfactual file contains no counterfactuals")
@@ -268,13 +273,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](args)
     except _DATA_ERRORS as exc:
         print(f"data/schema error: {exc}", file=sys.stderr)
         return EXIT_DATA

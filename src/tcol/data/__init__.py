@@ -14,18 +14,10 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from ..tabular import Dataset, FeatureSchema, load_csv, load_schema
+from ..tabular import Dataset, load_csv, load_schema
 
 SYNTHETIC_TARGET = "loan"
 SYNTHETIC_TARGET_CLASS = "approved"
-
-PUBLIC_SCHEMAS = (
-    "adult_income",
-    "german_credit",
-    "titanic",
-    "water_quality",
-    "phoneme",
-)
 
 
 def bundled_path(name: str) -> Path:
@@ -44,9 +36,3 @@ def synthetic_paths() -> tuple[Path, Path]:
 def load_synthetic() -> Dataset:
     csv_path, schema_path = synthetic_paths()
     return load_csv(csv_path, load_schema(schema_path), SYNTHETIC_TARGET, SYNTHETIC_TARGET_CLASS)
-
-
-def public_schema(name: str) -> tuple[FeatureSchema, ...]:
-    if name not in PUBLIC_SCHEMAS:
-        raise ValueError(f"unknown public schema {name!r}, expected one of {PUBLIC_SCHEMAS}")
-    return load_schema(bundled_path(f"public/{name}.schema.json"))

@@ -11,13 +11,11 @@ whose prototype slice, has zero norm cannot be scored by any rule and is
 skipped. A full-length path's total is the left-to-right sum of its group
 scores. The top ``budget`` paths by total are drawn with an exact merge,
 one group at a time, so the first draw is the splice of the per-group
-winners. The drawn vectors are checked against the validation model in
-one batched call, and the first one it accepts, in draw order, is the
-counterfactual.
-
-One fallback rule covers every other case: a group with no scoreable
-mask, or no accepted draw, gives the prototype itself with its immutable
-features pinned to the query.
+winners. The fallback, the prototype itself with its immutable features
+pinned to the query, is drawn last, outside the merge. All draws are
+checked against the validation model in one batched call: the first one
+it accepts, in draw order, is the counterfactual, and the fallback stands
+unvalidated when it accepts none.
 
 Immutable features always keep the query's value: their path bits are
 forced to 1 in every mask considered.
@@ -182,17 +180,22 @@ def _group_scores(
     return scores[order], masks[order]
 
 
+def _admissible_masks(immutable: np.ndarray) -> np.ndarray:
+    """A group's local masks with bit 1 at every immutable position, as
+    rows in ascending binary order (that of ``product((0, 1), repeat=k)``),
+    so row 0 is the group's immutable-only mask."""
+    k = len(immutable)
+    local = np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1) & 1
+    return local[np.all(local >= immutable, axis=1)]
+
+
 def ranked_path_combinations(
-    prototype: np.ndarray,
-    query: np.ndarray,
-    groups: Sequence[Sequence[int]],
-    rule: ScoreRule,
-    immutable_mask: np.ndarray,
-    budget: int,
+    ranked: Sequence[tuple[np.ndarray, np.ndarray]], budget: int
 ) -> Iterator[tuple[tuple, float]]:
     """Yield the ``budget`` best full-length paths, best total first.
 
-    Each group's admissible masks (bit 1 at every immutable position) are
+    ``ranked`` holds each group's ``(scores, masks)`` from ``_group_scores``,
+    in group order: its admissible masks (bit 1 at every immutable position)
     ranked by descending score, then more query-side bits, then ascending
     binary order. A path's total is the left-to-right sum of its group
     scores, starting at 0.0. Totals never increase along the draw; equal
@@ -207,11 +210,7 @@ def ranked_path_combinations(
     best masks before the merge.
     """
     totals, paths = np.zeros(1), np.zeros((1, 0), dtype=int)
-    for g in groups:
-        # rows count up in binary, the order of product((0, 1), repeat=len(g))
-        local = np.arange(2 ** len(g))[:, None] >> np.arange(len(g) - 1, -1, -1) & 1
-        admissible = local[np.all(local >= immutable_mask[g], axis=1)]
-        scores, masks = _group_scores(prototype[g], query[g], admissible, rule)
+    for scores, masks in ranked:
         if len(scores) == 0:
             return
         scores, masks = scores[:budget], masks[:budget]
@@ -231,9 +230,10 @@ def generate(
 ) -> list[CandidateCE]:
     """Produce up to ``num_ces`` counterfactuals for one encoded query.
 
-    One candidate per ranked prototype: the first of its ``budget``
-    best-scoring combinations that the model accepts, or the fallback
-    described in the module docstring. Output is deduplicated on vectors
+    One candidate per ranked prototype: its ``budget`` best-scoring
+    combinations are drawn and the fallback is drawn last, all validated
+    in one model call; the first accepted row wins, and the fallback,
+    unvalidated, when none is accepted. Output is deduplicated on vectors
     and deterministic for a fixed configuration.
     """
     query = np.asarray(query, dtype=float)
@@ -245,41 +245,32 @@ def generate(
     groups = partition_features(data.n_features, config.depth)
     rule = config.score_rule()
     immutable = data.immutable_mask()
+    admissible = [_admissible_masks(immutable[g]) for g in groups]
+    fallback_path = tuple(int(b) for b in immutable)
 
     results = []
     for proto_idx in prototypes:
         prototype = data.X[proto_idx]
-        chosen = None
-        drawn = list(
-            ranked_path_combinations(prototype, query, groups, rule, immutable, config.budget)
-        )
-        if drawn:
-            vectors = _fill(prototype, query, [path for path, _ in drawn])
-            accepted = np.flatnonzero(validation_model.predicts_target(vectors))
-            if len(accepted):
-                path, total = drawn[accepted[0]]
-                chosen = CandidateCE(vectors[accepted[0]], path, proto_idx, total, validated=True)
-        if chosen is None:
-            # No scoreable mask in some group, or no accepted draw: fall back
-            # to the prototype with immutable features pinned to the query
-            # (the prototype verbatim when it already conforms). It is a
-            # genuine target-class row, though the model may still disagree;
-            # the validated flag records the check.
-            path = tuple(int(b) for b in immutable)
-            vector = _fill(prototype, query, path)
-            total = 0.0
-            for g in groups:
-                scores, _ = _group_scores(prototype[g], query[g], immutable[None, g], rule)
-                total += scores[0].item() if len(scores) else float("-inf")
-            chosen = CandidateCE(
-                vector,
-                path,
-                proto_idx,
-                total,
-                validated=validation_model.predict(vector) == data.target_class,
-                fallback=True,
-            )
-        results.append(chosen)
+        ranked = [
+            _group_scores(prototype[g], query[g], masks, rule)
+            for g, masks in zip(groups, admissible)
+        ]
+        # each group's immutable-only mask (row 0 of its admissible masks) can
+        # rank below the budget cut, so the fallback reads the full ranking
+        fallback_total = 0.0
+        for (scores, masks), local in zip(ranked, admissible):
+            hit = np.flatnonzero(np.all(masks == local[0], axis=1))
+            fallback_total += scores[hit[0]].item() if len(hit) else float("-inf")
+        drawn = list(ranked_path_combinations(ranked, config.budget))
+        drawn.append((fallback_path, fallback_total))
+        vectors = _fill(prototype, query, [path for path, _ in drawn])
+        accepted = np.flatnonzero(validation_model.predicts_target(vectors))
+        # The fallback is a genuine target-class row, though the model may
+        # still disagree; the validated flag records the check.
+        first = int(accepted[0]) if len(accepted) else len(drawn) - 1
+        path, total = drawn[first]
+        validated, fallback = bool(len(accepted)), first == len(drawn) - 1
+        results.append(CandidateCE(vectors[first], path, proto_idx, total, validated, fallback))
 
     deduped, seen = [], set()
     for ce in results:
@@ -288,4 +279,3 @@ def generate(
             seen.add(key)
             deduped.append(ce)
     return deduped
-

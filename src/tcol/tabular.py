@@ -30,7 +30,7 @@ IMMUTABLE = "immutable"
 
 
 class SchemaViolationError(ValueError):
-    """A row value does not conform to the feature schema."""
+    """A schema, or data read against it, breaks the schema's rules."""
 
 
 class CsvParseError(ValueError):
@@ -56,21 +56,25 @@ class FeatureSchema:
 
     def __post_init__(self):
         if self.kind not in (CATEGORICAL, NUMERIC):
-            raise ValueError(f"unknown feature kind {self.kind!r} for {self.name!r}")
+            raise SchemaViolationError(f"unknown feature kind {self.kind!r} for {self.name!r}")
         if self.mutability not in (MUTABLE, IMMUTABLE):
-            raise ValueError(f"unknown mutability {self.mutability!r} for {self.name!r}")
+            raise SchemaViolationError(f"unknown mutability {self.mutability!r} for {self.name!r}")
         object.__setattr__(self, "domain", tuple(self.domain))
         if self.kind == CATEGORICAL:
             if not self.domain:
-                raise ValueError(f"categorical feature {self.name!r} needs a non-empty domain")
+                raise SchemaViolationError(
+                    f"categorical feature {self.name!r} needs a non-empty domain"
+                )
             if len(set(self.domain)) != len(self.domain):
-                raise ValueError(f"duplicate categories in domain of {self.name!r}")
+                raise SchemaViolationError(f"duplicate categories in domain of {self.name!r}")
         else:
             if len(self.domain) != 2:
-                raise ValueError(f"numeric feature {self.name!r} needs a (min, max) domain")
+                raise SchemaViolationError(
+                    f"numeric feature {self.name!r} needs a (min, max) domain"
+                )
             lo, hi = self.domain
             if float(lo) > float(hi):
-                raise ValueError(f"numeric domain min > max for {self.name!r}")
+                raise SchemaViolationError(f"numeric domain min > max for {self.name!r}")
 
     @property
     def immutable(self) -> bool:
@@ -97,14 +101,6 @@ def load_schema(path: str | Path) -> tuple[FeatureSchema, ...]:
             )
         )
     return tuple(features)
-
-
-def dump_schema(schema: Sequence[FeatureSchema], path: str | Path) -> None:
-    payload = [
-        {"name": f.name, "kind": f.kind, "mutability": f.mutability, "domain": list(f.domain)}
-        for f in schema
-    ]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def _conform(value, feat: FeatureSchema):
@@ -144,12 +140,16 @@ class Dataset:
         object.__setattr__(self, "schema", tuple(self.schema))
         object.__setattr__(self, "target", tuple(self.target))
         if len(self.rows) != len(self.target):
-            raise ValueError("rows and target column differ in length")
+            raise SchemaViolationError("rows and target column differ in length")
         labels = set(self.target)
         if len(labels) != 2:
-            raise ValueError(f"target column must contain exactly two labels, got {sorted(labels)}")
+            raise SchemaViolationError(
+                f"target column must contain exactly two labels, got {sorted(labels)}"
+            )
         if self.target_class not in labels:
-            raise ValueError(f"target_class {self.target_class!r} not present in target column")
+            raise SchemaViolationError(
+                f"target_class {self.target_class!r} not present in target column"
+            )
         checked = []
         for row in self.rows:
             if len(row) != len(self.schema):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tcol.data import SYNTHETIC_TARGET, SYNTHETIC_TARGET_CLASS, load_synthetic, synthetic_paths
-from tcol.engine import ranked_path_combinations
+from tcol.engine import _admissible_masks, _group_scores, ranked_path_combinations
 from tcol.models import ClassifierModel, cv_weights, fit_builtin
 from tcol.tabular import EncodedDataset, FeatureSchema, encode_dataset, fit_encoder
 
@@ -30,12 +30,22 @@ def make_encoded(X, y, target_class="yes", immutable=()):
     )
 
 
+def draw_combinations(prototype, query, groups, rule, immutable_mask, budget):
+    """The engine's draw over one prototype: each group ranked as
+    ``generate`` ranks it, then the ``budget`` best combinations."""
+    ranked = [
+        _group_scores(prototype[g], query[g], _admissible_masks(immutable_mask[g]), rule)
+        for g in groups
+    ]
+    return ranked_path_combinations(ranked, budget)
+
+
 def select_local_path(proto_slice, query_slice, rule, immutable_mask=None):
     """The engine's best local mask for one feature group: the first ranked
     combination when the slices form the only group."""
     proto_slice = np.asarray(proto_slice, dtype=float)
     immutable = np.zeros(len(proto_slice), dtype=bool) if immutable_mask is None else immutable_mask
-    ranked = ranked_path_combinations(
+    ranked = draw_combinations(
         proto_slice,
         np.asarray(query_slice, dtype=float),
         [list(range(len(proto_slice)))],

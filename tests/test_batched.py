@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import StubModel, make_encoded
+from conftest import StubModel, draw_combinations, make_encoded
 from tcol.engine import (
     CandidateCE,
     GenerationConfig,
     generate,
     partition_features,
-    ranked_path_combinations,
 )
 from tcol.models import MODEL_KINDS, ClassifierModel, make_model
 from tcol.scoring import cosine, count_diffs, distance_fn
@@ -126,7 +125,7 @@ def sequential_generate(data, query, config, model):
     for proto_idx in prototypes:
         prototype = data.X[proto_idx]
         chosen = None
-        drawn = ranked_path_combinations(prototype, query, groups, rule, immutable, config.budget)
+        drawn = draw_combinations(prototype, query, groups, rule, immutable, config.budget)
         for _ in range(config.budget):
             try:
                 path, total = next(drawn)

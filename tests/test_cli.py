@@ -52,6 +52,48 @@ def test_out_of_range_query_index_is_runtime_error(tmp_path, capsys):
     assert "outside" in capsys.readouterr().err
 
 
+def test_unknown_target_class_is_data_error(tmp_path, capsys):
+    code = main(
+        ["generate", "--query-index", "1", "--preference", "a", "--target-class", "maybe",
+         "--out", str(tmp_path / "ces.json")]
+    )
+    assert code == 2
+    assert "target_class 'maybe' not present" in capsys.readouterr().err
+
+
+def test_unknown_feature_kind_is_data_error(tmp_path, synthetic_files, capsys):
+    entries = json.loads(Path(synthetic_files["schema"]).read_text(encoding="utf-8"))
+    entries[0]["kind"] = "ordinal"
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(entries), encoding="utf-8")
+    code = main(
+        ["generate", "--query-index", "1", "--preference", "a", "--schema", str(schema),
+         "--out", str(tmp_path / "ces.json")]
+    )
+    assert code == 2
+    assert "unknown feature kind 'ordinal'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [("--budget", "0", "budget"), ("--depth", "2", "depth"), ("--num-ces", "0", "num_ces")],
+)
+def test_bad_generation_option_is_a_usage_error_before_any_read(
+    tmp_path, monkeypatch, capsys, option, value, message
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate read data or fitted a model before checking its options")
+
+    monkeypatch.setattr(cli, "load_csv", refuse)
+    monkeypatch.setattr(cli, "fit_builtin", refuse)
+    code = main(
+        ["generate", "--query-index", "1", "--preference", "a", option, value,
+         "--out", str(tmp_path / "ces.json")]
+    )
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
 def test_encode_writes_encoder(tmp_path, capsys):
     out = tmp_path / "encoder.json"
     assert main(["encode", "--out", str(out)]) == 0

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import StubModel, make_encoded, path_total, select_local_path
+from conftest import StubModel, draw_combinations, make_encoded, path_total, select_local_path
 from tcol.engine import (
     AlreadyTargetWarning,
     GenerationConfig,
     _fill,
     generate,
     partition_features,
-    ranked_path_combinations,
     select_prototypes,
 )
+from tcol.models import ClassifierModel
 from tcol.scoring import ScoreRule
 from tcol.tabular import EncodedDataset
 
@@ -165,7 +165,7 @@ def group_masks(proto, query):
     """Every local mask the engine ranks when the slices form the only group."""
     groups = [list(range(len(proto)))]
     immutable = np.zeros(len(proto), dtype=bool)
-    ranked = ranked_path_combinations(
+    ranked = draw_combinations(
         proto, query, groups, ScoreRule("rss"), immutable, 2 ** len(proto)
     )
     return [path for path, _ in ranked]
@@ -281,8 +281,8 @@ class TestRankedCombinations:
     def test_budgeted_draw_is_the_head_of_the_exact_enumeration(self, case):
         proto, query, groups, rule, immutable, budget = case
         n = len(proto)
-        everything = list(ranked_path_combinations(proto, query, groups, rule, immutable, 2**n))
-        drawn = list(ranked_path_combinations(proto, query, groups, rule, immutable, budget))
+        everything = list(draw_combinations(proto, query, groups, rule, immutable, 2**n))
+        drawn = list(draw_combinations(proto, query, groups, rule, immutable, budget))
         assert drawn == everything[:budget]
         totals = [total for _, total in everything]
         assert totals == sorted(totals, reverse=True)
@@ -306,7 +306,7 @@ class TestRankedCombinations:
             groups = partition_features(7, 3)
             rule = ScoreRule("rss")
             immutable = np.zeros(7, dtype=bool)
-            first, _ = next(ranked_path_combinations(proto, query, groups, rule, immutable, 1))
+            first, _ = next(draw_combinations(proto, query, groups, rule, immutable, 1))
             expected = tuple(
                 bit for g in groups for bit in brute_force_path(proto[g], query[g], rule)
             )
@@ -319,7 +319,7 @@ class TestRankedCombinations:
         groups = partition_features(6, 3)
         immutable = np.zeros(6, dtype=bool)
         drawn = list(
-            ranked_path_combinations(proto, query, groups, ScoreRule("ncs"), immutable, 2**6)
+            draw_combinations(proto, query, groups, ScoreRule("ncs"), immutable, 2**6)
         )
         scores = [s for _, s in drawn]
         assert scores == sorted(scores, reverse=True)
@@ -331,7 +331,7 @@ class TestRankedCombinations:
         query = np.array([0.0, 0.0, 0.0, 0.7, 0.2, 0.9])
         immutable = np.array([True, True, True, False, False, False])
         proto = np.tile(PROTO, 2)
-        drawn = ranked_path_combinations(proto, query, groups, ScoreRule("ncs"), immutable, 2**6)
+        drawn = draw_combinations(proto, query, groups, ScoreRule("ncs"), immutable, 2**6)
         assert list(drawn) == []
 
 
@@ -380,7 +380,7 @@ class TestGenerate:
         config = GenerationConfig(preference="c", depth=3, num_ces=1, budget=64)
         groups = partition_features(6, 3)
         ranked = list(
-            ranked_path_combinations(
+            draw_combinations(
                 proto, query, groups, ScoreRule("rss"), np.zeros(6, dtype=bool), 2**6
             )
         )
@@ -477,6 +477,50 @@ class TestGenerate:
         config = GenerationConfig(preference="e", budget=1)
         ces = generate(synthetic_encoded, synthetic_encoded.X[qi], config, StubModel(always=False))
         assert len(ces) >= 1  # fallbacks guarantee at least one candidate
+
+
+class RejectingRowsModel(ClassifierModel):
+    """Knows only whole matrices, rejects every row and counts its calls."""
+
+    kind = "rejecting_rows"
+
+    def __init__(self):
+        super().__init__()
+        self.target_class, self.other_class = "yes", "no"
+        self.fitted = True
+        self.calls = 0
+
+    def _fit(self, X, y):
+        pass
+
+    def predict_proba_rows(self, X):
+        self.calls += 1
+        return np.zeros(len(X))
+
+
+def test_each_group_is_scored_once_and_the_model_called_once_per_prototype(monkeypatch):
+    rng = np.random.default_rng(26)
+    n_features, k = 7, 3
+    X = np.vstack([rng.random((k, n_features)) * 0.8 + 0.1, rng.random((2, n_features))])
+    data = make_encoded(X, ["yes"] * k + ["no", "no"])
+    query = rng.random(n_features) * 0.8 + 0.1
+    config = GenerationConfig(preference="a", depth=3, num_ces=k)
+    score_calls = []
+    score = ScoreRule.score
+
+    def counting_score(self, *args, **kwargs):
+        score_calls.append(self.tag)
+        return score(self, *args, **kwargs)
+
+    monkeypatch.setattr(ScoreRule, "score", counting_score)
+    model = RejectingRowsModel()
+    ces = generate(data, query, config, model)
+    n_groups = len(partition_features(n_features, config.depth))
+    # one call per prototype, plus the already-target check on the query
+    assert model.calls == k + 1
+    assert len(score_calls) == n_groups * k
+    assert len(ces) == k
+    assert all(ce.fallback is True and ce.validated is False for ce in ces)
 
 
 class TestGenerationConfig:

@@ -240,10 +240,12 @@ def test_encode_dataset_shapes(synthetic, synthetic_encoder):
 
 
 def test_load_schema_round_trip(tmp_path):
-    from tcol.tabular import dump_schema
-
+    payload = [
+        {"name": f.name, "kind": f.kind, "mutability": f.mutability, "domain": list(f.domain)}
+        for f in SCHEMA
+    ]
     path = tmp_path / "schema.json"
-    dump_schema(SCHEMA, path)
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     assert load_schema(path) == SCHEMA
 
 
@@ -255,9 +257,12 @@ def test_load_schema_requires_fields(tmp_path):
 
 
 def test_bundled_public_schemas_parse():
-    from tcol.data import PUBLIC_SCHEMAS, public_schema
+    from tcol.data import bundled_path
 
-    for name in PUBLIC_SCHEMAS:
-        schema = public_schema(name)
+    paths = sorted(bundled_path("public").iterdir())
+    names = {path.name.removesuffix(".schema.json") for path in paths}
+    assert names >= {"adult_income", "german_credit", "titanic", "water_quality", "phoneme"}
+    for path in paths:
+        schema = load_schema(path)
         assert len(schema) >= 5
         assert any(f.kind == "numeric" for f in schema)
