@@ -17,8 +17,8 @@ class CoincidentNeighborError(ValueError):
 
 
 def _vectors(ces) -> np.ndarray:
-    """Raw vectors or CandidateCE-like objects with a .vector field, as rows."""
-    out = np.array([getattr(ce, "vector", ce) for ce in ces], dtype=float)
+    """Counterfactual vectors as the rows of a matrix."""
+    out = np.array(ces, dtype=float)
     if not len(out):
         raise ValueError("empty counterfactual list")
     return out
@@ -84,7 +84,7 @@ def centrality(ce, data: EncodedDataset, n_neighbors: int = 10) -> float:
     """
     if n_neighbors < 1:
         raise ValueError(f"n_neighbors must be at least 1, got {n_neighbors}")
-    ce = np.asarray(getattr(ce, "vector", ce), dtype=float)
+    ce = np.asarray(ce, dtype=float)
     rows, to_center = data.centroid_neighbors
     if len(rows) < n_neighbors:
         raise ValueError(f"need at least {n_neighbors} target rows, got {len(rows)}")

@@ -1,15 +1,13 @@
 """Built-in classifiers, the validation model, and the third-party jury.
 
 The classifiers are small from-scratch implementations over encoded
-vectors. Every model answers ``predict_proba_rows(X)``, the probability of
-the desired class for each row of a matrix, and ``predict_proba(v)`` for
-one row. A model implements either one and inherits the other: the base
-class derives a single row from a one-row matrix, and a matrix from one
-``predict_proba`` call per row, so a custom model that only knows single
-rows works unchanged. ``predicts_target(X)`` and ``predict(v)`` apply the
-one decision rule, ``proba >= 0.5`` means the target class (ties resolve
-to it), so ``predict(v) == target_class iff predict_proba(v) >= 0.5``
-holds by construction.
+vectors. A model implements one method, ``predict_proba_rows(X)``: the
+probability of the desired class for each row of a matrix. The base class
+derives the rest from it: ``predict_proba(v)`` is the one-row matrix's
+entry, and ``predicts_target(X)`` and ``predict(v)`` apply the one
+decision rule, ``proba >= 0.5`` means the target class (ties resolve to
+it), so ``predict(v) == target_class iff predict_proba(v) >= 0.5`` holds
+by construction.
 
 Trees are compiled once, after fitting or loading, into flat node arrays
 and evaluate a whole matrix level by level (the tensorized-tree layout of
@@ -29,11 +27,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .scoring import _exp
 from .tabular import EncodedDataset
 
-MODEL_KINDS = ("knn", "naive_bayes", "decision_tree", "random_forest")
-
 _VAR_FLOOR = 1e-9
+_KNN_BLOCK = 2**15  # most elements in one block of knn's distance temporary
 _THRESHOLD = 0.5  # predict_proba >= _THRESHOLD means the target class
 
 
@@ -98,11 +96,7 @@ class ClassifierModel:
 
     def predict_proba_rows(self, X) -> np.ndarray:
         """Target-class probability of each row of the matrix ``X``."""
-        if type(self).predict_proba is ClassifierModel.predict_proba:
-            raise NotImplementedError(
-                f"{type(self).__name__} overrides neither predict_proba nor predict_proba_rows"
-            )
-        return np.array([self.predict_proba(row) for row in np.asarray(X, dtype=float)], dtype=float)
+        raise NotImplementedError(f"{type(self).__name__} does not implement predict_proba_rows")
 
     def predicts_target(self, X) -> np.ndarray:
         """Per row of ``X``: does the model predict the target class?"""
@@ -134,12 +128,18 @@ class Knn(ClassifierModel):
         self._X = X.copy()
         self._y = y.copy()
 
-    def predict_proba(self, vector) -> float:
-        v = np.asarray(vector, dtype=float)
-        d = np.linalg.norm(self._X - v, axis=1)
-        k = min(self.k, len(d))
-        nearest = np.argsort(d, kind="stable")[:k]  # distance ties -> lower row index
-        return float(np.mean(self._y[nearest] == self.target_class))
+    def predict_proba_rows(self, X) -> np.ndarray:
+        # Rows in blocks, so the (rows x training rows x features) difference
+        # temporary stays near _KNN_BLOCK elements.
+        X = np.asarray(X, dtype=float)
+        k = min(self.k, len(self._X))
+        step = max(1, _KNN_BLOCK // self._X.size)
+        out = np.empty(len(X))
+        for start in range(0, len(X), step):
+            d = np.linalg.norm(self._X - X[start : start + step, np.newaxis, :], axis=2)
+            nearest = np.argsort(d, axis=1, kind="stable")[:, :k]  # distance ties -> lower row index
+            out[start : start + step] = np.mean(self._y[nearest] == self.target_class, axis=1)
+        return out
 
     def hyperparameters(self):
         return {"k": self.k}
@@ -167,18 +167,18 @@ class NaiveBayes(ClassifierModel):
                 "var": np.maximum(rows.var(axis=0), _VAR_FLOOR),
             }
 
-    def _log_likelihood(self, label, v) -> float:
+    def _log_likelihood(self, label, X) -> np.ndarray:
         s = self._stats[label]
         var = s["var"]
-        ll = -0.5 * np.sum(np.log(2.0 * np.pi * var) + (v - s["mean"]) ** 2 / var)
-        return float(ll + math.log(s["prior"]))
+        ll = -0.5 * np.sum(np.log(2.0 * np.pi * var) + (X - s["mean"]) ** 2 / var, axis=1)
+        return ll + math.log(s["prior"])
 
-    def predict_proba(self, vector) -> float:
-        v = np.asarray(vector, dtype=float)
-        lt = self._log_likelihood(self.target_class, v)
-        lo = self._log_likelihood(self.other_class, v)
-        m = max(lt, lo)
-        et, eo = math.exp(lt - m), math.exp(lo - m)
+    def predict_proba_rows(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        lt = self._log_likelihood(self.target_class, X)
+        lo = self._log_likelihood(self.other_class, X)
+        m = np.maximum(lt, lo)
+        et, eo = _exp(lt - m), _exp(lo - m)
         return et / (et + eo)
 
     def _params(self):
@@ -364,16 +364,15 @@ class RandomForest(_CartModel):
         return {"n_trees": self.n_trees, "max_depth": self.max_depth, "seed": self.seed}
 
 
+_MODEL_CLASSES = {cls.kind: cls for cls in (Knn, NaiveBayes, DecisionTree, RandomForest)}
+MODEL_KINDS = tuple(_MODEL_CLASSES)
+
+
 def make_model(kind: str, seed: int = 0) -> ClassifierModel:
-    if kind == "knn":
-        return Knn()
-    if kind == "naive_bayes":
-        return NaiveBayes()
-    if kind == "decision_tree":
-        return DecisionTree()
-    if kind == "random_forest":
-        return RandomForest(seed=seed)
-    raise ValueError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
+    if kind not in _MODEL_CLASSES:
+        raise ValueError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
+    cls = _MODEL_CLASSES[kind]
+    return cls(seed=seed) if cls is RandomForest else cls()
 
 
 def fit_builtin(kind: str, data: EncodedDataset, seed: int = 0) -> ClassifierModel:
@@ -436,9 +435,6 @@ def cv_weights(kinds: Sequence[str], data: EncodedDataset, folds: int, seed: int
         model = make_model(kind, seed=seed).fit(data.X, data.y, data.target_class)
         members.append((model, weight))
     return ThirdPartyJury(members=tuple(members))
-
-
-_MODEL_CLASSES = {cls.kind: cls for cls in (Knn, NaiveBayes, DecisionTree, RandomForest)}
 
 
 def save_model(model: ClassifierModel, path: str | Path) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -72,8 +73,10 @@ class FeatureSchema:
                 raise SchemaViolationError(
                     f"numeric feature {self.name!r} needs a (min, max) domain"
                 )
+            if not all(isinstance(b, numbers.Real) and math.isfinite(b) for b in self.domain):
+                raise SchemaViolationError(f"numeric domain of {self.name!r} is not two finite numbers")
             lo, hi = self.domain
-            if float(lo) > float(hi):
+            if lo > hi:
                 raise SchemaViolationError(f"numeric domain min > max for {self.name!r}")
 
     @property
@@ -103,31 +106,10 @@ def load_schema(path: str | Path) -> tuple[FeatureSchema, ...]:
     return tuple(features)
 
 
-def _conform(value, feat: FeatureSchema):
-    """Validate and normalize one raw value against its feature schema."""
-    if feat.kind == CATEGORICAL:
-        if value not in feat.domain:
-            raise SchemaViolationError(
-                f"value {value!r} not in domain of categorical feature {feat.name!r}"
-            )
-        return value
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise SchemaViolationError(
-            f"value {value!r} is not numeric for feature {feat.name!r}"
-        ) from None
-    lo, hi = float(feat.domain[0]), float(feat.domain[1])
-    if not (math.isfinite(number) and lo <= number <= hi):
-        raise SchemaViolationError(
-            f"value {value!r} outside domain [{lo:g}, {hi:g}] of numeric feature {feat.name!r}"
-        )
-    return number
-
-
 @dataclass(frozen=True)
 class Dataset:
-    """Validated tabular data with a binary target and a desired class."""
+    """Tabular data with a binary target and a desired class; ``load_csv``
+    checks each cell against the schema."""
 
     schema: tuple[FeatureSchema, ...]
     rows: tuple[tuple, ...]
@@ -150,14 +132,12 @@ class Dataset:
             raise SchemaViolationError(
                 f"target_class {self.target_class!r} not present in target column"
             )
-        checked = []
+        object.__setattr__(self, "rows", tuple(self.rows))
         for row in self.rows:
             if len(row) != len(self.schema):
                 raise SchemaViolationError(
                     f"row has {len(row)} values, schema has {len(self.schema)}"
                 )
-            checked.append(tuple(_conform(v, f) for v, f in zip(row, self.schema)))
-        object.__setattr__(self, "rows", tuple(checked))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -180,7 +160,8 @@ def load_csv(
 
     Rows containing a null (empty cell) in any schema or target column are
     dropped and counted in ``Dataset.dropped_rows``. Extra columns not named
-    by the schema are ignored; missing ones are an error.
+    by the schema are ignored; missing ones are an error. A cell outside its
+    feature's domain, a non-finite number included, is a schema violation.
     """
     schema = tuple(schema)
     with open(path, encoding="utf-8", newline="") as fh:
@@ -214,7 +195,12 @@ def load_csv(
                 continue
             row = []
             for value, feat in zip(used, schema):
-                if feat.kind == NUMERIC:
+                if feat.kind == CATEGORICAL:
+                    if value not in feat.domain:
+                        raise SchemaViolationError(
+                            f"value {value!r} not in domain of categorical feature {feat.name!r}"
+                        )
+                else:
                     try:
                         value = float(value)
                     except ValueError:
@@ -222,6 +208,12 @@ def load_csv(
                             f"non-numeric value {value!r} for feature {feat.name!r}",
                             line=line_no,
                         ) from None
+                    lo, hi = feat.domain
+                    if not (math.isfinite(value) and lo <= value <= hi):
+                        raise SchemaViolationError(
+                            f"value {value!r} outside domain [{lo:g}, {hi:g}] "
+                            f"of numeric feature {feat.name!r}"
+                        )
                 row.append(value)
             rows.append(tuple(row))
             labels.append(label)
@@ -249,7 +241,8 @@ class Encoder:
 
     Categorical value -> mean(target == target_class) over its rows, then
     min-max to [0, 1]; numeric -> min-max over training rows, clamped for
-    out-of-range inputs at encode time. ``decode`` inverts exactly for the
+    out-of-range inputs at encode time, while a value that is not a finite
+    number raises ``SchemaViolationError``. ``decode`` inverts exactly for the
     fitted rows: categorical by a stored reverse map, numeric by the inverse
     affine map. Two categories of one feature with the same target rate
     would encode identically and could not both round-trip, so building an
@@ -276,7 +269,15 @@ class Encoder:
                     )
                 out[i] = _scale(rates[value], self.mins[i], self.maxs[i])
             else:
-                v = _scale(float(value), self.mins[i], self.maxs[i])
+                try:
+                    number = float(value)
+                except (TypeError, ValueError):
+                    number = math.nan
+                if not math.isfinite(number):
+                    raise SchemaViolationError(
+                        f"value {value!r} of numeric feature {feat.name!r} is not a finite number"
+                    )
+                v = _scale(number, self.mins[i], self.maxs[i])
                 out[i] = min(max(v, 0.0), 1.0)
         return out
 

@@ -86,10 +86,11 @@ class StubModel(ClassifierModel):
     def _fit(self, X, y):
         pass
 
-    def predict_proba(self, vector):
+    def predict_proba_rows(self, X):
+        X = np.asarray(X, dtype=float)
         if self.always is not None:
-            return 1.0 if self.always else 0.0
-        return 1.0 if np.asarray(vector, dtype=float).tobytes() in self._yes else 0.0
+            return np.full(len(X), 1.0 if self.always else 0.0)
+        return np.array([1.0 if row.tobytes() in self._yes else 0.0 for row in X])
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,9 @@
-"""The batched model path: ``predict_proba_rows`` against single-row calls,
-and ``generate`` against a sequential reference that validates one drawn
-combination at a time. The reference keeps its own fill and fallback-score
-helpers, independent of the engine's."""
+"""The batched model path: ``predict_proba_rows`` against per-row
+reference formulas, and ``generate`` against a sequential reference that
+validates one drawn combination at a time. The reference keeps its own
+fill and fallback-score helpers, independent of the engine's."""
 
+import math
 import warnings
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import StubModel, draw_combinations, make_encoded
+from conftest import draw_combinations, make_encoded
+from tcol import models
 from tcol.engine import (
     CandidateCE,
     GenerationConfig,
@@ -39,18 +41,59 @@ def training_and_probes(draw):
     return X, y, probes
 
 
+def knn_row(model, v) -> float:
+    """The per-row knn vote the batched one must reproduce bit for bit."""
+    d = np.linalg.norm(model._X - v, axis=1)
+    k = min(model.k, len(d))
+    nearest = np.argsort(d, kind="stable")[:k]  # distance ties -> lower row index
+    return float(np.mean(model._y[nearest] == model.target_class))
+
+
+def naive_bayes_row(model, v) -> float:
+    """The per-row naive Bayes posterior the batched one must reproduce bit for bit."""
+
+    def log_likelihood(label) -> float:
+        s = model._stats[label]
+        var = s["var"]
+        ll = -0.5 * np.sum(np.log(2.0 * np.pi * var) + (v - s["mean"]) ** 2 / var)
+        return float(ll + math.log(s["prior"]))
+
+    lt = log_likelihood(model.target_class)
+    lo = log_likelihood(model.other_class)
+    m = max(lt, lo)
+    et, eo = math.exp(lt - m), math.exp(lo - m)
+    return et / (et + eo)
+
+
+# Trees have no per-row formula: a one-row matrix is their single-row call.
+ROW_REFERENCE = {"knn": knn_row, "naive_bayes": naive_bayes_row}
+
+
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 @settings(max_examples=25, deadline=None)
 @given(case=training_and_probes(), seed=st.integers(0, 5))
 def test_rows_equal_single_row_calls_bit_for_bit(kind, case, seed):
     X, y, probes = case
     model = make_model(kind, seed=seed).fit(X, y, "yes")
-    single = np.array([model.predict_proba(row) for row in probes])
+    one_row = ROW_REFERENCE.get(kind, ClassifierModel.predict_proba)
+    single = np.array([one_row(model, row) for row in probes])
     rows = model.predict_proba_rows(probes)
     assert rows.shape == (len(probes),)
     assert rows.tobytes() == single.tobytes()
     hits = model.predicts_target(probes)
     assert hits.tolist() == [model.predict(row) == "yes" for row in probes]
+
+
+def test_knn_rows_spanning_several_distance_blocks_equal_the_per_row_vote():
+    rng = np.random.default_rng(12)
+    X = rng.integers(0, 4, size=(1000, 10)) / 3.0  # coarse grid: many distance ties
+    y = np.where(rng.random(1000) < 0.5, "yes", "no")
+    probes = rng.integers(0, 7, size=(20, 10)) / 6.0
+    model = make_model("knn").fit(X, y, "yes")
+    block_rows = models._KNN_BLOCK // X.size
+    assert 1 < block_rows < len(probes) and len(probes) % block_rows
+    single = np.array([knn_row(model, row) for row in probes])
+    assert model.predict_proba_rows(probes).tobytes() == single.tobytes()
 
 
 def test_model_overriding_neither_method_raises():
@@ -59,17 +102,10 @@ def test_model_overriding_neither_method_raises():
             pass
 
     model = Bare()
-    with pytest.raises(NotImplementedError, match="neither"):
+    with pytest.raises(NotImplementedError):
         model.predict_proba([0.5, 0.5])
-    with pytest.raises(NotImplementedError, match="neither"):
+    with pytest.raises(NotImplementedError):
         model.predict_proba_rows(np.zeros((2, 2)))
-
-
-def test_single_row_model_gets_rows_by_default():
-    model = StubModel(yes_vectors=[[0.1, 0.2]])
-    X = np.array([[0.1, 0.2], [0.3, 0.4], [0.1, 0.2]])
-    assert model.predict_proba_rows(X).tolist() == [1.0, 0.0, 1.0]
-    assert model.predicts_target(X).tolist() == [True, False, True]
 
 
 def _fill(prototype: np.ndarray, query: np.ndarray, path) -> np.ndarray:

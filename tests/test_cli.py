@@ -141,6 +141,17 @@ def test_evaluate_reads_generate_output(ce_file, capsys):
         assert name in out
 
 
+@pytest.mark.parametrize("value", [float("nan"), "abc", None])
+def test_evaluate_rejects_a_non_finite_numeric_value_as_data_error(ce_file, tmp_path, value, capsys):
+    payload = json.loads(ce_file.read_text(encoding="utf-8"))
+    payload["ces"][0]["values"]["income"] = value
+    bad = tmp_path / "ces.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["evaluate", "--ces", str(bad), "--folds", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "income" in err and repr(value) in err
+
+
 @pytest.mark.parametrize("n_neighbors", ["0", "-3"])
 def test_evaluate_rejects_non_positive_n_neighbors(ce_file, n_neighbors, capsys):
     code = main(["evaluate", "--ces", str(ce_file), "--folds", "5", "--n-neighbors", n_neighbors])

@@ -63,8 +63,8 @@ class TestSelectPrototypes:
 
     def test_preference_c_matches_probability_sort(self):
         class ProbaModel(StubModel):
-            def predict_proba(self, vector):
-                return float(np.mean(vector)) / 2.0  # deterministic, below 0.5
+            def predict_proba_rows(self, X):
+                return np.mean(X, axis=1) / 2.0  # deterministic, below 0.5
 
         rng = np.random.default_rng(8)
         X = rng.random((12, 3))

@@ -32,6 +32,11 @@ class TestFeatureSchema:
         with pytest.raises(ValueError, match="min > max"):
             FeatureSchema("x", "numeric", "mutable", (5, 1))
 
+    @pytest.mark.parametrize("domain", [("young", "old"), (0, None), (0, float("nan"))])
+    def test_numeric_domain_bounds_must_be_finite_numbers(self, domain):
+        with pytest.raises(SchemaViolationError, match="'x'"):
+            FeatureSchema("x", "numeric", "mutable", domain)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             FeatureSchema("x", "ordinal", "mutable", (0, 1))
