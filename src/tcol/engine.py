@@ -161,6 +161,17 @@ def _fill(prototype: np.ndarray, query: np.ndarray, path) -> np.ndarray:
     return np.where(np.asarray(path) == 1, query, prototype)
 
 
+def _check_verbatim(vector, path, prototype, query, proto_idx) -> None:
+    """Raise ``RuntimeError`` unless every component of ``vector`` is, bit
+    for bit, the query's where ``path`` has a 1 and the prototype's where
+    it has a 0."""
+    if vector.tobytes() != np.where(np.asarray(path) == 1, query, prototype).tobytes():
+        raise RuntimeError(
+            f"counterfactual from prototype {proto_idx} is not a verbatim copy of "
+            f"the query and the prototype along its path {path}"
+        )
+
+
 def _group_scores(
     proto_slice: np.ndarray, query_slice: np.ndarray, masks: np.ndarray, rule: ScoreRule
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -234,7 +245,9 @@ def generate(
     combinations are drawn and the fallback is drawn last, all validated
     in one model call; the first accepted row wins, and the fallback,
     unvalidated, when none is accepted. Output is deduplicated on vectors
-    and deterministic for a fixed configuration.
+    and deterministic for a fixed configuration. A kept candidate that is
+    not a verbatim copy of the query and the prototype along its path
+    raises ``RuntimeError``.
     """
     query = np.asarray(query, dtype=float)
     if query.shape != (data.n_features,):
@@ -269,6 +282,7 @@ def generate(
         # still disagree; the validated flag records the check.
         first = int(accepted[0]) if len(accepted) else len(drawn) - 1
         path, total = drawn[first]
+        _check_verbatim(vectors[first], path, prototype, query, proto_idx)
         validated, fallback = bool(len(accepted)), first == len(drawn) - 1
         results.append(CandidateCE(vectors[first], path, proto_idx, total, validated, fallback))
 

@@ -14,6 +14,12 @@ and evaluate a whole matrix level by level (the tensorized-tree layout of
 Hummingbird, Nakandala et al., OSDI 2020). A decision tree is a forest of
 one tree. The nested-dict tree stays the persisted form. Models are
 immutable after ``fit`` and safe to share across threads.
+
+Both CART models grow their trees with ``_grow``: per node, one sort of
+each candidate column and prefix sums of the target hits, with the Gini
+impurity evaluated only between distinct values. Ties go to the lowest
+``(impurity, feature, threshold)``, exactly as in a scan of every
+threshold in turn.
 """
 
 from __future__ import annotations
@@ -251,38 +257,47 @@ class _FlatTrees:
         return self.value[node].mean(axis=1)
 
 
-def _gini(hits: np.ndarray) -> float:
-    p = hits.mean()
-    return 2.0 * p * (1.0 - p)
-
-
 def _grow(X, hits, candidates, max_depth: int, min_samples_split: int, depth: int = 0) -> dict:
     """Grow a nested-dict CART tree on Gini splits, left subtree first.
 
+    ``hits`` is 1.0 for a target-class row and 0.0 otherwise.
     ``candidates(n_features)`` gives the ascending features one node may
     split on; ties go to the lowest ``(impurity, feature, threshold)``.
+    Each node sorts its candidate columns once and reads both sides' hit
+    counts from prefix sums, at the midpoints between distinct values only.
     """
     n = len(hits)
     proba = float(hits.mean())
     if depth >= max_depth or n < min_samples_split or proba in (0.0, 1.0):
         return {"leaf": proba, "n": n}
-    best = None
-    for feat in candidates(X.shape[1]):
-        values = np.unique(X[:, feat])
-        if len(values) < 2:
-            continue
-        for threshold in (values[:-1] + values[1:]) / 2.0:
-            left = X[:, feat] <= threshold
-            nl = int(left.sum())
-            if nl == 0 or nl == n:
-                continue
-            impurity = (nl * _gini(hits[left]) + (n - nl) * _gini(hits[~left])) / n
-            key = (impurity, int(feat), float(threshold))
-            if best is None or key < best[0]:
-                best = (key, feat, threshold, left)
-    if best is None:
+    features = candidates(X.shape[1])
+    columns = X.T[features]
+    # The prefix counts are read only between distinct values, where the
+    # order among equal values does not show, so the sort need not be stable.
+    order = np.argsort(columns, axis=1)
+    values = np.take_along_axis(columns, order, axis=1)
+    below = np.cumsum(hits[order], axis=1)  # below[f, i]: hits among the i + 1 smallest
+    # Boundaries between distinct values, feature-major and ascending within a
+    # feature, so the first argmin below is the lowest (impurity, feature, threshold).
+    f, i = np.nonzero(values[:, 1:] != values[:, :-1])
+    lo, hi = values[f, i], values[f, i + 1]
+    thresholds = (lo + hi) / 2.0
+    # nl counts the values <= threshold. A midpoint that rounds onto hi takes
+    # every copy of hi, up to the feature's next boundary; a NaN one takes none.
+    last = np.append(f[1:] != f[:-1], True)
+    through_hi = np.where(last, n, np.append(i[1:], 0) + 1)
+    nl = np.where(thresholds < hi, i + 1, np.where(thresholds == hi, through_hi, 0))
+    keep = (nl > 0) & (nl < n)
+    if not keep.any():
         return {"leaf": proba, "n": n}
-    _, feat, threshold, left = best
+    f, thresholds, nl = f[keep], thresholds[keep], nl[keep]
+    nr = n - nl
+    cl = below[f, nl - 1]
+    pl, pr = cl / nl, (below[f, -1] - cl) / nr
+    impurity = (nl * (2.0 * pl * (1.0 - pl)) + nr * (2.0 * pr * (1.0 - pr))) / n
+    best = int(np.argmin(impurity))
+    feat, threshold = features[f[best]], thresholds[best]
+    left = X[:, feat] <= threshold
     return {
         "feature": int(feat),
         "threshold": float(threshold),

@@ -371,7 +371,10 @@ class Encoder:
 
 
 def fit_encoder(data: Dataset) -> Encoder:
-    """Fit the target-rate + min-max encoder on every row of ``data``."""
+    """Fit the target-rate + min-max encoder on every row of ``data``.
+
+    A numeric cell that is not a finite number is a schema violation.
+    """
     if len(data) == 0:
         raise ValueError("cannot fit an encoder on an empty dataset")
     hits = np.array([1.0 if t == data.target_class else 0.0 for t in data.target])
@@ -388,6 +391,11 @@ def fit_encoder(data: Dataset) -> Encoder:
         else:
             rates.append(None)
             encoded = [float(v) for v in column]
+            for value in encoded:
+                if not math.isfinite(value):
+                    raise SchemaViolationError(
+                        f"value {value!r} of numeric feature {feat.name!r} is not a finite number"
+                    )
         mins.append(float(min(encoded)))
         maxs.append(float(max(encoded)))
     return Encoder._assemble(tuple(data.schema), tuple(rates), tuple(mins), tuple(maxs))

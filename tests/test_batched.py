@@ -1,10 +1,13 @@
 """The batched model path: ``predict_proba_rows`` against per-row
-reference formulas, and ``generate`` against a sequential reference that
-validates one drawn combination at a time. The reference keeps its own
-fill and fallback-score helpers, independent of the engine's."""
+reference formulas, the CART grower against the per-threshold scan it
+replaced, and ``generate`` against a sequential reference that validates
+one drawn combination at a time. The reference keeps its own fill and
+fallback-score helpers, independent of the engine's."""
 
+import json
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -106,6 +109,112 @@ def test_model_overriding_neither_method_raises():
         model.predict_proba([0.5, 0.5])
     with pytest.raises(NotImplementedError):
         model.predict_proba_rows(np.zeros((2, 2)))
+
+
+def gini_reference(hits: np.ndarray) -> float:
+    p = hits.mean()
+    return 2.0 * p * (1.0 - p)
+
+
+def grow_reference(X, hits, candidates, max_depth, min_samples_split, depth=0) -> dict:
+    """The per-threshold CART scan ``models._grow`` must reproduce byte for
+    byte: one fresh mask per midpoint of every candidate feature."""
+    n = len(hits)
+    proba = float(hits.mean())
+    if depth >= max_depth or n < min_samples_split or proba in (0.0, 1.0):
+        return {"leaf": proba, "n": n}
+    best = None
+    for feat in candidates(X.shape[1]):
+        values = np.unique(X[:, feat])
+        if len(values) < 2:
+            continue
+        for threshold in (values[:-1] + values[1:]) / 2.0:
+            left = X[:, feat] <= threshold
+            nl = int(left.sum())
+            if nl == 0 or nl == n:
+                continue
+            impurity = (
+                nl * gini_reference(hits[left]) + (n - nl) * gini_reference(hits[~left])
+            ) / n
+            key = (impurity, int(feat), float(threshold))
+            if best is None or key < best[0]:
+                best = (key, feat, threshold, left)
+    if best is None:
+        return {"leaf": proba, "n": n}
+    _, feat, threshold, left = best
+    return {
+        "feature": int(feat),
+        "threshold": float(threshold),
+        "left": grow_reference(
+            X[left], hits[left], candidates, max_depth, min_samples_split, depth + 1
+        ),
+        "right": grow_reference(
+            X[~left], hits[~left], candidates, max_depth, min_samples_split, depth + 1
+        ),
+    }
+
+
+# (0.9999999999999999 + 1.0) / 2.0 rounds onto 1.0: that midpoint puts both
+# values on the left, like the (1.0, 2.0) midpoint does.
+ROUNDING_EDGE = np.array([0.5, 0.9999999999999999, 1.0, 2.0])
+
+
+@st.composite
+def growing_cases(draw):
+    """Rows on a small grid (many ties), with some constant columns, a
+    column of rounding-edge values and single-class hits among the draws."""
+    n_features = draw(st.integers(1, 6))
+    n_rows = draw(st.integers(1, 40))
+    levels = draw(st.sampled_from([2, 3, 5, 11]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, levels, size=(n_rows, n_features)) / (levels - 1)
+    if draw(st.booleans()):
+        X[:, -1] = ROUNDING_EDGE[rng.integers(0, len(ROUNDING_EDGE), size=n_rows)]
+    constant = draw(st.lists(st.booleans(), min_size=n_features, max_size=n_features))
+    X[:, np.flatnonzero(constant)] = 0.25
+    hits = draw(st.sampled_from(["mixed", "zeros", "ones"]))
+    if hits == "mixed":
+        return X, (rng.random(n_rows) < 0.5).astype(float)
+    return X, np.full(n_rows, float(hits == "ones"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=growing_cases(),
+    max_depth=st.integers(0, 8),
+    min_samples_split=st.integers(2, 5),
+    forest_rule=st.one_of(st.none(), st.tuples(st.integers(1, 7), st.integers(0, 2**32 - 1))),
+)
+def test_grow_matches_the_per_threshold_scan_byte_for_byte(
+    case, max_depth, min_samples_split, forest_rule
+):
+    X, hits = case
+    if forest_rule is None:
+        tree = models._grow(X, hits, np.arange, max_depth, min_samples_split)
+        expected = grow_reference(X, hits, np.arange, max_depth, min_samples_split)
+    else:
+        size, seed = forest_rule
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        candidates = partial(models._random_features, rng, size)
+        reference_candidates = partial(models._random_features, reference_rng, size)
+        tree = models._grow(X, hits, candidates, max_depth, min_samples_split)
+        expected = grow_reference(X, hits, reference_candidates, max_depth, min_samples_split)
+        # equal states: the same candidate draws, node for node
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert json.dumps(tree) == json.dumps(expected)
+
+
+def test_grow_records_a_midpoint_that_rounds_onto_the_upper_value():
+    X = ROUNDING_EDGE[:, np.newaxis]
+    hits = np.array([0.0, 0.0, 0.0, 1.0])
+    tree = models._grow(X, hits, np.arange, max_depth=8, min_samples_split=2)
+    assert tree == {
+        "feature": 0,
+        "threshold": 1.0,
+        "left": {"leaf": 0.0, "n": 3},
+        "right": {"leaf": 1.0, "n": 1},
+    }
+    assert json.dumps(tree) == json.dumps(grow_reference(X, hits, np.arange, 8, 2))
 
 
 def _fill(prototype: np.ndarray, query: np.ndarray, path) -> np.ndarray:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import StubModel, draw_combinations, make_encoded, path_total, select_local_path
+from tcol import engine
 from tcol.engine import (
     AlreadyTargetWarning,
     GenerationConfig,
@@ -435,6 +436,21 @@ class TestGenerate:
             proto = synthetic_encoded.X[ce.prototype_index]
             for i, value in enumerate(ce.vector):
                 assert value == proto[i] or value == query[i]
+
+    def test_a_kept_ce_that_is_not_a_verbatim_copy_raises(self, monkeypatch):
+        X = np.array([[0.3, 0.6, 0.2, 0.7], [0.9, 0.1, 0.9, 0.2]])
+        data = make_encoded(X, ["yes", "no"])
+        fill = engine._fill
+
+        def corrupt(prototype, query, path):
+            out = fill(prototype, query, path).copy()
+            out[..., 0] = np.nextafter(out[..., 0], np.inf)
+            return out
+
+        monkeypatch.setattr(engine, "_fill", corrupt)
+        config = GenerationConfig(preference="a", num_ces=1)
+        with pytest.raises(RuntimeError, match="prototype 0 is not a verbatim copy"):
+            generate(data, np.array([0.5, 0.4, 0.6, 0.3]), config, StubModel(always=True))
 
     def test_validated_flag_means_model_agreement(self, synthetic_encoded, validation_model):
         qi = int(np.flatnonzero(~synthetic_encoded.target_mask())[1])

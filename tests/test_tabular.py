@@ -171,6 +171,15 @@ class TestEncoder:
         enc = fit_encoder(ds)
         assert all(enc.encode(r)[1] == 0.5 for r in ds.rows)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_numeric_cell_in_a_built_dataset_rejected(self, bad):
+        # Dataset checks only structure; load_csv is not on this path
+        schema = (FeatureSchema("amount", "numeric", "mutable", (0, 10)),)
+        ds = Dataset(schema, ((bad,), (1.0,), (20.0,)), ("yes", "no", "yes"), "loan", "yes")
+        message = f"value {bad!r} of numeric feature 'amount' is not a finite number"
+        with pytest.raises(SchemaViolationError, match=message):
+            fit_encoder(ds)
+
     def test_out_of_range_numeric_clamps(self):
         enc = fit_encoder(two_value_dataset())
         assert enc.encode(("A", 5.0))[1] == 0.0
