@@ -6,15 +6,17 @@ Features are partitioned into contiguous groups of at most ``depth``
 entries; within each group every admissible local mask is scored and
 ranked, which is behaviourally identical to walking every root-to-leaf
 path of the full binary tree over that group (the masks ARE the paths,
-enumerated in ascending binary order). A mask whose filled slice, or
-whose prototype slice, has zero norm cannot be scored by any rule and is
-skipped. A full-length path's total is the left-to-right sum of its group
-scores. The top ``budget`` paths by total are drawn with an exact merge,
-one group at a time, so the first draw is the splice of the per-group
-winners. The fallback, the prototype itself with its immutable features
-pinned to the query, is drawn last, outside the merge. All draws are
-checked against the validation model in one batched call: the first one
-it accepts, in draw order, is the counterfactual, and the fallback stands
+enumerated in ascending binary order). Each group is scored for every
+prototype in one rule call, each fill paired with its own prototype row.
+A mask whose filled slice, or whose prototype slice, has zero norm cannot
+be scored by any rule and is skipped. A full-length path's total is the
+left-to-right sum of its group scores. Per prototype, the top ``budget``
+paths by total are drawn with an exact merge, one group at a time, so the
+first draw is the splice of the per-group winners. The fallback, the
+prototype itself with its immutable features pinned to the query, is
+drawn last, outside the merge. Every prototype's draws are checked against
+the validation model in one batched call: per prototype, the first one it
+accepts, in draw order, is the counterfactual, and the fallback stands
 unvalidated when it accepts none.
 
 Immutable features always keep the query's value: their path bits are
@@ -173,22 +175,29 @@ def _check_verbatim(vector, path, prototype, query, proto_idx) -> None:
 
 
 def _group_scores(
-    proto_slice: np.ndarray, query_slice: np.ndarray, masks: np.ndarray, rule: ScoreRule
-) -> tuple[np.ndarray, np.ndarray]:
-    """Score the rows of a local mask matrix with one rule call and rank
-    them: descending score, then more query-side bits, then input order.
+    proto_slices: np.ndarray, query_slice: np.ndarray, masks: np.ndarray, rule: ScoreRule
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """Score one group's local masks for every prototype with one rule call.
 
-    No rule can score a zero-norm vector, so a zero-norm prototype slice
-    gives no rows at all and a mask whose fill has zero norm is dropped.
+    ``proto_slices`` holds one prototype's slice of the group per row. Each
+    prototype's masks are ranked by descending score, then more query-side
+    bits, then input order, and given as ``(scores, masks)``. No rule can
+    score a zero-norm vector, so a zero-norm prototype slice gives no rows
+    at all and a mask whose fill has zero norm is dropped. Also returned:
+    each prototype's score of mask row 0, -inf where it was dropped.
     """
-    if norm(proto_slice) == 0.0:
-        return np.empty(0), masks[:0]
-    candidates = _fill(proto_slice, query_slice, masks)
-    scoreable = norm(candidates) != 0.0
-    scores = rule.score(candidates[scoreable], proto_slice, query_slice)
-    masks = masks[scoreable]
-    order = np.lexsort((-masks.sum(axis=1), -scores))
-    return scores[order], masks[order]
+    n_protos, n_masks = len(proto_slices), len(masks)
+    fills = _fill(proto_slices[:, None, :], query_slice, masks).reshape(n_protos * n_masks, -1)
+    owner = np.repeat(np.arange(n_protos), n_masks)
+    keep = np.repeat(norm(proto_slices) != 0.0, n_masks) & (norm(fills) != 0.0)
+    scores = rule.score(fills[keep], proto_slices[owner[keep]], query_slice)
+    full = np.full(n_protos * n_masks, -np.inf)
+    full[keep] = scores
+    masks, owner = np.tile(masks, (n_protos, 1))[keep], owner[keep]
+    order = np.lexsort((-masks.sum(axis=1), -scores, owner))
+    bounds = np.cumsum(np.bincount(owner, minlength=n_protos))[:-1]
+    ranked = zip(np.split(scores[order], bounds), np.split(masks[order], bounds))
+    return list(ranked), full[::n_masks]
 
 
 def _admissible_masks(immutable: np.ndarray) -> np.ndarray:
@@ -242,12 +251,14 @@ def generate(
     """Produce up to ``num_ces`` counterfactuals for one encoded query.
 
     One candidate per ranked prototype: its ``budget`` best-scoring
-    combinations are drawn and the fallback is drawn last, all validated
-    in one model call; the first accepted row wins, and the fallback,
-    unvalidated, when none is accepted. Output is deduplicated on vectors
-    and deterministic for a fixed configuration. A kept candidate that is
-    not a verbatim copy of the query and the prototype along its path
-    raises ``RuntimeError``.
+    combinations are drawn and the fallback is drawn last. Each feature
+    group is scored for all prototypes in one rule call, and the draws of
+    all prototypes are validated in one model call (a second call checks
+    whether the query is already of the target class). Per prototype, the
+    first accepted row wins, and the fallback, unvalidated, when none is
+    accepted. Output is deduplicated on vectors and deterministic for a
+    fixed configuration. A kept candidate that is not a verbatim copy of
+    the query and the prototype along its path raises ``RuntimeError``.
     """
     query = np.asarray(query, dtype=float)
     if query.shape != (data.n_features,):
@@ -261,30 +272,41 @@ def generate(
     admissible = [_admissible_masks(immutable[g]) for g in groups]
     fallback_path = tuple(int(b) for b in immutable)
 
-    results = []
-    for proto_idx in prototypes:
-        prototype = data.X[proto_idx]
-        ranked = [
-            _group_scores(prototype[g], query[g], masks, rule)
-            for g, masks in zip(groups, admissible)
+    rows = data.X[prototypes]
+    scored = [
+        _group_scores(rows[:, g], query[g], masks, rule) for g, masks in zip(groups, admissible)
+    ]
+    # Each group's immutable-only mask (row 0 of its admissible masks) can
+    # rank below the budget cut, so the fallback reads the full scores,
+    # summed group by group from 0.0.
+    fallback_totals = np.zeros(len(prototypes))
+    for _, fallback_scores in scored:
+        fallback_totals = fallback_totals + fallback_scores
+    drawn = [
+        [
+            *ranked_path_combinations([ranked[i] for ranked, _ in scored], config.budget),
+            (fallback_path, total),
         ]
-        # each group's immutable-only mask (row 0 of its admissible masks) can
-        # rank below the budget cut, so the fallback reads the full ranking
-        fallback_total = 0.0
-        for (scores, masks), local in zip(ranked, admissible):
-            hit = np.flatnonzero(np.all(masks == local[0], axis=1))
-            fallback_total += scores[hit[0]].item() if len(hit) else float("-inf")
-        drawn = list(ranked_path_combinations(ranked, config.budget))
-        drawn.append((fallback_path, fallback_total))
-        vectors = _fill(prototype, query, [path for path, _ in drawn])
-        accepted = np.flatnonzero(validation_model.predicts_target(vectors))
+        for i, total in enumerate(fallback_totals.tolist())
+    ]
+    counts = [len(d) for d in drawn]
+    paths = np.array([path for d in drawn for path, _ in d])
+    vectors = _fill(np.repeat(rows, counts, axis=0), query, paths)
+    accepted = validation_model.predicts_target(vectors)
+
+    results, start = [], 0
+    for proto_idx, prototype, candidates in zip(prototypes, rows, drawn):
+        stop = start + len(candidates)
+        hits = np.flatnonzero(accepted[start:stop])
         # The fallback is a genuine target-class row, though the model may
         # still disagree; the validated flag records the check.
-        first = int(accepted[0]) if len(accepted) else len(drawn) - 1
-        path, total = drawn[first]
-        _check_verbatim(vectors[first], path, prototype, query, proto_idx)
-        validated, fallback = bool(len(accepted)), first == len(drawn) - 1
-        results.append(CandidateCE(vectors[first], path, proto_idx, total, validated, fallback))
+        first = int(hits[0]) if len(hits) else len(candidates) - 1
+        path, total = candidates[first]
+        vector = vectors[start + first]
+        _check_verbatim(vector, path, prototype, query, proto_idx)
+        validated, fallback = bool(len(hits)), first == len(candidates) - 1
+        results.append(CandidateCE(vector, path, proto_idx, total, validated, fallback))
+        start = stop
 
     deduped, seen = [], set()
     for ce in results:

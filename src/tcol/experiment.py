@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
-from .engine import CandidateCE, GenerationConfig, generate, select_prototypes
+from .engine import CandidateCE, GenerationConfig, generate
 from .models import ClassifierModel, cv_weights, fit_builtin
 from .scoring import euclidean
 from .tabular import Dataset, EncodedDataset, Encoder, encode_dataset, fit_encoder, load_csv, load_schema

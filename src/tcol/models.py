@@ -213,47 +213,48 @@ class NaiveBayes(ClassifierModel):
 class _FlatTrees:
     """Nested-dict trees compiled to flat node arrays, evaluated by matrix.
 
-    Node ``i`` sends a row to ``left[i]`` when ``row[feature[i]] <=
-    threshold[i]`` and to ``right[i]`` otherwise. A leaf holds its
-    probability in ``value[i]``, has threshold +inf and points to itself
-    on both sides, so ``depth`` steps (the deepest leaf's depth) take
-    every row of every tree to its leaf. The result is the mean over trees.
+    Node ``i`` sends a row to ``children[2*i]`` when ``row[feature[i]] <=
+    threshold[i]`` and to ``children[2*i + 1]`` otherwise, NaN included. A
+    leaf holds its probability in ``value[i]``, has threshold +inf and
+    points to itself on both sides, so ``depth`` steps (the deepest leaf's
+    depth) take every row of every tree to its leaf. Each step gathers the
+    rows' cells from the flattened matrix at per-row offsets. The result is
+    the mean over trees.
     """
 
     def __init__(self, trees: Sequence[dict]):
         self.depth = 0
-        feature, threshold, left, right, value = [], [], [], [], []
+        feature, threshold, children, value = [], [], [], []
 
         def add(node, depth) -> int:
             i = len(feature)
             feature.append(0)
             threshold.append(math.inf)
-            left.append(i)
-            right.append(i)
+            children.extend((i, i))
             value.append(node.get("leaf", 0.0))
             if "leaf" in node:
                 self.depth = max(self.depth, depth)
             else:
                 feature[i] = node["feature"]
                 threshold[i] = node["threshold"]
-                left[i] = add(node["left"], depth + 1)
-                right[i] = add(node["right"], depth + 1)
+                children[2 * i] = add(node["left"], depth + 1)
+                children[2 * i + 1] = add(node["right"], depth + 1)
             return i
 
         self.roots = np.array([add(tree, 0) for tree in trees], dtype=np.intp)
         self.feature = np.array(feature, dtype=np.intp)
         self.threshold = np.array(threshold, dtype=float)
-        self.left = np.array(left, dtype=np.intp)
-        self.right = np.array(right, dtype=np.intp)
+        self.children = np.array(children, dtype=np.intp)
         self.value = np.array(value, dtype=float)
 
     def proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
+        cells = X.ravel()
+        offsets = np.arange(len(X))[:, np.newaxis] * X.shape[1]
         node = np.broadcast_to(self.roots, (len(X), len(self.roots)))
-        rows = np.arange(len(X))[:, np.newaxis]
         for _ in range(self.depth):
-            goes_left = X[rows, self.feature[node]] <= self.threshold[node]
-            node = np.where(goes_left, self.left[node], self.right[node])
+            goes_right = ~(cells[offsets + self.feature[node]] <= self.threshold[node])
+            node = self.children[2 * node + goes_right]
         return self.value[node].mean(axis=1)
 
 

@@ -11,10 +11,11 @@ borrows values from and the query it explains, on encoded vectors:
 Higher is better for every rule. Distances default to Euclidean.
 
 Each function takes one vector (giving a Python number) or a matrix of
-rows (giving one array entry per row) and compares it with one vector. A
-row gives the same bits alone as in a matrix: every dot product, norms
-included, is one BLAS dot per row (``_dot``), and every exponential is
-``math.exp`` per element. A matrix-vector product or an axis reduction
+rows (giving one array entry per row) and compares it with one vector, or
+with a matrix of the same shape row for row: row i with row i. A row gives
+the same bits alone as in a matrix: every dot product, norms included, is
+one BLAS dot per row (``_dot``), and every exponential is ``math.exp`` per
+element. A matrix-vector product or an axis reduction
 sums in another order, and ``np.exp`` rounds some inputs differently.
 """
 
@@ -51,7 +52,8 @@ def sigmoid(z):
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=float, order="C")
     b = np.asarray(b, dtype=float, order="C")
-    if a.ndim not in (1, 2) or b.ndim != 1 or a.shape[-1] != len(b):
+    # b is one vector, or a matrix paired with a row for row
+    if a.ndim not in (1, 2) or b.shape not in (a.shape[-1:], a.shape):
         raise ValueError(f"vector shapes differ: {a.shape} vs {b.shape}")
     return a, b
 
@@ -91,7 +93,7 @@ def cosine(a, b):
     """Cosine similarity; undefined (error) when any vector or row is all zero."""
     a, b = _pair(a, b)
     na, nb = np.sqrt(_dot(a, a)), np.sqrt(_dot(b, b))
-    if (na == 0.0).any() or nb == 0.0:
+    if (na == 0.0).any() or (nb == 0.0).any():
         raise ValueError("cosine similarity undefined for zero-norm vector")
     return _rows(np.clip(_dot(a, b) / (na * nb), -1.0, 1.0))
 

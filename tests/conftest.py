@@ -33,11 +33,12 @@ def make_encoded(X, y, target_class="yes", immutable=()):
 def draw_combinations(prototype, query, groups, rule, immutable_mask, budget):
     """The engine's draw over one prototype: each group ranked as
     ``generate`` ranks it, then the ``budget`` best combinations."""
+    # one prototype: a one-row matrix, and the first of the rankings
     ranked = [
-        _group_scores(prototype[g], query[g], _admissible_masks(immutable_mask[g]), rule)
+        _group_scores(prototype[np.newaxis, g], query[g], _admissible_masks(immutable_mask[g]), rule)
         for g in groups
     ]
-    return ranked_path_combinations(ranked, budget)
+    return ranked_path_combinations([per_proto[0] for per_proto, _ in ranked], budget)
 
 
 def select_local_path(proto_slice, query_slice, rule, immutable_mask=None):

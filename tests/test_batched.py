@@ -1,8 +1,10 @@
 """The batched model path: ``predict_proba_rows`` against per-row
 reference formulas, the CART grower against the per-threshold scan it
-replaced, and ``generate`` against a sequential reference that validates
-one drawn combination at a time. The reference keeps its own fill and
-fallback-score helpers, independent of the engine's."""
+replaced, the flat forest walk against the level-by-level kernel it
+replaced, and ``generate`` against a sequential reference that draws for
+one prototype at a time and validates one drawn combination at a time.
+The reference keeps its own fill and fallback-score helpers, independent
+of the engine's."""
 
 import json
 import math
@@ -217,6 +219,89 @@ def test_grow_records_a_midpoint_that_rounds_onto_the_upper_value():
     assert json.dumps(tree) == json.dumps(grow_reference(X, hits, np.arange, 8, 2))
 
 
+def level_walk(trees, X) -> np.ndarray:
+    """The kernel ``_FlatTrees.proba`` must reproduce byte for byte: its own
+    compiled left/right arrays, a 2-D fancy index of ``X`` and ``np.where``
+    per level."""
+    feature, threshold, left, right, value, depth = [], [], [], [], [], [0]
+
+    def add(node, d) -> int:
+        i = len(feature)
+        feature.append(0)
+        threshold.append(math.inf)
+        left.append(i)
+        right.append(i)
+        value.append(node.get("leaf", 0.0))
+        if "leaf" in node:
+            depth[0] = max(depth[0], d)
+        else:
+            feature[i] = node["feature"]
+            threshold[i] = node["threshold"]
+            left[i] = add(node["left"], d + 1)
+            right[i] = add(node["right"], d + 1)
+        return i
+
+    roots = np.array([add(tree, 0) for tree in trees], dtype=np.intp)
+    feature, left, right = (np.array(a, dtype=np.intp) for a in (feature, left, right))
+    threshold, value = np.array(threshold), np.array(value)
+    X = np.asarray(X, dtype=float)
+    node = np.broadcast_to(roots, (len(X), len(roots)))
+    rows = np.arange(len(X))[:, np.newaxis]
+    for _ in range(depth[0]):
+        goes_left = X[rows, feature[node]] <= threshold[node]
+        node = np.where(goes_left, left[node], right[node])
+    return value[node].mean(axis=1)
+
+
+def tree_thresholds(node) -> list:
+    if "leaf" in node:
+        return []
+    return [node["threshold"], *tree_thresholds(node["left"]), *tree_thresholds(node["right"])]
+
+
+SPECIAL_CELLS = [math.nan, math.inf, -math.inf, -0.0, 0.0]
+
+
+@st.composite
+def trees_and_cells(draw):
+    """A decision tree, a forest or a one-leaf tree, and a matrix of 0, 1 or
+    many rows whose cells are split thresholds, grid values, NaN, +-inf and
+    -0.0, laid out in C order, in Fortran order or as a column slice."""
+    kind = draw(st.sampled_from(["decision_tree", "random_forest", "leaf"]))
+    n_features = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "leaf":
+        trees = [{"leaf": float(rng.integers(0, 5)) / 4.0, "n": 3}]
+    else:
+        n_rows = draw(st.integers(4, 30))
+        X = rng.integers(0, 4, size=(n_rows, n_features)) / 3.0
+        y = np.where(rng.random(n_rows) < 0.5, "yes", "no")
+        y[:2] = ["yes", "no"]
+        model = make_model(kind, seed=draw(st.integers(0, 5))).fit(X, y, "yes")
+        trees = model._persisted if kind == "random_forest" else [model._persisted]
+    pool = np.array(
+        [t for tree in trees for t in tree_thresholds(tree)]
+        + SPECIAL_CELLS
+        + (np.arange(4) / 3.0).tolist()
+    )
+    n_probes = draw(st.sampled_from([0, 1, draw(st.integers(2, 80))]))
+    wide = pool[rng.integers(0, len(pool), size=(n_probes, 2 * n_features))]
+    layout = draw(st.sampled_from(["C", "F", "slice"]))
+    if layout == "slice":
+        return trees, wide[:, ::2]
+    cells = wide[:, :n_features]
+    return trees, np.asfortranarray(cells) if layout == "F" else np.ascontiguousarray(cells)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=trees_and_cells())
+def test_flat_walk_matches_the_level_by_level_kernel_byte_for_byte(case):
+    trees, X = case
+    proba = models._FlatTrees(trees).proba(X)
+    assert proba.shape == (len(X),)
+    assert proba.tobytes() == level_walk(trees, X).tobytes()
+
+
 def _fill(prototype: np.ndarray, query: np.ndarray, path) -> np.ndarray:
     bits = np.asarray(path)
     return np.where(bits == 1, query, prototype)
@@ -338,3 +423,48 @@ def test_generate_matches_sequential_reference_with_immutables(preference):
                     generate(data, X[qi], config, model),
                     sequential_generate(data, X[qi], config, model),
                 )
+
+
+@st.composite
+def grid_generation_cases(draw):
+    """Grid data on {0, 0.5, 1} where some target rows, but not all, have a
+    zero slice in one feature group, and the query has a zero group, so
+    that some prototype slices and some fills have zero norm."""
+    depth = draw(st.integers(3, 4))
+    n_features = draw(st.integers(depth + 1, 3 * depth))
+    num_ces = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_target = draw(st.integers(max(num_ces, 2), 12))
+    n_rows = n_target + draw(st.integers(2, 12))
+    X = rng.integers(0, 3, size=(n_rows, n_features)) / 2.0
+    y = np.array(["yes"] * n_target + ["no"] * (n_rows - n_target), dtype=object)
+    groups = partition_features(n_features, depth)
+    zeroed = rng.random(n_target) < 0.4
+    zeroed[rng.integers(0, n_target)] = False
+    for i in np.flatnonzero(zeroed):
+        X[i, groups[rng.integers(0, len(groups))]] = 0.0
+    query = rng.integers(0, 3, size=n_features) / 2.0
+    if draw(st.booleans()):
+        query[groups[rng.integers(0, len(groups))]] = 0.0
+    immutable = np.flatnonzero(rng.random(n_features) < draw(st.sampled_from([0.0, 0.2, 0.5])))
+    config = GenerationConfig(
+        preference=draw(st.sampled_from(["a", "b", "c", "d", "e"])),
+        depth=depth,
+        num_ces=num_ces,
+        budget=draw(st.integers(1, 64)),
+    )
+    forest = models.RandomForest(n_trees=5, max_depth=4, seed=draw(st.integers(0, 3)))
+    return make_encoded(X, y, immutable=tuple(immutable)), query, config, forest
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=grid_generation_cases())
+def test_batched_pass_matches_the_sequential_reference_on_grid_data(case):
+    data, query, config, forest = case
+    model = forest.fit(data.X, data.y, "yes")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert_same_ces(
+            generate(data, query, config, model),
+            sequential_generate(data, query, config, model),
+        )

@@ -514,9 +514,10 @@ class RejectingRowsModel(ClassifierModel):
         return np.zeros(len(X))
 
 
-def test_each_group_is_scored_once_and_the_model_called_once_per_prototype(monkeypatch):
+@pytest.mark.parametrize("k", [1, 3])
+def test_each_group_is_scored_once_and_the_model_called_once_per_query(monkeypatch, k):
     rng = np.random.default_rng(26)
-    n_features, k = 7, 3
+    n_features = 7
     X = np.vstack([rng.random((k, n_features)) * 0.8 + 0.1, rng.random((2, n_features))])
     data = make_encoded(X, ["yes"] * k + ["no", "no"])
     query = rng.random(n_features) * 0.8 + 0.1
@@ -532,9 +533,9 @@ def test_each_group_is_scored_once_and_the_model_called_once_per_prototype(monke
     model = RejectingRowsModel()
     ces = generate(data, query, config, model)
     n_groups = len(partition_features(n_features, config.depth))
-    # one call per prototype, plus the already-target check on the query
-    assert model.calls == k + 1
-    assert len(score_calls) == n_groups * k
+    # one call for every prototype's draws, plus the already-target check
+    assert model.calls == 2
+    assert len(score_calls) == n_groups
     assert len(ces) == k
     assert all(ce.fallback is True and ce.validated is False for ce in ces)
 

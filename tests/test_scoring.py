@@ -229,7 +229,9 @@ def test_score_rule_validates_fields():
 @st.composite
 def rows_prototype_query(draw):
     """1-64 rows of width 1-48 with zero components, rows equal to the
-    query and, where ``nonzero`` is drawn False, all-zero rows."""
+    query and, where ``nonzero`` is drawn False, all-zero rows; plus one
+    prototype per row, some zero in places, some equal to the shared
+    prototype or to their row and, where drawn, some all zero."""
     width = draw(st.integers(1, 48))
     n_rows = draw(st.integers(1, 64))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -241,40 +243,58 @@ def rows_prototype_query(draw):
     rows[rng.random(n_rows) < 0.1] = prototype
     if not draw(st.booleans()):
         rows[rng.random(n_rows) < 0.2] = 0.0
-    return rows, prototype, query
+    prototypes = rng.random((n_rows, width)) * scale
+    prototypes[rng.random((n_rows, width)) < 0.25] = 0.0
+    prototypes[rng.random(n_rows) < 0.2] = prototype
+    same = rng.random(n_rows) < 0.2
+    prototypes[same] = rows[same]
+    if not draw(st.booleans()):
+        prototypes[rng.random(n_rows) < 0.2] = 0.0
+    return rows, prototype, query, prototypes
 
 
 def one_by_one(fn, rows, *args):
     return np.array([fn(row, *args) for row in rows])
 
 
+def row_by_row(fn, rows, prototypes, *args):
+    return np.array([fn(row, prototype, *args) for row, prototype in zip(rows, prototypes)])
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=rows_prototype_query())
 def test_matrix_gives_the_bits_of_per_row_calls(case):
-    rows, prototype, query = case
+    rows, prototype, query, prototypes = case
     for fn in (euclidean, manhattan, count_diffs):
         assert fn(rows, query).tobytes() == one_by_one(fn, rows, query).tobytes()
+        assert fn(rows, prototypes).tobytes() == row_by_row(fn, rows, prototypes).tobytes()
     assert norm(rows).tobytes() == one_by_one(norm, rows).tobytes()
     z = ((rows - query) * 40.0).ravel()
     assert sigmoid(z).tobytes() == one_by_one(sigmoid, z).tobytes()
-    scoreable = rows[np.any(rows != 0.0, axis=1)]
-    if len(scoreable) < len(rows):
-        with pytest.raises(ValueError, match="zero-norm"):
-            cosine(rows, prototype)
-    if len(scoreable) == 0:
-        return
-    assert cosine(scoreable, prototype).tobytes() == one_by_one(cosine, scoreable, prototype).tobytes()
-    for fn in (fcs, ncs, rss):
-        assert fn(scoreable, prototype, query).tobytes() == one_by_one(
-            fn, scoreable, prototype, query
-        ).tobytes()
-    for tag, distance, variant in product(
-        RULE_TAGS, ("euclidean", "manhattan"), ("literal", "sparsity_corrected")
-    ):
-        rule = ScoreRule(tag, distance=distance, fcs_variant=variant)
-        assert rule.score(scoreable, prototype, query).tobytes() == one_by_one(
-            rule.score, scoreable, prototype, query
-        ).tobytes()
+    # one prototype for every row, then one prototype per row
+    for paired in (prototype, prototypes):
+        per_row = np.broadcast_to(paired, rows.shape)
+        scoreable = np.any(rows != 0.0, axis=1) & np.any(per_row != 0.0, axis=1)
+        if not scoreable.all():
+            with pytest.raises(ValueError, match="zero-norm"):
+                cosine(rows, paired)
+        if not scoreable.any():
+            continue
+        kept, per_row = rows[scoreable], per_row[scoreable]
+        if paired.ndim == 2:
+            paired = paired[scoreable]
+        assert cosine(kept, paired).tobytes() == row_by_row(cosine, kept, per_row).tobytes()
+        for fn in (fcs, ncs, rss):
+            assert fn(kept, paired, query).tobytes() == row_by_row(
+                fn, kept, per_row, query
+            ).tobytes()
+        for tag, distance, variant in product(
+            RULE_TAGS, ("euclidean", "manhattan"), ("literal", "sparsity_corrected")
+        ):
+            rule = ScoreRule(tag, distance=distance, fcs_variant=variant)
+            assert rule.score(kept, paired, query).tobytes() == row_by_row(
+                rule.score, kept, per_row, query
+            ).tobytes()
 
 
 def test_vector_gives_a_python_number_and_matrix_an_array():
@@ -290,4 +310,6 @@ def test_matrix_width_must_match_the_vector():
     with pytest.raises(ValueError, match="shapes differ"):
         euclidean(np.ones((2, 3)), np.ones(2))
     with pytest.raises(ValueError, match="shapes differ"):
-        cosine(np.ones((2, 3)), np.ones((2, 3)))
+        cosine(np.ones((2, 3)), np.ones((3, 3)))
+    with pytest.raises(ValueError, match="shapes differ"):
+        euclidean(np.ones(3), np.ones((2, 3)))
