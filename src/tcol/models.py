@@ -213,13 +213,16 @@ class NaiveBayes(ClassifierModel):
 class _FlatTrees:
     """Nested-dict trees compiled to flat node arrays, evaluated by matrix.
 
-    Node ``i`` sends a row to ``children[2*i]`` when ``row[feature[i]] <=
-    threshold[i]`` and to ``children[2*i + 1]`` otherwise, NaN included. A
-    leaf holds its probability in ``value[i]``, has threshold +inf and
-    points to itself on both sides, so ``depth`` steps (the deepest leaf's
-    depth) take every row of every tree to its leaf. Each step gathers the
-    rows' cells from the flattened matrix at per-row offsets. The result is
-    the mean over trees.
+    Node ``i`` owns slots ``2*i`` and ``2*i + 1`` of ``feature``,
+    ``threshold``, ``children`` and ``value``; ``roots`` and a walk hold a
+    node as its slot ``2*i``. The node sends a row to the node at slot
+    ``children[2*i]`` when ``row[feature[2*i]] <= threshold[2*i]`` and to
+    the one at ``children[2*i + 1]`` otherwise, NaN included, so a step is
+    one gather at ``2*i + goes_right``. A leaf holds its probability in
+    ``value``, has threshold +inf and points to itself on both sides, so
+    ``depth`` steps (the deepest leaf's depth) take every row of every tree
+    to its leaf. Each step gathers the rows' cells from the flattened matrix
+    at per-row offsets. The result is the mean over trees.
     """
 
     def __init__(self, trees: Sequence[dict]):
@@ -241,21 +244,21 @@ class _FlatTrees:
                 children[2 * i + 1] = add(node["right"], depth + 1)
             return i
 
-        self.roots = np.array([add(tree, 0) for tree in trees], dtype=np.intp)
-        self.feature = np.array(feature, dtype=np.intp)
-        self.threshold = np.array(threshold, dtype=float)
-        self.children = np.array(children, dtype=np.intp)
-        self.value = np.array(value, dtype=float)
+        self.roots = 2 * np.array([add(tree, 0) for tree in trees], dtype=np.intp)
+        self.feature = np.repeat(np.array(feature, dtype=np.intp), 2)
+        self.threshold = np.repeat(np.array(threshold, dtype=float), 2)
+        self.children = 2 * np.array(children, dtype=np.intp)
+        self.value = np.repeat(np.array(value, dtype=float), 2)
 
     def proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         cells = X.ravel()
         offsets = np.arange(len(X))[:, np.newaxis] * X.shape[1]
-        node = np.broadcast_to(self.roots, (len(X), len(self.roots)))
+        slot = np.repeat(self.roots[np.newaxis], len(X), axis=0)
         for _ in range(self.depth):
-            goes_right = ~(cells[offsets + self.feature[node]] <= self.threshold[node])
-            node = self.children[2 * node + goes_right]
-        return self.value[node].mean(axis=1)
+            goes_right = ~(cells[offsets + self.feature[slot]] <= self.threshold[slot])
+            slot = self.children[slot + goes_right]
+        return self.value[slot].mean(axis=1)
 
 
 def _grow(X, hits, candidates, max_depth: int, min_samples_split: int, depth: int = 0) -> dict:
