@@ -200,9 +200,9 @@ def _cmd_evaluate(args) -> int:
     )
 
     names = [f.name for f in dataset.schema]
-    vectors = [encoder.encode([ce["values"][n] for n in names]) for ce in ce_file["ces"]]
-    if not vectors:
+    if not ce_file["ces"]:
         raise ValueError("counterfactual file contains no counterfactuals")
+    vectors = encoder.encode_rows([ce["values"][n] for n in names] for ce in ce_file["ces"])
     query = encoder.encode([ce_file["query"][n] for n in names])
 
     if args.validation_model:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
-from .engine import CandidateCE, GenerationConfig, generate
+from .engine import CandidateCE, GenerationConfig, _fill, generate
 from .models import ClassifierModel, cv_weights, fit_builtin
 from .scoring import euclidean
 from .tabular import Dataset, EncodedDataset, Encoder, encode_dataset, fit_encoder, load_csv, load_schema
@@ -40,6 +40,8 @@ CSV_COLUMNS = (
 )
 
 _RANDOM_PATH_ATTEMPTS = 200  # random fills drawn per query by the random-path baseline
+
+_FIELD_KINDS = {"int": "an integer", "str": "a string", "tuple": "a list of strings"}
 
 
 class ExperimentError(RuntimeError):
@@ -68,24 +70,31 @@ class ExperimentConfig:
     out: str = "report"
 
     def __post_init__(self):
-        object.__setattr__(self, "preferences", tuple(self.preferences))
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "jury", tuple(self.jury))
+        for f in fields(self):  # f.type is the annotation's name: int, str or tuple
+            value = getattr(self, f.name)
+            if f.type == "tuple":
+                ok = isinstance(value, (list, tuple)) and all(type(v) is str for v in value)
+            else:  # exact types, so that true is no integer
+                ok = type(value) is {"int": int, "str": str}[f.type]
+            if not ok:
+                raise ValueError(f"config key {f.name!r} must be {_FIELD_KINDS[f.type]}, got {value!r}")
+            if f.type == "tuple":
+                object.__setattr__(self, f.name, tuple(value))
         if self.queries < 1:
             raise ValueError("queries must be positive")
         for gen in self.generators:
             if gen not in GENERATORS:
                 raise ValueError(f"unknown generator {gen!r}, expected one of {GENERATORS}")
         # preference / depth / num_ces / budget are validated by GenerationConfig
-        if self.preferences:
-            for pref in self.preferences:
-                GenerationConfig(
-                    preference=pref, depth=self.depth, num_ces=self.num_ces, budget=self.budget
-                )
+        for pref in self.preferences:
+            self.generation(pref)
         if len(self.jury) < 2:
             raise ValueError("jury needs at least two member kinds")
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
+
+    def generation(self, preference: str) -> GenerationConfig:
+        return GenerationConfig(preference, self.depth, self.num_ces, budget=self.budget)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
@@ -154,7 +163,7 @@ def baseline_random_path(
     rng = np.random.default_rng(seed)
     paths = rng.integers(0, 2, size=(_RANDOM_PATH_ATTEMPTS, data.n_features))
     paths[:, data.immutable_mask()] = 1
-    vectors = np.where(paths == 1, query, prototype)
+    vectors = _fill(prototype, query, paths)
     out, seen = [], set()
     for bits, vector, accepted in zip(paths, vectors, validation_model.predicts_target(vectors)):
         key = vector.tobytes()
@@ -192,13 +201,7 @@ def _generate_for(
     validation_model: ClassifierModel,
 ) -> list[CandidateCE]:
     if generator == "tcol":
-        gen_config = GenerationConfig(
-            preference=preference,
-            depth=config.depth,
-            num_ces=config.num_ces,
-            budget=config.budget,
-        )
-        return generate(data, query, gen_config, validation_model)
+        return generate(data, query, config.generation(preference), validation_model)
     if generator == "nearest_target":
         return baseline_nearest_target(data, query, config.num_ces)
     return baseline_random_path(

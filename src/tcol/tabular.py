@@ -28,6 +28,7 @@ CATEGORICAL = "categorical"
 NUMERIC = "numeric"
 MUTABLE = "mutable"
 IMMUTABLE = "immutable"
+_SCHEMA_FIELDS = ("name", "kind", "mutability", "domain")  # of a schema or encoder file entry
 
 
 class SchemaViolationError(ValueError):
@@ -92,24 +93,17 @@ def load_schema(path: str | Path) -> tuple[FeatureSchema, ...]:
         raise SchemaViolationError("schema file must contain a JSON list of features")
     features = []
     for entry in raw:
-        missing = {"name", "kind", "mutability", "domain"} - set(entry)
+        missing = set(_SCHEMA_FIELDS) - set(entry)
         if missing:
             raise SchemaViolationError(f"schema entry missing fields: {sorted(missing)}")
-        features.append(
-            FeatureSchema(
-                name=entry["name"],
-                kind=entry["kind"],
-                mutability=entry["mutability"],
-                domain=tuple(entry["domain"]),
-            )
-        )
+        features.append(FeatureSchema(**{k: entry[k] for k in _SCHEMA_FIELDS}))
     return tuple(features)
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Tabular data with a binary target and a desired class; ``load_csv``
-    checks each cell against the schema."""
+    """Tabular data with a binary target and a desired class; feature names are
+    distinct and not ``target_name``. ``load_csv`` checks each cell against the schema."""
 
     schema: tuple[FeatureSchema, ...]
     rows: tuple[tuple, ...]
@@ -121,6 +115,12 @@ class Dataset:
     def __post_init__(self):
         object.__setattr__(self, "schema", tuple(self.schema))
         object.__setattr__(self, "target", tuple(self.target))
+        names = [f.name for f in self.schema]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise SchemaViolationError(f"duplicate feature name {name!r} in schema")
+        if self.target_name in names:
+            raise SchemaViolationError(f"feature {self.target_name!r} has the target column's name")
         if len(self.rows) != len(self.target):
             raise SchemaViolationError("rows and target column differ in length")
         labels = set(self.target)
@@ -133,18 +133,10 @@ class Dataset:
                 f"target_class {self.target_class!r} not present in target column"
             )
         object.__setattr__(self, "rows", tuple(self.rows))
-        for row in self.rows:
-            if len(row) != len(self.schema):
-                raise SchemaViolationError(
-                    f"row has {len(row)} values, schema has {len(self.schema)}"
-                )
+        _check_widths(self.rows, len(self.schema), SchemaViolationError)
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    @property
-    def other_class(self) -> str:
-        return next(c for c in set(self.target) if c != self.target_class)
 
     def row_as_dict(self, index: int) -> dict:
         return dict(zip([f.name for f in self.schema], self.rows[index]))
@@ -228,11 +220,42 @@ def load_csv(
     )
 
 
-def _scale(value: float, lo: float, hi: float) -> float:
+def _check_widths(rows, width: int, error=ValueError) -> None:
+    for row in rows:
+        if len(row) != width:
+            raise error(f"row has {len(row)} values, schema has {width}")
+
+
+def _to_float(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
+def _raw_column(feat: FeatureSchema, rates: dict | None, column: Sequence) -> np.ndarray:
+    """One feature's cells as raw numbers: a categorical cell's rate in
+    ``rates``, a numeric cell's ``float`` value. The first cell with no rate,
+    or that is not a finite number, raises ``SchemaViolationError``."""
+    if feat.kind == CATEGORICAL:
+        for value in column:
+            if value not in rates:
+                raise SchemaViolationError(f"unseen category {value!r} for feature {feat.name!r}")
+        return np.fromiter(map(rates.__getitem__, column), float, len(column))
+    values = np.fromiter(map(_to_float, column), float, len(column))
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise SchemaViolationError(
+            f"value {column[bad.argmax()]!r} of numeric feature {feat.name!r} is not a finite number"
+        )
+    return values
+
+
+def _scale(values, lo: float, hi: float):
     # Constant features collapse to 0.5 so cosine stays well defined.
     if hi == lo:
-        return 0.5
-    return (value - lo) / (hi - lo)
+        return np.full(np.shape(values), 0.5)
+    return (values - lo) / (hi - lo)
 
 
 @dataclass(frozen=True)
@@ -242,12 +265,13 @@ class Encoder:
     Categorical value -> mean(target == target_class) over its rows, then
     min-max to [0, 1]; numeric -> min-max over training rows, clamped for
     out-of-range inputs at encode time, while a value that is not a finite
-    number raises ``SchemaViolationError``. ``decode`` inverts exactly for the
-    fitted rows: categorical by a stored reverse map, numeric by the inverse
-    affine map. Two categories of one feature with the same target rate
-    would encode identically and could not both round-trip, so building an
-    encoder from them (``fit_encoder`` or ``from_json``) raises
-    ``SchemaViolationError``.
+    number raises ``SchemaViolationError``. ``encode_rows`` works column by
+    column and reports the first bad cell in column order; ``encode`` is its
+    one-row case. ``decode`` inverts exactly for the fitted rows:
+    categorical by a stored reverse map, numeric by the inverse affine map.
+    Two categories of one feature with the same target rate would encode
+    identically and could not both round-trip, so building an encoder from
+    them (``fit_encoder`` or ``from_json``) raises ``SchemaViolationError``.
     """
 
     schema: tuple[FeatureSchema, ...]
@@ -257,28 +281,19 @@ class Encoder:
     reverse_maps: tuple = field(repr=False, default=())
 
     def encode(self, row: Sequence) -> np.ndarray:
-        if len(row) != len(self.schema):
-            raise ValueError(f"row has {len(row)} values, schema has {len(self.schema)}")
-        out = np.empty(len(row), dtype=float)
-        for i, (value, feat) in enumerate(zip(row, self.schema)):
-            if feat.kind == CATEGORICAL:
-                rates = self.category_rates[i]
-                if value not in rates:
-                    raise SchemaViolationError(
-                        f"unseen category {value!r} for feature {feat.name!r}"
-                    )
-                out[i] = _scale(rates[value], self.mins[i], self.maxs[i])
-            else:
-                try:
-                    number = float(value)
-                except (TypeError, ValueError):
-                    number = math.nan
-                if not math.isfinite(number):
-                    raise SchemaViolationError(
-                        f"value {value!r} of numeric feature {feat.name!r} is not a finite number"
-                    )
-                v = _scale(number, self.mins[i], self.maxs[i])
-                out[i] = min(max(v, 0.0), 1.0)
+        return self.encode_rows([row])[0]
+
+    def encode_rows(self, rows: Iterable[Sequence]) -> np.ndarray:
+        rows = list(rows)
+        _check_widths(rows, len(self.schema))  # zip(*rows) would cut a short row
+        out = np.empty((len(rows), len(self.schema)))
+        for i, (feat, column) in enumerate(zip(self.schema, zip(*rows))):
+            raw = _raw_column(feat, self.category_rates[i], column)
+            scaled = _scale(raw, self.mins[i], self.maxs[i])
+            if feat.kind == NUMERIC:
+                scaled[scaled < 0.0] = 0.0
+                scaled[scaled > 1.0] = 1.0
+            out[:, i] = scaled
         return out
 
     def decode(self, vector: Sequence[float]) -> tuple:
@@ -295,25 +310,18 @@ class Encoder:
                         f"component {key!r} of feature {feat.name!r} matches no fitted category"
                     )
                 row.append(rev[key])
+            elif self.maxs[i] == self.mins[i]:
+                row.append(self.mins[i])
             else:
-                if self.maxs[i] == self.mins[i]:
-                    row.append(self.mins[i])
-                else:
-                    row.append(vector[i] * (self.maxs[i] - self.mins[i]) + self.mins[i])
+                row.append(vector[i] * (self.maxs[i] - self.mins[i]) + self.mins[i])
         return tuple(row)
-
-    def encode_rows(self, rows: Iterable[Sequence]) -> np.ndarray:
-        return np.array([self.encode(r) for r in rows], dtype=float)
 
     def to_json(self, path: str | Path) -> None:
         payload = {
             "format_version": 1,
             "features": [
                 {
-                    "name": f.name,
-                    "kind": f.kind,
-                    "mutability": f.mutability,
-                    "domain": list(f.domain),
+                    **{k: getattr(f, k) for k in _SCHEMA_FIELDS},
                     "category_rates": self.category_rates[i],
                     "min": self.mins[i],
                     "max": self.maxs[i],
@@ -331,14 +339,7 @@ class Encoder:
             raise ValueError("unsupported encoder file version")
         schema, rates, mins, maxs = [], [], [], []
         for entry in payload["features"]:
-            schema.append(
-                FeatureSchema(
-                    name=entry["name"],
-                    kind=entry["kind"],
-                    mutability=entry["mutability"],
-                    domain=tuple(entry["domain"]),
-                )
-            )
+            schema.append(FeatureSchema(**{k: entry[k] for k in _SCHEMA_FIELDS}))
             rates.append(entry["category_rates"])
             mins.append(float(entry["min"]))
             maxs.append(float(entry["max"]))
@@ -373,31 +374,26 @@ class Encoder:
 def fit_encoder(data: Dataset) -> Encoder:
     """Fit the target-rate + min-max encoder on every row of ``data``.
 
-    A numeric cell that is not a finite number is a schema violation.
+    A numeric cell that is not a finite number is a schema violation; the
+    first one in column order is reported.
     """
     if len(data) == 0:
         raise ValueError("cannot fit an encoder on an empty dataset")
     hits = np.array([1.0 if t == data.target_class else 0.0 for t in data.target])
     rates, mins, maxs = [], [], []
-    for i, feat in enumerate(data.schema):
-        column = [row[i] for row in data.rows]
+    for feat, column in zip(data.schema, zip(*data.rows)):
+        rate_map = None
         if feat.kind == CATEGORICAL:
-            per_category: dict = {}
-            for value, hit in zip(column, hits):
-                per_category.setdefault(value, []).append(hit)
-            rate_map = {v: float(np.mean(h)) for v, h in per_category.items()}
-            rates.append(rate_map)
-            encoded = [rate_map[v] for v in column]
-        else:
-            rates.append(None)
-            encoded = [float(v) for v in column]
-            for value in encoded:
-                if not math.isfinite(value):
-                    raise SchemaViolationError(
-                        f"value {value!r} of numeric feature {feat.name!r} is not a finite number"
-                    )
-        mins.append(float(min(encoded)))
-        maxs.append(float(max(encoded)))
+            # Codes in order of first appearance keep that order in the dict;
+            # sums of 0/1 hits are exact, so each rate is the exact mean.
+            first = {value: code for code, value in enumerate(dict.fromkeys(column))}
+            codes = np.fromiter(map(first.__getitem__, column), np.intp, len(column))
+            means = np.bincount(codes, weights=hits) / np.bincount(codes)
+            rate_map = dict(zip(first, means.tolist()))
+        raw = _raw_column(feat, rate_map, column)
+        rates.append(rate_map)
+        mins.append(float(raw[raw.argmin()]))  # the first minimum, as min() gives
+        maxs.append(float(raw[raw.argmax()]))
     return Encoder._assemble(tuple(data.schema), tuple(rates), tuple(mins), tuple(maxs))
 
 

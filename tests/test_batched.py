@@ -1,10 +1,11 @@
 """The batched model path: ``predict_proba_rows`` against per-row
 reference formulas, the CART grower against the per-threshold scan it
 replaced, the flat forest walk against the level-by-level kernel it
-replaced, and ``generate`` against a sequential reference that draws for
-one prototype at a time and validates one drawn combination at a time.
-The reference keeps its own fill and fallback-score helpers, independent
-of the engine's."""
+replaced, ``generate`` against a sequential reference that draws for
+one prototype at a time and validates one drawn combination at a time,
+and the column-wise encoder against the per-cell one it replaced.
+The generation reference keeps its own fill and fallback-score helpers,
+independent of the engine's."""
 
 import json
 import math
@@ -13,7 +14,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import draw_combinations, make_encoded
@@ -26,6 +27,7 @@ from tcol.engine import (
 )
 from tcol.models import MODEL_KINDS, ClassifierModel, make_model
 from tcol.scoring import cosine, count_diffs, distance_fn
+from tcol.tabular import Dataset, Encoder, FeatureSchema, SchemaViolationError, fit_encoder
 
 
 @st.composite
@@ -468,3 +470,150 @@ def test_batched_pass_matches_the_sequential_reference_on_grid_data(case):
             generate(data, query, config, model),
             sequential_generate(data, query, config, model),
         )
+
+
+def _scale_one(value, lo, hi):
+    return 0.5 if hi == lo else (value - lo) / (hi - lo)
+
+
+def encode_per_cell(encoder, row):
+    """The per-cell encode the column-wise one must reproduce byte for byte."""
+    if len(row) != len(encoder.schema):
+        raise ValueError(f"row has {len(row)} values, schema has {len(encoder.schema)}")
+    out = np.empty(len(row), dtype=float)
+    for i, (value, feat) in enumerate(zip(row, encoder.schema)):
+        lo, hi = encoder.mins[i], encoder.maxs[i]
+        if feat.kind == "categorical":
+            rates = encoder.category_rates[i]
+            if value not in rates:
+                raise SchemaViolationError(f"unseen category {value!r} for feature {feat.name!r}")
+            out[i] = _scale_one(rates[value], lo, hi)
+        else:
+            try:
+                number = float(value)
+            except (TypeError, ValueError):
+                number = math.nan
+            if not math.isfinite(number):
+                raise SchemaViolationError(
+                    f"value {value!r} of numeric feature {feat.name!r} is not a finite number"
+                )
+            out[i] = min(max(_scale_one(number, lo, hi), 0.0), 1.0)
+    return out
+
+
+def fit_per_cell(data):
+    """The per-cell fit: per-feature rate dicts, mins and maxs."""
+    hits = np.array([1.0 if t == data.target_class else 0.0 for t in data.target])
+    rates, mins, maxs = [], [], []
+    for i, feat in enumerate(data.schema):
+        column = [row[i] for row in data.rows]
+        if feat.kind == "categorical":
+            per_category = {}
+            for value, hit in zip(column, hits):
+                per_category.setdefault(value, []).append(hit)
+            rate_map = {v: float(np.mean(h)) for v, h in per_category.items()}
+            rates.append(rate_map)
+            encoded = [rate_map[v] for v in column]
+        else:
+            rates.append(None)
+            encoded = [float(v) for v in column]
+            for value in encoded:
+                if not math.isfinite(value):
+                    raise SchemaViolationError(
+                        f"value {value!r} of numeric feature {feat.name!r} is not a finite number"
+                    )
+        mins.append(float(min(encoded)))
+        maxs.append(float(max(encoded)))
+    return tuple(rates), tuple(mins), tuple(maxs)
+
+
+def outcome(fn, *args):
+    """What ``fn`` returns, or the class and message of what it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+# numeric cells: signed zeros, ints, bools, floats, values far outside [lo, hi]
+NUMERIC_CELLS = [0.0, -0.0, 0, 1, True, False, 0.5, 2.25, -3, 7.0, 1e6, -1e6, 0.1]
+CATEGORIES = ["a", "b", "c", "d", 7]
+
+
+@st.composite
+def encoder_cases(draw):
+    """A Dataset built in code with mixed features, plus probe rows."""
+    n_features = draw(st.integers(1, 5))
+    n_rows = draw(st.integers(1, 25))
+    schema, columns, probe_cells = [], [], []
+    for j in range(n_features):
+        if draw(st.booleans()):  # one to four levels, each seen in the rows
+            levels = draw(st.lists(st.sampled_from(CATEGORIES), min_size=1, max_size=4, unique=True))
+            schema.append(FeatureSchema(f"f{j}", "categorical", domain=tuple(levels) + ("unseen",)))
+            columns.append(draw(st.lists(st.sampled_from(levels), min_size=n_rows, max_size=n_rows)))
+            probe_cells.append(st.sampled_from(list(dict.fromkeys(columns[-1]))))
+        else:  # a pool of one value makes a constant column
+            pool = draw(st.lists(st.sampled_from(NUMERIC_CELLS), min_size=1, max_size=5))
+            schema.append(FeatureSchema(f"f{j}", "numeric", domain=(-1e9, 1e9)))
+            columns.append(draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows)))
+            probe_cells.append(st.sampled_from(NUMERIC_CELLS))
+    target = draw(st.lists(st.sampled_from(["yes", "no"]), min_size=n_rows, max_size=n_rows))
+    assume("yes" in target and "no" in target)
+    data = Dataset(tuple(schema), tuple(zip(*columns)), tuple(target), "loan", "yes")
+    probes = draw(st.lists(st.tuples(*probe_cells), min_size=1, max_size=6))
+    return data, probes
+
+
+def rate_bits(category_rates):
+    """Each rate dict as its (category, rate bits) items, in dict order."""
+    return [None if r is None else [(k, v.hex()) for k, v in r.items()] for r in category_rates]
+
+
+BAD_CELLS = [math.nan, math.inf, -math.inf, None, "abc", "unseen", "short", "long"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=encoder_cases(), bad=st.sampled_from(BAD_CELLS), where=st.data())
+def test_column_wise_encoder_matches_the_per_cell_one_byte_for_byte(case, bad, where):
+    data, probes = case
+    reference = outcome(lambda: Encoder._assemble(data.schema, *fit_per_cell(data)))
+    encoder = outcome(fit_encoder, data)
+    if not isinstance(reference, Encoder):  # two categories share a target rate
+        assert encoder == reference
+        return
+    assert rate_bits(encoder.category_rates) == rate_bits(reference.category_rates)
+    assert np.array(encoder.mins).tobytes() == np.array(reference.mins).tobytes()
+    assert np.array(encoder.maxs).tobytes() == np.array(reference.maxs).tobytes()
+    expected = np.array([encode_per_cell(encoder, row) for row in probes])
+    assert encoder.encode_rows(probes).tobytes() == expected.tobytes()
+    assert encoder.encode_rows(iter(probes)).tobytes() == expected.tobytes()
+    for row, want in zip(probes, expected):
+        assert encoder.encode(row).tobytes() == want.tobytes()
+
+    # one bad cell, or one row of the wrong length, among good rows
+    row = list(where.draw(st.sampled_from(probes)))
+    if bad == "short":
+        row = row[:-1]
+    elif bad == "long":
+        row = row + [0.0]
+    else:
+        kind = "categorical" if bad == "unseen" else "numeric"
+        slots = [j for j, f in enumerate(data.schema) if f.kind == kind]
+        assume(slots)
+        row[where.draw(st.sampled_from(slots))] = bad
+    error = outcome(encode_per_cell, encoder, row)
+    assert isinstance(error, tuple) and error[0] in (ValueError, SchemaViolationError)
+    assert outcome(encoder.encode, row) == error
+    assert outcome(encoder.encode_rows, [*probes, row, *probes]) == error
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=encoder_cases(), bad=st.sampled_from([math.nan, math.inf, -math.inf]), where=st.data())
+def test_fit_reports_a_non_finite_cell_as_the_per_cell_fit_does(case, bad, where):
+    data, _ = case
+    slots = [j for j, f in enumerate(data.schema) if f.kind == "numeric"]
+    assume(slots)
+    rows = [list(r) for r in data.rows]
+    rows[where.draw(st.integers(0, len(rows) - 1))][where.draw(st.sampled_from(slots))] = bad
+    broken = Dataset(data.schema, tuple(map(tuple, rows)), data.target, "loan", "yes")
+    assert outcome(fit_encoder, broken) == outcome(fit_per_cell, broken)

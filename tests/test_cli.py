@@ -266,6 +266,26 @@ def test_bench_bad_config_key_is_data_error(tmp_path, synthetic_files, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("preferences", "ab"),  # would run preferences 'a' and 'b'
+        ("jury", "knn"),  # would become the kinds 'k', 'n', 'n'
+        ("generators", [1]),
+        ("queries", "2"),
+        ("depth", 3.5),
+        ("seed", True),
+        ("target_class", 1),
+    ],
+)
+def test_bench_config_value_of_the_wrong_type_is_data_error(
+    tmp_path, synthetic_files, key, value, capsys
+):
+    config = bench_config(tmp_path, synthetic_files, **{key: value})
+    assert main(["bench", "--config", str(config)]) == 2
+    assert f"config key '{key}' must be" in capsys.readouterr().err
+
+
 def test_console_entry_point_runs():
     # the child does not see pytest's pythonpath setting, so hand it src/
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]

@@ -123,6 +123,24 @@ class TestDataset:
         with pytest.raises(SchemaViolationError):
             Dataset(SCHEMA, (("service",), ("tech",)), ("yes", "no"), "loan", "yes")
 
+    def test_duplicate_feature_names_rejected(self, tmp_path):
+        schema = SCHEMA + (FeatureSchema("income", "numeric", "mutable", (0, 10)),)
+        rows = (("service", 1.0, 2.0), ("tech", 2.0, 3.0))
+        with pytest.raises(SchemaViolationError, match="duplicate feature name 'income'"):
+            Dataset(schema, rows, ("yes", "no"), "loan", "yes")
+        path = write_csv(tmp_path, "job,income,loan\nservice,1,yes\ntech,2,no\n")
+        with pytest.raises(SchemaViolationError, match="duplicate feature name 'income'"):
+            load_csv(path, schema, "loan", "yes")
+
+    def test_feature_named_like_the_target_rejected(self, tmp_path):
+        schema = SCHEMA + (FeatureSchema("loan", "categorical", "mutable", ("yes", "no")),)
+        rows = (("service", 1.0, "yes"), ("tech", 2.0, "no"))
+        with pytest.raises(SchemaViolationError, match="feature 'loan' has the target column's name"):
+            Dataset(schema, rows, ("yes", "no"), "loan", "yes")
+        path = write_csv(tmp_path, "job,income,loan\nservice,1,yes\ntech,2,no\n")
+        with pytest.raises(SchemaViolationError, match="feature 'loan' has the target column's name"):
+            load_csv(path, schema, "loan", "yes")
+
 
 def two_value_dataset():
     rows = tuple(("A", 10.0) for _ in range(3)) + tuple(("B", 20.0) for _ in range(3))
@@ -171,7 +189,9 @@ class TestEncoder:
         enc = fit_encoder(ds)
         assert all(enc.encode(r)[1] == 0.5 for r in ds.rows)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), "abc", None, pytest.param(10**400, id="huge-int")]
+    )
     def test_non_finite_numeric_cell_in_a_built_dataset_rejected(self, bad):
         # Dataset checks only structure; load_csv is not on this path
         schema = (FeatureSchema("amount", "numeric", "mutable", (0, 10)),)
@@ -179,6 +199,17 @@ class TestEncoder:
         message = f"value {bad!r} of numeric feature 'amount' is not a finite number"
         with pytest.raises(SchemaViolationError, match=message):
             fit_encoder(ds)
+
+    def test_first_bad_cell_in_column_order_is_reported(self):
+        enc = fit_encoder(two_value_dataset())
+        rows = [("A", 10.0), ("A", "x"), ("C", 10.0)]
+        with pytest.raises(SchemaViolationError, match="unseen category 'C' for feature 'grade'"):
+            enc.encode_rows(rows)
+        with pytest.raises(ValueError, match="row has 1 values, schema has 2"):
+            enc.encode_rows(rows + [("A",)])
+
+    def test_no_rows_encode_to_an_empty_matrix(self):
+        assert fit_encoder(two_value_dataset()).encode_rows([]).shape == (0, 2)
 
     def test_out_of_range_numeric_clamps(self):
         enc = fit_encoder(two_value_dataset())
