@@ -152,7 +152,8 @@ def load_csv(
 
     Rows containing a null (empty cell) in any schema or target column are
     dropped and counted in ``Dataset.dropped_rows``. Extra columns not named
-    by the schema are ignored; missing ones are an error. A cell outside its
+    by the schema are ignored; a schema or target column that is missing, or
+    named more than once, is an error. A cell outside its
     feature's domain, a non-finite number included, is a schema violation.
     """
     schema = tuple(schema)
@@ -163,14 +164,16 @@ def load_csv(
         except StopIteration:
             raise CsvParseError("empty file", line=1) from None
         header = [h.strip() for h in header]
-        positions = {}
-        for feat in schema:
-            if feat.name not in header:
-                raise SchemaViolationError(f"column {feat.name!r} missing from CSV header")
-            positions[feat.name] = header.index(feat.name)
-        if target_name not in header:
-            raise SchemaViolationError(f"target column {target_name!r} missing from CSV header")
-        target_pos = header.index(target_name)
+
+        def position(name: str, what: str) -> int:
+            copies = header.count(name)
+            if copies != 1:
+                where = "missing from" if copies == 0 else f"named {copies} times in"
+                raise SchemaViolationError(f"{what} {name!r} {where} CSV header")
+            return header.index(name)
+
+        positions = {feat.name: position(feat.name, "column") for feat in schema}
+        target_pos = position(target_name, "target column")
 
         rows, labels, dropped = [], [], 0
         for line_no, record in enumerate(reader, start=2):

@@ -101,6 +101,18 @@ class TestLoadCsv:
         with pytest.raises(SchemaViolationError, match="income"):
             load_csv(path, SCHEMA, "loan", "yes")
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("job,income,income,loan\nservice,100,200,yes\n", "column 'income'"),
+            ("job,income,loan,loan\nservice,100,yes,no\n", "target column 'loan'"),
+        ],
+    )
+    def test_column_named_twice_rejected(self, tmp_path, text, column):
+        path = write_csv(tmp_path, text)
+        with pytest.raises(SchemaViolationError, match=f"{column} named 2 times in CSV header"):
+            load_csv(path, SCHEMA, "loan", "yes")
+
     def test_extra_columns_ignored(self, tmp_path):
         path = write_csv(
             tmp_path, "id,job,income,loan\n1,service,100,yes\n2,tech,200,no\n"
