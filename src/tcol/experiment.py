@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
-from .engine import CandidateCE, GenerationConfig, _fill, generate
+from .engine import PREFERENCES, CandidateCE, GenerationConfig, _fill, generate
 from .models import ClassifierModel, cv_weights, fit_builtin
 from .scoring import euclidean
 from .tabular import Dataset, EncodedDataset, Encoder, encode_dataset, fit_encoder, load_csv, load_schema
@@ -85,8 +85,9 @@ class ExperimentConfig:
         for gen in self.generators:
             if gen not in GENERATORS:
                 raise ValueError(f"unknown generator {gen!r}, expected one of {GENERATORS}")
-        # preference / depth / num_ces / budget are validated by GenerationConfig
-        for pref in self.preferences:
+        # GenerationConfig validates each preference, and depth, num_ces and
+        # budget also when the preference list is empty
+        for pref in self.preferences or PREFERENCES[:1]:
             self.generation(pref)
         if len(self.jury) < 2:
             raise ValueError("jury needs at least two member kinds")

@@ -43,6 +43,21 @@ def test_bad_schema_json_is_data_error(tmp_path, synthetic_files):
     assert code == 2
 
 
+def test_csv_column_named_twice_is_data_error(tmp_path, synthetic_files, capsys):
+    lines = Path(synthetic_files["dataset"]).read_text(encoding="utf-8").splitlines()
+    first = lines[0].split(",")[0]
+    data = tmp_path / "data.csv"
+    data.write_text(
+        "\n".join(f"{line.split(',')[0]},{line}" for line in lines) + "\n", encoding="utf-8"
+    )
+    code = main(
+        ["encode", "--data", str(data), "--schema", synthetic_files["schema"],
+         "--out", str(tmp_path / "e.json")]
+    )
+    assert code == 2
+    assert f"column {first!r} named 2 times in CSV header" in capsys.readouterr().err
+
+
 def test_out_of_range_query_index_is_runtime_error(tmp_path, capsys):
     code = main(
         ["generate", "--query-index", "9999", "--preference", "c",
@@ -284,6 +299,19 @@ def test_bench_config_value_of_the_wrong_type_is_data_error(
     config = bench_config(tmp_path, synthetic_files, **{key: value})
     assert main(["bench", "--config", str(config)]) == 2
     assert f"config key '{key}' must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("depth", 2, "depth must lie in"), ("num_ces", 0, "num_ces"), ("budget", 0, "budget")],
+)
+def test_bench_bad_generation_value_without_preferences_is_data_error(
+    tmp_path, synthetic_files, key, value, message, capsys
+):
+    config = bench_config(tmp_path, synthetic_files, preferences=[], **{key: value})
+    assert main(["bench", "--config", str(config)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_console_entry_point_runs():
