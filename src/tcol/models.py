@@ -37,7 +37,8 @@ from .scoring import _exp
 from .tabular import EncodedDataset
 
 _VAR_FLOOR = 1e-9
-_KNN_BLOCK = 2**15  # most elements in one block of knn's distance temporary
+_KNN_BLOCK = 2**15  # most (probe, training row) pairs in one block of knn's filter
+_KNN_SAFE = np.finfo(float).max / 4  # |q|^2 + max |t|^2 below it: no overflow in knn
 _THRESHOLD = 0.5  # predict_proba >= _THRESHOLD means the target class
 
 
@@ -128,23 +129,65 @@ class Knn(ClassifierModel):
 
     def __init__(self, k: int = 5):
         super().__init__()
+        if k < 1:
+            raise ValueError(f"k must be positive, got {k}")
         self.k = k
 
     def _fit(self, X, y):
-        self._X = X.copy()
-        self._y = y.copy()
+        self._restore({"train_x": X, "train_y": y})
 
     def predict_proba_rows(self, X) -> np.ndarray:
-        # Rows in blocks, so the (rows x training rows x features) difference
-        # temporary stays near _KNN_BLOCK elements.
+        """The k nearest training rows by ``np.linalg.norm(t - q)``, distance
+        ties to the lower row index, found by exact filter and refine
+        (Seidl & Kriegel, SIGMOD 1998).
+
+        Filter: per probe ``q``, ``a = |q|^2 + |t|^2 - 2 q.t`` for every
+        training row ``t``. With ``r = |t - q|^2`` in real arithmetic, the
+        dot-product bound (Higham, 2002, section 3.1) gives
+        ``|a - r| <= 2 gamma(L + 2) (|q|^2 + |t|^2)`` and, for the exact distance
+        ``d``, ``|d^2 - r| <= 2 gamma(L + 4) (|q|^2 + |t|^2)``; underflow adds at
+        most half the smallest subnormal per product, 5L/2 of them in all.
+        ``E`` bounds both errors together (``_knn_error_bound``). If ``T`` is the
+        k-th smallest ``a``, k rows have ``d^2 <= T + E``, so each of the k
+        nearest has ``a <= T + 2E``: the filter keeps those rows.
+        Refine: the exact distance on the kept pairs only, then the k
+        smallest by (distance, row index). A probe whose norms could make a
+        filter value or a distance overflow, or are NaN, keeps every row.
+        """
         X = np.asarray(X, dtype=float)
         k = min(self.k, len(self._X))
-        step = max(1, _KNN_BLOCK // self._X.size)
+        widest = self._sq.max()
+        step = max(1, _KNN_BLOCK // len(self._X))
         out = np.empty(len(X))
         for start in range(0, len(X), step):
-            d = np.linalg.norm(self._X - X[start : start + step, np.newaxis, :], axis=2)
-            nearest = np.argsort(d, axis=1, kind="stable")[:, :k]  # distance ties -> lower row index
-            out[start : start + step] = np.mean(self._y[nearest] == self.target_class, axis=1)
+            Q = X[start : start + step]
+            # The filter may overflow where the exact distances do not; the
+            # guard below catches that, so its warnings are noise.
+            with np.errstate(over="ignore", invalid="ignore"):
+                qq = np.einsum("ij,ij->i", Q, Q)
+                # einsum, not BLAS: no threads, and its inner loop runs along
+                # the contiguous rows of the transposed training matrix.
+                a = np.einsum("ij,jk->ik", Q, self._XT)
+                a *= -2.0
+                a += self._sq
+                a += qq[:, np.newaxis]
+                norms = qq + widest
+                limit = np.partition(a, k - 1, axis=1)[:, k - 1] + 2.0 * _knn_error_bound(
+                    self._X.shape[1], norms
+                )
+            # Below _KNN_SAFE every filter value and exact distance is finite;
+            # a probe at or above it, or with a NaN, keeps every row.
+            keep = a <= limit[:, np.newaxis]
+            keep[~(norms < _KNN_SAFE)] = True
+            probe, row = np.divmod(np.flatnonzero(keep), len(self._X))
+            d = np.linalg.norm(self._X[row] - Q[probe], axis=1)
+            # lexsort is stable and np.flatnonzero lists a probe's rows in ascending
+            # order, so equal distances keep the lower row index first.
+            order = np.lexsort((d, probe))
+            kept = np.bincount(probe, minlength=len(Q))
+            first = np.cumsum(kept) - kept
+            nearest = row[order[first[:, np.newaxis] + np.arange(k)]]
+            out[start : start + step] = self._hits[nearest].sum(axis=1) / k
         return out
 
     def hyperparameters(self):
@@ -154,8 +197,23 @@ class Knn(ClassifierModel):
         return {"train_x": self._X.tolist(), "train_y": self._y.tolist()}
 
     def _restore(self, params):
-        self._X = np.asarray(params["train_x"], dtype=float)
-        self._y = np.asarray(params["train_y"], dtype=object)
+        self._X = np.array(params["train_x"], dtype=float)
+        self._y = np.array(params["train_y"], dtype=object)
+        self._XT = np.ascontiguousarray(self._X.T)
+        self._sq = np.einsum("ij,ij->i", self._X, self._X)
+        self._hits = self._y == self.target_class
+
+
+def _knn_error_bound(n_features: int, norms: np.ndarray) -> np.ndarray:
+    """The knn filter's ``E`` for probes whose ``|q|^2 + max |t|^2`` is ``norms``.
+
+    ``4 gamma(2L + 6)`` exceeds ``2 gamma(L + 2) + 2 gamma(L + 4)`` by enough
+    to absorb the rounding of the computed norms, of ``E`` and of
+    ``T + 2E``; ``5L // 2 + 1`` smallest subnormals cover underflow.
+    """
+    m = 2 * n_features + 6
+    u = 2.0**-53
+    return 4.0 * m * u / (1.0 - m * u) * norms + (5 * n_features // 2 + 1) * 2.0**-1074
 
 
 class NaiveBayes(ClassifierModel):

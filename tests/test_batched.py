@@ -1,7 +1,8 @@
 """The batched model path: ``predict_proba_rows`` against per-row
 reference formulas, the CART grower against the per-threshold scan it
 replaced, the flat forest walk against the level-by-level kernel it
-replaced, ``generate`` against a sequential reference that draws for
+replaced, knn's filter and refine against the blocked 3-D-norm kernel
+it replaced, ``generate`` against a sequential reference that draws for
 one prototype at a time and validates one drawn combination at a time,
 and the column-wise encoder against the per-cell one it replaced.
 The generation reference keeps its own fill and fallback-score helpers,
@@ -11,10 +12,11 @@ import json
 import math
 import warnings
 from functools import partial
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import draw_combinations, make_encoded
@@ -95,12 +97,88 @@ def test_knn_rows_spanning_several_distance_blocks_equal_the_per_row_vote():
     rng = np.random.default_rng(12)
     X = rng.integers(0, 4, size=(1000, 10)) / 3.0  # coarse grid: many distance ties
     y = np.where(rng.random(1000) < 0.5, "yes", "no")
-    probes = rng.integers(0, 7, size=(20, 10)) / 6.0
+    block_rows = models._KNN_BLOCK // len(X)  # a block holds (probe, training row) pairs
+    probes = rng.integers(0, 7, size=(2 * block_rows + 5, 10)) / 6.0
     model = make_model("knn").fit(X, y, "yes")
-    block_rows = models._KNN_BLOCK // X.size
-    assert 1 < block_rows < len(probes) and len(probes) % block_rows
+    assert block_rows > 5  # two full blocks, then a ragged one of 5 probes
     single = np.array([knn_row(model, row) for row in probes])
     assert model.predict_proba_rows(probes).tobytes() == single.tobytes()
+
+
+def knn_blocked_reference(model, X) -> np.ndarray:
+    """The knn kernel the filter and refine replaced: blocks of at most
+    2**15 (probe, training row, feature) cells, the whole 3-D difference's
+    norm, and a stable argsort of every probe's distances."""
+    X = np.asarray(X, dtype=float)
+    k = min(model.k, len(model._X))
+    step = max(1, 2**15 // model._X.size)
+    out = np.empty(len(X))
+    for start in range(0, len(X), step):
+        d = np.linalg.norm(model._X - X[start : start + step, np.newaxis, :], axis=2)
+        nearest = np.argsort(d, axis=1, kind="stable")[:, :k]  # distance ties -> lower row index
+        out[start : start + step] = np.mean(model._y[nearest] == model.target_class, axis=1)
+    return out
+
+
+# Magnitudes where the filter's rounding bound does the work: squares that
+# overflow (1e155) or nearly do (1e154), squares that underflow to
+# subnormals (1e-160), and subnormal cells whose squares vanish.
+KNN_SCALES = (1.0, 1e154, 1e155, 1e-160, 2.0**-1060)
+
+
+@st.composite
+def knn_cases(draw):
+    """Training rows and probes on a coarse grid (duplicate rows, equal
+    distances), some columns constant and each column at one of
+    ``KNN_SCALES``; k may reach or pass the row count, and a block may
+    hold as little as one pair."""
+    n_features = draw(st.integers(1, 12))
+    n_rows = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([2, 3, 7]))
+    X = rng.integers(-levels, levels + 1, size=(n_rows, n_features)) / levels
+    X = X[rng.integers(0, n_rows, size=n_rows)]  # duplicate rows
+    probes = rng.integers(-levels, levels + 1, size=(draw(st.integers(0, 20)), n_features)) / levels
+    for j in range(n_features):
+        if draw(st.booleans()):
+            X[:, j] = probes[:, j] = 0.5
+    scales = np.array(draw(st.lists(st.sampled_from(KNN_SCALES), min_size=n_features, max_size=n_features)))
+    y = np.where(rng.random(n_rows) < 0.5, "yes", "no")
+    return X * scales, y, probes * scales, draw(st.integers(1, 35)), draw(st.integers(1, 64))
+
+
+def _knn(X, y, k) -> models.Knn:
+    """A knn model on rows that may hold one class only, as a loaded one may."""
+    model = models.Knn(k=k)
+    model.target_class, model.other_class = "yes", "no"
+    model._restore({"train_x": X, "train_y": y})
+    return model
+
+
+# Four cells of 2**-539, whose squares and products are subnormal: row 0
+# ties row 1 in distance, so it wins on its index, but every product rounds
+# against it and its filter value lies 12 subnormals above row 1's. The
+# bound E is 11 of them, so a filter without the factor 2 drops row 0.
+_SUBNORMAL_TIE = (
+    np.array([[-3.0] * 4, [-2.0] * 4]) * 2.0**-539,
+    np.array(["yes", "no"]),
+    np.array([[3.0] * 4]) * 2.0**-539,
+    1,
+    64,
+)
+
+
+@example(case=_SUBNORMAL_TIE)
+@settings(max_examples=400, deadline=None)
+@given(case=knn_cases())
+def test_knn_filter_and_refine_matches_the_kernel_it_replaced_bit_for_bit(case):
+    X, y, probes, k, block = case
+    model = _knn(X, y, k)
+    with np.errstate(all="ignore"), patch.object(models, "_KNN_BLOCK", block):
+        rows = model.predict_proba_rows(probes)
+        expected = knn_blocked_reference(model, probes)
+    assert rows.shape == (len(probes),)
+    assert rows.tobytes() == expected.tobytes()
 
 
 def test_model_overriding_neither_method_raises():

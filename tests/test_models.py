@@ -104,6 +104,28 @@ class TestBuiltins:
         assert model.predict([0.5]) == "yes"
 
 
+class TestKnn:
+    """The rules that keep knn's votes those of a full stable sort of the
+    exact distances, with the library's asserts stripped under ``-O``."""
+
+    @pytest.mark.parametrize("labels, proba", [(["no", "yes", "yes"], 0.0), (["yes", "no", "no"], 1.0)])
+    def test_equal_distances_go_to_the_lower_row_index(self, labels, proba):
+        model = Knn(k=1).fit([[0.0], [2.0], [2.0]], labels, "yes")
+        assert model.predict_proba_rows([[1.0]]).tolist() == [proba]
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_non_positive_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be positive"):
+            Knn(k=k)
+
+    @pytest.mark.parametrize("scale", [1e154, 1e155])
+    def test_probe_whose_squares_overflow_still_finds_its_duplicate(self, scale):
+        X = np.array([[1.0, 0.0], [0.5, 0.0], [0.0, 1.0]]) * scale
+        model = Knn(k=1).fit(X, ["yes", "no", "no"], "yes")
+        with np.errstate(over="ignore"):
+            assert model.predict_proba_rows(X[:1]).tolist() == [1.0]
+
+
 class OracleModel(ClassifierModel):
     """Cheats: recognizes the labeling rule of separable_data exactly."""
 
