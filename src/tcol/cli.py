@@ -18,9 +18,10 @@ from pathlib import Path
 
 from . import data as bundled
 from . import metrics as metrics_mod
-from .engine import GenerationConfig, generate
-from .experiment import ExperimentConfig, ExperimentError, emit_report, run_experiment
-from .models import MODEL_KINDS, cv_weights, fit_builtin, load_model, save_model
+from .engine import PREFERENCES, GenerationConfig, generate
+from .experiment import ExperimentConfig, ExperimentError, check_jury, emit_report, run_experiment
+from .models import MODEL_KINDS, ModelFileError, cv_weights, fit_builtin, load_model, save_model
+from .scoring import DISTANCES, EUCLIDEAN, FCS_SPARSITY_CORRECTED, FCS_VARIANTS
 from .tabular import (
     CsvParseError,
     SchemaViolationError,
@@ -79,15 +80,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("generate", help="generate counterfactuals for one query row")
     _add_data_options(p)
     p.add_argument("--query-index", type=int, required=True, help="row index of the query")
-    p.add_argument("--preference", required=True, choices=("a", "b", "c", "d", "e"))
+    p.add_argument("--preference", required=True, choices=PREFERENCES)
     p.add_argument("--num-ces", type=int, default=5)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--budget", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--distance", default="euclidean", choices=("euclidean", "manhattan"))
-    p.add_argument(
-        "--fcs-variant", default="sparsity_corrected", choices=("literal", "sparsity_corrected")
-    )
+    p.add_argument("--distance", default=EUCLIDEAN, choices=tuple(DISTANCES))
+    p.add_argument("--fcs-variant", default=FCS_SPARSITY_CORRECTED, choices=FCS_VARIANTS)
     p.add_argument("--out", default="ces.json")
 
     p = sub.add_parser("evaluate", help="metric suite over an existing counterfactual file")
@@ -190,6 +189,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    jury = tuple(args.jury.split(","))
+    try:
+        check_jury(jury, args.folds)
+    except ValueError as exc:
+        raise _UsageError(exc) from None
     with open(args.ces, encoding="utf-8") as fh:
         ce_file = json.load(fh)
     dataset, encoder, encoded = _load_encoded(
@@ -209,7 +213,7 @@ def _cmd_evaluate(args) -> int:
         model = load_model(args.validation_model)
     else:
         model = fit_builtin("random_forest", encoded, seed=args.seed)
-    jury = cv_weights(args.jury.split(","), encoded, args.folds, seed=args.seed)
+    jury = cv_weights(jury, encoded, args.folds, seed=args.seed)
 
     evaluated = metrics_mod.evaluate_set(
         vectors, query, encoded, model, jury, n_neighbors=args.n_neighbors
@@ -266,7 +270,14 @@ _COMMANDS = {
     "bench": _cmd_bench,
 }
 
-_DATA_ERRORS = (SchemaViolationError, CsvParseError, FileNotFoundError, json.JSONDecodeError, KeyError)
+_DATA_ERRORS = (
+    SchemaViolationError,
+    CsvParseError,
+    ModelFileError,
+    FileNotFoundError,
+    json.JSONDecodeError,
+    KeyError,
+)
 
 
 def main(argv=None) -> int:

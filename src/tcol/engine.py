@@ -76,7 +76,7 @@ class GenerationConfig:
             raise ValueError("num_ces must be positive")
         if self.budget < 1:
             raise ValueError("budget must be positive")
-        distance_fn(self.distance)
+        self.score_rule()  # checks the distance and the fcs variant
 
     def score_rule(self) -> ScoreRule:
         return ScoreRule(

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .engine import PREFERENCES, CandidateCE, GenerationConfig, _fill, generate
-from .models import ClassifierModel, cv_weights, fit_builtin
+from .models import MODEL_KINDS, ClassifierModel, cv_weights, fit_builtin
 from .scoring import euclidean
 from .tabular import Dataset, EncodedDataset, Encoder, encode_dataset, fit_encoder, load_csv, load_schema
 
@@ -50,6 +50,17 @@ class ExperimentError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+
+
+def check_jury(kinds: tuple, folds: int) -> None:
+    """Reject a jury setting before any work: at least two built-in kinds and two folds."""
+    if len(kinds) < 2:
+        raise ValueError("jury needs at least two member kinds")
+    for kind in kinds:
+        if kind not in MODEL_KINDS:
+            raise ValueError(f"unknown jury kind {kind!r}, expected one of {MODEL_KINDS}")
+    if folds < 2:
+        raise ValueError("folds must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -89,10 +100,7 @@ class ExperimentConfig:
         # budget also when the preference list is empty
         for pref in self.preferences or PREFERENCES[:1]:
             self.generation(pref)
-        if len(self.jury) < 2:
-            raise ValueError("jury needs at least two member kinds")
-        if self.folds < 2:
-            raise ValueError("folds must be at least 2")
+        check_jury(self.jury, self.folds)
 
     def generation(self, preference: str) -> GenerationConfig:
         return GenerationConfig(preference, self.depth, self.num_ces, budget=self.budget)

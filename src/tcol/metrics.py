@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ClassifierModel, ThirdPartyJury, f1_score
+from .models import ClassifierModel, ThirdPartyJury, prediction_f1
 from .scoring import count_diffs, euclidean
 from .tabular import EncodedDataset
 
@@ -56,10 +56,7 @@ def member_agreement(model: ClassifierModel, ces, target_class) -> float:
     fraction.
     """
     hits = _hits(model, ces, target_class)
-    agreeing = int(np.count_nonzero(hits))
-    precision = 1.0 if agreeing else 0.0
-    recall = agreeing / len(hits)
-    return f1_score(precision, recall)
+    return prediction_f1(hits, np.ones(len(hits), dtype=bool), True)
 
 
 def data_fidelity(ces, jury: ThirdPartyJury, target_class) -> float:

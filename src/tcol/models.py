@@ -56,8 +56,8 @@ def _precision_recall(predictions, reference, positive) -> tuple[float, float]:
     predicted = np.asarray(predictions) == positive
     actual = np.asarray(reference) == positive
     tp = int(np.count_nonzero(predicted & actual))
-    fp = int(np.count_nonzero(predicted & ~actual))
-    fn = int(np.count_nonzero(~predicted & actual))
+    fp = int(np.count_nonzero(predicted)) - tp
+    fn = int(np.count_nonzero(actual)) - tp
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     return precision, recall
@@ -65,6 +65,10 @@ def _precision_recall(predictions, reference, positive) -> tuple[float, float]:
 
 def prediction_f1(predictions, reference, positive) -> float:
     return f1_score(*_precision_recall(predictions, reference, positive))
+
+
+class ModelFileError(ValueError):
+    """A model file that ``load_model`` cannot turn into a model."""
 
 
 class ClassifierModel:
@@ -89,12 +93,22 @@ class ClassifierModel:
             raise ValueError(f"target class {target_class!r} absent from training labels")
         self.target_class = target_class
         self.other_class = next(c for c in labels if c != target_class)
-        self._fit(X, y)
+        return self._install(self._fit(X, y))
+
+    def _fit(self, X: np.ndarray, y: np.ndarray) -> dict:
+        """Fit on the rows; return the parameter record that ``save_model`` writes."""
+        raise NotImplementedError
+
+    def _restore(self, params: dict) -> None:
+        """Build the prediction state from a parameter record, fitted or loaded."""
+        raise NotImplementedError
+
+    def _install(self, params: dict) -> "ClassifierModel":
+        """The last step of ``fit`` and ``load_model``: restore, keep the record, mark fitted."""
+        self._restore(params)
+        self._record = params
         self.fitted = True
         return self
-
-    def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        raise NotImplementedError
 
     def predict_proba(self, vector) -> float:
         """Target-class probability of one encoded row."""
@@ -115,12 +129,6 @@ class ClassifierModel:
     def hyperparameters(self) -> dict:
         return {}
 
-    def _params(self) -> dict:
-        raise NotImplementedError
-
-    def _restore(self, params: dict) -> None:
-        raise NotImplementedError
-
 
 class Knn(ClassifierModel):
     """k-nearest-neighbour vote; probability = target fraction among neighbours."""
@@ -134,7 +142,7 @@ class Knn(ClassifierModel):
         self.k = k
 
     def _fit(self, X, y):
-        self._restore({"train_x": X, "train_y": y})
+        return {"train_x": X.copy(), "train_y": y.copy()}
 
     def predict_proba_rows(self, X) -> np.ndarray:
         """The k nearest training rows by ``np.linalg.norm(t - q)``, distance
@@ -193,15 +201,12 @@ class Knn(ClassifierModel):
     def hyperparameters(self):
         return {"k": self.k}
 
-    def _params(self):
-        return {"train_x": self._X.tolist(), "train_y": self._y.tolist()}
-
     def _restore(self, params):
-        self._X = np.array(params["train_x"], dtype=float)
-        self._y = np.array(params["train_y"], dtype=object)
+        # the record keeps the array, not a loaded file's lists: one copy of the rows
+        params["train_x"] = self._X = np.asarray(params["train_x"], dtype=float)
         self._XT = np.ascontiguousarray(self._X.T)
         self._sq = np.einsum("ij,ij->i", self._X, self._X)
-        self._hits = self._y == self.target_class
+        self._hits = np.asarray(params["train_y"], dtype=object) == self.target_class
 
 
 def _knn_error_bound(n_features: int, norms: np.ndarray) -> np.ndarray:
@@ -217,19 +222,23 @@ def _knn_error_bound(n_features: int, norms: np.ndarray) -> np.ndarray:
 
 
 class NaiveBayes(ClassifierModel):
-    """Gaussian naive Bayes per encoded feature, variance floored for stability."""
+    """Gaussian naive Bayes per encoded feature, variance floored for stability;
+    its record keys the statistics by ``str(label)``, as the model file does."""
 
     kind = "naive_bayes"
 
     def _fit(self, X, y):
-        self._stats = {}
+        if str(self.target_class) == str(self.other_class):
+            raise ValueError(f"labels {self.target_class!r} and {self.other_class!r} share one name")
+        stats = {}
         for label in (self.target_class, self.other_class):
             rows = X[y == label]
-            self._stats[label] = {
+            stats[str(label)] = {
                 "prior": len(rows) / len(X),
                 "mean": rows.mean(axis=0),
                 "var": np.maximum(rows.var(axis=0), _VAR_FLOOR),
             }
+        return {"stats": stats}
 
     def _log_likelihood(self, label, X) -> np.ndarray:
         s = self._stats[label]
@@ -245,27 +254,16 @@ class NaiveBayes(ClassifierModel):
         et, eo = _exp(lt - m), _exp(lo - m)
         return et / (et + eo)
 
-    def _params(self):
-        return {
-            "stats": {
-                str(label): {
-                    "prior": s["prior"],
-                    "mean": s["mean"].tolist(),
-                    "var": s["var"].tolist(),
-                }
-                for label, s in self._stats.items()
-            }
-        }
-
     def _restore(self, params):
-        self._stats = {
-            label: {
+        # a file that lacks a class's statistics fails here, not at the first prediction
+        self._stats = {}
+        for label in (self.target_class, self.other_class):
+            s = params["stats"][str(label)]
+            self._stats[label] = {
                 "prior": float(s["prior"]),
                 "mean": np.asarray(s["mean"], dtype=float),
                 "var": np.asarray(s["var"], dtype=float),
             }
-            for label, s in params["stats"].items()
-        }
 
 
 class _FlatTrees:
@@ -384,12 +382,9 @@ class _CartModel(ClassifierModel):
     def predict_proba_rows(self, X) -> np.ndarray:
         return self._flat.proba(X)
 
-    def _params(self):
-        return {self._key: self._persisted}
-
     def _restore(self, params):
-        self._persisted = params[self._key]
-        self._flat = _FlatTrees(self._persisted if self._key == "trees" else [self._persisted])
+        trees = params[self._key]
+        self._flat = _FlatTrees(trees if self._key == "trees" else [trees])
 
 
 class DecisionTree(_CartModel):
@@ -405,7 +400,7 @@ class DecisionTree(_CartModel):
 
     def _fit(self, X, y):
         hits = (y == self.target_class).astype(float)
-        self._restore({"tree": _grow(X, hits, np.arange, self.max_depth, self.min_samples_split)})
+        return {"tree": _grow(X, hits, np.arange, self.max_depth, self.min_samples_split)}
 
     def hyperparameters(self):
         return {"max_depth": self.max_depth, "min_samples_split": self.min_samples_split}
@@ -435,7 +430,7 @@ class RandomForest(_CartModel):
             candidates = partial(_random_features, tree_rng, max_features)
             # Bootstrap sample may be single-class; the tree is then a constant leaf.
             trees.append(_grow(X[idx], hits[idx], candidates, self.max_depth, min_samples_split=2))
-        self._restore({"trees": trees})
+        return {"trees": trees}
 
     def hyperparameters(self):
         return {"n_trees": self.n_trees, "max_depth": self.max_depth, "seed": self.seed}
@@ -524,22 +519,24 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
         "target_class": model.target_class,
         "other_class": model.other_class,
         "hyperparameters": model.hyperparameters(),
-        "parameters": model._params(),
+        "parameters": model._record,
     }
-    Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(payload, default=np.ndarray.tolist) + "\n", encoding="utf-8")
 
 
 def load_model(path: str | Path) -> ClassifierModel:
+    """Read a file from ``save_model``; ``ModelFileError`` for a bad version, kind or hyperparameter."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("format_version") != 1:
-        raise ValueError("unsupported model file version")
+        raise ModelFileError("unsupported model file version")
     kind = payload["kind"]
     if kind not in _MODEL_CLASSES:
-        raise ValueError(f"unknown model kind {kind!r} in file")
-    model = _MODEL_CLASSES[kind](**payload["hyperparameters"])
+        raise ModelFileError(f"unknown model kind {kind!r} in file")
+    try:
+        model = _MODEL_CLASSES[kind](**payload["hyperparameters"])
+    except (TypeError, ValueError) as exc:
+        raise ModelFileError(f"bad {kind} hyperparameters in file: {exc}") from None
     model.target_class = payload["target_class"]
     model.other_class = payload["other_class"]
-    model._restore(payload["parameters"])
-    model.fitted = True
-    return model
+    return model._install(payload["parameters"])

@@ -31,6 +31,7 @@ MANHATTAN = "manhattan"
 
 FCS_LITERAL = "literal"
 FCS_SPARSITY_CORRECTED = "sparsity_corrected"
+FCS_VARIANTS = (FCS_LITERAL, FCS_SPARSITY_CORRECTED)
 
 
 _exp = np.vectorize(math.exp, otypes=[float])
@@ -151,7 +152,7 @@ class ScoreRule:
         if self.tag not in RULE_TAGS:
             raise ValueError(f"unknown score rule {self.tag!r}")
         distance_fn(self.distance)
-        if self.fcs_variant not in (FCS_LITERAL, FCS_SPARSITY_CORRECTED):
+        if self.fcs_variant not in FCS_VARIANTS:
             raise ValueError(f"unknown fcs variant {self.fcs_variant!r}")
 
     def score(self, candidate, prototype, query):

@@ -85,6 +85,9 @@ class StubModel(ClassifierModel):
         self.fitted = True
 
     def _fit(self, X, y):
+        return {}
+
+    def _restore(self, params):
         pass
 
     def predict_proba_rows(self, X):

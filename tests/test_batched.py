@@ -50,12 +50,17 @@ def training_and_probes(draw):
     return X, y, probes
 
 
+def knn_labels(model) -> np.ndarray:
+    """The training labels as the model's parameter record holds them."""
+    return np.asarray(model._record["train_y"], dtype=object)
+
+
 def knn_row(model, v) -> float:
     """The per-row knn vote the batched one must reproduce bit for bit."""
     d = np.linalg.norm(model._X - v, axis=1)
     k = min(model.k, len(d))
     nearest = np.argsort(d, kind="stable")[:k]  # distance ties -> lower row index
-    return float(np.mean(model._y[nearest] == model.target_class))
+    return float(np.mean(knn_labels(model)[nearest] == model.target_class))
 
 
 def naive_bayes_row(model, v) -> float:
@@ -116,7 +121,7 @@ def knn_blocked_reference(model, X) -> np.ndarray:
     for start in range(0, len(X), step):
         d = np.linalg.norm(model._X - X[start : start + step, np.newaxis, :], axis=2)
         nearest = np.argsort(d, axis=1, kind="stable")[:, :k]  # distance ties -> lower row index
-        out[start : start + step] = np.mean(model._y[nearest] == model.target_class, axis=1)
+        out[start : start + step] = np.mean(knn_labels(model)[nearest] == model.target_class, axis=1)
     return out
 
 
@@ -151,8 +156,7 @@ def _knn(X, y, k) -> models.Knn:
     """A knn model on rows that may hold one class only, as a loaded one may."""
     model = models.Knn(k=k)
     model.target_class, model.other_class = "yes", "no"
-    model._restore({"train_x": X, "train_y": y})
-    return model
+    return model._install({"train_x": X, "train_y": y})
 
 
 # Four cells of 2**-539, whose squares and products are subnormal: row 0
@@ -358,7 +362,7 @@ def trees_and_cells(draw):
         y = np.where(rng.random(n_rows) < 0.5, "yes", "no")
         y[:2] = ["yes", "no"]
         model = make_model(kind, seed=draw(st.integers(0, 5))).fit(X, y, "yes")
-        trees = model._persisted if kind == "random_forest" else [model._persisted]
+        trees = model._record["trees"] if kind == "random_forest" else [model._record["tree"]]
     pool = np.array(
         [t for tree in trees for t in tree_thresholds(tree)]
         + SPECIAL_CELLS

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tcol import cli
+from tcol import cli, experiment
 from tcol.cli import main
 from tcol.models import load_model
 
@@ -186,6 +186,46 @@ def test_non_positive_n_neighbors_is_a_usage_error_before_any_fit(ce_file, n_nei
     assert main(["evaluate", "--ces", str(ce_file), "--n-neighbors", n_neighbors]) == 1
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--jury", "knn,svm", "unknown jury kind 'svm'"),
+        ("--jury", "knn", "at least two member kinds"),
+        ("--jury", "knn,,naive_bayes", "unknown jury kind ''"),
+        ("--folds", "1", "folds must be at least 2"),
+    ],
+)
+def test_bad_jury_or_folds_is_a_usage_error_before_any_read(
+    ce_file, monkeypatch, capsys, option, value, message
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate read data or fitted a model before checking --jury and --folds")
+
+    monkeypatch.setattr(cli, "load_csv", refuse)
+    monkeypatch.setattr(cli, "fit_builtin", refuse)
+    monkeypatch.setattr(cli, "cv_weights", refuse)
+    assert main(["evaluate", "--ces", str(ce_file), option, value]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("format_version", 2, "unsupported model file version"),
+        ("kind", "svm", "unknown model kind 'svm'"),
+        ("hyperparameters", {"k": 3}, "unexpected keyword argument 'k'"),
+    ],
+)
+def test_bad_validation_model_file_is_data_error(ce_file, tmp_path, capsys, key, value, message):
+    assert main(["train", "--kind", "random_forest", "--out-dir", str(tmp_path)]) == 0
+    path = tmp_path / "random_forest.model.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(dict(payload, **{key: value})), encoding="utf-8")
+    code = main(["evaluate", "--ces", str(ce_file), "--folds", "5", "--validation-model", str(path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_readme_quick_start_prints_documented_metrics(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Quick start (CLI)")[1].split("```bash")[1].split("```")[0]
@@ -312,6 +352,19 @@ def test_bench_bad_generation_value_without_preferences_is_data_error(
     assert main(["bench", "--config", str(config)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "report.csv").exists()
+
+
+def test_bench_unknown_jury_kind_is_data_error_before_any_fit(
+    tmp_path, synthetic_files, monkeypatch, capsys
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bench read data or fitted a model before checking the jury")
+
+    monkeypatch.setattr(experiment, "load_csv", refuse)
+    monkeypatch.setattr(experiment, "fit_builtin", refuse)
+    config = bench_config(tmp_path, synthetic_files, jury=["knn", "svm"])
+    assert main(["bench", "--config", str(config)]) == 2
+    assert "unknown jury kind 'svm'" in capsys.readouterr().err
 
 
 def test_console_entry_point_runs():

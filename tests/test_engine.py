@@ -551,6 +551,14 @@ class TestGenerationConfig:
         with pytest.raises(ValueError):
             GenerationConfig(preference="f")
 
+    @pytest.mark.parametrize(
+        "knob, message",
+        [({"fcs_variant": "bogus"}, "unknown fcs variant"), ({"distance": "chebyshev"}, "unknown distance")],
+    )
+    def test_rule_knobs_validated_at_construction(self, knob, message):
+        with pytest.raises(ValueError, match=message):
+            GenerationConfig("a", **knob)
+
     def test_rule_mapping(self):
         assert GenerationConfig(preference="a").score_rule().tag == "fcs"
         assert GenerationConfig(preference="b").score_rule().tag == "ncs"

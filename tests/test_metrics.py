@@ -15,7 +15,7 @@ from tcol.metrics import (
     sparsity,
     validity,
 )
-from tcol.models import ThirdPartyJury
+from tcol.models import ThirdPartyJury, f1_score
 
 ADULT_WEIGHTS = (0.73, 0.75, 0.74, 0.69, 0.74)
 GERMAN_WEIGHTS = (0.66, 0.67, 0.69, 0.65, 0.70)
@@ -131,6 +131,15 @@ class TestDataFidelity:
         ces = [np.array([float(i)]) for i in range(4)]
         assert member_agreement(StubModel(always=True), ces, "yes") == 1.0
         assert member_agreement(StubModel(always=False), ces, "yes") == 0.0
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_member_agreement_is_the_degenerate_f1_bit_for_bit(self, n):
+        # precision is 1 when any counterfactual is endorsed, recall the endorsed fraction
+        ces = [np.array([float(i)]) for i in range(n)]
+        for agreeing in range(n + 1):
+            juror = StubModel(yes_vectors=ces[:agreeing])
+            expected = f1_score(1.0 if agreeing else 0.0, agreeing / n)
+            assert member_agreement(juror, ces, "yes") == expected
 
 
 class TestCentrality:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from tcol.models import (
     MODEL_KINDS,
     ClassifierModel,
     Knn,
+    ModelFileError,
+    NaiveBayes,
     ThirdPartyJury,
     cross_val_f1,
     cv_weights,
@@ -132,6 +136,9 @@ class OracleModel(ClassifierModel):
     kind = "oracle"
 
     def _fit(self, X, y):
+        return {}
+
+    def _restore(self, params):
         pass
 
     def predict_proba_rows(self, X):
@@ -226,6 +233,65 @@ class TestPersistence:
         for probe in probes:
             assert loaded.predict(probe) == model.predict(probe)
         assert loaded.predict_proba_rows(probes).tobytes() == model.predict_proba_rows(probes).tobytes()
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_integer_labels_round_trip(self, kind, tmp_path, synthetic_encoded):
+        labels = np.where(synthetic_encoded.y == synthetic_encoded.target_class, 1, 0)
+        model = make_model(kind).fit(synthetic_encoded.X, labels, 1)
+        save_model(model, tmp_path / "m.json")
+        loaded = load_model(tmp_path / "m.json")
+        assert (loaded.target_class, loaded.other_class) == (1, 0)
+        probes = synthetic_encoded.X[:25]
+        assert loaded.predict_proba_rows(probes).tobytes() == model.predict_proba_rows(probes).tobytes()
+        assert [loaded.predict(v) for v in probes] == [model.predict(v) for v in probes]
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_save_load_save_is_byte_identical(self, kind, tmp_path, synthetic_encoded):
+        save_model(fit_builtin(kind, synthetic_encoded, seed=0), tmp_path / "a.json")
+        save_model(load_model(tmp_path / "a.json"), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_knn_record_does_not_alias_the_training_data(self, tmp_path):
+        X, y = np.array([[0.0], [1.0]]), np.array(["yes", "no"], dtype=object)
+        model = Knn(k=1).fit(X, y, "yes")
+        X[0, 0], y[0] = 2.0, "no"
+        save_model(model, tmp_path / "m.json")
+        params = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))["parameters"]
+        assert params == {"train_x": [[0.0], [1.0]], "train_y": ["yes", "no"]}
+
+    def test_knn_keeps_one_copy_of_its_rows(self, tmp_path, synthetic_encoded):
+        model = fit_builtin("knn", synthetic_encoded)
+        save_model(model, tmp_path / "m.json")
+        for m in (model, load_model(tmp_path / "m.json")):
+            assert m._record["train_x"] is m._X
+
+    def test_naive_bayes_file_without_its_classes_fails_to_load(self, tmp_path, synthetic_encoded):
+        path = tmp_path / "m.json"
+        save_model(fit_builtin("naive_bayes", synthetic_encoded), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(dict(payload, target_class="yes")), encoding="utf-8")
+        with pytest.raises(KeyError, match="yes"):
+            load_model(path)
+
+    def test_naive_bayes_rejects_labels_with_one_name(self):
+        with pytest.raises(ValueError, match="share one name"):
+            NaiveBayes().fit([[0.0], [1.0], [0.1], [0.9]], [1, "1", 1, "1"], 1)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("format_version", 2, "unsupported model file version"),
+            ("kind", "svm", "unknown model kind 'svm'"),
+            ("hyperparameters", {"k": 3}, "bad decision_tree hyperparameters"),
+        ],
+    )
+    def test_bad_model_file_raises_model_file_error(self, key, value, message, tmp_path, synthetic_encoded):
+        path = tmp_path / "m.json"
+        save_model(fit_builtin("decision_tree", synthetic_encoded), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(dict(payload, **{key: value})), encoding="utf-8")
+        with pytest.raises(ModelFileError, match=message):
+            load_model(path)
 
     def test_unfitted_model_not_saved(self, tmp_path):
         with pytest.raises(ValueError, match="unfitted"):
