@@ -15,11 +15,16 @@ Hummingbird, Nakandala et al., OSDI 2020). A decision tree is a forest of
 one tree. The nested-dict tree stays the persisted form. Models are
 immutable after ``fit`` and safe to share across threads.
 
-Both CART models grow their trees with ``_grow``: per node, one sort of
-each candidate column and prefix sums of the target hits, with the Gini
-impurity evaluated only between distinct values. Ties go to the lowest
-``(impurity, feature, threshold)``, exactly as in a scan of every
-threshold in turn.
+Both CART models grow their trees with ``_grow_trees``, which advances
+every tree of a fit in lockstep. Each step takes the ready nodes through
+one batched split search (``_best_splits``): Gini impurity at the
+midpoints between distinct values, ties to the lowest ``(impurity,
+feature, threshold)``, exactly as in a scan of every threshold in turn.
+A forest node draws its candidate features from its tree's generator, so
+such a tree readies only its next preorder node per step and every
+generator is drawn from as by a recursive grower; a tree that draws
+nothing readies every open node, level by level. The search takes the
+ready nodes in blocks of at most ``_GROW_BLOCK`` (row, candidate) entries.
 """
 
 from __future__ import annotations
@@ -27,9 +32,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,6 +42,7 @@ from .tabular import EncodedDataset
 
 _VAR_FLOOR = 1e-9
 _KNN_BLOCK = 2**15  # most (probe, training row) pairs in one block of knn's filter
+_GROW_BLOCK = 2**15  # most (row, candidate feature) entries in one batched split search
 _KNN_SAFE = np.finfo(float).max / 4  # |q|^2 + max |t|^2 below it: no overflow in knn
 _THRESHOLD = 0.5  # predict_proba >= _THRESHOLD means the target class
 
@@ -206,7 +211,14 @@ class Knn(ClassifierModel):
         params["train_x"] = self._X = np.asarray(params["train_x"], dtype=float)
         self._XT = np.ascontiguousarray(self._X.T)
         self._sq = np.einsum("ij,ij->i", self._X, self._X)
-        self._hits = np.asarray(params["train_y"], dtype=object) == self.target_class
+        labels = np.asarray(params["train_y"], dtype=object)
+        # one class missing would make every vote the same, silently
+        if set(labels.tolist()) != {self.target_class, self.other_class}:
+            raise ModelFileError(
+                f"knn train_y must hold exactly the classes {self.target_class!r} and "
+                f"{self.other_class!r}, got {sorted(map(str, set(labels.tolist())))}"
+            )
+        self._hits = labels == self.target_class
 
 
 def _knn_error_bound(n_features: int, norms: np.ndarray) -> np.ndarray:
@@ -317,53 +329,192 @@ class _FlatTrees:
         return self.value[slot].mean(axis=1)
 
 
-def _grow(X, hits, candidates, max_depth: int, min_samples_split: int, depth: int = 0) -> dict:
-    """Grow a nested-dict CART tree on Gini splits, left subtree first.
+class _Columns:
+    """The training matrix as ``_best_splits`` reads it: its flat ``cells``, and
+    per cell ``(value code << 1) | hit``, where a value code is the cell's rank
+    among its column's distinct ``values`` (column ``j``'s from ``value_base[j]``)
+    and fits in ``shift`` bits."""
 
-    ``hits`` is 1.0 for a target-class row and 0.0 otherwise.
-    ``candidates(n_features)`` gives the ascending features one node may
-    split on; ties go to the lowest ``(impurity, feature, threshold)``.
-    Each node sorts its candidate columns once and reads both sides' hit
-    counts from prefix sums, at the midpoints between distinct values only.
+    def __init__(self, X, hits):
+        X = np.asarray(X, dtype=float)
+        order = np.argsort(X, axis=0)
+        ranked = np.take_along_axis(X, order, axis=0)
+        distinct = np.ones(X.shape, dtype=bool)
+        distinct[1:] = ranked[1:] != ranked[:-1]
+        codes = np.empty(X.shape, dtype=np.intp)
+        np.put_along_axis(codes, order, np.cumsum(distinct, axis=0) - 1, axis=0)
+        lengths = distinct.sum(axis=0)
+        self.values = ranked.T[distinct.T]
+        self.value_base = np.cumsum(lengths) - lengths
+        self.shift = int(lengths.max(initial=0)).bit_length()
+        self.hit = np.asarray(hits, dtype=np.intp)
+        self.cells = X.ravel()
+        self.keys = ((codes << 1) | self.hit[:, np.newaxis]).ravel()
+        # A column's lowest midpoint is that of its two lowest values above -inf.
+        # If it overflows to -inf, a split's counts disagree with its partition.
+        low = self.value_base + (self.values[self.value_base] == -np.inf)
+        low = low[low + 1 < self.value_base + lengths]
+        with np.errstate(over="ignore"):
+            if np.any(self.values[low] + self.values[low + 1] == -np.inf):
+                raise ValueError("two feature values have no finite midpoint")
+
+
+class _Open(NamedTuple):
+    """A node past the leaf test: its record to fill, its rows and hit count."""
+
+    record: dict
+    rows: np.ndarray
+    hits: int
+    depth: int
+    tree: int
+
+
+def _grow_trees(
+    X, hits, samples, rngs, max_features: int, max_depth: int, min_samples_split: int
+) -> list[dict]:
+    """Grow a nested-dict CART tree on Gini splits for each sample, all in lockstep.
+
+    ``samples[t]`` lists tree ``t``'s rows of ``X``, repeats allowed, and
+    ``hits`` is 1 for a target-class row and 0 otherwise. A node is a leaf when
+    it is ``max_depth`` deep, has fewer than ``min_samples_split`` rows or is
+    pure; otherwise it splits as ``_best_splits`` finds, or is a leaf if it
+    cannot. With ``max_features`` below the feature count, each node draws its
+    candidate features from its tree's ``rngs[t]`` (``_random_features``), and
+    a tree readies only its next preorder node per step: every generator is
+    then drawn from node for node as by a recursive grower, left subtree first.
+    Otherwise no node draws, and every open node is ready at every step, level
+    by level. Ready nodes go through the split search in blocks of at most
+    ``_GROW_BLOCK`` (row, candidate feature) entries, or of one node.
     """
-    n = len(hits)
-    proba = float(hits.mean())
-    if depth >= max_depth or n < min_samples_split or proba in (0.0, 1.0):
-        return {"leaf": proba, "n": n}
-    features = candidates(X.shape[1])
-    columns = X.T[features]
-    # The prefix counts are read only between distinct values, where the
-    # order among equal values does not show, so the sort need not be stable.
-    order = np.argsort(columns, axis=1)
-    values = np.take_along_axis(columns, order, axis=1)
-    below = np.cumsum(hits[order], axis=1)  # below[f, i]: hits among the i + 1 smallest
-    # Boundaries between distinct values, feature-major and ascending within a
-    # feature, so the first argmin below is the lowest (impurity, feature, threshold).
-    f, i = np.nonzero(values[:, 1:] != values[:, :-1])
-    lo, hi = values[f, i], values[f, i + 1]
-    thresholds = (lo + hi) / 2.0
-    # nl counts the values <= threshold. A midpoint that rounds onto hi takes
-    # every copy of hi, up to the feature's next boundary; a NaN one takes none.
-    last = np.append(f[1:] != f[:-1], True)
-    through_hi = np.where(last, n, np.append(i[1:], 0) + 1)
-    nl = np.where(thresholds < hi, i + 1, np.where(thresholds == hi, through_hi, 0))
-    keep = (nl > 0) & (nl < n)
-    if not keep.any():
-        return {"leaf": proba, "n": n}
-    f, thresholds, nl = f[keep], thresholds[keep], nl[keep]
-    nr = n - nl
-    cl = below[f, nl - 1]
-    pl, pr = cl / nl, (below[f, -1] - cl) / nr
-    impurity = (nl * (2.0 * pl * (1.0 - pl)) + nr * (2.0 * pr * (1.0 - pr))) / n
-    best = int(np.argmin(impurity))
-    feat, threshold = features[f[best]], thresholds[best]
-    left = X[:, feat] <= threshold
-    return {
-        "feature": int(feat),
-        "threshold": float(threshold),
-        "left": _grow(X[left], hits[left], candidates, max_depth, min_samples_split, depth + 1),
-        "right": _grow(X[~left], hits[~left], candidates, max_depth, min_samples_split, depth + 1),
-    }
+    n_features = X.shape[1]
+    draws = max_features < n_features
+    columns = _Columns(X, hits)
+    stacks = [[] for _ in samples]
+
+    def place(record, rows, c, depth, tree):
+        n = len(rows)
+        proba = c / n
+        if depth >= max_depth or n < min_samples_split or proba in (0.0, 1.0):
+            record.update(leaf=proba, n=n)
+        else:
+            stacks[tree].append(_Open(record, rows, c, depth, tree))
+
+    def grow(block, features):
+        rows = np.concatenate([node.rows for node in block])
+        sizes = np.array([len(node.rows) for node in block])
+        counts = np.array([node.hits for node in block])
+        owner = np.repeat(np.arange(len(block)), sizes)
+        split, feature, threshold, nl, cl = _best_splits(columns, rows, owner, sizes, counts, features)
+        # One gather partitions the rows of every splitting node.
+        splits = np.zeros(len(block), dtype=bool)
+        node_feature = np.zeros(len(block), dtype=np.intp)
+        node_threshold = np.zeros(len(block))
+        splits[split], node_feature[split], node_threshold[split] = True, feature, threshold
+        splitting = splits[owner]
+        rows, owner = rows[splitting], owner[splitting]
+        goes_left = columns.cells[rows * n_features + node_feature[owner]] <= node_threshold[owner]
+        left, right = rows[goes_left], rows[~goes_left]
+        left_end, right_end = np.cumsum(nl), np.cumsum(sizes[split] - nl)
+        outcome = (split, feature, threshold, nl, cl, left_end, right_end)
+        for k, feat, thr, n_left, c_left, l_end, r_end in zip(*(values.tolist() for values in outcome)):
+            record, parent_rows, c, depth, tree = block[k]
+            n_right = len(parent_rows) - n_left
+            record.update(feature=feat, threshold=thr, left={}, right={})
+            # the right child first, so that the left one tops the stack
+            place(record["right"], right[r_end - n_right : r_end], c - c_left, depth + 1, tree)
+            place(record["left"], left[l_end - n_left : l_end], c_left, depth + 1, tree)
+        for k in np.flatnonzero(~splits).tolist():
+            node = block[k]
+            node.record.update(leaf=node.hits / len(node.rows), n=len(node.rows))
+
+    trees = [{} for _ in samples]
+    for tree, rows in enumerate(samples):
+        rows = np.asarray(rows, dtype=np.intp)
+        place(trees[tree], rows, int(columns.hit[rows].sum()), 0, tree)
+    while True:
+        if draws:
+            ready = [stack.pop() for stack in stacks if stack]
+            features = np.array(
+                [_random_features(rngs[node.tree], max_features, n_features) for node in ready]
+            )
+        else:
+            ready = [node for stack in stacks for node in stack]
+            for stack in stacks:
+                stack.clear()
+            features = np.broadcast_to(np.arange(n_features), (len(ready), n_features))
+        if not ready:
+            return trees
+        width, start, entries = features.shape[1], 0, 0
+        for stop, node in enumerate(ready, 1):
+            entries += len(node.rows) * width
+            if stop == len(ready) or entries + len(ready[stop].rows) * width > _GROW_BLOCK:
+                grow(ready[start:stop], features[start:stop])
+                start, entries = stop, 0
+
+
+def _best_splits(columns: _Columns, rows, owner, sizes, counts, features):
+    """The best split of each node of a block, found in one batched search.
+
+    Node ``k`` owns the entries of ``rows`` where ``owner == k``: ``sizes[k]``
+    rows, ``counts[k]`` of them hits, and candidate ``features[k]`` (ascending).
+    Returns ``(node, feature, threshold, nl, cl)`` for each node that has a
+    split, ``nl`` rows and ``cl`` hits going left, in node order.
+
+    One sort of ``(slot, value code, hit)`` keys, a slot being a (node,
+    candidate) pair, gives each slot's distinct values in ascending order with
+    the rows and hits up to each. Between two successive values ``lo < hi`` the
+    threshold is ``(lo + hi) / 2``: it sends the rows up to ``lo`` left, up to
+    ``hi`` if it rounds onto ``hi``, and none if it is NaN (such a split is
+    skipped, as is one that sends every row one way). The Gini impurity follows
+    from the counts, and a segmented argmin takes each node's first lowest one,
+    in (feature, threshold) order.
+    """
+    width = features.shape[1]
+    shift = columns.shift
+    key = columns.keys[(rows * len(columns.value_base))[:, np.newaxis] + features[owner]]
+    key += ((owner * width) << (shift + 1))[:, np.newaxis]
+    key += np.arange(width) << (shift + 1)
+    key = np.sort(key, axis=None)
+    # Runs of equal keys, then their counts and hits up to each run's end over all slots.
+    ends = np.append(np.flatnonzero(key[1:] != key[:-1]) + 1, len(key))
+    key = key[ends - 1]
+    hits_through = np.cumsum(np.diff(ends, prepend=0) * (key & 1))
+    # The last run of each (slot, value code): its value's rows and hits are all in.
+    last = np.append(key[1:] >> 1 != key[:-1] >> 1, True)
+    through, hits_through, bins = ends[last], hits_through[last], key[last] >> 1
+    slot, code = bins >> shift, bins & ((1 << shift) - 1)
+
+    def before(per_node):
+        # Per slot k * width + j, the entries (or hits) of the slots before it:
+        # every slot of the nodes before k, and j slots of node k.
+        nodes_before = (np.cumsum(per_node) - per_node)[:, np.newaxis] * width
+        return (nodes_before + np.arange(width) * per_node[:, np.newaxis]).ravel()
+
+    through -= before(sizes)[slot]
+    hits_through -= before(counts)[slot]
+    value = columns.values[columns.value_base[features].ravel()[slot] + code]
+    # Successive distinct values pair up. A pair is no split if it spans two
+    # slots, its midpoint lies above hi (overflow) or is NaN, or every row goes
+    # left; it may then overflow or divide by zero, and its impurity is inf.
+    lo, hi, slot, slot_after = value[:-1], value[1:], slot[:-1], slot[1:]
+    node = slot // width
+    n = sizes[node]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        threshold = (lo + hi) / 2.0
+        left_of_hi = threshold < hi
+        nl = np.where(left_of_hi, through[:-1], through[1:])
+        cl = np.where(left_of_hi, hits_through[:-1], hits_through[1:])
+        nr = n - nl
+        pl, pr = cl / nl, (counts[node] - cl) / nr
+        impurity = (nl * (2.0 * pl * (1.0 - pl)) + nr * (2.0 * pr * (1.0 - pr))) / n
+    impurity[~((slot == slot_after) & (threshold <= hi) & (nl < n))] = np.inf
+    # Pairs run node by node; take each node's first lowest one.
+    starts = np.flatnonzero(np.diff(node, prepend=-1))
+    lowest = np.minimum.reduceat(impurity, starts)
+    at_lowest = impurity == np.repeat(lowest, np.diff(np.append(starts, len(node))))
+    best = np.minimum.reduceat(np.where(at_lowest, np.arange(len(node)), len(node)), starts)
+    best = best[lowest < np.inf]
+    return node[best], features.ravel()[slot[best]], threshold[best], nl[best], cl[best]
 
 
 def _random_features(rng: np.random.Generator, size: int, n_features: int) -> np.ndarray:
@@ -378,6 +529,12 @@ class _CartModel(ClassifierModel):
     tree, ``trees``: a list), compiled once into ``_FlatTrees``."""
 
     _key: str
+
+    def __init__(self, max_depth: int):
+        super().__init__()
+        if max_depth < 0:
+            raise ValueError(f"max_depth must be non-negative, got {max_depth}")
+        self.max_depth = max_depth
 
     def predict_proba_rows(self, X) -> np.ndarray:
         return self._flat.proba(X)
@@ -394,13 +551,17 @@ class DecisionTree(_CartModel):
     _key = "tree"
 
     def __init__(self, max_depth: int = 8, min_samples_split: int = 2):
-        super().__init__()
-        self.max_depth = max_depth
+        super().__init__(max_depth)
+        if min_samples_split < 2:
+            raise ValueError(f"min_samples_split must be at least 2, got {min_samples_split}")
         self.min_samples_split = min_samples_split
 
     def _fit(self, X, y):
-        hits = (y == self.target_class).astype(float)
-        return {"tree": _grow(X, hits, np.arange, self.max_depth, self.min_samples_split)}
+        hits = y == self.target_class
+        [tree] = _grow_trees(
+            X, hits, [np.arange(len(X))], [None], X.shape[1], self.max_depth, self.min_samples_split
+        )
+        return {"tree": tree}
 
     def hyperparameters(self):
         return {"max_depth": self.max_depth, "min_samples_split": self.min_samples_split}
@@ -413,24 +574,23 @@ class RandomForest(_CartModel):
     _key = "trees"
 
     def __init__(self, n_trees: int = 25, max_depth: int = 8, seed: int = 0):
-        super().__init__()
+        super().__init__(max_depth)
+        if n_trees < 1:
+            raise ValueError(f"n_trees must be positive, got {n_trees}")
         self.n_trees = n_trees
-        self.max_depth = max_depth
         self.seed = seed
 
     def _fit(self, X, y):
         rng = np.random.default_rng(self.seed)
         n, n_features = X.shape
         max_features = max(1, int(round(math.sqrt(n_features))))
-        hits = (y == self.target_class).astype(float)
-        trees = []
+        samples, rngs = [], []
         for _ in range(self.n_trees):
-            idx = rng.integers(0, n, size=n)
-            tree_rng = np.random.default_rng(rng.integers(0, 2**63))
-            candidates = partial(_random_features, tree_rng, max_features)
-            # Bootstrap sample may be single-class; the tree is then a constant leaf.
-            trees.append(_grow(X[idx], hits[idx], candidates, self.max_depth, min_samples_split=2))
-        return {"trees": trees}
+            samples.append(rng.integers(0, n, size=n))
+            rngs.append(np.random.default_rng(rng.integers(0, 2**63)))
+        # A bootstrap sample may be single-class; its tree is then a constant leaf.
+        hits = y == self.target_class
+        return {"trees": _grow_trees(X, hits, samples, rngs, max_features, self.max_depth, 2)}
 
     def hyperparameters(self):
         return {"n_trees": self.n_trees, "max_depth": self.max_depth, "seed": self.seed}

@@ -138,7 +138,7 @@ def knn_cases(draw):
     ``KNN_SCALES``; k may reach or pass the row count, and a block may
     hold as little as one pair."""
     n_features = draw(st.integers(1, 12))
-    n_rows = draw(st.integers(1, 30))
+    n_rows = draw(st.integers(2, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     levels = draw(st.sampled_from([2, 3, 7]))
     X = rng.integers(-levels, levels + 1, size=(n_rows, n_features)) / levels
@@ -149,11 +149,12 @@ def knn_cases(draw):
             X[:, j] = probes[:, j] = 0.5
     scales = np.array(draw(st.lists(st.sampled_from(KNN_SCALES), min_size=n_features, max_size=n_features)))
     y = np.where(rng.random(n_rows) < 0.5, "yes", "no")
+    y[rng.choice(n_rows, size=2, replace=False)] = ["yes", "no"]  # a knn model holds both classes
     return X * scales, y, probes * scales, draw(st.integers(1, 35)), draw(st.integers(1, 64))
 
 
 def _knn(X, y, k) -> models.Knn:
-    """A knn model on rows that may hold one class only, as a loaded one may."""
+    """A knn model on the rows as a model file gives them, without fitting."""
     model = models.Knn(k=k)
     model.target_class, model.other_class = "yes", "no"
     return model._install({"train_x": X, "train_y": y})
@@ -203,8 +204,9 @@ def gini_reference(hits: np.ndarray) -> float:
 
 
 def grow_reference(X, hits, candidates, max_depth, min_samples_split, depth=0) -> dict:
-    """The per-threshold CART scan ``models._grow`` must reproduce byte for
-    byte: one fresh mask per midpoint of every candidate feature."""
+    """The per-threshold CART scan that every tree of ``models._grow_trees``
+    must reproduce byte for byte: one fresh mask per midpoint of every
+    candidate feature, left subtree first."""
     n = len(hits)
     proba = float(hits.mean())
     if depth >= max_depth or n < min_samples_split or proba in (0.0, 1.0):
@@ -247,21 +249,35 @@ ROUNDING_EDGE = np.array([0.5, 0.9999999999999999, 1.0, 2.0])
 
 @st.composite
 def growing_cases(draw):
-    """Rows on a small grid (many ties), with some constant columns, a
-    column of rounding-edge values and single-class hits among the draws."""
+    """Columns on a small grid (many ties), continuous, constant or of
+    rounding-edge values; hits that may be single-class; and one to four
+    samples of the rows, each all rows in order or drawn with repeats, as a
+    bootstrap is (such a sample may be single-class too)."""
     n_features = draw(st.integers(1, 6))
     n_rows = draw(st.integers(1, 40))
-    levels = draw(st.sampled_from([2, 3, 5, 11]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    X = rng.integers(0, levels, size=(n_rows, n_features)) / (levels - 1)
-    if draw(st.booleans()):
-        X[:, -1] = ROUNDING_EDGE[rng.integers(0, len(ROUNDING_EDGE), size=n_rows)]
-    constant = draw(st.lists(st.booleans(), min_size=n_features, max_size=n_features))
-    X[:, np.flatnonzero(constant)] = 0.25
+    X = np.empty((n_rows, n_features))
+    for j in range(n_features):
+        kind = draw(st.sampled_from(["grid", "continuous", "constant", "edge"]))
+        if kind == "grid":
+            levels = draw(st.sampled_from([2, 3, 5, 11]))
+            X[:, j] = rng.integers(0, levels, size=n_rows) / (levels - 1)
+        elif kind == "continuous":
+            X[:, j] = rng.random(n_rows)
+        elif kind == "constant":
+            X[:, j] = 0.25
+        else:
+            X[:, j] = ROUNDING_EDGE[rng.integers(0, len(ROUNDING_EDGE), size=n_rows)]
     hits = draw(st.sampled_from(["mixed", "zeros", "ones"]))
     if hits == "mixed":
-        return X, (rng.random(n_rows) < 0.5).astype(float)
-    return X, np.full(n_rows, float(hits == "ones"))
+        hits = (rng.random(n_rows) < 0.5).astype(float)
+    else:
+        hits = np.full(n_rows, float(hits == "ones"))
+    samples = []
+    for _ in range(draw(st.integers(1, 4))):
+        bootstrap = draw(st.booleans())
+        samples.append(rng.integers(0, n_rows, size=draw(st.integers(1, 40))) if bootstrap else np.arange(n_rows))
+    return X, hits, samples
 
 
 @settings(max_examples=300, deadline=None)
@@ -270,30 +286,38 @@ def growing_cases(draw):
     max_depth=st.integers(0, 8),
     min_samples_split=st.integers(2, 5),
     forest_rule=st.one_of(st.none(), st.tuples(st.integers(1, 7), st.integers(0, 2**32 - 1))),
+    block=st.sampled_from([1, 37, models._GROW_BLOCK]),
 )
 def test_grow_matches_the_per_threshold_scan_byte_for_byte(
-    case, max_depth, min_samples_split, forest_rule
+    case, max_depth, min_samples_split, forest_rule, block
 ):
-    X, hits = case
+    """Each tree of one ``_grow_trees`` call is the one the scan grows on its
+    sample alone, whatever the block size (one entry: one node per block)."""
+    X, hits, samples = case
     if forest_rule is None:
-        tree = models._grow(X, hits, np.arange, max_depth, min_samples_split)
-        expected = grow_reference(X, hits, np.arange, max_depth, min_samples_split)
+        size, rngs = X.shape[1], [None] * len(samples)
+        reference = [np.arange] * len(samples)
     else:
         size, seed = forest_rule
-        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        candidates = partial(models._random_features, rng, size)
-        reference_candidates = partial(models._random_features, reference_rng, size)
-        tree = models._grow(X, hits, candidates, max_depth, min_samples_split)
-        expected = grow_reference(X, hits, reference_candidates, max_depth, min_samples_split)
+        rngs = [np.random.default_rng([seed, t]) for t in range(len(samples))]
+        reference_rngs = [np.random.default_rng([seed, t]) for t in range(len(samples))]
+        reference = [partial(models._random_features, rng, size) for rng in reference_rngs]
+    with patch.object(models, "_GROW_BLOCK", block):
+        trees = models._grow_trees(X, hits, samples, rngs, size, max_depth, min_samples_split)
+    assert len(trees) == len(samples)
+    for tree, sample, candidates in zip(trees, samples, reference):
+        expected = grow_reference(X[sample], hits[sample], candidates, max_depth, min_samples_split)
+        assert json.dumps(tree) == json.dumps(expected)
+    if forest_rule is not None:
         # equal states: the same candidate draws, node for node
-        assert rng.bit_generator.state == reference_rng.bit_generator.state
-    assert json.dumps(tree) == json.dumps(expected)
+        for rng, reference_rng in zip(rngs, reference_rngs):
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_grow_records_a_midpoint_that_rounds_onto_the_upper_value():
     X = ROUNDING_EDGE[:, np.newaxis]
     hits = np.array([0.0, 0.0, 0.0, 1.0])
-    tree = models._grow(X, hits, np.arange, max_depth=8, min_samples_split=2)
+    [tree] = models._grow_trees(X, hits, [np.arange(4)], [None], 1, max_depth=8, min_samples_split=2)
     assert tree == {
         "feature": 0,
         "threshold": 1.0,
@@ -301,6 +325,17 @@ def test_grow_records_a_midpoint_that_rounds_onto_the_upper_value():
         "right": {"leaf": 1.0, "n": 1},
     }
     assert json.dumps(tree) == json.dumps(grow_reference(X, hits, np.arange, 8, 2))
+
+
+def test_grower_rejects_values_whose_midpoint_overflows():
+    """The midpoint of -1e308 and -1.5e308 rounds to -inf, which sends no row
+    left; the grower refuses such a column rather than disagree with its counts."""
+    X = np.array([[-1e308], [-1.5e308], [0.0], [1.0]])
+    with pytest.raises(ValueError, match="no finite midpoint"):
+        models.DecisionTree().fit(X, ["yes", "no", "yes", "no"], "yes")
+    # -inf itself and a huge positive pair are fine: their midpoints keep the counts
+    X = np.array([[-np.inf], [-1e308], [0.0], [1e308], [1.5e308], [np.inf]])
+    models.DecisionTree().fit(X, ["yes", "no", "yes", "no", "yes", "no"], "yes")
 
 
 def level_walk(trees, X) -> np.ndarray:

@@ -226,6 +226,28 @@ def test_bad_validation_model_file_is_data_error(ce_file, tmp_path, capsys, key,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, change, message",
+    [
+        ("knn", {"target_class": "maybe"}, "knn train_y must hold exactly the classes 'maybe'"),
+        ("random_forest", {"hyperparameters": {"n_trees": 0, "max_depth": 8, "seed": 0}},
+         "n_trees must be positive"),
+        ("decision_tree", {"hyperparameters": {"max_depth": 8, "min_samples_split": 0}},
+         "min_samples_split must be at least 2"),
+    ],
+)
+def test_validation_model_file_that_would_predict_nonsense_is_data_error(
+    ce_file, tmp_path, capsys, kind, change, message
+):
+    assert main(["train", "--kind", kind, "--out-dir", str(tmp_path)]) == 0
+    path = tmp_path / f"{kind}.model.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(dict(payload, **change)), encoding="utf-8")
+    code = main(["evaluate", "--ces", str(ce_file), "--folds", "5", "--validation-model", str(path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_readme_quick_start_prints_documented_metrics(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Quick start (CLI)")[1].split("```bash")[1].split("```")[0]

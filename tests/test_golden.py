@@ -1,11 +1,11 @@
-"""The engine and model loading against fixtures written by a reference
-version of the package; see ``tests/golden/write_credit.py``."""
+"""The engine, model fitting and model loading against fixtures written by
+a reference version of the package; see ``tests/golden/write_credit.py``."""
 
 import numpy as np
 import pytest
 
 from golden.write_credit import CE_FIELDS, FIXTURE, MODEL_FILES, credit_ces
-from tcol.models import load_model, save_model
+from tcol.models import DecisionTree, RandomForest, load_model, save_model
 
 
 @pytest.fixture(scope="module")
@@ -39,3 +39,15 @@ def test_reference_model_files_load_and_predict_identically(kind, golden, synthe
     assert model.predict_proba_rows(synthetic_encoded.X).tobytes() == expected.tobytes()
     save_model(model, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == MODEL_FILES[kind].read_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_FILES))
+def test_fitting_the_reference_models_saves_the_golden_files(kind, synthetic_encoded, tmp_path):
+    """Fitted as ``write_credit.py`` fits them, the models save byte for byte."""
+    model = {
+        "decision_tree": DecisionTree(),
+        "random_forest": RandomForest(n_trees=5, max_depth=4, seed=0),
+    }[kind]
+    model.fit(synthetic_encoded.X, synthetic_encoded.y, synthetic_encoded.target_class)
+    save_model(model, tmp_path / "fitted.json")
+    assert (tmp_path / "fitted.json").read_bytes() == MODEL_FILES[kind].read_bytes()

@@ -7,9 +7,11 @@ from conftest import StubModel, make_encoded
 from tcol.models import (
     MODEL_KINDS,
     ClassifierModel,
+    DecisionTree,
     Knn,
     ModelFileError,
     NaiveBayes,
+    RandomForest,
     ThirdPartyJury,
     cross_val_f1,
     cv_weights,
@@ -100,6 +102,19 @@ class TestBuiltins:
             )
             assert model.predict(probe) == expected
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: RandomForest(n_trees=0), "n_trees must be positive"),
+            (lambda: RandomForest(max_depth=-1), "max_depth must be non-negative"),
+            (lambda: DecisionTree(max_depth=-1), "max_depth must be non-negative"),
+            (lambda: DecisionTree(min_samples_split=1), "min_samples_split must be at least 2"),
+        ],
+    )
+    def test_cart_hyperparameters_out_of_range_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_probability_tie_resolves_to_target(self):
         data = make_encoded([[0.0], [1.0]], ["yes", "no"])
         model = Knn(k=2)
@@ -121,6 +136,20 @@ class TestKnn:
     def test_non_positive_k_rejected(self, k):
         with pytest.raises(ValueError, match="k must be positive"):
             Knn(k=k)
+
+    @pytest.mark.parametrize(
+        "train_y, target_class",
+        [(["no", "no", "no"], "yes"), (["yes", "yes", "yes"], "yes"), (["yes", "no", "no"], "maybe")],
+    )
+    def test_file_without_both_classes_fails_to_load(self, train_y, target_class, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(Knn(k=1).fit([[0.0], [1.0], [2.0]], ["yes", "no", "no"], "yes"), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["target_class"] = target_class
+        payload["parameters"]["train_y"] = train_y
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelFileError, match="knn train_y must hold exactly the classes"):
+            load_model(path)
 
     @pytest.mark.parametrize("scale", [1e154, 1e155])
     def test_probe_whose_squares_overflow_still_finds_its_duplicate(self, scale):
@@ -290,6 +319,26 @@ class TestPersistence:
         save_model(fit_builtin("decision_tree", synthetic_encoded), path)
         payload = json.loads(path.read_text(encoding="utf-8"))
         path.write_text(json.dumps(dict(payload, **{key: value})), encoding="utf-8")
+        with pytest.raises(ModelFileError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "kind, hyperparameters, message",
+        [
+            ("random_forest", {"n_trees": 0}, "n_trees must be positive, got 0"),
+            ("random_forest", {"max_depth": -1}, "max_depth must be non-negative, got -1"),
+            ("decision_tree", {"max_depth": -2}, "max_depth must be non-negative, got -2"),
+            ("decision_tree", {"min_samples_split": 1}, "min_samples_split must be at least 2, got 1"),
+        ],
+    )
+    def test_file_with_out_of_range_cart_hyperparameters_fails_to_load(
+        self, kind, hyperparameters, message, tmp_path, synthetic_encoded
+    ):
+        path = tmp_path / "m.json"
+        save_model(fit_builtin(kind, synthetic_encoded), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["hyperparameters"].update(hyperparameters)
+        path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ModelFileError, match=message):
             load_model(path)
 
