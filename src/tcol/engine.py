@@ -5,19 +5,20 @@ axis: bit 0 takes the prototype's value, bit 1 keeps the query's value.
 Features are partitioned into contiguous groups of at most ``depth``
 entries; within each group every admissible local mask is scored and
 ranked, which is behaviourally identical to walking every root-to-leaf
-path of the full binary tree over that group (the masks ARE the paths,
-enumerated in ascending binary order). Each group is scored for every
-prototype in one rule call, each fill paired with its own prototype row.
-A mask whose filled slice, or whose prototype slice, has zero norm cannot
-be scored by any rule and is skipped. A full-length path's total is the
-left-to-right sum of its group scores. Per prototype, the top ``budget``
-paths by total are drawn with an exact merge, one group at a time, so the
-first draw is the splice of the per-group winners. The fallback, the
-prototype itself with its immutable features pinned to the query, is
-drawn last, outside the merge. Every prototype's draws are checked against
-the validation model in one batched call: per prototype, the first one it
-accepts, in draw order, is the counterfactual, and the fallback stands
-unvalidated when it accepts none.
+path of the full binary tree over that group (the masks ARE the paths).
+All groups of one width are scored for every prototype in one rule call,
+each fill paired with its own prototype slice and its group's query
+slice. A mask whose filled slice, or whose prototype slice, has zero norm
+cannot be scored by any rule and is never drawn. A full-length path's
+total is the left-to-right sum of its group scores. The top ``budget``
+paths by total are drawn for every prototype at once with an exact
+merge, one group at a time, so a prototype's first draw is the splice of
+its per-group winners. The fallback, the prototype itself with its
+immutable features pinned to the query, is drawn last, outside the
+merge. Every prototype's draws are checked against the validation model
+in one batched call: per prototype, the first one it accepts, in draw
+order, is the counterfactual, and the fallback stands unvalidated when
+it accepts none.
 
 Immutable features always keep the query's value: their path bits are
 forced to 1 in every mask considered.
@@ -25,6 +26,7 @@ forced to 1 in every mask considered.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -174,72 +176,129 @@ def _check_verbatim(vector, path, prototype, query, proto_idx) -> None:
         )
 
 
+def _blocks(n_features: int, depth: int) -> list[tuple[int, int, int]]:
+    """``(first feature, width, count)`` of the full groups, then of the
+    shorter remainder group, if any: the groups as runs of one width."""
+    n_full, rest = divmod(n_features, depth)
+    return [(s, k, n) for s, k, n in ((0, depth, n_full), (n_full * depth, rest, 1)) if k and n]
+
+
+@functools.cache
+def _local_masks(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Width ``k``'s ``2**k`` local masks, ordered by more query-side bits,
+    then ascending binary order; a mask's code is its place in this order.
+    Returned: the masks as bit rows and as integers (whose binary digits
+    are the bits), both indexed by code, and the code of each integer."""
+    bits = np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1) & 1
+    ints = np.argsort(-bits.sum(axis=1), kind="stable")
+    tables = bits[ints], ints, np.argsort(ints)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _group_scores(
-    proto_slices: np.ndarray, query_slice: np.ndarray, masks: np.ndarray, rule: ScoreRule
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Score one group's local masks for every prototype with one rule call.
+    rows: np.ndarray, query: np.ndarray, immutable: np.ndarray, depth: int, rule: ScoreRule
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
+    """Score every local mask of every group for every prototype (a row of
+    ``rows``), with one rule call per group width.
 
-    ``proto_slices`` holds one prototype's slice of the group per row. Each
-    prototype's masks are ranked by descending score, then more query-side
-    bits, then input order, and given as ``(scores, masks)``. No rule can
-    score a zero-norm vector, so a zero-norm prototype slice gives no rows
-    at all and a mask whose fill has zero norm is dropped. Also returned:
-    each prototype's score of mask row 0, -inf where it was dropped.
+    Per group, in group order: ``(scores, codes)`` with one row per
+    prototype, its masks ranked by descending score, then more query-side
+    bits, then ascending binary order. An inadmissible mask (bit 0 at an
+    immutable position), and one whose fill or prototype slice has zero
+    norm, scores -inf and so ranks last. Also returned: the fallback path
+    (each group's immutable-only mask) as one code per group, and each
+    prototype's raw score of those masks, one column per group.
     """
-    n_protos, n_masks = len(proto_slices), len(masks)
-    fills = _fill(proto_slices[:, None, :], query_slice, masks).reshape(n_protos * n_masks, -1)
-    owner = np.repeat(np.arange(n_protos), n_masks)
-    keep = np.repeat(norm(proto_slices) != 0.0, n_masks) & (norm(fills) != 0.0)
-    scores = rule.score(fills[keep], proto_slices[owner[keep]], query_slice)
-    full = np.full(n_protos * n_masks, -np.inf)
-    full[keep] = scores
-    masks, owner = np.tile(masks, (n_protos, 1))[keep], owner[keep]
-    order = np.lexsort((-masks.sum(axis=1), -scores, owner))
-    bounds = np.cumsum(np.bincount(owner, minlength=n_protos))[:-1]
-    ranked = zip(np.split(scores[order], bounds), np.split(masks[order], bounds))
-    return list(ranked), full[::n_masks]
+    n_protos = len(rows)
+    ranked, fallback_codes, fallback_scores = [], [], []
+    for start, k, n in _blocks(len(query), depth):
+        # row i * n + j: prototype i's slice of group j of this width
+        slices = rows[:, start : start + n * k].reshape(n_protos * n, k)
+        group = np.arange(n_protos * n) % n
+        queries = query[start : start + n * k].reshape(n, k)
+        bits, ints, code = _local_masks(k)
+        digits = 1 << np.arange(k - 1, -1, -1)
+        pinned = immutable[start : start + n * k].reshape(n, k) @ digits
+        # A norm sums non-negative squares, so it is 0.0 exactly when every
+        # component squares to 0.0; these sets hold the components that do not.
+        proto_nonzero = (slices * slices != 0.0) @ digits
+        query_nonzero = (queries * queries != 0.0) @ digits
+        keep = ((ints & pinned[:, None]) == pinned[:, None])[group] & (proto_nonzero[:, None] != 0)
+        keep &= ((ints & query_nonzero[group, None]) | (~ints & proto_nonzero[:, None])) != 0
+        row, mask = np.nonzero(keep)
+        pairs = slices[row], queries[group[row]]
+        scores = np.full(keep.shape, -np.inf)
+        scores[row, mask] = rule.score(_fill(*pairs, bits[mask]), *pairs)
+        order = np.argsort(-scores, axis=1, kind="stable")
+        ranked_scores = scores[np.arange(len(order))[:, None], order]
+        per_group = (a.reshape(n_protos, n, -1).swapaxes(0, 1) for a in (ranked_scores, order))
+        ranked += zip(*per_group)
+        fallback = code[pinned]
+        fallback_codes.append(fallback)
+        fallback_scores.append(scores[np.arange(len(scores)), fallback[group]].reshape(n_protos, n))
+    return ranked, np.concatenate(fallback_codes), np.hstack(fallback_scores)
 
 
-def _admissible_masks(immutable: np.ndarray) -> np.ndarray:
-    """A group's local masks with bit 1 at every immutable position, as
-    rows in ascending binary order (that of ``product((0, 1), repeat=k)``),
-    so row 0 is the group's immutable-only mask."""
-    k = len(immutable)
-    local = np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1) & 1
-    return local[np.all(local >= immutable, axis=1)]
+def _path_bits(codes: np.ndarray, n_features: int, depth: int) -> np.ndarray:
+    """Path bits from mask codes: one row per path, one code per group."""
+    return np.hstack(
+        [
+            _local_masks(k)[0][codes[:, s // depth : s // depth + n]].reshape(len(codes), n * k)
+            for s, k, n in _blocks(n_features, depth)
+        ]
+    )
+
+
+@functools.cache
+def _merge_candidates(n_prefixes: int, n_masks: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (prefix i, mask j) rank pairs, in row-major order, whose sum can
+    be among the ``budget`` best: those with ``(i + 1) * (j + 1) <= budget``.
+    Both rankings descend, so each of the other pairs at or before (i, j) in
+    both sums to at least as much and ranks before it on ties."""
+    prefix, rank = np.divmod(np.arange(n_prefixes * n_masks), n_masks)
+    pairs = (prefix + 1) * (rank + 1) <= budget
+    prefix, rank = prefix[pairs], rank[pairs]
+    prefix.flags.writeable = rank.flags.writeable = False
+    return prefix, rank
 
 
 def ranked_path_combinations(
     ranked: Sequence[tuple[np.ndarray, np.ndarray]], budget: int
-) -> Iterator[tuple[tuple, float]]:
-    """Yield the ``budget`` best full-length paths, best total first.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield, per prototype, its ``budget`` best full-length paths, best
+    total first, as ``(codes, totals)``, a path's mask codes in a row.
 
-    ``ranked`` holds each group's ``(scores, masks)`` from ``_group_scores``,
-    in group order: its admissible masks (bit 1 at every immutable position)
-    ranked by descending score, then more query-side bits, then ascending
-    binary order. A path's total is the left-to-right sum of its group
+    ``ranked`` holds each group's ``(scores, codes)`` from ``_group_scores``,
+    in group order. A path's total is the left-to-right sum of its group
     scores, starting at 0.0. Totals never increase along the draw; equal
     totals keep the previous group's rank of their prefix, then this
-    group's rank, so the first draw is the splice of the per-group
-    winners. Nothing is yielded when some group has no scoreable mask.
+    group's rank, so the first draw is the splice of the per-group winners.
+    A prototype with a group that has no scoreable mask gets empty arrays.
 
     Keeping only the ``budget`` best rows after each group is exact,
     because float addition is monotone: if a prefix P is cut, ``budget``
     kept prefixes rank before it, and each of them plus a mask c ranks
     before P plus c. The same argument cuts each group to its ``budget``
-    best masks before the merge.
+    best masks, and skips the sums of ``_merge_candidates``. The argument
+    holds per prototype, and every prototype is merged at once: every real
+    score is finite and at least 0, so a sum with a -inf score ranks after
+    every real path and is never drawn.
     """
-    totals, paths = np.zeros(1), np.zeros((1, 0), dtype=int)
+    n_protos = len(ranked[0][0])
+    protos = np.arange(n_protos)[:, None]
+    totals, codes = np.zeros((n_protos, 1)), np.zeros((n_protos, 1, 0), dtype=int)
     for scores, masks in ranked:
-        if len(scores) == 0:
-            return
-        scores, masks = scores[:budget], masks[:budget]
-        totals = (totals[:, None] + scores).ravel()
-        keep = np.argsort(-totals, kind="stable")[:budget]
-        prefix, rank = np.divmod(keep, len(scores))
-        totals, paths = totals[keep], np.hstack((paths[prefix], masks[rank]))
-    for path, total in zip(paths.tolist(), totals.tolist()):
-        yield tuple(path), total
+        scores, masks = scores[:, :budget], masks[:, :budget]
+        prefix, rank = _merge_candidates(totals.shape[1], scores.shape[1], budget)
+        sums = totals[:, prefix] + scores[:, rank]
+        keep = np.argsort(-sums, axis=1, kind="stable")[:, :budget]
+        totals, prefix, rank = sums[protos, keep], prefix[keep], rank[keep]
+        codes = np.concatenate((codes[protos, prefix], masks[protos, rank][:, :, None]), axis=2)
+    drawn = np.count_nonzero(totals > -np.inf, axis=1)
+    for proto_codes, proto_totals, n in zip(codes, totals, drawn.tolist()):
+        yield proto_codes[:n], proto_totals[:n]
 
 
 def generate(
@@ -251,67 +310,60 @@ def generate(
     """Produce up to ``num_ces`` counterfactuals for one encoded query.
 
     One candidate per ranked prototype: its ``budget`` best-scoring
-    combinations are drawn and the fallback is drawn last. Each feature
-    group is scored for all prototypes in one rule call, and the draws of
-    all prototypes are validated in one model call (a second call checks
+    combinations are drawn and the fallback is drawn last. The groups of
+    one width are scored for all prototypes in one rule call, and the draws
+    of all prototypes are validated in one model call (a second call checks
     whether the query is already of the target class). Per prototype, the
     first accepted row wins, and the fallback, unvalidated, when none is
     accepted. Output is deduplicated on vectors and deterministic for a
     fixed configuration. A kept candidate that is not a verbatim copy of
-    the query and the prototype along its path raises ``RuntimeError``.
+    the query and the prototype along its path raises ``RuntimeError``, and
+    a query with a non-finite component raises ``ValueError``.
     """
     query = np.asarray(query, dtype=float)
     if query.shape != (data.n_features,):
         raise ValueError("query length does not match the dataset schema")
+    bad = np.flatnonzero(~np.isfinite(query))
+    if len(bad):
+        raise ValueError(f"query component {bad[0]} is not a finite number: {query[bad[0]]}")
     prototypes = select_prototypes(
         data, query, config.preference, validation_model, config.num_ces, config.distance
     )
-    groups = partition_features(data.n_features, config.depth)
-    rule = config.score_rule()
     immutable = data.immutable_mask()
-    admissible = [_admissible_masks(immutable[g]) for g in groups]
-    fallback_path = tuple(int(b) for b in immutable)
-
     rows = data.X[prototypes]
-    scored = [
-        _group_scores(rows[:, g], query[g], masks, rule) for g, masks in zip(groups, admissible)
-    ]
-    # Each group's immutable-only mask (row 0 of its admissible masks) can
-    # rank below the budget cut, so the fallback reads the full scores,
-    # summed group by group from 0.0.
-    fallback_totals = np.zeros(len(prototypes))
-    for _, fallback_scores in scored:
-        fallback_totals = fallback_totals + fallback_scores
-    drawn = [
-        [
-            *ranked_path_combinations([ranked[i] for ranked, _ in scored], config.budget),
-            (fallback_path, total),
-        ]
-        for i, total in enumerate(fallback_totals.tolist())
-    ]
-    counts = [len(d) for d in drawn]
-    paths = np.array([path for d in drawn for path, _ in d])
-    vectors = _fill(np.repeat(rows, counts, axis=0), query, paths)
-    accepted = validation_model.predicts_target(vectors)
+    ranked, fallback_codes, fallback_scores = _group_scores(
+        rows, query, immutable, config.depth, config.score_rule()
+    )
+    drawn = list(ranked_path_combinations(ranked, config.budget))
 
-    results, start = [], 0
-    for proto_idx, prototype, candidates in zip(prototypes, rows, drawn):
-        stop = start + len(candidates)
-        hits = np.flatnonzero(accepted[start:stop])
-        # The fallback is a genuine target-class row, though the model may
-        # still disagree; the validated flag records the check.
-        first = int(hits[0]) if len(hits) else len(candidates) - 1
-        path, total = candidates[first]
-        vector = vectors[start + first]
-        _check_verbatim(vector, path, prototype, query, proto_idx)
-        validated, fallback = bool(len(hits)), first == len(candidates) - 1
-        results.append(CandidateCE(vector, path, proto_idx, total, validated, fallback))
-        start = stop
+    # Rows: each prototype's draws, then its fallback. Each group's
+    # immutable-only mask can rank below the budget cut, so the fallback
+    # reads the raw scores, summed group by group from 0.0.
+    fallback_totals = sum(fallback_scores.T, 0.0)[:, None]
+    codes = np.concatenate([c for proto_codes, _ in drawn for c in (proto_codes, [fallback_codes])])
+    totals = np.concatenate(
+        [t for (_, proto_totals), total in zip(drawn, fallback_totals) for t in (proto_totals, total)]
+    ).tolist()
+    paths = _path_bits(codes, len(query), config.depth)
+    sizes = np.array([len(proto_totals) + 1 for _, proto_totals in drawn])
+    owner = np.repeat(np.arange(len(rows)), sizes)
+    vectors = _fill(rows[owner], query, paths)
+    accepted = validation_model.predicts_target(vectors)
+    # Per prototype, the first accepted row wins. The fallback is a genuine
+    # target-class row, though the model may still disagree; the validated
+    # flag records the check.
+    fallbacks = np.cumsum(sizes) - 1
+    first = np.minimum.reduceat(
+        np.where(accepted, np.arange(len(paths)), fallbacks[owner]), fallbacks - sizes + 1
+    )
 
     deduped, seen = [], set()
-    for ce in results:
-        key = ce.vector.tobytes()
-        if key not in seen:
-            seen.add(key)
-            deduped.append(ce)
+    for proto_idx, prototype, i, fallback in zip(
+        prototypes, rows, first.tolist(), (first == fallbacks).tolist()
+    ):
+        path, vector = tuple(paths[i].tolist()), vectors[i]
+        _check_verbatim(vector, path, prototype, query, proto_idx)
+        if vector.tobytes() not in seen:
+            seen.add(vector.tobytes())
+            deduped.append(CandidateCE(vector, path, proto_idx, totals[i], bool(accepted[i]), fallback))
     return deduped

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ClassifierModel, ThirdPartyJury, prediction_f1
+from .models import ClassifierModel, ThirdPartyJury, f1_score
 from .scoring import count_diffs, euclidean
 from .tabular import EncodedDataset
 
@@ -56,7 +56,8 @@ def member_agreement(model: ClassifierModel, ces, target_class) -> float:
     fraction.
     """
     hits = _hits(model, ces, target_class)
-    return prediction_f1(hits, np.ones(len(hits), dtype=bool), True)
+    tp = int(np.count_nonzero(hits))
+    return f1_score(1.0 if tp else 0.0, tp / len(hits))
 
 
 def data_fidelity(ces, jury: ThirdPartyJury, target_class) -> float:

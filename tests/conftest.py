@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tcol.data import SYNTHETIC_TARGET, SYNTHETIC_TARGET_CLASS, load_synthetic, synthetic_paths
-from tcol.engine import _admissible_masks, _group_scores, ranked_path_combinations
+from tcol.engine import _group_scores, _path_bits, ranked_path_combinations
 from tcol.models import ClassifierModel, cv_weights, fit_builtin
 from tcol.tabular import EncodedDataset, FeatureSchema, encode_dataset, fit_encoder
 
@@ -31,14 +31,15 @@ def make_encoded(X, y, target_class="yes", immutable=()):
 
 
 def draw_combinations(prototype, query, groups, rule, immutable_mask, budget):
-    """The engine's draw over one prototype: each group ranked as
-    ``generate`` ranks it, then the ``budget`` best combinations."""
-    # one prototype: a one-row matrix, and the first of the rankings
-    ranked = [
-        _group_scores(prototype[np.newaxis, g], query[g], _admissible_masks(immutable_mask[g]), rule)
-        for g in groups
-    ]
-    return ranked_path_combinations([per_proto[0] for per_proto, _ in ranked], budget)
+    """The engine's draw over one prototype, as ``(path, total)`` pairs:
+    each group ranked as ``generate`` ranks it, then the ``budget`` best
+    combinations."""
+    depth = len(groups[0])
+    ranked, _, _ = _group_scores(prototype[np.newaxis], query, immutable_mask, depth, rule)
+    # one prototype, so one yield
+    for codes, totals in ranked_path_combinations(ranked, budget):
+        paths = _path_bits(codes, len(query), depth).tolist()
+        yield from zip(map(tuple, paths), totals.tolist())
 
 
 def select_local_path(proto_slice, query_slice, rule, immutable_mask=None):

@@ -6,7 +6,8 @@ it replaced, ``generate`` against a sequential reference that draws for
 one prototype at a time and validates one drawn combination at a time,
 and the column-wise encoder against the per-cell one it replaced.
 The generation reference keeps its own fill and fallback-score helpers,
-independent of the engine's."""
+independent of the engine's, and its own copy of the per-group scorer and
+the per-prototype merge that the width-batched ones replaced."""
 
 import json
 import math
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_combinations, make_encoded
+from conftest import make_encoded
 from tcol import models
 from tcol.engine import (
     CandidateCE,
@@ -28,7 +29,7 @@ from tcol.engine import (
     partition_features,
 )
 from tcol.models import MODEL_KINDS, ClassifierModel, make_model
-from tcol.scoring import cosine, count_diffs, distance_fn
+from tcol.scoring import cosine, count_diffs, distance_fn, norm
 from tcol.tabular import Dataset, Encoder, FeatureSchema, SchemaViolationError, fit_encoder
 
 
@@ -441,6 +442,40 @@ def _total_score(prototype, query, groups, rule, path) -> float:
     return total
 
 
+def reference_ranked_masks(proto_slice, query_slice, immutable, rule):
+    """One group's admissible masks for one prototype, as ``(scores,
+    masks)`` ranked by descending score, then more query-side bits, then
+    ascending binary order. No rule can score a zero-norm vector, so a
+    zero-norm prototype slice gives no masks and a mask whose fill has zero
+    norm is dropped."""
+    k = len(immutable)
+    local = np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1) & 1
+    masks = local[np.all(local >= immutable, axis=1)]
+    fills = _fill(proto_slice, query_slice, masks)
+    keep = (norm(fills) != 0.0) & (norm(proto_slice) != 0.0)
+    if not keep.any():
+        return np.zeros(0), masks[:0]
+    masks, scores = masks[keep], rule.score(fills[keep], proto_slice, query_slice)
+    order = np.lexsort((-masks.sum(axis=1), -scores))
+    return scores[order], masks[order]
+
+
+def reference_merge(ranked, budget):
+    """Yield one prototype's ``budget`` best paths and their totals, best
+    first, one group at a time; nothing when a group has no mask."""
+    totals, paths = np.zeros(1), np.zeros((1, 0), dtype=int)
+    for scores, masks in ranked:
+        if len(scores) == 0:
+            return
+        scores, masks = scores[:budget], masks[:budget]
+        totals = (totals[:, None] + scores).ravel()
+        keep = np.argsort(-totals, kind="stable")[:budget]
+        prefix, rank = np.divmod(keep, len(scores))
+        totals, paths = totals[keep], np.hstack((paths[prefix], masks[rank]))
+    for path, total in zip(paths.tolist(), totals.tolist()):
+        yield tuple(path), total
+
+
 def sequential_generate(data, query, config, model):
     """Reference: scalar prototype ranking, then one ``next`` and one
     ``predict`` per drawn combination until one validates."""
@@ -474,7 +509,8 @@ def sequential_generate(data, query, config, model):
     for proto_idx in prototypes:
         prototype = data.X[proto_idx]
         chosen = None
-        drawn = draw_combinations(prototype, query, groups, rule, immutable, config.budget)
+        ranked = [reference_ranked_masks(prototype[g], query[g], immutable[g], rule) for g in groups]
+        drawn = reference_merge(ranked, config.budget)
         for _ in range(config.budget):
             try:
                 path, total = next(drawn)
@@ -547,10 +583,13 @@ def test_generate_matches_sequential_reference_with_immutables(preference):
 @st.composite
 def grid_generation_cases(draw):
     """Grid data on {0, 0.5, 1} where some target rows, but not all, have a
-    zero slice in one feature group, and the query has a zero group, so
-    that some prototype slices and some fills have zero norm."""
-    depth = draw(st.integers(3, 4))
-    n_features = draw(st.integers(depth + 1, 3 * depth))
+    zero slice in one feature group, some target rows are copies of others,
+    and the query may have a zero group, so that some prototype slices and
+    some fills have zero norm and equal prototypes are deduplicated. Most
+    feature counts leave a shorter remainder group, so that two group
+    widths share a query."""
+    depth = draw(st.integers(3, 9))
+    n_features = draw(st.integers(depth + 1, 2 * depth + 2))
     num_ces = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_target = draw(st.integers(max(num_ces, 2), 12))
@@ -562,6 +601,8 @@ def grid_generation_cases(draw):
     zeroed[rng.integers(0, n_target)] = False
     for i in np.flatnonzero(zeroed):
         X[i, groups[rng.integers(0, len(groups))]] = 0.0
+    copies = draw(st.integers(0, n_target // 2))
+    X[rng.choice(n_target, copies, replace=False)] = X[rng.integers(0, n_target)]
     query = rng.integers(0, 3, size=n_features) / 2.0
     if draw(st.booleans()):
         query[groups[rng.integers(0, len(groups))]] = 0.0
@@ -570,7 +611,7 @@ def grid_generation_cases(draw):
         preference=draw(st.sampled_from(["a", "b", "c", "d", "e"])),
         depth=depth,
         num_ces=num_ces,
-        budget=draw(st.integers(1, 64)),
+        budget=draw(st.sampled_from([1, 2, 7, 64])),
     )
     forest = models.RandomForest(n_trees=5, max_depth=4, seed=draw(st.integers(0, 3)))
     return make_encoded(X, y, immutable=tuple(immutable)), query, config, forest

@@ -532,12 +532,63 @@ def test_each_group_is_scored_once_and_the_model_called_once_per_query(monkeypat
     monkeypatch.setattr(ScoreRule, "score", counting_score)
     model = RejectingRowsModel()
     ces = generate(data, query, config, model)
-    n_groups = len(partition_features(n_features, config.depth))
+    widths = {len(g) for g in partition_features(n_features, config.depth)}
     # one call for every prototype's draws, plus the already-target check
     assert model.calls == 2
-    assert len(score_calls) == n_groups
+    # two groups of three and a remainder group of one
+    assert len(score_calls) == len(widths) == 2
     assert len(ces) == k
     assert all(ce.fallback is True and ce.validated is False for ce in ces)
+
+
+@pytest.mark.filterwarnings("ignore::tcol.engine.AlreadyTargetWarning")
+def test_the_merge_yields_once_per_prototype_even_when_it_draws_nothing(monkeypatch):
+    # Target row 1's first group is zero, so none of its masks can be scored.
+    X = np.array(
+        [
+            [0.2, 0.7, 0.4, 0.9, 0.1, 0.5],
+            [0.0, 0.0, 0.0, 0.3, 0.8, 0.6],
+            [0.9, 0.1, 0.3, 0.2, 0.6, 0.7],
+            [0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
+        ]
+    )
+    data = make_encoded(X, ["yes", "yes", "yes", "no"])
+    calls, yields = [], []
+    merge = engine.ranked_path_combinations
+
+    def recording_merge(*args):
+        calls.append(args)
+        for drawn in merge(*args):
+            yields.append(drawn)
+            yield drawn
+
+    monkeypatch.setattr(engine, "ranked_path_combinations", recording_merge)
+    config = GenerationConfig(preference="a", num_ces=3, budget=5)
+    ces = generate(data, X[3], config, StubModel(always=False))
+    assert len(calls) == 1
+    assert len(yields) == 3
+    empty = [i for i, (codes, totals) in enumerate(yields) if len(totals) == 0]
+    assert len(empty) == 1
+    codes, totals = yields[empty[0]]
+    assert codes.shape == (0, 2) and totals.shape == (0,)
+    assert all(len(totals) == 5 for i, (_, totals) in enumerate(yields) if i not in empty)
+    (zero,) = [ce for ce in ces if ce.prototype_index == 1]
+    assert zero.fallback and zero.score == float("-inf")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_query_is_rejected_before_prototype_ranking(
+    monkeypatch, value, synthetic_encoded, validation_model
+):
+    def ranking(*args, **kwargs):
+        raise AssertionError("prototypes were ranked")
+
+    monkeypatch.setattr(engine, "select_prototypes", ranking)
+    qi = int(np.flatnonzero(~synthetic_encoded.target_mask())[0])
+    query = synthetic_encoded.X[qi].copy()
+    query[[1, 4]] = value
+    with pytest.raises(ValueError, match="query component 1 is not a finite number"):
+        generate(synthetic_encoded, query, GenerationConfig(preference="c"), validation_model)
 
 
 class TestGenerationConfig:
