@@ -13,12 +13,13 @@ cannot be scored by any rule and is never drawn. A full-length path's
 total is the left-to-right sum of its group scores. The top ``budget``
 paths by total are drawn for every prototype at once with an exact
 merge, one group at a time, so a prototype's first draw is the splice of
-its per-group winners. The fallback, the prototype itself with its
-immutable features pinned to the query, is drawn last, outside the
-merge. Every prototype's draws are checked against the validation model
-in one batched call: per prototype, the first one it accepts, in draw
-order, is the counterfactual, and the fallback stands unvalidated when
-it accepts none.
+its per-group winners. A draw is a row of path bits; every prototype
+gets as many rows, and a -inf total marks a row that is no draw. The
+fallback is the immutable mask: the prototype with its immutable
+features pinned to the query, drawn last, outside the merge. One model
+call checks every prototype's draws: per prototype, the first one it
+accepts, in draw order, is the counterfactual, and the fallback stands
+unvalidated when it accepts none.
 
 Immutable features always keep the query's value: their path bits are
 forced to 1 in every mask considered.
@@ -151,15 +152,6 @@ def select_prototypes(
     return candidates[order[:count]].tolist()
 
 
-def partition_features(n_features: int, depth: int) -> list[list[int]]:
-    """Contiguous index groups of size ``depth``, plus a shorter remainder group."""
-    if n_features < 1:
-        raise ValueError("need at least one feature")
-    if not MIN_DEPTH <= depth <= MAX_DEPTH:
-        raise ValueError(f"depth must lie in [{MIN_DEPTH}, {MAX_DEPTH}], got {depth}")
-    return [list(range(s, min(s + depth, n_features))) for s in range(0, n_features, depth)]
-
-
 def _fill(prototype: np.ndarray, query: np.ndarray, path) -> np.ndarray:
     """Componentwise select: path bit 0 takes the prototype, bit 1 the query."""
     return np.where(np.asarray(path) == 1, query, prototype)
@@ -199,7 +191,7 @@ def _local_masks(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _group_scores(
     rows: np.ndarray, query: np.ndarray, immutable: np.ndarray, depth: int, rule: ScoreRule
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """Score every local mask of every group for every prototype (a row of
     ``rows``), with one rule call per group width.
 
@@ -207,12 +199,12 @@ def _group_scores(
     prototype, its masks ranked by descending score, then more query-side
     bits, then ascending binary order. An inadmissible mask (bit 0 at an
     immutable position), and one whose fill or prototype slice has zero
-    norm, scores -inf and so ranks last. Also returned: the fallback path
-    (each group's immutable-only mask) as one code per group, and each
-    prototype's raw score of those masks, one column per group.
+    norm, scores -inf and so ranks last. Also returned: each prototype's
+    fallback total, the left-to-right sum from 0.0 of the raw scores of
+    each group's immutable-only mask, which can rank below any budget.
     """
     n_protos = len(rows)
-    ranked, fallback_codes, fallback_scores = [], [], []
+    ranked, fallback = [], 0.0
     for start, k, n in _blocks(len(query), depth):
         # row i * n + j: prototype i's slice of group j of this width
         slices = rows[:, start : start + n * k].reshape(n_protos * n, k)
@@ -235,20 +227,8 @@ def _group_scores(
         ranked_scores = scores[np.arange(len(order))[:, None], order]
         per_group = (a.reshape(n_protos, n, -1).swapaxes(0, 1) for a in (ranked_scores, order))
         ranked += zip(*per_group)
-        fallback = code[pinned]
-        fallback_codes.append(fallback)
-        fallback_scores.append(scores[np.arange(len(scores)), fallback[group]].reshape(n_protos, n))
-    return ranked, np.concatenate(fallback_codes), np.hstack(fallback_scores)
-
-
-def _path_bits(codes: np.ndarray, n_features: int, depth: int) -> np.ndarray:
-    """Path bits from mask codes: one row per path, one code per group."""
-    return np.hstack(
-        [
-            _local_masks(k)[0][codes[:, s // depth : s // depth + n]].reshape(len(codes), n * k)
-            for s, k, n in _blocks(n_features, depth)
-        ]
-    )
+        fallback = sum(scores[np.arange(len(scores)), code[pinned][group]].reshape(n_protos, n).T, fallback)
+    return ranked, fallback
 
 
 @functools.cache
@@ -268,14 +248,16 @@ def ranked_path_combinations(
     ranked: Sequence[tuple[np.ndarray, np.ndarray]], budget: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield, per prototype, its ``budget`` best full-length paths, best
-    total first, as ``(codes, totals)``, a path's mask codes in a row.
+    total first, as ``(paths, totals)``: one row of path bits per draw.
 
     ``ranked`` holds each group's ``(scores, codes)`` from ``_group_scores``,
-    in group order. A path's total is the left-to-right sum of its group
-    scores, starting at 0.0. Totals never increase along the draw; equal
-    totals keep the previous group's rank of their prefix, then this
-    group's rank, so the first draw is the splice of the per-group winners.
-    A prototype with a group that has no scoreable mask gets empty arrays.
+    in group order; a group's width ``k`` is read off its ``2**k`` columns.
+    A path's total is the left-to-right sum of its group scores, starting
+    at 0.0. Totals never increase along the draw; equal totals keep the
+    previous group's rank of their prefix, then this group's rank, so the
+    first draw is the splice of the per-group winners. Every prototype
+    gets the same number of rows; a row whose total is -inf is no draw, so
+    a prototype with a group that has no scoreable mask gets only those.
 
     Keeping only the ``budget`` best rows after each group is exact,
     because float addition is monotone: if a prefix P is cut, ``budget``
@@ -284,21 +266,20 @@ def ranked_path_combinations(
     best masks, and skips the sums of ``_merge_candidates``. The argument
     holds per prototype, and every prototype is merged at once: every real
     score is finite and at least 0, so a sum with a -inf score ranks after
-    every real path and is never drawn.
+    every real path.
     """
     n_protos = len(ranked[0][0])
     protos = np.arange(n_protos)[:, None]
-    totals, codes = np.zeros((n_protos, 1)), np.zeros((n_protos, 1, 0), dtype=int)
+    totals, paths = np.zeros((n_protos, 1)), np.zeros((n_protos, 1, 0), dtype=int)
     for scores, masks in ranked:
+        bits = _local_masks(masks.shape[1].bit_length() - 1)[0]
         scores, masks = scores[:, :budget], masks[:, :budget]
         prefix, rank = _merge_candidates(totals.shape[1], scores.shape[1], budget)
         sums = totals[:, prefix] + scores[:, rank]
         keep = np.argsort(-sums, axis=1, kind="stable")[:, :budget]
         totals, prefix, rank = sums[protos, keep], prefix[keep], rank[keep]
-        codes = np.concatenate((codes[protos, prefix], masks[protos, rank][:, :, None]), axis=2)
-    drawn = np.count_nonzero(totals > -np.inf, axis=1)
-    for proto_codes, proto_totals, n in zip(codes, totals, drawn.tolist()):
-        yield proto_codes[:n], proto_totals[:n]
+        paths = np.concatenate((paths[protos, prefix], bits[masks[protos, rank]]), axis=2)
+    yield from zip(paths, totals)
 
 
 def generate(
@@ -331,39 +312,29 @@ def generate(
     )
     immutable = data.immutable_mask()
     rows = data.X[prototypes]
-    ranked, fallback_codes, fallback_scores = _group_scores(
-        rows, query, immutable, config.depth, config.score_rule()
-    )
-    drawn = list(ranked_path_combinations(ranked, config.budget))
+    ranked, fallback_totals = _group_scores(rows, query, immutable, config.depth, config.score_rule())
 
-    # Rows: each prototype's draws, then its fallback. Each group's
-    # immutable-only mask can rank below the budget cut, so the fallback
-    # reads the raw scores, summed group by group from 0.0.
-    fallback_totals = sum(fallback_scores.T, 0.0)[:, None]
-    codes = np.concatenate([c for proto_codes, _ in drawn for c in (proto_codes, [fallback_codes])])
-    totals = np.concatenate(
-        [t for (_, proto_totals), total in zip(drawn, fallback_totals) for t in (proto_totals, total)]
-    ).tolist()
-    paths = _path_bits(codes, len(query), config.depth)
-    sizes = np.array([len(proto_totals) + 1 for _, proto_totals in drawn])
-    owner = np.repeat(np.arange(len(rows)), sizes)
-    vectors = _fill(rows[owner], query, paths)
-    accepted = validation_model.predicts_target(vectors)
-    # Per prototype, the first accepted row wins. The fallback is a genuine
-    # target-class row, though the model may still disagree; the validated
-    # flag records the check.
-    fallbacks = np.cumsum(sizes) - 1
-    first = np.minimum.reduceat(
-        np.where(accepted, np.arange(len(paths)), fallbacks[owner]), fallbacks - sizes + 1
-    )
+    # One row per prototype: its draws, then its fallback, the immutable
+    # mask. Only the real draws and the fallbacks go to the model.
+    paths, totals = map(np.stack, zip(*ranked_path_combinations(ranked, config.budget)))
+    paths = np.concatenate((paths, np.broadcast_to(immutable, (len(rows), 1, len(query)))), axis=1)
+    totals = np.column_stack((totals, fallback_totals))
+    last = np.arange(totals.shape[1]) == totals.shape[1] - 1
+    vectors = _fill(rows[:, None], query, paths)
+    sent = (totals > -np.inf) | last
+    accepted = np.zeros_like(sent)
+    accepted[sent] = validation_model.predicts_target(vectors[sent])
+    # Per prototype, the first accepted draw wins, else the fallback: a real
+    # target-class row, which the model may still reject (``validated``).
+    first = np.argmax(accepted | last, axis=1)
 
     deduped, seen = [], set()
-    for proto_idx, prototype, i, fallback in zip(
-        prototypes, rows, first.tolist(), (first == fallbacks).tolist()
-    ):
-        path, vector = tuple(paths[i].tolist()), vectors[i]
-        _check_verbatim(vector, path, prototype, query, proto_idx)
+    for i, (proto_idx, j) in enumerate(zip(prototypes, first.tolist())):
+        path, vector = tuple(paths[i, j].tolist()), vectors[i, j]
+        _check_verbatim(vector, path, rows[i], query, proto_idx)
         if vector.tobytes() not in seen:
             seen.add(vector.tobytes())
-            deduped.append(CandidateCE(vector, path, proto_idx, totals[i], bool(accepted[i]), fallback))
+            deduped.append(
+                CandidateCE(vector, path, proto_idx, float(totals[i, j]), bool(accepted[i, j]), bool(last[j]))
+            )
     return deduped

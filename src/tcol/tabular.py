@@ -57,24 +57,37 @@ class FeatureSchema:
     domain: tuple = ()
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise SchemaViolationError(f"feature name {self.name!r} is not a string")
         if self.kind not in (CATEGORICAL, NUMERIC):
             raise SchemaViolationError(f"unknown feature kind {self.kind!r} for {self.name!r}")
         if self.mutability not in (MUTABLE, IMMUTABLE):
             raise SchemaViolationError(f"unknown mutability {self.mutability!r} for {self.name!r}")
+        if not isinstance(self.domain, (list, tuple)):
+            raise SchemaViolationError(f"domain of {self.name!r} is not a list: {self.domain!r}")
         object.__setattr__(self, "domain", tuple(self.domain))
         if self.kind == CATEGORICAL:
             if not self.domain:
                 raise SchemaViolationError(
                     f"categorical feature {self.name!r} needs a non-empty domain"
                 )
-            if len(set(self.domain)) != len(self.domain):
+            try:
+                distinct = len(set(self.domain))
+            except TypeError:
+                raise SchemaViolationError(
+                    f"a category of {self.name!r} is a list or an object: {self.domain!r}"
+                ) from None
+            if distinct != len(self.domain):
                 raise SchemaViolationError(f"duplicate categories in domain of {self.name!r}")
         else:
             if len(self.domain) != 2:
                 raise SchemaViolationError(
                     f"numeric feature {self.name!r} needs a (min, max) domain"
                 )
-            if not all(isinstance(b, numbers.Real) and math.isfinite(b) for b in self.domain):
+            if not all(
+                isinstance(b, numbers.Real) and not isinstance(b, bool) and math.isfinite(b)
+                for b in self.domain
+            ):
                 raise SchemaViolationError(f"numeric domain of {self.name!r} is not two finite numbers")
             lo, hi = self.domain
             if lo > hi:
@@ -89,10 +102,12 @@ def load_schema(path: str | Path) -> tuple[FeatureSchema, ...]:
     """Read a schema file: a JSON list of {name, kind, mutability, domain}."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    if not isinstance(raw, list):
-        raise SchemaViolationError("schema file must contain a JSON list of features")
+    if not isinstance(raw, list) or not raw:
+        raise SchemaViolationError("schema file must contain a non-empty JSON list of features")
     features = []
     for entry in raw:
+        if not isinstance(entry, dict):
+            raise SchemaViolationError(f"schema entry {entry!r} is not a JSON object")
         missing = set(_SCHEMA_FIELDS) - set(entry)
         if missing:
             raise SchemaViolationError(f"schema entry missing fields: {sorted(missing)}")
@@ -115,6 +130,8 @@ class Dataset:
     def __post_init__(self):
         object.__setattr__(self, "schema", tuple(self.schema))
         object.__setattr__(self, "target", tuple(self.target))
+        if not self.schema:
+            raise SchemaViolationError("schema has no features")
         names = [f.name for f in self.schema]
         for i, name in enumerate(names):
             if name in names[:i]:

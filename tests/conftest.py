@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tcol.data import SYNTHETIC_TARGET, SYNTHETIC_TARGET_CLASS, load_synthetic, synthetic_paths
-from tcol.engine import _group_scores, _path_bits, ranked_path_combinations
+from tcol.engine import _group_scores, ranked_path_combinations
 from tcol.models import ClassifierModel, cv_weights, fit_builtin
 from tcol.tabular import EncodedDataset, FeatureSchema, encode_dataset, fit_encoder
 
@@ -30,16 +30,20 @@ def make_encoded(X, y, target_class="yes", immutable=()):
     )
 
 
+def feature_groups(n_features, depth):
+    """The documented grouping: contiguous runs of ``depth`` features, then a shorter remainder."""
+    return [list(range(s, min(s + depth, n_features))) for s in range(0, n_features, depth)]
+
+
 def draw_combinations(prototype, query, groups, rule, immutable_mask, budget):
     """The engine's draw over one prototype, as ``(path, total)`` pairs:
     each group ranked as ``generate`` ranks it, then the ``budget`` best
-    combinations."""
-    depth = len(groups[0])
-    ranked, _, _ = _group_scores(prototype[np.newaxis], query, immutable_mask, depth, rule)
+    combinations, without the -inf rows that are no draw."""
+    ranked, _ = _group_scores(prototype[np.newaxis], query, immutable_mask, len(groups[0]), rule)
     # one prototype, so one yield
-    for codes, totals in ranked_path_combinations(ranked, budget):
-        paths = _path_bits(codes, len(query), depth).tolist()
-        yield from zip(map(tuple, paths), totals.tolist())
+    for paths, totals in ranked_path_combinations(ranked, budget):
+        drawn = totals > -np.inf
+        yield from zip(map(tuple, paths[drawn].tolist()), totals[drawn].tolist())
 
 
 def select_local_path(proto_slice, query_slice, rule, immutable_mask=None):

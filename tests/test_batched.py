@@ -20,14 +20,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_encoded
+from conftest import feature_groups, make_encoded
 from tcol import models
-from tcol.engine import (
-    CandidateCE,
-    GenerationConfig,
-    generate,
-    partition_features,
-)
+from tcol.engine import CandidateCE, GenerationConfig, generate
 from tcol.models import MODEL_KINDS, ClassifierModel, make_model
 from tcol.scoring import cosine, count_diffs, distance_fn, norm
 from tcol.tabular import Dataset, Encoder, FeatureSchema, SchemaViolationError, fit_encoder
@@ -503,7 +498,7 @@ def sequential_generate(data, query, config, model):
 
     candidates = np.flatnonzero(data.target_mask()).tolist()
     prototypes = sorted(candidates, key=lambda i: (conflicts(i), rank_key(i), i))[: config.num_ces]
-    groups = partition_features(data.n_features, config.depth)
+    groups = feature_groups(data.n_features, config.depth)
     rule = config.score_rule()
     results = []
     for proto_idx in prototypes:
@@ -596,7 +591,7 @@ def grid_generation_cases(draw):
     n_rows = n_target + draw(st.integers(2, 12))
     X = rng.integers(0, 3, size=(n_rows, n_features)) / 2.0
     y = np.array(["yes"] * n_target + ["no"] * (n_rows - n_target), dtype=object)
-    groups = partition_features(n_features, depth)
+    groups = feature_groups(n_features, depth)
     zeroed = rng.random(n_target) < 0.4
     zeroed[rng.integers(0, n_target)] = False
     for i in np.flatnonzero(zeroed):

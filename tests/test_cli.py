@@ -90,6 +90,31 @@ def test_unknown_feature_kind_is_data_error(tmp_path, synthetic_files, capsys):
 
 
 @pytest.mark.parametrize(
+    "schema_text",
+    [
+        "[]",
+        "[7]",
+        '[{"name": "job", "kind": "categorical", "mutability": "mutable", "domain": "ab"}]',
+        '[{"name": "job", "kind": "categorical", "mutability": "mutable", "domain": [["a"], "b"]}]',
+    ],
+    ids=["no-features", "non-object-entry", "string-domain", "list-category"],
+)
+@pytest.mark.parametrize("command", ["encode", "train", "generate"])
+def test_a_malformed_schema_is_a_data_error(tmp_path, synthetic_files, capsys, command, schema_text):
+    schema = tmp_path / "schema.json"
+    schema.write_text(schema_text, encoding="utf-8")
+    args = {
+        "encode": ["--out", str(tmp_path / "e.json")],
+        "train": ["--kind", "random_forest", "--out-dir", str(tmp_path)],
+        "generate": ["--query-index", "1", "--preference", "a", "--out", str(tmp_path / "ces.json")],
+    }[command]
+    code = main([command, "--data", synthetic_files["dataset"], "--schema", str(schema), *args])
+    assert code == 2
+    assert "data/schema error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [schema]  # nothing written
+
+
+@pytest.mark.parametrize(
     "option, value, message",
     [("--budget", "0", "budget"), ("--depth", "2", "depth"), ("--num-ces", "0", "num_ces")],
 )

@@ -5,14 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import StubModel, draw_combinations, make_encoded, path_total, select_local_path
+from conftest import (
+    StubModel,
+    draw_combinations,
+    feature_groups,
+    make_encoded,
+    path_total,
+    select_local_path,
+)
 from tcol import engine
 from tcol.engine import (
     AlreadyTargetWarning,
     GenerationConfig,
+    _blocks,
     _fill,
     generate,
-    partition_features,
     select_prototypes,
 )
 from tcol.models import ClassifierModel
@@ -135,29 +142,31 @@ class TestCentroid:
         assert np.max(np.abs(data.target_centroid - expected)) < 1e-12
 
 
+def blocked_groups(n_features, depth):
+    """The groups that ``_blocks`` describes, one index list per group."""
+    return [
+        list(range(s + j * k, s + (j + 1) * k)) for s, k, n in _blocks(n_features, depth) for j in range(n)
+    ]
+
+
 class TestPartition:
+    """``_blocks`` describes the groups as runs of one width."""
+
     def test_six_features_depth_three(self):
-        assert partition_features(6, 3) == [[0, 1, 2], [3, 4, 5]]
+        assert _blocks(6, 3) == [(0, 3, 2)]
 
     def test_remainder_group(self):
-        assert partition_features(7, 3) == [[0, 1, 2], [3, 4, 5], [6]]
+        assert _blocks(7, 3) == [(0, 3, 2), (6, 1, 1)]
 
     def test_single_group(self):
-        assert partition_features(3, 3) == [[0, 1, 2]]
-
-    def test_depth_bounds(self):
-        with pytest.raises(ValueError):
-            partition_features(6, 2)
-        with pytest.raises(ValueError):
-            partition_features(6, 10)
-        with pytest.raises(ValueError):
-            partition_features(0, 3)
+        assert _blocks(3, 3) == [(0, 3, 1)]
+        assert _blocks(2, 3) == [(0, 2, 1)]
 
     def test_groups_cover_all_features_in_order(self):
-        for n, depth in [(6, 3), (13, 4), (48, 9), (5, 5)]:
-            groups = partition_features(n, depth)
-            flat = [i for g in groups for i in g]
-            assert flat == list(range(n))
+        for n, depth in [(6, 3), (13, 4), (48, 9), (5, 5), (1, 3), (20, 9)]:
+            groups = blocked_groups(n, depth)
+            assert groups == feature_groups(n, depth)
+            assert [i for g in groups for i in g] == list(range(n))
             assert all(len(g) == depth for g in groups[:-1])
             assert 1 <= len(groups[-1]) <= depth
 
@@ -271,7 +280,7 @@ def combination_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     proto, query = rng.integers(0, 3, size=(2, n_features)) / 2.0
     immutable = rng.random(n_features) < draw(st.sampled_from([0.0, 0.3, 1.0]))
-    groups = partition_features(n_features, draw(st.integers(3, 4)))
+    groups = feature_groups(n_features, draw(st.integers(3, 4)))
     rule = ScoreRule(draw(st.sampled_from(["fcs", "ncs", "rss"])))
     return proto, query, groups, rule, immutable, draw(st.integers(1, 70))
 
@@ -304,7 +313,7 @@ class TestRankedCombinations:
         for _ in range(10):
             proto = rng.random(7) + 0.01
             query = rng.random(7) + 0.01
-            groups = partition_features(7, 3)
+            groups = feature_groups(7, 3)
             rule = ScoreRule("rss")
             immutable = np.zeros(7, dtype=bool)
             first, _ = next(draw_combinations(proto, query, groups, rule, immutable, 1))
@@ -317,7 +326,7 @@ class TestRankedCombinations:
         rng = np.random.default_rng(18)
         proto = rng.random(6) + 0.01
         query = rng.random(6) + 0.01
-        groups = partition_features(6, 3)
+        groups = feature_groups(6, 3)
         immutable = np.zeros(6, dtype=bool)
         drawn = list(
             draw_combinations(proto, query, groups, ScoreRule("ncs"), immutable, 2**6)
@@ -328,7 +337,7 @@ class TestRankedCombinations:
 
     def test_all_immutable_zero_query_group_yields_nothing(self):
         # every admissible mask of the first group fills to the query's zero slice
-        groups = partition_features(6, 3)
+        groups = feature_groups(6, 3)
         query = np.array([0.0, 0.0, 0.0, 0.7, 0.2, 0.9])
         immutable = np.array([True, True, True, False, False, False])
         proto = np.tile(PROTO, 2)
@@ -359,7 +368,7 @@ class TestGenerate:
             rule = config.score_rule()
             ces = generate(data, query, config, StubModel(always=True))
             assert len(ces) == 1
-            groups = partition_features(6, 3)
+            groups = feature_groups(6, 3)
             expected = tuple(
                 bit for g in groups for bit in brute_force_path(proto[g], query[g], rule)
             )
@@ -379,7 +388,7 @@ class TestGenerate:
         data, proto = single_prototype_data(rng, 6)
         query = rng.random(6) * 0.8 + 0.1
         config = GenerationConfig(preference="c", depth=3, num_ces=1, budget=64)
-        groups = partition_features(6, 3)
+        groups = feature_groups(6, 3)
         ranked = list(
             draw_combinations(
                 proto, query, groups, ScoreRule("rss"), np.zeros(6, dtype=bool), 2**6
@@ -532,7 +541,7 @@ def test_each_group_is_scored_once_and_the_model_called_once_per_query(monkeypat
     monkeypatch.setattr(ScoreRule, "score", counting_score)
     model = RejectingRowsModel()
     ces = generate(data, query, config, model)
-    widths = {len(g) for g in partition_features(n_features, config.depth)}
+    widths = {len(g) for g in feature_groups(n_features, config.depth)}
     # one call for every prototype's draws, plus the already-target check
     assert model.calls == 2
     # two groups of three and a remainder group of one
@@ -567,11 +576,12 @@ def test_the_merge_yields_once_per_prototype_even_when_it_draws_nothing(monkeypa
     ces = generate(data, X[3], config, StubModel(always=False))
     assert len(calls) == 1
     assert len(yields) == 3
-    empty = [i for i, (codes, totals) in enumerate(yields) if len(totals) == 0]
+    # every prototype gets the same rows; a -inf total is no draw
+    assert all(paths.shape == (5, 6) and totals.shape == (5,) for paths, totals in yields)
+    assert all(set(paths.ravel().tolist()) <= {0, 1} for paths, _ in yields)
+    empty = [i for i, (_, totals) in enumerate(yields) if np.all(totals == -np.inf)]
     assert len(empty) == 1
-    codes, totals = yields[empty[0]]
-    assert codes.shape == (0, 2) and totals.shape == (0,)
-    assert all(len(totals) == 5 for i, (_, totals) in enumerate(yields) if i not in empty)
+    assert all(np.all(totals > -np.inf) for i, (_, totals) in enumerate(yields) if i not in empty)
     (zero,) = [ce for ce in ces if ce.prototype_index == 1]
     assert zero.fallback and zero.score == float("-inf")
 

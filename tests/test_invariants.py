@@ -12,9 +12,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import StubModel, make_encoded, path_total
+from conftest import StubModel, feature_groups, make_encoded, path_total
 from tcol.data import synthetic_paths
-from tcol.engine import PREFERENCES, GenerationConfig, generate, partition_features
+from tcol.engine import PREFERENCES, GenerationConfig, generate
 from tcol.models import make_model
 
 
@@ -52,7 +52,7 @@ def test_generate_invariants(case):
         warnings.simplefilter("ignore")
         ces = generate(data, query, config, model)
     immutable = data.immutable_mask()
-    groups = partition_features(data.n_features, config.depth)
+    groups = feature_groups(data.n_features, config.depth)
     assert 1 <= len(ces) <= config.num_ces
     assert len({ce.vector.tobytes() for ce in ces}) == len(ces)
     for ce in ces:

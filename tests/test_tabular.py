@@ -32,7 +32,9 @@ class TestFeatureSchema:
         with pytest.raises(ValueError, match="min > max"):
             FeatureSchema("x", "numeric", "mutable", (5, 1))
 
-    @pytest.mark.parametrize("domain", [("young", "old"), (0, None), (0, float("nan"))])
+    @pytest.mark.parametrize(
+        "domain", [("young", "old"), (0, None), (0, float("nan")), (False, True)]
+    )
     def test_numeric_domain_bounds_must_be_finite_numbers(self, domain):
         with pytest.raises(SchemaViolationError, match="'x'"):
             FeatureSchema("x", "numeric", "mutable", domain)
@@ -44,6 +46,20 @@ class TestFeatureSchema:
     def test_categorical_needs_domain(self):
         with pytest.raises(ValueError, match="domain"):
             FeatureSchema("x", "categorical", "mutable", ())
+
+    @pytest.mark.parametrize("kind, domain", [("categorical", "ab"), ("numeric", "01"), ("categorical", {"a": 1})])
+    def test_domain_must_be_a_list(self, kind, domain):
+        with pytest.raises(SchemaViolationError, match="domain of 'x' is not a list"):
+            FeatureSchema("x", kind, "mutable", domain)
+
+    @pytest.mark.parametrize("category", [["a", "b"], {"a": 1}])
+    def test_a_category_must_be_a_single_value(self, category):
+        with pytest.raises(SchemaViolationError, match="a category of 'x' is a list or an object"):
+            FeatureSchema("x", "categorical", "mutable", ("c", category))
+
+    def test_name_must_be_a_string(self):
+        with pytest.raises(SchemaViolationError, match="feature name"):
+            FeatureSchema(["x"], "numeric", "mutable", (0, 1))
 
 
 class TestLoadCsv:
@@ -122,6 +138,10 @@ class TestLoadCsv:
 
 
 class TestDataset:
+    def test_schema_needs_a_feature(self):
+        with pytest.raises(SchemaViolationError, match="schema has no features"):
+            Dataset((), ((), ()), ("yes", "no"), "loan", "yes")
+
     def test_target_must_be_binary(self):
         with pytest.raises(ValueError, match="two labels"):
             Dataset(SCHEMA, (("service", 1.0),), ("yes",), "loan", "yes")
@@ -310,6 +330,24 @@ def test_load_schema_requires_fields(tmp_path):
     path = tmp_path / "schema.json"
     path.write_text('[{"name": "x", "kind": "numeric"}]', encoding="utf-8")
     with pytest.raises(SchemaViolationError, match="missing"):
+        load_schema(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "non-empty JSON list"),
+        ('{"name": "x"}', "non-empty JSON list"),
+        ('["x"]', "schema entry 'x' is not a JSON object"),
+        ('[{"name": "x", "kind": "numeric", "mutability": "mutable", "domain": [0, 1]}, 7]', "entry 7"),
+        ('[{"name": "x", "kind": "categorical", "mutability": "mutable", "domain": "ab"}]', "not a list"),
+        ('[{"name": "x", "kind": "categorical", "mutability": "mutable", "domain": [["a"], "b"]}]', "a list"),
+    ],
+)
+def test_load_schema_rejects_a_malformed_schema(tmp_path, text, message):
+    path = tmp_path / "schema.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaViolationError, match=message):
         load_schema(path)
 
 
