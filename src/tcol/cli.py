@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 data/schema error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -248,9 +249,7 @@ def _cmd_bench(args) -> int:
         print(f"data/schema error: {exc}", file=sys.stderr)
         return EXIT_DATA
     record = run_experiment(config, measure_runtime=not args.no_timing)
-    stem = Path(args.out if args.out else config.out)
-    csv_path = emit_report(record, "csv", stem.with_suffix(".csv"))
-    json_path = emit_report(record, "structured", stem.with_suffix(".json"))
+    csv_path, json_path = emit_report(record, args.out or config.out)
     for row in record.rows:
         print(
             f"{row.generator}/{row.preference}: proximity={row.proximity:.4f} "
@@ -270,11 +269,15 @@ _COMMANDS = {
     "bench": _cmd_bench,
 }
 
+# An error of one of these types, or an ``ExperimentError`` caused by one,
+# is a data error (exit 2); any other error is a runtime error (exit 3).
 _DATA_ERRORS = (
     SchemaViolationError,
     CsvParseError,
     ModelFileError,
-    FileNotFoundError,
+    OSError,
+    UnicodeDecodeError,
+    csv.Error,
     json.JSONDecodeError,
     KeyError,
 )
@@ -290,14 +293,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    except _DATA_ERRORS as exc:
-        print(f"data/schema error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ExperimentError as exc:
-        code = EXIT_DATA if exc.stage in ("schema", "load") else EXIT_RUNTIME
-        print(f"error: {exc}", file=sys.stderr)
-        return code
     except Exception as exc:
+        cause = exc.__cause__ if isinstance(exc, ExperimentError) else exc
+        if isinstance(cause, _DATA_ERRORS):
+            print(f"data/schema error: {exc}", file=sys.stderr)
+            return EXIT_DATA
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -6,20 +6,21 @@ Features are partitioned into contiguous groups of at most ``depth``
 entries; within each group every admissible local mask is scored and
 ranked, which is behaviourally identical to walking every root-to-leaf
 path of the full binary tree over that group (the masks ARE the paths).
-All groups of one width are scored for every prototype in one rule call,
-each fill paired with its own prototype slice and its group's query
-slice. A mask whose filled slice, or whose prototype slice, has zero norm
-cannot be scored by any rule and is never drawn. A full-length path's
-total is the left-to-right sum of its group scores. The top ``budget``
-paths by total are drawn for every prototype at once with an exact
-merge, one group at a time, so a prototype's first draw is the splice of
-its per-group winners. A draw is a row of path bits; every prototype
-gets as many rows, and a -inf total marks a row that is no draw. The
-fallback is the immutable mask: the prototype with its immutable
-features pinned to the query, drawn last, outside the merge. One model
-call checks every prototype's draws: per prototype, the first one it
-accepts, in draw order, is the counterfactual, and the fallback stands
-unvalidated when it accepts none.
+One generator goes from group scores to the fallback row: all groups of
+one width are scored for every prototype in one rule call, each fill
+paired with its own prototype slice and its group's query slice. A mask
+whose filled slice, or whose prototype slice, has zero norm cannot be
+scored by any rule and is never drawn. A full-length path's total is the
+left-to-right sum of its group scores. The top ``budget`` paths by total
+are drawn for every prototype at once with an exact merge, one group at a
+time, so a prototype's first draw is the splice of its per-group winners.
+A draw is a row of path bits; every prototype gets as many rows, and a
+-inf total marks a row that is no draw. The fallback is the immutable
+mask, the generator's last row: the prototype with its immutable features
+pinned to the query, its total the sum of each group's immutable-only
+score. One model call checks every prototype's draws: per prototype, the
+first one it accepts, in draw order, is the counterfactual, and the
+fallback stands unvalidated when it accepts none.
 
 Immutable features always keep the query's value: their path bits are
 forced to 1 in every mask considered.
@@ -30,7 +31,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -189,22 +190,55 @@ def _local_masks(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _group_scores(
-    rows: np.ndarray, query: np.ndarray, immutable: np.ndarray, depth: int, rule: ScoreRule
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Score every local mask of every group for every prototype (a row of
-    ``rows``), with one rule call per group width.
+@functools.cache
+def _merge_candidates(n_prefixes: int, n_masks: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (prefix i, mask j) rank pairs, in row-major order, whose sum can
+    be among the ``budget`` best: those with ``(i + 1) * (j + 1) <= budget``.
+    Both rankings descend, so each of the other pairs at or before (i, j) in
+    both sums to at least as much and ranks before it on ties."""
+    prefix, rank = np.divmod(np.arange(n_prefixes * n_masks), n_masks)
+    pairs = (prefix + 1) * (rank + 1) <= budget
+    prefix, rank = prefix[pairs], rank[pairs]
+    prefix.flags.writeable = rank.flags.writeable = False
+    return prefix, rank
 
-    Per group, in group order: ``(scores, codes)`` with one row per
-    prototype, its masks ranked by descending score, then more query-side
-    bits, then ascending binary order. An inadmissible mask (bit 0 at an
-    immutable position), and one whose fill or prototype slice has zero
-    norm, scores -inf and so ranks last. Also returned: each prototype's
-    fallback total, the left-to-right sum from 0.0 of the raw scores of
-    each group's immutable-only mask, which can rank below any budget.
+
+def ranked_path_combinations(
+    rows: np.ndarray, query: np.ndarray, immutable: np.ndarray, depth: int, rule: ScoreRule, budget: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield, per prototype (a row of ``rows``), its ``budget`` best
+    full-length paths, best total first, then its fallback, as ``(paths,
+    totals)``: one row of path bits per draw, ``budget + 1`` rows at most.
+
+    Every local mask of every group is scored for every prototype with one
+    rule call per group width. A group ranks its masks by descending
+    score, then more query-side bits, then ascending binary order. An
+    inadmissible mask (bit 0 at an immutable position), and one whose fill
+    or prototype slice has zero norm, scores -inf and so ranks last.
+
+    A path's total is the left-to-right sum of its group scores, starting
+    at 0.0. Totals never increase along the draw; equal totals keep the
+    previous group's rank of their prefix, then this group's rank, so the
+    first draw is the splice of the per-group winners. Every prototype
+    gets the same number of rows; a row whose total is -inf is no draw, so
+    a prototype with a group that has no scoreable mask gets only those.
+    The last row is the fallback, the immutable mask, whose total sums the
+    raw scores of each group's immutable-only mask the same way; it can
+    rank below any budget.
+
+    Keeping only the ``budget`` best rows after each group is exact,
+    because float addition is monotone: if a prefix P is cut, ``budget``
+    kept prefixes rank before it, and each of them plus a mask c ranks
+    before P plus c. The same argument cuts each group to its ``budget``
+    best masks, and skips the sums of ``_merge_candidates``. The argument
+    holds per prototype, and every prototype is merged at once: every real
+    score is finite and at least 0, so a sum with a -inf score ranks after
+    every real path.
     """
     n_protos = len(rows)
-    ranked, fallback = [], 0.0
+    protos = np.arange(n_protos)[:, None]
+    totals, paths = np.zeros((n_protos, 1)), np.zeros((n_protos, 1, 0), dtype=int)
+    fallback = 0.0
     for start, k, n in _blocks(len(query), depth):
         # row i * n + j: prototype i's slice of group j of this width
         slices = rows[:, start : start + n * k].reshape(n_protos * n, k)
@@ -223,63 +257,20 @@ def _group_scores(
         pairs = slices[row], queries[group[row]]
         scores = np.full(keep.shape, -np.inf)
         scores[row, mask] = rule.score(_fill(*pairs, bits[mask]), *pairs)
-        order = np.argsort(-scores, axis=1, kind="stable")
-        ranked_scores = scores[np.arange(len(order))[:, None], order]
-        per_group = (a.reshape(n_protos, n, -1).swapaxes(0, 1) for a in (ranked_scores, order))
-        ranked += zip(*per_group)
-        fallback = sum(scores[np.arange(len(scores)), code[pinned][group]].reshape(n_protos, n).T, fallback)
-    return ranked, fallback
-
-
-@functools.cache
-def _merge_candidates(n_prefixes: int, n_masks: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (prefix i, mask j) rank pairs, in row-major order, whose sum can
-    be among the ``budget`` best: those with ``(i + 1) * (j + 1) <= budget``.
-    Both rankings descend, so each of the other pairs at or before (i, j) in
-    both sums to at least as much and ranks before it on ties."""
-    prefix, rank = np.divmod(np.arange(n_prefixes * n_masks), n_masks)
-    pairs = (prefix + 1) * (rank + 1) <= budget
-    prefix, rank = prefix[pairs], rank[pairs]
-    prefix.flags.writeable = rank.flags.writeable = False
-    return prefix, rank
-
-
-def ranked_path_combinations(
-    ranked: Sequence[tuple[np.ndarray, np.ndarray]], budget: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield, per prototype, its ``budget`` best full-length paths, best
-    total first, as ``(paths, totals)``: one row of path bits per draw.
-
-    ``ranked`` holds each group's ``(scores, codes)`` from ``_group_scores``,
-    in group order; a group's width ``k`` is read off its ``2**k`` columns.
-    A path's total is the left-to-right sum of its group scores, starting
-    at 0.0. Totals never increase along the draw; equal totals keep the
-    previous group's rank of their prefix, then this group's rank, so the
-    first draw is the splice of the per-group winners. Every prototype
-    gets the same number of rows; a row whose total is -inf is no draw, so
-    a prototype with a group that has no scoreable mask gets only those.
-
-    Keeping only the ``budget`` best rows after each group is exact,
-    because float addition is monotone: if a prefix P is cut, ``budget``
-    kept prefixes rank before it, and each of them plus a mask c ranks
-    before P plus c. The same argument cuts each group to its ``budget``
-    best masks, and skips the sums of ``_merge_candidates``. The argument
-    holds per prototype, and every prototype is merged at once: every real
-    score is finite and at least 0, so a sum with a -inf score ranks after
-    every real path.
-    """
-    n_protos = len(ranked[0][0])
-    protos = np.arange(n_protos)[:, None]
-    totals, paths = np.zeros((n_protos, 1)), np.zeros((n_protos, 1, 0), dtype=int)
-    for scores, masks in ranked:
-        bits = _local_masks(masks.shape[1].bit_length() - 1)[0]
-        scores, masks = scores[:, :budget], masks[:, :budget]
-        prefix, rank = _merge_candidates(totals.shape[1], scores.shape[1], budget)
-        sums = totals[:, prefix] + scores[:, rank]
-        keep = np.argsort(-sums, axis=1, kind="stable")[:, :budget]
-        totals, prefix, rank = sums[protos, keep], prefix[keep], rank[keep]
-        paths = np.concatenate((paths[protos, prefix], bits[masks[protos, rank]]), axis=2)
-    yield from zip(paths, totals)
+        each = np.arange(len(scores))
+        fallbacks = scores[each, code[pinned][group]].reshape(n_protos, n)
+        masks = np.argsort(-scores, axis=1, kind="stable")[:, :budget]
+        scores = scores[each[:, None], masks].reshape(n_protos, n, -1)
+        masks = masks.reshape(n_protos, n, -1)
+        for j in range(n):
+            fallback = fallback + fallbacks[:, j]
+            prefix, rank = _merge_candidates(totals.shape[1], scores.shape[2], budget)
+            sums = totals[:, prefix] + scores[:, j, rank]
+            keep = np.argsort(-sums, axis=1, kind="stable")[:, :budget]
+            totals, prefix, rank = sums[protos, keep], prefix[keep], rank[keep]
+            paths = np.concatenate((paths[protos, prefix], bits[masks[protos, j, rank]]), axis=2)
+    paths = np.concatenate((paths, np.broadcast_to(immutable, (n_protos, 1, len(query)))), axis=1)
+    yield from zip(paths, np.column_stack((totals, fallback)))
 
 
 def generate(
@@ -310,15 +301,13 @@ def generate(
     prototypes = select_prototypes(
         data, query, config.preference, validation_model, config.num_ces, config.distance
     )
-    immutable = data.immutable_mask()
     rows = data.X[prototypes]
-    ranked, fallback_totals = _group_scores(rows, query, immutable, config.depth, config.score_rule())
-
     # One row per prototype: its draws, then its fallback, the immutable
     # mask. Only the real draws and the fallbacks go to the model.
-    paths, totals = map(np.stack, zip(*ranked_path_combinations(ranked, config.budget)))
-    paths = np.concatenate((paths, np.broadcast_to(immutable, (len(rows), 1, len(query)))), axis=1)
-    totals = np.column_stack((totals, fallback_totals))
+    drawn = ranked_path_combinations(
+        rows, query, data.immutable_mask(), config.depth, config.score_rule(), config.budget
+    )
+    paths, totals = map(np.stack, zip(*drawn))
     last = np.arange(totals.shape[1]) == totals.shape[1] - 1
     vectors = _fill(rows[:, None], query, paths)
     sent = (totals > -np.inf) | last

@@ -49,7 +49,6 @@ class ExperimentError(RuntimeError):
 
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
-        self.stage = stage
 
 
 def check_jury(kinds: tuple, folds: int) -> None:
@@ -353,26 +352,23 @@ def _aggregate(
     )
 
 
-def emit_report(record: RunRecord, fmt: str, path: str | Path) -> Path:
-    """Write the report; ``fmt`` is ``csv`` or ``structured`` (JSON)."""
-    path = Path(path)
-    if fmt == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for row in record.rows:
-            cells = [row.dataset, row.generator, row.preference]
-            cells += [f"{getattr(row, name):.6f}" for name in CSV_COLUMNS[3:]]
-            lines.append(",".join(cells))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return path
-    if fmt == "structured":
-        payload = {
-            "format_version": 1,
-            "config": record.config,
-            "dataset": record.dataset_name,
-            "query_indices": record.query_indices,
-            "metrics": [asdict(row) for row in record.rows],
-            "counterfactuals": record.ce_tables,
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        return path
-    raise ValueError(f"unknown report format {fmt!r}, expected 'csv' or 'structured'")
+def emit_report(record: RunRecord, stem: str | Path) -> tuple[Path, Path]:
+    """Write the report as ``stem.csv`` and as structured ``stem.json``;
+    return both paths."""
+    csv_path, json_path = Path(stem).with_suffix(".csv"), Path(stem).with_suffix(".json")
+    lines = [",".join(CSV_COLUMNS)]
+    for row in record.rows:
+        cells = [row.dataset, row.generator, row.preference]
+        cells += [f"{getattr(row, name):.6f}" for name in CSV_COLUMNS[3:]]
+        lines.append(",".join(cells))
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    payload = {
+        "format_version": 1,
+        "config": record.config,
+        "dataset": record.dataset_name,
+        "query_indices": record.query_indices,
+        "metrics": [asdict(row) for row in record.rows],
+        "counterfactuals": record.ce_tables,
+    }
+    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return csv_path, json_path

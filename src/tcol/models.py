@@ -57,19 +57,15 @@ def f1_score(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def _precision_recall(predictions, reference, positive) -> tuple[float, float]:
-    predicted = np.asarray(predictions) == positive
-    actual = np.asarray(reference) == positive
-    tp = int(np.count_nonzero(predicted & actual))
-    fp = int(np.count_nonzero(predicted)) - tp
-    fn = int(np.count_nonzero(actual)) - tp
+def prediction_f1(hits, truth) -> float:
+    """F1 of boolean predictions ``hits`` against boolean labels ``truth``."""
+    hits, truth = np.asarray(hits, dtype=bool), np.asarray(truth, dtype=bool)
+    tp = int(np.count_nonzero(hits & truth))
+    fp = int(np.count_nonzero(hits)) - tp
+    fn = int(np.count_nonzero(truth)) - tp
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
-    return precision, recall
-
-
-def prediction_f1(predictions, reference, positive) -> float:
-    return f1_score(*_precision_recall(predictions, reference, positive))
+    return f1_score(precision, recall)
 
 
 class ModelFileError(ValueError):
@@ -634,7 +630,7 @@ def cross_val_f1(make, data: EncodedDataset, folds: int, seed: int = 0) -> float
         model = make().fit(data.X[mask], data.y[mask], data.target_class)
         hits = model.predicts_target(data.X[test])
         truth = data.y[test] == data.target_class
-        scores.append(prediction_f1(hits, truth, True))
+        scores.append(prediction_f1(hits, truth))
     return float(np.mean(scores))
 
 

@@ -290,8 +290,8 @@ class Encoder:
     one-row case. ``decode`` inverts exactly for the fitted rows:
     categorical by a stored reverse map, numeric by the inverse affine map.
     Two categories of one feature with the same target rate would encode
-    identically and could not both round-trip, so building an encoder from
-    them (``fit_encoder`` or ``from_json``) raises ``SchemaViolationError``.
+    identically and could not both round-trip, so fitting an encoder on
+    them raises ``SchemaViolationError``.
     """
 
     schema: tuple[FeatureSchema, ...]
@@ -351,45 +351,6 @@ class Encoder:
         }
         Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
-    @classmethod
-    def from_json(cls, path: str | Path) -> "Encoder":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format_version") != 1:
-            raise ValueError("unsupported encoder file version")
-        schema, rates, mins, maxs = [], [], [], []
-        for entry in payload["features"]:
-            schema.append(FeatureSchema(**{k: entry[k] for k in _SCHEMA_FIELDS}))
-            rates.append(entry["category_rates"])
-            mins.append(float(entry["min"]))
-            maxs.append(float(entry["max"]))
-        return cls._assemble(tuple(schema), tuple(rates), tuple(mins), tuple(maxs))
-
-    @classmethod
-    def _assemble(cls, schema, rates, mins, maxs) -> "Encoder":
-        reverse = []
-        for i, feat in enumerate(schema):
-            if feat.kind != CATEGORICAL:
-                reverse.append(None)
-                continue
-            rev = {}
-            for category, rate in rates[i].items():
-                key = float(_scale(rate, mins[i], maxs[i]))
-                if key in rev:
-                    raise SchemaViolationError(
-                        f"categories {rev[key]!r} and {category!r} of feature {feat.name!r} "
-                        "have the same target rate and could not be told apart when decoding"
-                    )
-                rev[key] = category
-            reverse.append(rev)
-        return cls(
-            schema=schema,
-            category_rates=rates,
-            mins=mins,
-            maxs=maxs,
-            reverse_maps=tuple(reverse),
-        )
-
 
 def fit_encoder(data: Dataset) -> Encoder:
     """Fit the target-rate + min-max encoder on every row of ``data``.
@@ -414,7 +375,19 @@ def fit_encoder(data: Dataset) -> Encoder:
         rates.append(rate_map)
         mins.append(float(raw[raw.argmin()]))  # the first minimum, as min() gives
         maxs.append(float(raw[raw.argmax()]))
-    return Encoder._assemble(tuple(data.schema), tuple(rates), tuple(mins), tuple(maxs))
+    reverse_maps = []
+    for feat, rate_map, lo, hi in zip(data.schema, rates, mins, maxs):
+        reverse = None if rate_map is None else {}
+        for category, rate in (rate_map or {}).items():
+            key = float(_scale(rate, lo, hi))
+            if key in reverse:
+                raise SchemaViolationError(
+                    f"categories {reverse[key]!r} and {category!r} of feature {feat.name!r} "
+                    "have the same target rate and could not be told apart when decoding"
+                )
+            reverse[key] = category
+        reverse_maps.append(reverse)
+    return Encoder(tuple(data.schema), tuple(rates), tuple(mins), tuple(maxs), tuple(reverse_maps))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tcol.data import SYNTHETIC_TARGET, SYNTHETIC_TARGET_CLASS, load_synthetic, synthetic_paths
-from tcol.engine import _group_scores, ranked_path_combinations
+from tcol.engine import ranked_path_combinations
 from tcol.models import ClassifierModel, cv_weights, fit_builtin
 from tcol.tabular import EncodedDataset, FeatureSchema, encode_dataset, fit_encoder
 
@@ -38,12 +38,14 @@ def feature_groups(n_features, depth):
 def draw_combinations(prototype, query, groups, rule, immutable_mask, budget):
     """The engine's draw over one prototype, as ``(path, total)`` pairs:
     each group ranked as ``generate`` ranks it, then the ``budget`` best
-    combinations, without the -inf rows that are no draw."""
-    ranked, _ = _group_scores(prototype[np.newaxis], query, immutable_mask, len(groups[0]), rule)
-    # one prototype, so one yield
-    for paths, totals in ranked_path_combinations(ranked, budget):
-        drawn = totals > -np.inf
-        yield from zip(map(tuple, paths[drawn].tolist()), totals[drawn].tolist())
+    combinations, without the -inf rows that are no draw and without the
+    fallback row."""
+    depth = len(groups[0])
+    drawn = ranked_path_combinations(prototype[np.newaxis], query, immutable_mask, depth, rule, budget)
+    # one prototype, so one yield; its last row is the fallback
+    for paths, totals in drawn:
+        real = totals[:-1] > -np.inf
+        yield from zip(map(tuple, paths[:-1][real].tolist()), totals[:-1][real].tolist())
 
 
 def select_local_path(proto_slice, query_slice, rule, immutable_mask=None):

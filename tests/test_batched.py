@@ -655,7 +655,8 @@ def encode_per_cell(encoder, row):
 
 
 def fit_per_cell(data):
-    """The per-cell fit: per-feature rate dicts, mins and maxs."""
+    """The per-cell fit: per-feature rate dicts, mins and maxs, then the
+    reverse maps, refusing two categories that share a target rate."""
     hits = np.array([1.0 if t == data.target_class else 0.0 for t in data.target])
     rates, mins, maxs = [], [], []
     for i, feat in enumerate(data.schema):
@@ -677,7 +678,17 @@ def fit_per_cell(data):
                     )
         mins.append(float(min(encoded)))
         maxs.append(float(max(encoded)))
-    return tuple(rates), tuple(mins), tuple(maxs)
+    reverse = [None if r is None else {} for r in rates]
+    for feat, rate_map, back, lo, hi in zip(data.schema, rates, reverse, mins, maxs):
+        for category, rate in (rate_map or {}).items():
+            key = _scale_one(rate, lo, hi)
+            if key in back:
+                raise SchemaViolationError(
+                    f"categories {back[key]!r} and {category!r} of feature {feat.name!r} "
+                    "have the same target rate and could not be told apart when decoding"
+                )
+            back[key] = category
+    return Encoder(data.schema, tuple(rates), tuple(mins), tuple(maxs), tuple(reverse))
 
 
 def outcome(fn, *args):
@@ -729,7 +740,7 @@ BAD_CELLS = [math.nan, math.inf, -math.inf, None, "abc", "unseen", "short", "lon
 @given(case=encoder_cases(), bad=st.sampled_from(BAD_CELLS), where=st.data())
 def test_column_wise_encoder_matches_the_per_cell_one_byte_for_byte(case, bad, where):
     data, probes = case
-    reference = outcome(lambda: Encoder._assemble(data.schema, *fit_per_cell(data)))
+    reference = outcome(fit_per_cell, data)
     encoder = outcome(fit_encoder, data)
     if not isinstance(reference, Encoder):  # two categories share a target rate
         assert encoder == reference
@@ -737,6 +748,7 @@ def test_column_wise_encoder_matches_the_per_cell_one_byte_for_byte(case, bad, w
     assert rate_bits(encoder.category_rates) == rate_bits(reference.category_rates)
     assert np.array(encoder.mins).tobytes() == np.array(reference.mins).tobytes()
     assert np.array(encoder.maxs).tobytes() == np.array(reference.maxs).tobytes()
+    assert encoder.reverse_maps == reference.reverse_maps
     expected = np.array([encode_per_cell(encoder, row) for row in probes])
     assert encoder.encode_rows(probes).tobytes() == expected.tobytes()
     assert encoder.encode_rows(iter(probes)).tobytes() == expected.tobytes()

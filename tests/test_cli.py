@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -412,6 +413,51 @@ def test_bench_unknown_jury_kind_is_data_error_before_any_fit(
     config = bench_config(tmp_path, synthetic_files, jury=["knn", "svm"])
     assert main(["bench", "--config", str(config)]) == 2
     assert "unknown jury kind 'svm'" in capsys.readouterr().err
+
+
+def equal_target_rates(tmp_path, files):
+    # red and blue both have target rate 0.5, so the encoder refuses them
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps([
+        {"name": "color", "kind": "categorical", "mutability": "mutable", "domain": ["red", "blue"]},
+        {"name": "x", "kind": "numeric", "mutability": "mutable", "domain": [0, 10]},
+    ]), encoding="utf-8")
+    data = tmp_path / "data.csv"
+    rows = [("red", 1, "approved"), ("red", 2, "denied"), ("blue", 3, "approved"), ("blue", 4, "denied")]
+    data.write_text("color,x,loan\n" + "".join(f"{c},{x},{t}\n" for c, x, t in rows), encoding="utf-8")
+    return {"dataset": str(data), "schema": str(schema)}
+
+
+def non_utf8_csv(tmp_path, files):
+    data = tmp_path / "data.csv"
+    data.write_bytes(Path(files["dataset"]).read_bytes() + b"\xff\xfe,1\n")
+    return {"dataset": str(data)}
+
+
+def oversized_field(tmp_path, files):
+    header = Path(files["dataset"]).read_text(encoding="utf-8").splitlines()[0]
+    data = tmp_path / "data.csv"
+    data.write_text(f"{header}\n{'9' * (csv.field_size_limit() + 1)}\n", encoding="utf-8")
+    return {"dataset": str(data)}
+
+
+def directory_as_data(tmp_path, files):
+    return {"dataset": str(tmp_path)}
+
+
+@pytest.mark.parametrize("make_input", [equal_target_rates, non_utf8_csv, oversized_field, directory_as_data])
+@pytest.mark.parametrize("command", ["encode", "bench"])
+def test_encode_and_bench_agree_on_data_errors(tmp_path, synthetic_files, capsys, command, make_input):
+    given = tmp_path / "input"
+    given.mkdir()
+    files = dict(synthetic_files, **make_input(given, synthetic_files))
+    if command == "encode":
+        args = ["encode", "--data", files["dataset"], "--schema", files["schema"],
+                "--out", str(tmp_path / "e.json")]
+    else:
+        args = ["bench", "--config", str(bench_config(tmp_path, files))]
+    assert main(args) == 2
+    assert "data/schema error" in capsys.readouterr().err
 
 
 def test_console_entry_point_runs():

@@ -576,10 +576,12 @@ def test_the_merge_yields_once_per_prototype_even_when_it_draws_nothing(monkeypa
     ces = generate(data, X[3], config, StubModel(always=False))
     assert len(calls) == 1
     assert len(yields) == 3
-    # every prototype gets the same rows; a -inf total is no draw
-    assert all(paths.shape == (5, 6) and totals.shape == (5,) for paths, totals in yields)
+    # every prototype gets the same rows, its fallback, the immutable mask, last;
+    # a -inf total is no draw
+    assert all(paths.shape == (6, 6) and totals.shape == (6,) for paths, totals in yields)
     assert all(set(paths.ravel().tolist()) <= {0, 1} for paths, _ in yields)
-    empty = [i for i, (_, totals) in enumerate(yields) if np.all(totals == -np.inf)]
+    assert all(np.array_equal(paths[-1], data.immutable_mask()) for paths, _ in yields)
+    empty = [i for i, (_, totals) in enumerate(yields) if np.all(totals[:-1] == -np.inf)]
     assert len(empty) == 1
     assert all(np.all(totals > -np.inf) for i, (_, totals) in enumerate(yields) if i not in empty)
     (zero,) = [ce for ce in ces if ce.prototype_index == 1]

@@ -237,42 +237,36 @@ class TestRunExperiment:
             warnings.simplefilter("ignore")
             rec1 = run_experiment(small_config, measure_runtime=False)
             rec2 = run_experiment(small_config, measure_runtime=False)
-        p1 = emit_report(rec1, "csv", tmp_path / "a.csv")
-        p2 = emit_report(rec2, "csv", tmp_path / "b.csv")
+        p1, j1 = emit_report(rec1, tmp_path / "a")
+        p2, j2 = emit_report(rec2, tmp_path / "b")
         assert p1.read_bytes() == p2.read_bytes()
-        j1 = emit_report(rec1, "structured", tmp_path / "a.json")
-        j2 = emit_report(rec2, "structured", tmp_path / "b.json")
         assert j1.read_bytes() == j2.read_bytes()
 
 
 class TestEmitReport:
     def test_csv_column_order_is_exact(self, small_record, tmp_path):
-        path = emit_report(small_record, "csv", tmp_path / "report.csv")
+        path, _ = emit_report(small_record, tmp_path / "report")
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == "dataset,generator,preference,proximity,sparsity,validity,data_fidelity,centrality,runtime_s"
         assert header == ",".join(CSV_COLUMNS)
 
     def test_csv_has_one_line_per_row(self, small_record, tmp_path):
-        path = emit_report(small_record, "csv", tmp_path / "report.csv")
+        path, _ = emit_report(small_record, tmp_path / "report")
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + len(small_record.rows)
 
     def test_empty_preferences_yield_header_only(self, synthetic_files, tmp_path):
         config = ExperimentConfig(**synthetic_files, preferences=(), queries=2, folds=5)
         record = run_experiment(config, measure_runtime=False)
-        path = emit_report(record, "csv", tmp_path / "empty.csv")
+        path, _ = emit_report(record, tmp_path / "empty")
         assert path.read_text(encoding="utf-8").splitlines() == [",".join(CSV_COLUMNS)]
 
     def test_structured_report_embeds_counterfactual_tables(self, small_record, tmp_path):
-        path = emit_report(small_record, "structured", tmp_path / "report.json")
+        _, path = emit_report(small_record, tmp_path / "report")
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["format_version"] == 1
         assert len(payload["metrics"]) == len(small_record.rows)
         assert payload["counterfactuals"][0]["queries"][0]["ces"]
-
-    def test_unknown_format_rejected(self, small_record, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            emit_report(small_record, "yaml", tmp_path / "x.yaml")
 
 
 def _aggregate_one_set(encoded, ces, validation_model, jury):

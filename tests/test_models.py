@@ -348,7 +348,7 @@ class TestPersistence:
 
 
 def test_prediction_f1_counts_confusion():
-    preds = ["yes", "yes", "no", "no"]
-    truth = ["yes", "no", "yes", "no"]
+    hits = [True, True, False, False]
+    truth = [True, False, True, False]
     # tp=1 fp=1 fn=1 -> precision=recall=0.5 -> f1=0.5
-    assert prediction_f1(preds, truth, "yes") == pytest.approx(0.5)
+    assert prediction_f1(hits, truth) == pytest.approx(0.5)

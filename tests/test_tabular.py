@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from tcol.cli import main
 from tcol.tabular import (
     CsvParseError,
     Dataset,
-    Encoder,
     FeatureSchema,
     SchemaViolationError,
     encode_dataset,
@@ -256,19 +256,12 @@ class TestEncoder:
         with pytest.raises(SchemaViolationError, match="C"):
             enc.encode(("C", 10.0))
 
-    def test_target_rate_collision_rejected(self, tmp_path):
+    def test_target_rate_collision_rejected(self):
         # red and blue both have rate 0.5 and would decode to one category
         with pytest.raises(SchemaViolationError, match="'red' and 'blue' of feature 'color'"):
             fit_encoder(red_blue_dataset())
         enc = fit_encoder(red_blue_dataset(blue_yes=1))
         assert enc.decode(enc.encode((1.0, "blue")))[1] == "blue"
-        path = tmp_path / "enc.json"
-        enc.to_json(path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["features"][1]["category_rates"]["blue"] = 0.5
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(SchemaViolationError, match="'red' and 'blue' of feature 'color'"):
-            Encoder.from_json(path)
 
     def test_components_stay_in_unit_interval(self, synthetic, synthetic_encoder):
         for row in synthetic.rows:
@@ -298,15 +291,19 @@ class TestEncoder:
         assert a.category_rates == b.category_rates
         assert a.mins == b.mins and a.maxs == b.maxs
 
-    def test_encoder_json_round_trip(self, tmp_path, synthetic, synthetic_encoder):
+    def test_encode_writes_schema_rates_and_bounds(self, tmp_path, synthetic, synthetic_encoder):
         path = tmp_path / "enc.json"
-        synthetic_encoder.to_json(path)
-        loaded = Encoder.from_json(path)
-        for row in synthetic.rows[:20]:
-            assert np.array_equal(loaded.encode(row), synthetic_encoder.encode(row))
-            assert loaded.decode(loaded.encode(row)) == synthetic_encoder.decode(
-                synthetic_encoder.encode(row)
-            )
+        assert main(["encode", "--out", str(path)]) == 0
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["format_version"] == 1
+        assert len(payload["features"]) == len(synthetic.schema)
+        for i, (entry, feat) in enumerate(zip(payload["features"], synthetic.schema)):
+            assert {k: entry[k] for k in ("name", "kind", "mutability")} == {
+                "name": feat.name, "kind": feat.kind, "mutability": feat.mutability
+            }
+            assert tuple(entry["domain"]) == tuple(feat.domain)
+            assert entry["category_rates"] == synthetic_encoder.category_rates[i]
+            assert (entry["min"], entry["max"]) == (synthetic_encoder.mins[i], synthetic_encoder.maxs[i])
 
 
 def test_encode_dataset_shapes(synthetic, synthetic_encoder):
