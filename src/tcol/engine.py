@@ -18,9 +18,11 @@ A draw is a row of path bits; every prototype gets as many rows, and a
 -inf total marks a row that is no draw. The fallback is the immutable
 mask, the generator's last row: the prototype with its immutable features
 pinned to the query, its total the sum of each group's immutable-only
-score. One model call checks every prototype's draws: per prototype, the
-first one it accepts, in draw order, is the counterfactual, and the
-fallback stands unvalidated when it accepts none.
+score. One model call checks every prototype's draws, each distinct
+vector once: a draw that takes the prototype's value where the query
+holds the same bytes fills an earlier draw's vector and is skipped. Per
+prototype, the first draw the model accepts, in draw order, is the
+counterfactual, and the fallback stands unvalidated when it accepts none.
 
 Immutable features always keep the query's value: their path bits are
 forced to 1 in every mask considered.
@@ -118,7 +120,7 @@ def select_prototypes(
     if preference not in PREFERENCES:
         raise ValueError(f"unknown preference {preference!r}")
     query = np.asarray(query, dtype=float)
-    candidates = np.flatnonzero(data.target_mask())
+    candidates, rows = data.target_rows
     if len(candidates) == 0:
         raise ValueError("dataset has no target-class rows")
     if count > len(candidates):
@@ -131,7 +133,6 @@ def select_prototypes(
         )
 
     dist = distance_fn(distance)
-    rows = data.X[candidates]
     if preference == "a":
         keys = count_diffs(rows, query)
     elif preference == "b":
@@ -291,6 +292,16 @@ def generate(
     fixed configuration. A kept candidate that is not a verbatim copy of
     the query and the prototype along its path raises ``RuntimeError``, and
     a query with a non-finite component raises ``ValueError``.
+
+    The model sees each distinct draw of a prototype once. Where the
+    prototype and the query hold the same bytes (-0.0 is not 0.0), a draw
+    with bit 0 is a copy: it fills the vector of its canonical path, which
+    has bit 1 at every such position, so it is not sent. Equal fills get
+    equal score bits, a group ranks more query bits first on ties, and the
+    merge keeps prefix rank, then mask rank; so the canonical path is drawn,
+    and before the copy, whenever the copy is. Equal rows get equal answers,
+    so no pick changes. This needs ``predict_proba_rows`` to give a row the
+    same value in any batch, as the built-in models do; a custom model must.
     """
     query = np.asarray(query, dtype=float)
     if query.shape != (data.n_features,):
@@ -303,14 +314,17 @@ def generate(
     )
     rows = data.X[prototypes]
     # One row per prototype: its draws, then its fallback, the immutable
-    # mask. Only the real draws and the fallbacks go to the model.
+    # mask. Only the fallbacks and the real draws that are no copy of an
+    # earlier draw (see above) go to the model.
     drawn = ranked_path_combinations(
         rows, query, data.immutable_mask(), config.depth, config.score_rule(), config.budget
     )
     paths, totals = map(np.stack, zip(*drawn))
     last = np.arange(totals.shape[1]) == totals.shape[1] - 1
     vectors = _fill(rows[:, None], query, paths)
-    sent = (totals > -np.inf) | last
+    same = rows.view(np.int64) == query.view(np.int64)
+    copy = (same[:, None] & (paths == 0)).any(axis=2)
+    sent = ((totals > -np.inf) & ~copy) | last
     accepted = np.zeros_like(sent)
     accepted[sent] = validation_model.predicts_target(vectors[sent])
     # Per prototype, the first accepted draw wins, else the fallback: a real

@@ -133,15 +133,15 @@ def baseline_nearest_target(data: EncodedDataset, query, m: int) -> list[Candida
     """The m nearest target-class rows by Euclidean distance, returned
     verbatim as counterfactuals."""
     query = np.asarray(query, dtype=float)
-    target_idx = np.flatnonzero(data.target_mask())
+    target_idx, rows = data.target_rows
     if len(target_idx) < m:
         raise ValueError(f"requested {m} counterfactuals but only {len(target_idx)} target rows")
-    d = euclidean(data.X[target_idx], query)
+    d = euclidean(rows, query)
     order = np.argsort(d, kind="stable")[:m]
     all_prototype = (0,) * data.n_features
     return [
         CandidateCE(
-            vector=data.X[target_idx[i]].copy(),
+            vector=rows[i].copy(),
             path=all_prototype,
             prototype_index=int(target_idx[i]),
             score=0.0,

@@ -419,9 +419,17 @@ class EncodedDataset:
         return np.array([f.immutable for f in self.schema], dtype=bool)
 
     @cached_property
+    def target_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The target-class row indices, ascending, and those rows; read-only."""
+        indices = np.flatnonzero(self.target_mask())
+        rows = self.X[indices]
+        indices.flags.writeable = rows.flags.writeable = False
+        return indices, rows
+
+    @cached_property
     def target_centroid(self) -> np.ndarray:
         """Componentwise mean of the target-class rows."""
-        rows = self.X[self.target_mask()]
+        rows = self.target_rows[1]
         if len(rows) == 0:
             raise ValueError("no target-class rows to average")
         return rows.mean(axis=0)
@@ -430,7 +438,7 @@ class EncodedDataset:
     def centroid_neighbors(self) -> tuple[np.ndarray, np.ndarray]:
         """The target-class rows in stable order of Euclidean distance to
         ``target_centroid``, and those distances."""
-        rows = self.X[self.target_mask()]
+        rows = self.target_rows[1]
         to_center = euclidean(rows, self.target_centroid)
         order = np.argsort(to_center, kind="stable")
         return rows[order], to_center[order]

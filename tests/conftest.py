@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tcol.data import SYNTHETIC_TARGET, SYNTHETIC_TARGET_CLASS, load_synthetic, synthetic_paths
 from tcol.engine import ranked_path_combinations
 from tcol.models import ClassifierModel, cv_weights, fit_builtin
 from tcol.tabular import EncodedDataset, FeatureSchema, encode_dataset, fit_encoder
+
+# `pytest --hypothesis-profile=ci` draws the same examples on every run and
+# keeps no example database, so a failure in CI reproduces locally.
+settings.register_profile("ci", derandomize=True)
 
 
 def numeric_schema(n_features, immutable=()):

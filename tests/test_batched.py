@@ -12,6 +12,7 @@ the per-prototype merge that the width-batched ones replaced."""
 import json
 import math
 import warnings
+import zlib
 from functools import partial
 from unittest.mock import patch
 
@@ -617,6 +618,71 @@ def grid_generation_cases(draw):
 def test_batched_pass_matches_the_sequential_reference_on_grid_data(case):
     data, query, config, forest = case
     model = forest.fit(data.X, data.y, "yes")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert_same_ces(
+            generate(data, query, config, model),
+            sequential_generate(data, query, config, model),
+        )
+
+
+class ByteHashModel(ClassifierModel):
+    """Accepts a row when the CRC-32 of its bytes is divisible by ``m``: the
+    first accepted draw falls anywhere in the draw order, and a -0.0 and a
+    0.0 fill, equal as numbers, may get different answers."""
+
+    kind = "byte_hash"
+
+    def __init__(self, m):
+        super().__init__()
+        self.target_class, self.other_class = "yes", "no"
+        self.fitted = True
+        self.m = m
+
+    def _fit(self, X, y):
+        pass
+
+    def predict_proba_rows(self, X):
+        X = np.asarray(X, dtype=float)
+        return np.array([float(zlib.crc32(row.tobytes()) % self.m == 0) for row in X])
+
+
+@st.composite
+def shared_component_cases(draw):
+    """Grid data on {0, 0.5, 1}, so that a prototype and the query often
+    hold the same component and many draws fill the same vector, with -0.0
+    in place of some of the query's zeros, which a prototype's 0.0 does not
+    copy."""
+    depth = draw(st.integers(3, 5))
+    n_features = draw(st.integers(depth, 3 * depth + 1))
+    num_ces = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_target = draw(st.integers(num_ces, 10))
+    n_rows = n_target + draw(st.integers(2, 8))
+    X = rng.integers(0, 3, size=(n_rows, n_features)) / 2.0
+    y = np.array(["yes"] * n_target + ["no"] * (n_rows - n_target), dtype=object)
+    query = rng.integers(0, 3, size=n_features) / 2.0
+    query[(query == 0.0) & (rng.random(n_features) < draw(st.sampled_from([0.0, 0.5, 1.0])))] = -0.0
+    immutable = np.flatnonzero(rng.random(n_features) < draw(st.sampled_from([0.0, 0.2])))
+    config = GenerationConfig(
+        preference=draw(st.sampled_from(["a", "b", "c", "d", "e"])),
+        depth=depth,
+        num_ces=num_ces,
+        budget=draw(st.sampled_from([1, 7, 64])),
+    )
+    if draw(st.booleans()):
+        model = models.RandomForest(n_trees=5, max_depth=4, seed=draw(st.integers(0, 3)))
+    else:
+        model = ByteHashModel(draw(st.integers(2, 6)))
+    return make_encoded(X, y, immutable=tuple(immutable)), query, config, model
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=shared_component_cases())
+def test_skipping_copies_matches_the_sequential_reference(case):
+    data, query, config, model = case
+    if not model.fitted:
+        model.fit(data.X, data.y, "yes")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert_same_ces(

@@ -550,6 +550,64 @@ def test_each_group_is_scored_once_and_the_model_called_once_per_query(monkeypat
     assert all(ce.fallback is True and ce.validated is False for ce in ces)
 
 
+class RecordingRowsModel(RejectingRowsModel):
+    """Rejects every row and keeps each matrix it is called on."""
+
+    def __init__(self):
+        super().__init__()
+        self.batches = []
+
+    def predict_proba_rows(self, X):
+        self.batches.append(np.array(X))
+        return super().predict_proba_rows(X)
+
+
+def test_the_validation_batch_sends_each_distinct_draw_of_a_prototype_once():
+    # Grid values shared with the query make many draws fill the same vector.
+    rng = np.random.default_rng(21)
+    X = rng.integers(1, 4, size=(14, 9)) / 4.0
+    data = make_encoded(X, ["yes"] * 8 + ["no"] * 6, immutable=(4,))
+    query = X[10]
+    config = GenerationConfig(preference="a", depth=3, num_ces=5, budget=64)
+    model = RecordingRowsModel()
+    generate(data, query, config, model)
+    already_target, batch = model.batches
+    assert len(already_target) == 1
+    immutable = data.immutable_mask()
+    prototypes = select_prototypes(data, query, "a", model, config.num_ces)
+    drawn = engine.ranked_path_combinations(
+        X[prototypes], query, immutable, config.depth, config.score_rule(), config.budget
+    )
+    start, repeats = 0, 0
+    for proto_idx, (paths, totals) in zip(prototypes, drawn):
+        real = paths[:-1][totals[:-1] > -np.inf]
+        distinct = {_fill(X[proto_idx], query, path).tobytes() for path in real}
+        repeats += len(real) - len(distinct)
+        sent = batch[start : start + len(distinct) + 1]
+        start += len(sent)
+        # the prototype's real draws, each vector once, then its fallback
+        assert len({row.tobytes() for row in sent[:-1]}) == len(sent) - 1
+        assert {row.tobytes() for row in sent[:-1]} == distinct
+        assert sent[-1].tobytes() == _fill(X[proto_idx], query, immutable).tobytes()
+    assert start == len(batch)
+    assert repeats > 0
+
+
+def test_a_negative_zero_against_a_zero_is_no_copy():
+    # Component 0 is 0.0 in the prototype and -0.0 in the query, component 1
+    # is equal in both: bit 1 is a copy only at component 1.
+    X = np.array([[0.0, 0.4, 0.9], [0.8, 0.1, 0.3]])
+    data = make_encoded(X, ["yes", "no"])
+    query = np.array([-0.0, 0.4, 0.2])
+    model = RecordingRowsModel()
+    generate(data, query, GenerationConfig(preference="a", num_ces=1, budget=64), model)
+    batch = model.batches[-1]
+    # four distinct draws, over components 0 and 2, then the fallback
+    assert len(batch) == 5
+    assert len({row.tobytes() for row in batch[:-1]}) == 4
+    assert set(np.signbit(batch[:-1, 0]).tolist()) == {False, True}
+
+
 @pytest.mark.filterwarnings("ignore::tcol.engine.AlreadyTargetWarning")
 def test_the_merge_yields_once_per_prototype_even_when_it_draws_nothing(monkeypatch):
     # Target row 1's first group is zero, so none of its masks can be scored.
