@@ -76,6 +76,10 @@ class GenerationConfig:
     def __post_init__(self):
         if self.preference not in PREFERENCES:
             raise ValueError(f"unknown preference {self.preference!r}, expected one of {PREFERENCES}")
+        for name in ("depth", "num_ces", "budget"):
+            value = getattr(self, name)
+            if type(value) is not int:  # exact type, so that True is no integer
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not MIN_DEPTH <= self.depth <= MAX_DEPTH:
             raise ValueError(f"depth must lie in [{MIN_DEPTH}, {MAX_DEPTH}], got {self.depth}")
         if self.num_ces < 1:
@@ -115,7 +119,9 @@ def select_prototypes(
     """Rank target-class rows by the preference rule; return top row indices.
 
     Rows that differ from the query on an immutable feature rank after
-    conforming rows regardless of the preference score.
+    conforming rows regardless of the preference score. Preference ``c``
+    ranks by ``model.target_proba(data)``, the target rows' probabilities,
+    which the model computes once per fit and data set.
     """
     if preference not in PREFERENCES:
         raise ValueError(f"unknown preference {preference!r}")
@@ -138,7 +144,7 @@ def select_prototypes(
     elif preference == "b":
         keys = dist(rows, query)
     elif preference == "c":
-        keys = -model.predict_proba_rows(rows)
+        keys = -model.target_proba(data)
     elif preference == "d":
         # zero-norm rows have no defined similarity; rank them last
         keys = np.full(len(rows), 2.0)

@@ -13,7 +13,9 @@ Trees are compiled once, after fitting or loading, into flat node arrays
 and evaluate a whole matrix level by level (the tensorized-tree layout of
 Hummingbird, Nakandala et al., OSDI 2020). A decision tree is a forest of
 one tree. The nested-dict tree stays the persisted form. Models are
-immutable after ``fit`` and safe to share across threads.
+immutable after ``fit``, apart from a memo of one data set's target-row
+probabilities, which ``fit`` and loading reset, and safe to share across
+threads.
 
 Both CART models grow their trees with ``_grow_trees``, which advances
 every tree of a fit in lockstep. Each step takes the ready nodes through
@@ -76,6 +78,7 @@ class ClassifierModel:
     """Base classifier: fit on encoded rows, predict the binary label."""
 
     kind = "abstract"
+    _target_proba = None  # (a data set's target rows, their read-only probabilities)
 
     def __init__(self):
         self.target_class = None
@@ -108,8 +111,20 @@ class ClassifierModel:
         """The last step of ``fit`` and ``load_model``: restore, keep the record, mark fitted."""
         self._restore(params)
         self._record = params
+        self._target_proba = None
         self.fitted = True
         return self
+
+    def target_proba(self, data: EncodedDataset) -> np.ndarray:
+        """``predict_proba_rows`` of ``data``'s target rows, read-only, computed
+        once per fit and data set. The memo holds the rows array itself, so
+        its identity, the key, cannot be reused while the memo holds it."""
+        rows, memo = data.target_rows[1], self._target_proba
+        if memo is None or memo[0] is not rows:
+            proba = np.array(self.predict_proba_rows(rows))
+            proba.flags.writeable = False
+            memo = self._target_proba = (rows, proba)
+        return memo[1]
 
     def predict_proba(self, vector) -> float:
         """Target-class probability of one encoded row."""

@@ -13,6 +13,7 @@ import json
 import math
 import warnings
 import zlib
+from dataclasses import replace
 from functools import partial
 from unittest.mock import patch
 
@@ -624,6 +625,30 @@ def test_batched_pass_matches_the_sequential_reference_on_grid_data(case):
             generate(data, query, config, model),
             sequential_generate(data, query, config, model),
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=grid_generation_cases(), seed=st.integers(0, 2**32 - 1), n_queries=st.integers(2, 4))
+def test_two_forests_alternating_on_one_data_set_rank_c_from_their_own_fit(case, seed, n_queries):
+    """Preference ``c`` ranks from target-row probabilities that each model
+    keeps between calls; the reference ranks from per-row calls, so a
+    probability that one forest kept for another, or kept from a query
+    before, shows as a different CE set."""
+    data, query, config, forest = case
+    config = replace(config, preference="c")
+    forests = forest.fit(data.X, data.y, "yes"), models.RandomForest(
+        n_trees=5, max_depth=4, seed=forest.seed + 4
+    ).fit(data.X, data.y, "yes")
+    rng = np.random.default_rng(seed)
+    queries = [query, *(rng.integers(0, 3, size=(n_queries - 1, data.n_features)) / 2.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for q in queries:
+            for model in forests:
+                assert_same_ces(
+                    generate(data, q, config, model),
+                    sequential_generate(data, q, config, model),
+                )
 
 
 class ByteHashModel(ClassifierModel):

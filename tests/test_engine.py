@@ -1,3 +1,4 @@
+import pickle
 from itertools import product
 
 import numpy as np
@@ -13,7 +14,7 @@ from conftest import (
     path_total,
     select_local_path,
 )
-from tcol import engine
+from tcol import engine, models
 from tcol.engine import (
     AlreadyTargetWarning,
     GenerationConfig,
@@ -22,7 +23,7 @@ from tcol.engine import (
     generate,
     select_prototypes,
 )
-from tcol.models import ClassifierModel
+from tcol.models import ClassifierModel, load_model, save_model
 from tcol.scoring import ScoreRule
 from tcol.tabular import EncodedDataset
 
@@ -673,6 +674,14 @@ class TestGenerationConfig:
             GenerationConfig(preference="f")
 
     @pytest.mark.parametrize(
+        "name, value",
+        [("depth", 3.5), ("num_ces", 2.5), ("budget", 7.5), ("budget", True), ("num_ces", True)],
+    )
+    def test_counts_must_be_exact_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            GenerationConfig("a", **{name: value})
+
+    @pytest.mark.parametrize(
         "knob, message",
         [({"fcs_variant": "bogus"}, "unknown fcs variant"), ({"distance": "chebyshev"}, "unknown distance")],
     )
@@ -727,3 +736,124 @@ def test_all_immutable_group_at_encoded_minimum_falls_back():
         assert ce.path == (1, 1, 1, 0, 0, 0)
         assert np.array_equal(ce.vector[:3], query[:3])
         assert np.array_equal(ce.vector[3:], X[ce.prototype_index, 3:])
+
+
+class SpyModel(ClassifierModel):
+    """Scores a row against its fit's target-class column means, and records
+    the row count of every ``predict_proba_rows`` call."""
+
+    kind = "spy"
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def _fit(self, X, y):
+        return {"weights": X[y == self.target_class].mean(axis=0).tolist()}
+
+    def _restore(self, params):
+        self.weights = np.asarray(params["weights"])
+
+    def proba(self, X):
+        return np.asarray(X, dtype=float) @ self.weights / self.weights.sum()
+
+    def predict_proba_rows(self, X):
+        self.calls.append(len(X))
+        return self.proba(X)
+
+
+def spy_data(seed):
+    X = np.random.default_rng(seed).random((40, 6))
+    return make_encoded(X, np.where(X[:, 0] + X[:, 1] > 1.0, "yes", "no"))
+
+
+def fitted_spy(seed):
+    data = spy_data(seed)
+    return data, SpyModel().fit(data.X, data.y, "yes")
+
+
+def ranked_by_own_proba(data, model):
+    """Every target row, highest probability first, from ``model.proba``,
+    which records no call; the spy data has no immutable feature."""
+    candidates, rows = data.target_rows
+    return candidates[np.argsort(-model.proba(rows), kind="stable")].tolist()
+
+
+def ce_bytes(ces):
+    return [
+        (ce.vector.tobytes(), ce.path, ce.prototype_index, np.float64(ce.score).tobytes(), ce.validated, ce.fallback)
+        for ce in ces
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::tcol.engine.AlreadyTargetWarning")
+class TestTargetProbaMemo:
+    CONFIG = GenerationConfig(preference="c")
+
+    @staticmethod
+    def queries(data):
+        return data.X[~data.target_mask()]
+
+    def test_a_second_c_query_skips_the_target_rows(self):
+        data, model = fitted_spy(1)
+        first, second = self.queries(data)[:2]
+        generate(data, first, self.CONFIG, model)
+        # already-target check, target rows, validation
+        assert len(model.calls) == 3 and model.calls[:2] == [1, len(data.target_rows[0])]
+        model.calls.clear()
+        generate(data, second, self.CONFIG, model)
+        assert len(model.calls) == 2 and model.calls[0] == 1
+
+    def test_models_alternating_on_one_data_set_rank_from_their_own_fit(self):
+        data, first = fitted_spy(1)
+        other = spy_data(2)
+        second = SpyModel().fit(other.X, other.y, "yes")
+        expected = [ranked_by_own_proba(data, model) for model in (first, second)]
+        assert expected[0] != expected[1]
+        count = len(data.target_rows[0])
+        for query in self.queries(data)[:3]:
+            for model, ranking in zip((first, second), expected):
+                assert select_prototypes(data, query, "c", model, count) == ranking
+
+    def test_a_refit_or_a_loaded_model_ranks_afresh(self, monkeypatch, tmp_path):
+        data, model = fitted_spy(1)
+        other = spy_data(2)
+        query, count = self.queries(data)[0], len(data.target_rows[0])
+        before = select_prototypes(data, query, "c", model, count)
+        model.fit(other.X, other.y, "yes")
+        model.calls.clear()
+        after = select_prototypes(data, query, "c", model, count)
+        assert after == ranked_by_own_proba(data, model) != before
+        assert model.calls == [1, count]
+        monkeypatch.setitem(models._MODEL_CLASSES, "spy", SpyModel)
+        save_model(model, tmp_path / "spy.json")
+        loaded = load_model(tmp_path / "spy.json")
+        assert select_prototypes(data, query, "c", loaded, count) == after
+        assert loaded.calls == [1, count]
+
+    def test_a_new_data_set_with_equal_rows_is_ranked_afresh(self):
+        data, model = fitted_spy(1)
+        twin = EncodedDataset(X=data.X.copy(), y=data.y, target_class="yes", schema=data.schema)
+        query, count = self.queries(data)[0], len(data.target_rows[0])
+        select_prototypes(data, query, "c", model, count)
+        model.calls.clear()
+        assert select_prototypes(twin, query, "c", model, count) == ranked_by_own_proba(data, model)
+        assert model.calls == [1, count]
+
+    def test_the_probabilities_are_read_only(self):
+        data, model = fitted_spy(1)
+        proba = model.target_proba(data)
+        assert not proba.flags.writeable
+        with pytest.raises(ValueError):
+            proba[0] = 1.0
+        assert model.target_proba(data) is proba
+        assert model.calls == [len(data.target_rows[0])]
+
+    def test_a_pickled_model_generates_the_same_ces(self):
+        data, model = fitted_spy(1)
+        query = self.queries(data)[0]
+        ces = generate(data, query, self.CONFIG, model)
+        clone = pickle.loads(pickle.dumps(model))
+        clone.calls.clear()
+        assert ce_bytes(generate(data, query, self.CONFIG, clone)) == ce_bytes(ces)
+        assert clone.calls[:2] == [1, len(data.target_rows[0])]
