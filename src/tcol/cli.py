@@ -15,14 +15,16 @@ import csv
 import json
 import math
 import sys
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 from . import data as bundled
 from . import metrics as metrics_mod
 from .engine import PREFERENCES, GenerationConfig, generate
 from .experiment import ExperimentConfig, ExperimentError, check_jury, emit_report, run_experiment
-from .models import MODEL_KINDS, ModelFileError, cv_weights, fit_builtin, load_model, save_model
-from .scoring import DISTANCES, EUCLIDEAN, FCS_SPARSITY_CORRECTED, FCS_VARIANTS
+from .models import MODEL_KINDS, VALIDATION_MODEL, ModelFileError, cv_weights, fit_builtin
+from .models import load_model, save_model
+from .scoring import DISTANCES, FCS_VARIANTS
 from .tabular import (
     CsvParseError,
     SchemaViolationError,
@@ -81,24 +83,27 @@ def build_parser() -> _Parser:
     p = sub.add_parser("generate", help="generate counterfactuals for one query row")
     _add_data_options(p)
     p.add_argument("--query-index", type=int, required=True, help="row index of the query")
-    p.add_argument("--preference", required=True, choices=PREFERENCES)
-    p.add_argument("--num-ces", type=int, default=5)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--budget", type=int, default=64)
+    choices = {"preference": PREFERENCES, "distance": tuple(DISTANCES), "fcs_variant": FCS_VARIANTS}
+    for f in fields(GenerationConfig):  # one flag per setting; f.type is the annotation's name
+        p.add_argument(
+            "--" + f.name.replace("_", "-"),
+            type={"int": int, "str": str}[f.type],
+            required=f.default is MISSING,
+            default=None if f.default is MISSING else f.default,  # the dataclass's default
+            choices=choices.get(f.name),
+        )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--distance", default=EUCLIDEAN, choices=tuple(DISTANCES))
-    p.add_argument("--fcs-variant", default=FCS_SPARSITY_CORRECTED, choices=FCS_VARIANTS)
     p.add_argument("--out", default="ces.json")
 
     p = sub.add_parser("evaluate", help="metric suite over an existing counterfactual file")
     p.add_argument("--ces", required=True, help="counterfactual JSON written by 'generate'")
     p.add_argument("--data", default=None, help="override the dataset recorded in the file")
-    p.add_argument("--schema", default=None)
+    p.add_argument("--schema", default=None, help="override the schema recorded in the file")
     p.add_argument("--validation-model", default=None, help="persisted model file; refits if omitted")
-    p.add_argument("--jury", default="knn,naive_bayes,decision_tree")
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-neighbors", type=_n_neighbors, default=10)
+    p.add_argument("--jury", default=",".join(ExperimentConfig.jury))
+    p.add_argument("--folds", type=int, default=ExperimentConfig.folds)
+    p.add_argument("--seed", type=int, help="refit and jury CV seed; default: the seed in the file")
+    p.add_argument("--n-neighbors", type=_n_neighbors, default=metrics_mod.N_NEIGHBORS)
     p.add_argument("--out", default=None, help="optional JSON output path")
 
     p = sub.add_parser("bench", help="run a full experiment from a JSON config")
@@ -142,14 +147,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_generate(args) -> int:
     try:
-        config = GenerationConfig(
-            preference=args.preference,
-            depth=args.depth,
-            num_ces=args.num_ces,
-            distance=args.distance,
-            fcs_variant=args.fcs_variant,
-            budget=args.budget,
-        )
+        config = GenerationConfig(**{f.name: getattr(args, f.name) for f in fields(GenerationConfig)})
     except ValueError as exc:
         raise _UsageError(exc) from None
     dataset, encoder, encoded = _load_encoded(
@@ -157,7 +155,7 @@ def _cmd_generate(args) -> int:
     )
     if not 0 <= args.query_index < len(dataset):
         raise ValueError(f"query index {args.query_index} outside [0, {len(dataset) - 1}]")
-    model = fit_builtin("random_forest", encoded, seed=args.seed)
+    model = fit_builtin(VALIDATION_MODEL, encoded, seed=args.seed)
     ces = generate(encoded, encoded.X[args.query_index], config, model)
     payload = {
         "format_version": 1,
@@ -166,9 +164,7 @@ def _cmd_generate(args) -> int:
         "target": args.target,
         "target_class": args.target_class,
         "query_index": args.query_index,
-        "preference": args.preference,
-        "depth": args.depth,
-        "num_ces": args.num_ces,
+        **asdict(config),
         "seed": args.seed,
         "query": dataset.row_as_dict(args.query_index),
         "ces": [
@@ -197,6 +193,10 @@ def _cmd_evaluate(args) -> int:
         raise _UsageError(exc) from None
     with open(args.ces, encoding="utf-8") as fh:
         ce_file = json.load(fh)
+    if not ce_file["ces"]:
+        raise ValueError("counterfactual file contains no counterfactuals")
+    # each setting the user does not override is the one that made the file
+    seed = ce_file["seed"] if args.seed is None else args.seed
     dataset, encoder, encoded = _load_encoded(
         args.data or ce_file["dataset"],
         args.schema or ce_file["schema"],
@@ -205,16 +205,14 @@ def _cmd_evaluate(args) -> int:
     )
 
     names = [f.name for f in dataset.schema]
-    if not ce_file["ces"]:
-        raise ValueError("counterfactual file contains no counterfactuals")
     vectors = encoder.encode_rows([ce["values"][n] for n in names] for ce in ce_file["ces"])
     query = encoder.encode([ce_file["query"][n] for n in names])
 
     if args.validation_model:
         model = load_model(args.validation_model)
     else:
-        model = fit_builtin("random_forest", encoded, seed=args.seed)
-    jury = cv_weights(jury, encoded, args.folds, seed=args.seed)
+        model = fit_builtin(VALIDATION_MODEL, encoded, seed=seed)
+    jury = cv_weights(jury, encoded, args.folds, seed=seed)
 
     evaluated = metrics_mod.evaluate_set(
         vectors, query, encoded, model, jury, n_neighbors=args.n_neighbors

@@ -114,7 +114,7 @@ def select_prototypes(
     preference: str,
     model: ClassifierModel,
     count: int,
-    distance: str = EUCLIDEAN,
+    distance: str = GenerationConfig.distance,
 ) -> list[int]:
     """Rank target-class rows by the preference rule; return top row indices.
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .engine import PREFERENCES, CandidateCE, GenerationConfig, _fill, generate
-from .models import MODEL_KINDS, ClassifierModel, cv_weights, fit_builtin
+from .models import MODEL_KINDS, VALIDATION_MODEL, ClassifierModel, cv_weights, fit_builtin
 from .scoring import euclidean
 from .tabular import Dataset, EncodedDataset, Encoder, encode_dataset, fit_encoder, load_csv, load_schema
 
@@ -68,13 +68,13 @@ class ExperimentConfig:
     schema: str
     target: str
     target_class: str
-    preferences: tuple = ("a", "b", "c", "d", "e")
+    preferences: tuple = PREFERENCES
     generators: tuple = ("tcol",)
     queries: int = 10
     seed: int = 0
-    depth: int = 3
-    num_ces: int = 5
-    budget: int = 64
+    depth: int = GenerationConfig.depth
+    num_ces: int = GenerationConfig.num_ces
+    budget: int = GenerationConfig.budget
     jury: tuple = ("knn", "naive_bayes", "decision_tree")
     folds: int = 10
     out: str = "report"
@@ -227,8 +227,6 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = True) -> Ru
     def stage(name, fn, *args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except ExperimentError:
-            raise
         except Exception as exc:
             raise ExperimentError(name, str(exc)) from exc
 
@@ -238,7 +236,7 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = True) -> Ru
     )
     encoder: Encoder = stage("encode", fit_encoder, dataset)
     encoded: EncodedDataset = stage("encode", encode_dataset, encoder, dataset)
-    validation_model = stage("train", fit_builtin, "random_forest", encoded, config.seed)
+    validation_model = stage("train", fit_builtin, VALIDATION_MODEL, encoded, config.seed)
     jury = stage("jury", cv_weights, config.jury, encoded, config.folds, config.seed)
     query_indices = stage("sample", _sample_queries, encoded, config.queries, config.seed)
 

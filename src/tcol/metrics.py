@@ -11,6 +11,8 @@ from .models import ClassifierModel, ThirdPartyJury, f1_score
 from .scoring import count_diffs, euclidean
 from .tabular import EncodedDataset
 
+N_NEIGHBORS = 10  # target rows nearest the class centroid that centrality averages over
+
 
 class CoincidentNeighborError(ValueError):
     """A counterfactual coincides with a centroid neighbor; its centrality is undefined."""
@@ -71,7 +73,7 @@ def data_fidelity(ces, jury: ThirdPartyJury, target_class) -> float:
     return weighted / total
 
 
-def centrality(ce, data: EncodedDataset, n_neighbors: int = 10) -> float:
+def centrality(ce, data: EncodedDataset, n_neighbors: int = N_NEIGHBORS) -> float:
     """Mean ratio d(neighbor, centroid) / d(neighbor, ce) over the target
     rows nearest the target-class centroid, with Euclidean d.
 
@@ -115,7 +117,7 @@ def evaluate_set(
     data: EncodedDataset,
     model: ClassifierModel,
     jury: ThirdPartyJury,
-    n_neighbors: int = 10,
+    n_neighbors: int = N_NEIGHBORS,
 ) -> SetMetrics:
     """Score one query's counterfactual set with every metric."""
     ratios, excluded = [], 0

@@ -609,6 +609,7 @@ class RandomForest(_CartModel):
 
 _MODEL_CLASSES = {cls.kind: cls for cls in (Knn, NaiveBayes, DecisionTree, RandomForest)}
 MODEL_KINDS = tuple(_MODEL_CLASSES)
+VALIDATION_MODEL = RandomForest.kind  # the deployed model that validates counterfactuals
 
 
 def make_model(kind: str, seed: int = 0) -> ClassifierModel:

@@ -5,12 +5,14 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from tcol import cli, experiment
 from tcol.cli import main
+from tcol.engine import GenerationConfig
 from tcol.models import load_model
 
 
@@ -173,6 +175,35 @@ def test_generate_output_structure(ce_file, synthetic):
 
     # row 1 of the bundle is a denied loan; validated CEs flip it
     assert payload["target_class"] == "approved"
+
+
+def test_generate_records_every_generation_setting(tmp_path):
+    out = tmp_path / "ces.json"
+    argv = ["generate", "--query-index", "4", "--preference", "b", "--budget", "7", "--out", str(out)]
+    assert main(argv) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload.items() >= asdict(GenerationConfig(preference="b", budget=7)).items()
+    assert payload["budget"] == 7 and payload["seed"] == 0
+
+
+def test_evaluate_refits_with_the_seed_recorded_in_the_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--query-index", "4", "--preference", "b", "--seed", "3"]) == 0
+    for override, validity in ([], "1.000000"), (["--seed", "0"], "0.400000"):
+        capsys.readouterr()
+        assert main(["evaluate", "--ces", "ces.json", *override]) == 0
+        assert f"validity: {validity}" in capsys.readouterr().out.splitlines()
+
+
+def test_an_empty_counterfactual_file_is_refused_before_any_read(ce_file, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate read data before checking the counterfactual file")
+
+    monkeypatch.setattr(cli, "load_csv", refuse)
+    empty = tmp_path / "ces.json"
+    empty.write_text(json.dumps(dict(json.loads(ce_file.read_text(encoding="utf-8")), ces=[])))
+    assert main(["evaluate", "--ces", str(empty)]) == 3
+    assert "contains no counterfactuals" in capsys.readouterr().err
 
 
 def test_evaluate_reads_generate_output(ce_file, capsys):

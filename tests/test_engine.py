@@ -662,6 +662,13 @@ def test_a_non_finite_query_is_rejected_before_prototype_ranking(
         generate(synthetic_encoded, query, GenerationConfig(preference="c"), validation_model)
 
 
+@pytest.mark.parametrize("length", [0, 5, 7])
+def test_a_query_of_the_wrong_length_is_rejected(length, synthetic_encoded, validation_model):
+    assert synthetic_encoded.n_features == 6
+    with pytest.raises(ValueError, match="query length does not match the dataset schema"):
+        generate(synthetic_encoded, np.full(length, 0.5), GenerationConfig("a"), validation_model)
+
+
 class TestGenerationConfig:
     def test_depth_bounds_enforced(self):
         with pytest.raises(ValueError):

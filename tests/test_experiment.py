@@ -12,6 +12,7 @@ from tcol.experiment import (
     ExperimentConfig,
     ExperimentError,
     _aggregate,
+    _sample_queries,
     baseline_nearest_target,
     baseline_random_path,
     emit_report,
@@ -171,7 +172,7 @@ def small_config(synthetic_files):
     return ExperimentConfig(
         **synthetic_files,
         preferences=("a", "c"),
-        generators=("tcol", "nearest_target"),
+        generators=("tcol", "nearest_target", "random_path"),
         queries=4,
         seed=0,
         folds=5,
@@ -191,6 +192,7 @@ class TestRunExperiment:
         assert combos == [
             ("tcol", "a"), ("tcol", "c"),
             ("nearest_target", "a"), ("nearest_target", "c"),
+            ("random_path", "a"), ("random_path", "c"),
         ]
 
     def test_rows_carry_counts_and_finite_metrics(self, small_record):
@@ -231,6 +233,12 @@ class TestRunExperiment:
         )
         with pytest.raises(ExperimentError, match=r"\[load\]"):
             run_experiment(config)
+
+    def test_more_queries_than_non_target_rows_is_an_error(self):
+        data = make_encoded([[0.1], [0.5], [0.9]], ["yes", "no", "no"])
+        assert _sample_queries(data, 2, seed=0) == [1, 2]
+        with pytest.raises(ValueError, match="requested 3 queries but only 2 non-target rows"):
+            _sample_queries(data, 3, seed=0)
 
     def test_repeat_run_identical_without_timing(self, small_config, tmp_path):
         with warnings.catch_warnings():
@@ -299,3 +307,11 @@ def test_aggregate_excludes_only_coincident_counterfactuals(
     with pytest.warns(UserWarning, match="1 counterfactuals coincided"):
         row = _aggregate_one_set(synthetic_encoded, ces, validation_model, synthetic_jury)
     assert row.centrality > 0.0
+
+
+def test_aggregate_warns_when_no_counterfactual_was_produced(
+    synthetic_encoded, validation_model, synthetic_jury
+):
+    with pytest.warns(UserWarning, match="no counterfactuals produced for tcol/a"):
+        row = _aggregate_one_set(synthetic_encoded, [], validation_model, synthetic_jury)
+    assert (row.n_queries, row.n_ces, row.validity, row.centrality) == (1, 0, 0.0, 0.0)

@@ -87,6 +87,12 @@ class TestValidity:
         with pytest.raises(ValueError, match="empty"):
             validity([], StubModel(), "yes")
 
+    def test_counts_hits_for_the_class_asked_for(self):
+        ces = [np.array([0.1]), np.array([0.2]), np.array([0.3]), np.array([0.4])]
+        model = StubModel(yes_vectors=ces[:1])
+        assert validity(ces, model, "no") == 0.75  # the model's other class
+        assert validity(ces, model, "maybe") == 0.0  # neither of its classes
+
 
 class TestDataFidelity:
     def test_unanimous_jury_scores_one(self):

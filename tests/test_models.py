@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,18 @@ class TestBuiltins:
         X = np.random.default_rng(1).random((12, 2))
         data = make_encoded(X, ["yes"] * 12)
         with pytest.raises(ValueError, match="single class"):
+            fit_builtin("knn", data, seed=0)
+
+    @pytest.mark.parametrize(
+        "labels, target, message",
+        [
+            (["yes", "no", "maybe"] * 4, "yes", "expected binary labels, got ['maybe', 'no', 'yes']"),
+            (["no", "maybe"] * 6, "yes", "target class 'yes' absent from training labels"),
+        ],
+    )
+    def test_labels_other_than_the_target_and_one_other_class_rejected(self, labels, target, message):
+        data = make_encoded(np.random.default_rng(1).random((12, 2)), labels, target_class=target)
+        with pytest.raises(ValueError, match=re.escape(message)):
             fit_builtin("knn", data, seed=0)
 
     def test_too_few_rows_rejected(self):

@@ -220,6 +220,9 @@ class TestEncoder:
         )
         enc = fit_encoder(ds)
         assert all(enc.encode(r)[1] == 0.5 for r in ds.rows)
+        # and any component decodes back to the one value the feature took
+        grade = enc.encode(("A", 7.0))[0]
+        assert all(enc.decode([grade, c]) == ("A", 7.0) for c in (0.0, 0.5, 1.0))
 
     @pytest.mark.parametrize(
         "bad", [float("nan"), float("inf"), "abc", None, pytest.param(10**400, id="huge-int")]
