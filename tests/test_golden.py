@@ -1,10 +1,12 @@
-"""The engine, model fitting and model loading against fixtures written by
-a reference version of the package; see ``tests/golden/write_credit.py``."""
+"""The engine, model fitting, model loading and ``tcol bench`` against
+fixtures written by a reference version of the package; see
+``tests/golden/write_credit.py`` and ``tests/golden/write_report.py``."""
 
 import numpy as np
 import pytest
 
 from golden.write_credit import CE_FIELDS, FIXTURE, MODEL_FILES, credit_ces
+from golden.write_report import REPORT_CSV, REPORT_JSON, bench_report
 from tcol.models import DecisionTree, RandomForest, load_model, save_model
 
 
@@ -51,3 +53,9 @@ def test_fitting_the_reference_models_saves_the_golden_files(kind, synthetic_enc
     model.fit(synthetic_encoded.X, synthetic_encoded.y, synthetic_encoded.target_class)
     save_model(model, tmp_path / "fitted.json")
     assert (tmp_path / "fitted.json").read_bytes() == MODEL_FILES[kind].read_bytes()
+
+
+def test_bench_report_of_the_readme_config_matches_golden_byte_for_byte(tmp_path):
+    csv_bytes, json_bytes = bench_report(tmp_path)
+    assert csv_bytes == REPORT_CSV.read_bytes()
+    assert json_bytes == REPORT_JSON.read_bytes()
