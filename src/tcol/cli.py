@@ -24,7 +24,6 @@ from .engine import PREFERENCES, GenerationConfig, generate
 from .experiment import ExperimentConfig, ExperimentError, check_jury, emit_report, run_experiment
 from .models import MODEL_KINDS, VALIDATION_MODEL, ModelFileError, cv_weights, fit_builtin
 from .models import load_model, save_model
-from .scoring import DISTANCES, FCS_VARIANTS
 from .tabular import (
     CsvParseError,
     SchemaViolationError,
@@ -49,10 +48,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _n_neighbors(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"n_neighbors must be at least 1, got {value}")
+class _CeFileError(ValueError):
+    """A counterfactual file holding a value of the wrong JSON type."""
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` if its type is exactly ``kind``, else ``_CeFileError``."""
+    if type(value) is not kind:
+        name = {dict: "object", list: "list", str: "string", int: "integer"}[kind]
+        raise _CeFileError(f"{what} must be a JSON {name}, got {value!r:.40}")
     return value
 
 
@@ -83,14 +87,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("generate", help="generate counterfactuals for one query row")
     _add_data_options(p)
     p.add_argument("--query-index", type=int, required=True, help="row index of the query")
-    choices = {"preference": PREFERENCES, "distance": tuple(DISTANCES), "fcs_variant": FCS_VARIANTS}
     for f in fields(GenerationConfig):  # one flag per setting; f.type is the annotation's name
         p.add_argument(
             "--" + f.name.replace("_", "-"),
             type={"int": int, "str": str}[f.type],
             required=f.default is MISSING,
             default=None if f.default is MISSING else f.default,  # the dataclass's default
-            choices=choices.get(f.name),
+            choices=PREFERENCES if f.name == "preference" else None,
         )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="ces.json")
@@ -103,7 +106,6 @@ def build_parser() -> _Parser:
     p.add_argument("--jury", default=",".join(ExperimentConfig.jury))
     p.add_argument("--folds", type=int, default=ExperimentConfig.folds)
     p.add_argument("--seed", type=int, help="refit and jury CV seed; default: the seed in the file")
-    p.add_argument("--n-neighbors", type=_n_neighbors, default=metrics_mod.N_NEIGHBORS)
     p.add_argument("--out", default=None, help="optional JSON output path")
 
     p = sub.add_parser("bench", help="run a full experiment from a JSON config")
@@ -150,9 +152,7 @@ def _cmd_generate(args) -> int:
         config = GenerationConfig(**{f.name: getattr(args, f.name) for f in fields(GenerationConfig)})
     except ValueError as exc:
         raise _UsageError(exc) from None
-    dataset, encoder, encoded = _load_encoded(
-        args.data, args.schema, args.target, args.target_class
-    )
+    dataset, encoder, encoded = _load_encoded(args.data, args.schema, args.target, args.target_class)
     if not 0 <= args.query_index < len(dataset):
         raise ValueError(f"query index {args.query_index} outside [0, {len(dataset) - 1}]")
     model = fit_builtin(VALIDATION_MODEL, encoded, seed=args.seed)
@@ -192,21 +192,23 @@ def _cmd_evaluate(args) -> int:
     except ValueError as exc:
         raise _UsageError(exc) from None
     with open(args.ces, encoding="utf-8") as fh:
-        ce_file = json.load(fh)
-    if not ce_file["ces"]:
+        ce_file = _typed(json.load(fh), dict, "a counterfactual file")
+    ces = _typed(ce_file["ces"], list, "'ces'")
+    if not ces:
         raise ValueError("counterfactual file contains no counterfactuals")
+    rows = [_typed(_typed(ce, dict, "each CE")["values"], dict, "each CE's 'values'") for ce in ces]
     # each setting the user does not override is the one that made the file
-    seed = ce_file["seed"] if args.seed is None else args.seed
+    seed = _typed(ce_file["seed"], int, "'seed'") if args.seed is None else args.seed
     dataset, encoder, encoded = _load_encoded(
-        args.data or ce_file["dataset"],
-        args.schema or ce_file["schema"],
-        ce_file["target"],
-        ce_file["target_class"],
+        args.data or _typed(ce_file["dataset"], str, "'dataset'"),
+        args.schema or _typed(ce_file["schema"], str, "'schema'"),
+        _typed(ce_file["target"], str, "'target'"),
+        _typed(ce_file["target_class"], str, "'target_class'"),
     )
 
     names = [f.name for f in dataset.schema]
-    vectors = encoder.encode_rows([ce["values"][n] for n in names] for ce in ce_file["ces"])
-    query = encoder.encode([ce_file["query"][n] for n in names])
+    vectors = encoder.encode_rows([row[n] for n in names] for row in rows)
+    query = encoder.encode([_typed(ce_file["query"], dict, "'query'")[n] for n in names])
 
     if args.validation_model:
         model = load_model(args.validation_model)
@@ -214,26 +216,19 @@ def _cmd_evaluate(args) -> int:
         model = fit_builtin(VALIDATION_MODEL, encoded, seed=seed)
     jury = cv_weights(jury, encoded, args.folds, seed=seed)
 
-    evaluated = metrics_mod.evaluate_set(
-        vectors, query, encoded, model, jury, n_neighbors=args.n_neighbors
-    )
+    evaluated = metrics_mod.evaluate_set(vectors, query, encoded, model, jury)
     results = {
         "proximity": evaluated.proximity,
         "sparsity": evaluated.sparsity,
         "validity": evaluated.validity,
         "data_fidelity": evaluated.data_fidelity,
         "centrality": 0.0 if evaluated.centrality is None else evaluated.centrality,
+        "reliability": metrics_mod.reliability_composite(evaluated.data_fidelity, evaluated.validity),
     }
-    results["reliability"] = metrics_mod.reliability_composite(
-        results["data_fidelity"], results["validity"]
-    )
     for name, value in results.items():
         print(f"{name}: {value:.6f}")
     if evaluated.excluded:
-        print(
-            f"centrality: excluded {evaluated.excluded} coincident counterfactuals",
-            file=sys.stderr,
-        )
+        print(f"centrality: excluded {evaluated.excluded} coincident counterfactuals", file=sys.stderr)
     if args.out:
         Path(args.out).write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
         print(f"wrote {args.out}")
@@ -270,6 +265,7 @@ _COMMANDS = {
 # An error of one of these types, or an ``ExperimentError`` caused by one,
 # is a data error (exit 2); any other error is a runtime error (exit 3).
 _DATA_ERRORS = (
+    _CeFileError,
     SchemaViolationError,
     CsvParseError,
     ModelFileError,

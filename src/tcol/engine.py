@@ -38,15 +38,7 @@ from typing import Iterator
 import numpy as np
 
 from .models import ClassifierModel
-from .scoring import (
-    EUCLIDEAN,
-    FCS_SPARSITY_CORRECTED,
-    ScoreRule,
-    cosine,
-    count_diffs,
-    distance_fn,
-    norm,
-)
+from .scoring import ScoreRule, cosine, count_diffs, euclidean, norm
 from .tabular import EncodedDataset
 
 PREFERENCES = ("a", "b", "c", "d", "e")
@@ -69,8 +61,6 @@ class GenerationConfig:
     preference: str
     depth: int = 3
     num_ces: int = 5
-    distance: str = EUCLIDEAN
-    fcs_variant: str = FCS_SPARSITY_CORRECTED
     budget: int = 64
 
     def __post_init__(self):
@@ -86,14 +76,9 @@ class GenerationConfig:
             raise ValueError("num_ces must be positive")
         if self.budget < 1:
             raise ValueError("budget must be positive")
-        self.score_rule()  # checks the distance and the fcs variant
 
     def score_rule(self) -> ScoreRule:
-        return ScoreRule(
-            tag=RULE_BY_PREFERENCE[self.preference],
-            distance=self.distance,
-            fcs_variant=self.fcs_variant,
-        )
+        return ScoreRule(RULE_BY_PREFERENCE[self.preference])
 
 
 @dataclass(frozen=True)
@@ -109,12 +94,7 @@ class CandidateCE:
 
 
 def select_prototypes(
-    data: EncodedDataset,
-    query: np.ndarray,
-    preference: str,
-    model: ClassifierModel,
-    count: int,
-    distance: str = GenerationConfig.distance,
+    data: EncodedDataset, query: np.ndarray, preference: str, model: ClassifierModel, count: int
 ) -> list[int]:
     """Rank target-class rows by the preference rule; return top row indices.
 
@@ -138,11 +118,10 @@ def select_prototypes(
             stacklevel=2,
         )
 
-    dist = distance_fn(distance)
     if preference == "a":
         keys = count_diffs(rows, query)
     elif preference == "b":
-        keys = dist(rows, query)
+        keys = euclidean(rows, query)
     elif preference == "c":
         keys = -model.target_proba(data)
     elif preference == "d":
@@ -152,7 +131,7 @@ def select_prototypes(
         if norm(query) != 0.0:
             keys[scoreable] = -cosine(rows[scoreable], query)
     else:
-        keys = dist(rows, data.target_centroid)
+        keys = euclidean(rows, data.target_centroid)
     immutable = data.immutable_mask()
     conflicts = np.any(rows[:, immutable] != query[immutable], axis=1)
     # lexsort is stable and candidates ascend, so ties keep the lower row index
@@ -316,7 +295,7 @@ def generate(
     if len(bad):
         raise ValueError(f"query component {bad[0]} is not a finite number: {query[bad[0]]}")
     prototypes = select_prototypes(
-        data, query, config.preference, validation_model, config.num_ces, config.distance
+        data, query, config.preference, validation_model, config.num_ces
     )
     rows = data.X[prototypes]
     # One row per prototype: its draws, then its fallback, the immutable

@@ -108,6 +108,8 @@ class ExperimentConfig:
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
+        if type(raw) is not dict:
+            raise ValueError(f"config must be a JSON object, got {raw!r:.40}")
         keys = fields(cls)
         unknown = set(raw) - {f.name for f in keys}
         if unknown:

@@ -3,12 +3,14 @@
 All three rules compare a candidate combination against the prototype it
 borrows values from and the query it explains, on encoded vectors:
 
-  fcs  sigmoid(cos(candidate, prototype)) * diffs(candidate, query)
-       (literal form; the sparsity-corrected variant uses n - diffs)
+  fcs  sigmoid(cos(candidate, prototype)) * (n - diffs(candidate, query))
   ncs  sigmoid(cos(candidate, prototype)) / exp(d(candidate, query))
   rss  exp(cos(candidate, prototype)) / sigmoid(d(candidate, query))
 
-Higher is better for every rule. Distances default to Euclidean.
+Higher is better for every rule; ``d`` is the Euclidean distance and ``n``
+the vector length. The paper writes ``fcs`` with ``diffs`` itself, which
+grows with every changed feature; ``n - diffs`` makes the highest score
+the candidate with the fewest changes, as preference ``a`` asks.
 
 Each function takes one vector (giving a Python number) or a matrix of
 rows (giving one array entry per row) and compares it with one vector, or
@@ -25,14 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-EUCLIDEAN = "euclidean"
-MANHATTAN = "manhattan"
-
-FCS_LITERAL = "literal"
-FCS_SPARSITY_CORRECTED = "sparsity_corrected"
-FCS_VARIANTS = (FCS_LITERAL, FCS_SPARSITY_CORRECTED)
-
 
 _exp = np.vectorize(math.exp, otypes=[float])
 
@@ -75,21 +69,6 @@ def euclidean(a, b):
     return norm(a - b)
 
 
-def manhattan(a, b):
-    a, b = _pair(a, b)
-    return _rows(np.abs(a - b).sum(axis=-1))
-
-
-DISTANCES = {EUCLIDEAN: euclidean, MANHATTAN: manhattan}
-
-
-def distance_fn(tag: str):
-    try:
-        return DISTANCES[tag]
-    except KeyError:
-        raise ValueError(f"unknown distance {tag!r}, expected one of {sorted(DISTANCES)}") from None
-
-
 def cosine(a, b):
     """Cosine similarity; undefined (error) when any vector or row is all zero."""
     a, b = _pair(a, b)
@@ -109,56 +88,40 @@ def count_diffs(a, b):
     return _rows(np.count_nonzero(a != b, axis=-1))
 
 
-def fcs(candidate, prototype, query, variant: str = FCS_SPARSITY_CORRECTED):
-    """Few-counterfactual score.
-
-    The literal form grows with the number of differing features; the
-    sparsity-corrected default rewards fewer differences (n - diffs),
-    which is the direction a sparsity-seeking caller wants to maximize.
-    """
+def fcs(candidate, prototype, query):
+    """Few-counterfactual score: prototype similarity times the number of
+    features kept from the query (n - diffs), so fewer changes score
+    higher; the paper's literal form multiplies by diffs instead (see the
+    module docstring)."""
     sim = sigmoid(cosine(candidate, prototype))
-    diffs = count_diffs(candidate, query)
-    if variant == FCS_LITERAL:
-        return sim * diffs
-    if variant == FCS_SPARSITY_CORRECTED:
-        return sim * (np.shape(candidate)[-1] - diffs)
-    raise ValueError(f"unknown fcs variant {variant!r}")
+    return sim * (np.shape(candidate)[-1] - count_diffs(candidate, query))
 
 
-def ncs(candidate, prototype, query, distance: str = EUCLIDEAN):
+def ncs(candidate, prototype, query):
     """Near-counterfactual score: prototype similarity over exp(query distance)."""
     sim = sigmoid(cosine(candidate, prototype))
-    return _rows(sim / _exp(distance_fn(distance)(candidate, query)))
+    return _rows(sim / _exp(euclidean(candidate, query)))
 
 
-def rss(candidate, prototype, query, distance: str = EUCLIDEAN):
+def rss(candidate, prototype, query):
     """Relative similarity score: exp(prototype similarity) over sigmoid(query distance)."""
     sim = _exp(cosine(candidate, prototype))
-    return _rows(sim / sigmoid(distance_fn(distance)(candidate, query)))
+    return _rows(sim / sigmoid(euclidean(candidate, query)))
 
 
-RULE_TAGS = ("fcs", "ncs", "rss")
+RULES = {"fcs": fcs, "ncs": ncs, "rss": rss}
 
 
 @dataclass(frozen=True)
 class ScoreRule:
-    """A fully specified scoring rule: tag plus distance / fcs variant knobs."""
+    """One of the three scoring rules, named by its tag."""
 
     tag: str
-    distance: str = EUCLIDEAN
-    fcs_variant: str = FCS_SPARSITY_CORRECTED
 
     def __post_init__(self):
-        if self.tag not in RULE_TAGS:
+        if self.tag not in RULES:
             raise ValueError(f"unknown score rule {self.tag!r}")
-        distance_fn(self.distance)
-        if self.fcs_variant not in FCS_VARIANTS:
-            raise ValueError(f"unknown fcs variant {self.fcs_variant!r}")
 
     def score(self, candidate, prototype, query):
         """One score for a candidate vector, or one per row of a candidate matrix."""
-        if self.tag == "fcs":
-            return fcs(candidate, prototype, query, variant=self.fcs_variant)
-        if self.tag == "ncs":
-            return ncs(candidate, prototype, query, distance=self.distance)
-        return rss(candidate, prototype, query, distance=self.distance)
+        return RULES[self.tag](candidate, prototype, query)

@@ -59,21 +59,20 @@ def _sigmoid(z):
     return 1.0 / (1.0 + math.exp(-z))
 
 
-def _oracle_score(tag, cand, proto, query, fcs_variant="sparsity_corrected"):
+def _oracle_score(tag, cand, proto, query):
     if tag == "rss":
         return math.exp(_cos(cand, proto)) / _sigmoid(math.dist(cand, query))
     if tag == "ncs":
         return _sigmoid(_cos(cand, proto)) / math.exp(math.dist(cand, query))
     diffs = sum(1 for a, b in zip(cand, query) if a != b)
-    count = diffs if fcs_variant == "literal" else len(cand) - diffs
-    return _sigmoid(_cos(cand, proto)) * count
+    return _sigmoid(_cos(cand, proto)) * (len(cand) - diffs)
 
 
-def _oracle_argmax(tag, proto, query, fcs_variant="sparsity_corrected"):
+def _oracle_argmax(tag, proto, query):
     best_key, best_mask = None, None
     for index, mask in enumerate(product((0, 1), repeat=len(proto))):
         cand = [q if bit else p for p, q, bit in zip(proto, query, mask)]
-        key = (_oracle_score(tag, cand, proto, query, fcs_variant), sum(mask), -index)
+        key = (_oracle_score(tag, cand, proto, query), sum(mask), -index)
         if best_key is None or key > best_key:
             best_key, best_mask = key, mask
     return best_mask
@@ -132,23 +131,14 @@ def test_criterion_03_search_matches_exhaustive_argmax():
     with criterion(3, "local path selection equals brute-force argmax on 100 random pairs"):
         start = time.perf_counter()
         rng = np.random.default_rng(2024)
-        rules = [
-            ("fcs", "literal"),
-            ("fcs", "sparsity_corrected"),
-            ("ncs", None),
-            ("rss", None),
-        ]
         mismatches = 0
         for i in range(100):
             n = 3 + i % 7  # feature counts 3 through 9
             proto = rng.random(n) * 0.98 + 0.01
             query = rng.random(n) * 0.98 + 0.01
-            for tag, variant in rules:
-                rule = (
-                    ScoreRule(tag, fcs_variant=variant) if variant else ScoreRule(tag)
-                )
-                got = select_local_path(proto, query, rule)
-                want = _oracle_argmax(tag, proto.tolist(), query.tolist(), variant or "sparsity_corrected")
+            for tag in ("fcs", "ncs", "rss"):
+                got = select_local_path(proto, query, ScoreRule(tag))
+                want = _oracle_argmax(tag, proto.tolist(), query.tolist())
                 mismatches += got != want
         assert mismatches == 0
         assert time.perf_counter() - start < 10.0

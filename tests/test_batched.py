@@ -26,7 +26,7 @@ from conftest import feature_groups, make_encoded
 from tcol import models
 from tcol.engine import CandidateCE, GenerationConfig, generate
 from tcol.models import MODEL_KINDS, ClassifierModel, make_model
-from tcol.scoring import cosine, count_diffs, distance_fn, norm
+from tcol.scoring import cosine, count_diffs, euclidean, norm
 from tcol.tabular import Dataset, Encoder, FeatureSchema, SchemaViolationError, fit_encoder
 
 
@@ -477,7 +477,6 @@ def sequential_generate(data, query, config, model):
     """Reference: scalar prototype ranking, then one ``next`` and one
     ``predict`` per drawn combination until one validates."""
     query = np.asarray(query, dtype=float)
-    dist = distance_fn(config.distance)
     center = data.X[data.target_mask()].mean(axis=0)
     immutable = data.immutable_mask()
 
@@ -486,14 +485,14 @@ def sequential_generate(data, query, config, model):
         if config.preference == "a":
             return float(count_diffs(row, query))
         if config.preference == "b":
-            return dist(row, query)
+            return euclidean(row, query)
         if config.preference == "c":
             return -model.predict_proba(row)
         if config.preference == "d":
             if np.linalg.norm(row) == 0.0 or np.linalg.norm(query) == 0.0:
                 return 2.0
             return -cosine(row, query)
-        return dist(row, center)
+        return euclidean(row, center)
 
     def conflicts(idx):
         return bool(np.any(data.X[idx][immutable] != query[immutable]))

@@ -213,6 +213,84 @@ def test_evaluate_reads_generate_output(ce_file, capsys):
         assert name in out
 
 
+def test_evaluate_reads_a_file_with_the_old_distance_and_fcs_variant_keys(ce_file, tmp_path, capsys):
+    """Older versions wrote two more settings between ``num_ces`` and
+    ``budget``; they held the only values there were, and change nothing."""
+    payload = json.loads(ce_file.read_text(encoding="utf-8"))
+    old = {}
+    for key, value in payload.items():
+        if key == "budget":
+            old.update(distance="euclidean", fcs_variant="sparsity_corrected")
+        old[key] = value
+    printed = []
+    for name, content in ("new.json", payload), ("old.json", old):
+        (tmp_path / name).write_text(json.dumps(content, indent=2) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["evaluate", "--ces", str(tmp_path / name), "--folds", "5"]) == 0
+        printed.append(capsys.readouterr().out.splitlines())
+    assert len(printed[0]) == 6 and printed[1] == printed[0]
+
+
+def test_evaluate_notes_counterfactuals_left_out_of_centrality(
+    ce_file, synthetic, synthetic_encoded, tmp_path, capsys
+):
+    # a CE that is the target row nearest the centroid has no centrality
+    nearest = synthetic_encoded.centroid_neighbors[0][0]
+    row = next(i for i, x in enumerate(synthetic_encoded.X) if x.tobytes() == nearest.tobytes())
+    payload = json.loads(ce_file.read_text(encoding="utf-8"))
+    payload["ces"] = [dict(payload["ces"][0], values=synthetic.row_as_dict(row))]
+    path = tmp_path / "ces.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["evaluate", "--ces", str(path), "--folds", "5"]) == 0
+    captured = capsys.readouterr()
+    assert "centrality: 0.000000" in captured.out.splitlines()
+    assert captured.err == "centrality: excluded 1 coincident counterfactuals\n"
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("bench", 5, "config must be a JSON object, got 5"),
+        ("bench", ["dataset"], "config must be a JSON object, got ['dataset']"),
+        ("evaluate", [1, 2], "a counterfactual file must be a JSON object, got [1, 2]"),
+        ("evaluate", {"ces": 5}, "'ces' must be a JSON list, got 5"),
+        ("evaluate", {"ces": [1]}, "each CE must be a JSON object, got 1"),
+        ("evaluate", {"ces": [{"values": 5}]}, "each CE's 'values' must be a JSON object, got 5"),
+    ],
+)
+def test_json_of_the_wrong_shape_is_a_data_error(tmp_path, command, content, message, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content), encoding="utf-8")
+    flag = {"bench": "--config", "evaluate": "--ces"}[command]
+    assert main([command, flag, str(path)]) == 2
+    assert capsys.readouterr().err == f"data/schema error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("seed", "3", "'seed' must be a JSON integer, got '3'"),
+        ("dataset", 5, "'dataset' must be a JSON string, got 5"),
+        ("schema", None, "'schema' must be a JSON string, got None"),
+        ("target", ["loan"], "'target' must be a JSON string, got ['loan']"),
+        ("target_class", 1, "'target_class' must be a JSON string, got 1"),
+        ("query", [1], "'query' must be a JSON object, got [1]"),
+    ],
+)
+def test_evaluate_rejects_a_setting_of_the_wrong_type_before_any_fit(
+    ce_file, tmp_path, key, value, message, monkeypatch, capsys
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate fitted a model before checking the counterfactual file")
+
+    monkeypatch.setattr(cli, "fit_builtin", refuse)
+    payload = json.loads(ce_file.read_text(encoding="utf-8"))
+    path = tmp_path / "ces.json"
+    path.write_text(json.dumps(dict(payload, **{key: value})), encoding="utf-8")
+    assert main(["evaluate", "--ces", str(path)]) == 2
+    assert capsys.readouterr().err == f"data/schema error: {message}\n"
+
+
 @pytest.mark.parametrize("value", [float("nan"), "abc", None])
 def test_evaluate_rejects_a_non_finite_numeric_value_as_data_error(ce_file, tmp_path, value, capsys):
     payload = json.loads(ce_file.read_text(encoding="utf-8"))
@@ -222,25 +300,6 @@ def test_evaluate_rejects_a_non_finite_numeric_value_as_data_error(ce_file, tmp_
     assert main(["evaluate", "--ces", str(bad), "--folds", "5"]) == 2
     err = capsys.readouterr().err
     assert "income" in err and repr(value) in err
-
-
-@pytest.mark.parametrize("n_neighbors", ["0", "-3"])
-def test_evaluate_rejects_non_positive_n_neighbors(ce_file, n_neighbors, capsys):
-    code = main(["evaluate", "--ces", str(ce_file), "--folds", "5", "--n-neighbors", n_neighbors])
-    assert code != 0
-    captured = capsys.readouterr()
-    assert "n_neighbors" in captured.err
-    assert "centrality:" not in captured.out
-
-
-@pytest.mark.parametrize("n_neighbors", ["0", "-3"])
-def test_non_positive_n_neighbors_is_a_usage_error_before_any_fit(ce_file, n_neighbors, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("evaluate fitted a model before checking --n-neighbors")
-
-    monkeypatch.setattr(cli, "fit_builtin", refuse)
-    monkeypatch.setattr(cli, "cv_weights", refuse)
-    assert main(["evaluate", "--ces", str(ce_file), "--n-neighbors", n_neighbors]) == 1
 
 
 @pytest.mark.parametrize(

@@ -55,6 +55,7 @@ def test_fitting_the_reference_models_saves_the_golden_files(kind, synthetic_enc
     assert (tmp_path / "fitted.json").read_bytes() == MODEL_FILES[kind].read_bytes()
 
 
+@pytest.mark.filterwarnings("ignore:.*coincided with centroid neighbors:UserWarning")
 def test_bench_report_of_the_readme_config_matches_golden_byte_for_byte(tmp_path):
     csv_bytes, json_bytes = bench_report(tmp_path)
     assert csv_bytes == REPORT_CSV.read_bytes()

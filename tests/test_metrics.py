@@ -182,6 +182,12 @@ class TestCentrality:
         ) / n
         assert abs(centrality(ce, data, n_neighbors=n) - expected) < 1e-12
 
+    @pytest.mark.parametrize("n_neighbors", [0, -3])
+    def test_n_neighbors_below_one_rejected(self, n_neighbors):
+        data = make_encoded([[0.1], [0.2], [0.9]], ["yes", "yes", "no"])
+        with pytest.raises(ValueError, match=f"n_neighbors must be at least 1, got {n_neighbors}"):
+            centrality(np.array([0.5]), data, n_neighbors=n_neighbors)
+
     def test_needs_enough_target_rows(self):
         data = make_encoded([[0.1], [0.2], [0.9]], ["yes", "yes", "no"])
         with pytest.raises(ValueError, match="target rows"):
@@ -246,3 +252,6 @@ def test_metrics_row_validation():
         MetricsRow(**{**row, "centrality": float("nan")})
     with pytest.raises(ValueError, match="validity"):
         MetricsRow(**{**row, "validity": 1.2})
+    for value in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=r"data_fidelity outside \[0, 1\]"):
+            MetricsRow(**{**row, "data_fidelity": value})

@@ -1,24 +1,11 @@
 import math
-from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcol.scoring import (
-    RULE_TAGS,
-    ScoreRule,
-    cosine,
-    count_diffs,
-    euclidean,
-    fcs,
-    manhattan,
-    ncs,
-    norm,
-    rss,
-    sigmoid,
-)
+from tcol.scoring import RULES, ScoreRule, cosine, count_diffs, euclidean, fcs, ncs, norm, rss, sigmoid
 
 PROTO = np.array([0.6, 0.89, 0.49])
 QUERY = np.array([0.8, 0.45, 0.87])
@@ -86,26 +73,13 @@ class TestCountDiffs:
 
 
 class TestFcs:
-    def test_literal_is_zero_when_candidate_equals_query(self):
-        assert fcs(QUERY, PROTO, QUERY, variant="literal") == 0.0
-
-    def test_literal_at_prototype(self):
-        # sigmoid(1) * 3, all components differing from the query
-        assert fcs(PROTO, PROTO, QUERY, variant="literal") == pytest.approx(
-            2.193175735890015, abs=1e-12
-        )
-
-    def test_literal_single_diff(self):
-        cand = np.array([0.6, 0.45, 0.87])
-        assert fcs(cand, PROTO, QUERY, variant="literal") == pytest.approx(
-            0.7059233036325278, abs=1e-12
-        )
-
     def test_sparsity_corrected_is_default_and_complements_literal(self):
+        # one of three components differs: n - diffs = 2, where the paper's
+        # literal form, sim * diffs, is the rest of sim * n
         cand = np.array([0.6, 0.45, 0.87])
         sim = sigmoid(cosine(cand, PROTO))
         assert fcs(cand, PROTO, QUERY) == pytest.approx(sim * 2)
-        assert fcs(cand, PROTO, QUERY, variant="literal") == pytest.approx(sim * 1)
+        assert sim * 3 - fcs(cand, PROTO, QUERY) == pytest.approx(sim * 1)
 
     def test_sparsity_corrected_decreases_with_more_diffs(self):
         rng = np.random.default_rng(11)
@@ -119,10 +93,6 @@ class TestFcs:
                 sim = sigmoid(cosine(cand, proto))
                 scores.append(fcs(cand, proto, query) / sim)
             assert scores == sorted(scores, reverse=True)
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError, match="variant"):
-            fcs(QUERY, PROTO, QUERY, variant="bogus")
 
 
 class TestNcs:
@@ -155,11 +125,6 @@ class TestRss:
         assert cosine(cand, PROTO) == pytest.approx(0.9682, abs=1e-3)
         assert euclidean(cand, QUERY) == pytest.approx(0.4833, abs=1e-3)
         assert rss(cand, PROTO, QUERY) == pytest.approx(4.2572, abs=1e-3)
-
-    def test_manhattan_distance_supported(self):
-        cand = np.array([0.6, 0.89, 0.87])
-        expected = math.exp(cosine(cand, PROTO)) / sigmoid(manhattan(cand, QUERY))
-        assert rss(cand, PROTO, QUERY, distance="manhattan") == pytest.approx(expected)
 
 
 class TestProperties:
@@ -202,7 +167,6 @@ class TestProperties:
                 rss(cand, proto, query),
                 ncs(cand, proto, query),
                 fcs(cand, proto, query),
-                fcs(cand, proto, query, variant="literal"),
             ):
                 assert np.isfinite(value)
 
@@ -212,18 +176,11 @@ def test_score_rule_dispatch():
     assert ScoreRule("rss").score(cand, PROTO, QUERY) == rss(cand, PROTO, QUERY)
     assert ScoreRule("ncs").score(cand, PROTO, QUERY) == ncs(cand, PROTO, QUERY)
     assert ScoreRule("fcs").score(cand, PROTO, QUERY) == fcs(cand, PROTO, QUERY)
-    assert ScoreRule("fcs", fcs_variant="literal").score(cand, PROTO, QUERY) == fcs(
-        cand, PROTO, QUERY, variant="literal"
-    )
 
 
 def test_score_rule_validates_fields():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown score rule 'best'"):
         ScoreRule("best")
-    with pytest.raises(ValueError):
-        ScoreRule("rss", distance="chebyshev")
-    with pytest.raises(ValueError):
-        ScoreRule("fcs", fcs_variant="inverted")
 
 
 @st.composite
@@ -265,7 +222,7 @@ def row_by_row(fn, rows, prototypes, *args):
 @given(case=rows_prototype_query())
 def test_matrix_gives_the_bits_of_per_row_calls(case):
     rows, prototype, query, prototypes = case
-    for fn in (euclidean, manhattan, count_diffs):
+    for fn in (euclidean, count_diffs):
         assert fn(rows, query).tobytes() == one_by_one(fn, rows, query).tobytes()
         assert fn(rows, prototypes).tobytes() == row_by_row(fn, rows, prototypes).tobytes()
     assert norm(rows).tobytes() == one_by_one(norm, rows).tobytes()
@@ -288,10 +245,8 @@ def test_matrix_gives_the_bits_of_per_row_calls(case):
             assert fn(kept, paired, query).tobytes() == row_by_row(
                 fn, kept, per_row, query
             ).tobytes()
-        for tag, distance, variant in product(
-            RULE_TAGS, ("euclidean", "manhattan"), ("literal", "sparsity_corrected")
-        ):
-            rule = ScoreRule(tag, distance=distance, fcs_variant=variant)
+        for tag in RULES:
+            rule = ScoreRule(tag)
             assert rule.score(kept, paired, query).tobytes() == row_by_row(
                 rule.score, kept, per_row, query
             ).tobytes()
