@@ -195,10 +195,12 @@ def _cmd_evaluate(args) -> int:
         ce_file = _typed(json.load(fh), dict, "a counterfactual file")
     ces = _typed(ce_file["ces"], list, "'ces'")
     if not ces:
-        raise ValueError("counterfactual file contains no counterfactuals")
+        raise _CeFileError("counterfactual file contains no counterfactuals")
     rows = [_typed(_typed(ce, dict, "each CE")["values"], dict, "each CE's 'values'") for ce in ces]
     # each setting the user does not override is the one that made the file
     seed = _typed(ce_file["seed"], int, "'seed'") if args.seed is None else args.seed
+    if seed < 0:
+        raise _CeFileError(f"seed must be a non-negative integer, got {seed}")
     dataset, encoder, encoded = _load_encoded(
         args.data or _typed(ce_file["dataset"], str, "'dataset'"),
         args.schema or _typed(ce_file["schema"], str, "'schema'"),
@@ -281,6 +283,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise _UsageError(f"--seed must be a non-negative integer, got {args.seed}")
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

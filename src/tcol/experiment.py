@@ -92,6 +92,8 @@ class ExperimentConfig:
                 object.__setattr__(self, f.name, tuple(value))
         if self.queries < 1:
             raise ValueError("queries must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         for gen in self.generators:
             if gen not in GENERATORS:
                 raise ValueError(f"unknown generator {gen!r}, expected one of {GENERATORS}")

@@ -1,5 +1,7 @@
-"""Evaluation of counterfactual sets: proximity, sparsity, validity,
-data fidelity, centrality, and the reliability composite."""
+"""Evaluation of counterfactual sets: proximity, sparsity, validity, data
+fidelity (each juror scored by ``models.prediction_f1``, the one F1 rule),
+centrality (over the ``N_NEIGHBORS`` rows nearest the target centroid), and
+the reliability composite."""
 
 from __future__ import annotations
 
@@ -7,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ClassifierModel, ThirdPartyJury, f1_score
+from .models import ClassifierModel, ThirdPartyJury, prediction_f1
 from .scoring import count_diffs, euclidean
 from .tabular import EncodedDataset
 
@@ -50,7 +52,7 @@ def validity(ces, model: ClassifierModel, target_class) -> float:
 
 
 def member_agreement(model: ClassifierModel, ces, target_class) -> float:
-    """One juror's endorsement of a counterfactual set, as an F1 score.
+    """One juror's endorsement of a counterfactual set, as ``prediction_f1``.
 
     Every counterfactual's reference label is the target class, so the
     confusion matrix degenerates: precision is 1 whenever the juror
@@ -58,8 +60,7 @@ def member_agreement(model: ClassifierModel, ces, target_class) -> float:
     fraction.
     """
     hits = _hits(model, ces, target_class)
-    tp = int(np.count_nonzero(hits))
-    return f1_score(1.0 if tp else 0.0, tp / len(hits))
+    return prediction_f1(hits, np.ones_like(hits))
 
 
 def data_fidelity(ces, jury: ThirdPartyJury, target_class) -> float:
@@ -73,25 +74,23 @@ def data_fidelity(ces, jury: ThirdPartyJury, target_class) -> float:
     return weighted / total
 
 
-def centrality(ce, data: EncodedDataset, n_neighbors: int = N_NEIGHBORS) -> float:
-    """Mean ratio d(neighbor, centroid) / d(neighbor, ce) over the target
-    rows nearest the target-class centroid, with Euclidean d.
+def centrality(ce, data: EncodedDataset) -> float:
+    """Mean ratio d(neighbor, centroid) / d(neighbor, ce) over the ``N_NEIGHBORS``
+    target rows nearest the target-class centroid, with Euclidean d.
 
     A counterfactual that coincides with a neighbor makes a ratio undefined
     and raises ``CoincidentNeighborError``; callers may exclude such
-    counterfactuals rather than smooth. ``n_neighbors`` below 1, or fewer
-    than ``n_neighbors`` target rows, is a plain ``ValueError``.
+    counterfactuals rather than smooth. Fewer than ``N_NEIGHBORS`` target
+    rows is a plain ``ValueError``.
     """
-    if n_neighbors < 1:
-        raise ValueError(f"n_neighbors must be at least 1, got {n_neighbors}")
     ce = np.asarray(ce, dtype=float)
     rows, to_center = data.centroid_neighbors
-    if len(rows) < n_neighbors:
-        raise ValueError(f"need at least {n_neighbors} target rows, got {len(rows)}")
-    denom = euclidean(rows[:n_neighbors], ce)
+    if len(rows) < N_NEIGHBORS:
+        raise ValueError(f"need at least {N_NEIGHBORS} target rows, got {len(rows)}")
+    denom = euclidean(rows[:N_NEIGHBORS], ce)
     if np.any(denom == 0.0):
         raise CoincidentNeighborError("counterfactual coincides with a centroid neighbor")
-    return float(np.mean(to_center[:n_neighbors] / denom))
+    return float(np.mean(to_center[:N_NEIGHBORS] / denom))
 
 
 @dataclass(frozen=True)
@@ -117,13 +116,12 @@ def evaluate_set(
     data: EncodedDataset,
     model: ClassifierModel,
     jury: ThirdPartyJury,
-    n_neighbors: int = N_NEIGHBORS,
 ) -> SetMetrics:
-    """Score one query's counterfactual set with every metric."""
+    """Every metric of one query's counterfactual set; ``centrality`` leaves out coincident CEs."""
     ratios, excluded = [], 0
     for v in vectors:
         try:
-            ratios.append(centrality(v, data, n_neighbors=n_neighbors))
+            ratios.append(centrality(v, data))
         except CoincidentNeighborError:
             excluded += 1
     return SetMetrics(

@@ -9,6 +9,10 @@ decision rule, ``proba >= 0.5`` means the target class (ties resolve to
 it), so ``predict(v) == target_class iff predict_proba(v) >= 0.5`` holds
 by construction.
 
+Each class states its hyperparameters once, in ``_HYPERPARAMETERS``: name ->
+(default, least value), in ``save_model``'s key order. ``__init__`` takes
+those names only, each an exact ``int`` (no bool) at or above its least value.
+
 Trees are compiled once, after fitting or loading, into flat node arrays
 and evaluate a whole matrix level by level (the tensorized-tree layout of
 Hummingbird, Nakandala et al., OSDI 2020). A decision tree is a forest of
@@ -49,25 +53,16 @@ _KNN_SAFE = np.finfo(float).max / 4  # |q|^2 + max |t|^2 below it: no overflow i
 _THRESHOLD = 0.5  # predict_proba >= _THRESHOLD means the target class
 
 
-def f1_score(precision: float, recall: float) -> float:
-    """Harmonic mean of precision and recall on [0, 1]; (0, 0) maps to 0."""
-    for name, v in (("precision", precision), ("recall", recall)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {v}")
-    if precision == 0.0 and recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
 def prediction_f1(hits, truth) -> float:
-    """F1 of boolean predictions ``hits`` against boolean labels ``truth``."""
+    """F1 of boolean predictions ``hits`` against boolean labels ``truth``: the
+    harmonic mean of precision and recall, or 0 when no hit is a true label."""
     hits, truth = np.asarray(hits, dtype=bool), np.asarray(truth, dtype=bool)
     tp = int(np.count_nonzero(hits & truth))
-    fp = int(np.count_nonzero(hits)) - tp
-    fn = int(np.count_nonzero(truth)) - tp
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    return f1_score(precision, recall)
+    if not tp:
+        return 0.0
+    precision = tp / int(np.count_nonzero(hits))
+    recall = tp / int(np.count_nonzero(truth))
+    return 2.0 * precision * recall / (precision + recall)
 
 
 class ModelFileError(ValueError):
@@ -78,9 +73,17 @@ class ClassifierModel:
     """Base classifier: fit on encoded rows, predict the binary label."""
 
     kind = "abstract"
+    _HYPERPARAMETERS: dict[str, tuple[int, int]] = {}  # name -> (default, least value)
     _target_proba = None  # (a data set's target rows, their read-only probabilities)
 
-    def __init__(self):
+    def __init__(self, **hyperparameters):
+        for name, (default, least) in self._HYPERPARAMETERS.items():
+            value = hyperparameters.pop(name, default)
+            if type(value) is not int or value < least:  # exact type, so that true is no integer
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            setattr(self, name, value)
+        if hyperparameters:
+            raise TypeError(f"{self.kind} got an unexpected keyword argument {min(hyperparameters)!r}")
         self.target_class = None
         self.other_class = None
         self.fitted = False
@@ -143,19 +146,14 @@ class ClassifierModel:
         return self.target_class if self.predict_proba(vector) >= _THRESHOLD else self.other_class
 
     def hyperparameters(self) -> dict:
-        return {}
+        return {name: getattr(self, name) for name in self._HYPERPARAMETERS}
 
 
 class Knn(ClassifierModel):
     """k-nearest-neighbour vote; probability = target fraction among neighbours."""
 
     kind = "knn"
-
-    def __init__(self, k: int = 5):
-        super().__init__()
-        if k < 1:
-            raise ValueError(f"k must be positive, got {k}")
-        self.k = k
+    _HYPERPARAMETERS = {"k": (5, 1)}
 
     def _fit(self, X, y):
         return {"train_x": X.copy(), "train_y": y.copy()}
@@ -213,9 +211,6 @@ class Knn(ClassifierModel):
             nearest = row[order[first[:, np.newaxis] + np.arange(k)]]
             out[start : start + step] = self._hits[nearest].sum(axis=1) / k
         return out
-
-    def hyperparameters(self):
-        return {"k": self.k}
 
     def _restore(self, params):
         # the record keeps the array, not a loaded file's lists: one copy of the rows
@@ -541,12 +536,6 @@ class _CartModel(ClassifierModel):
 
     _key: str
 
-    def __init__(self, max_depth: int):
-        super().__init__()
-        if max_depth < 0:
-            raise ValueError(f"max_depth must be non-negative, got {max_depth}")
-        self.max_depth = max_depth
-
     def predict_proba_rows(self, X) -> np.ndarray:
         return self._flat.proba(X)
 
@@ -560,12 +549,7 @@ class DecisionTree(_CartModel):
 
     kind = "decision_tree"
     _key = "tree"
-
-    def __init__(self, max_depth: int = 8, min_samples_split: int = 2):
-        super().__init__(max_depth)
-        if min_samples_split < 2:
-            raise ValueError(f"min_samples_split must be at least 2, got {min_samples_split}")
-        self.min_samples_split = min_samples_split
+    _HYPERPARAMETERS = {"max_depth": (8, 0), "min_samples_split": (2, 2)}
 
     def _fit(self, X, y):
         hits = y == self.target_class
@@ -574,22 +558,13 @@ class DecisionTree(_CartModel):
         )
         return {"tree": tree}
 
-    def hyperparameters(self):
-        return {"max_depth": self.max_depth, "min_samples_split": self.min_samples_split}
-
 
 class RandomForest(_CartModel):
     """Bagged Gini trees with sqrt-feature splits; probability = mean of trees."""
 
     kind = "random_forest"
     _key = "trees"
-
-    def __init__(self, n_trees: int = 25, max_depth: int = 8, seed: int = 0):
-        super().__init__(max_depth)
-        if n_trees < 1:
-            raise ValueError(f"n_trees must be positive, got {n_trees}")
-        self.n_trees = n_trees
-        self.seed = seed
+    _HYPERPARAMETERS = {"n_trees": (25, 1), "max_depth": (8, 0), "seed": (0, 0)}
 
     def _fit(self, X, y):
         rng = np.random.default_rng(self.seed)
@@ -602,9 +577,6 @@ class RandomForest(_CartModel):
         # A bootstrap sample may be single-class; its tree is then a constant leaf.
         hits = y == self.target_class
         return {"trees": _grow_trees(X, hits, samples, rngs, max_features, self.max_depth, 2)}
-
-    def hyperparameters(self):
-        return {"n_trees": self.n_trees, "max_depth": self.max_depth, "seed": self.seed}
 
 
 _MODEL_CLASSES = {cls.kind: cls for cls in (Knn, NaiveBayes, DecisionTree, RandomForest)}

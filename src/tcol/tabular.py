@@ -358,8 +358,6 @@ def fit_encoder(data: Dataset) -> Encoder:
     A numeric cell that is not a finite number is a schema violation; the
     first one in column order is reported.
     """
-    if len(data) == 0:
-        raise ValueError("cannot fit an encoder on an empty dataset")
     hits = np.array([1.0 if t == data.target_class else 0.0 for t in data.target])
     rates, mins, maxs = [], [], []
     for feat, column in zip(data.schema, zip(*data.rows)):

@@ -214,10 +214,10 @@ def test_criterion_07_metric_oracles():
         ranked = sorted(target_rows, key=lambda r: math.dist(r, center))
         ce = rng.random(6)
         expected = sum(math.dist(r, center) / math.dist(r, ce) for r in ranked[:10]) / 10
-        assert abs(centrality(ce, data, n_neighbors=10) - expected) <= 1e-12
+        assert abs(centrality(ce, data) - expected) <= 1e-12
 
         # the centroid itself scores exactly 1
-        assert centrality(np.array(center), data, n_neighbors=10) == 1.0
+        assert centrality(np.array(center), data) == 1.0
 
         # data fidelity oracle: weighted mean of per-member degenerate F1
         members = [

@@ -202,8 +202,33 @@ def test_an_empty_counterfactual_file_is_refused_before_any_read(ce_file, tmp_pa
     monkeypatch.setattr(cli, "load_csv", refuse)
     empty = tmp_path / "ces.json"
     empty.write_text(json.dumps(dict(json.loads(ce_file.read_text(encoding="utf-8")), ces=[])))
-    assert main(["evaluate", "--ces", str(empty)]) == 3
+    assert main(["evaluate", "--ces", str(empty)]) == 2
     assert "contains no counterfactuals" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [("bench", 2), ("train", 1), ("generate", 1), ("evaluate", 1), ("ce-file", 2)],
+)
+def test_a_negative_seed_is_refused_before_any_read(
+    command, code, ce_file, synthetic_files, tmp_path, monkeypatch, capsys
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{command} read data before checking the seed")
+
+    monkeypatch.setattr(cli, "load_csv", refuse)
+    monkeypatch.setattr(experiment, "load_csv", refuse)
+    bad_file = tmp_path / "ces.json"
+    bad_file.write_text(json.dumps(dict(json.loads(ce_file.read_text(encoding="utf-8")), seed=-1)))
+    argv = {
+        "bench": ["bench", "--config", str(bench_config(tmp_path, synthetic_files, seed=-1))],
+        "train": ["train", "--seed", "-1", "--out-dir", str(tmp_path)],
+        "generate": ["generate", "--query-index", "1", "--preference", "a", "--seed", "-1"],
+        "evaluate": ["evaluate", "--ces", str(ce_file), "--seed", "-1"],
+        "ce-file": ["evaluate", "--ces", str(bad_file)],
+    }[command]
+    assert main(argv) == code
+    assert "seed must be a non-negative integer, got" in capsys.readouterr().err
 
 
 def test_evaluate_reads_generate_output(ce_file, capsys):
@@ -346,10 +371,14 @@ def test_bad_validation_model_file_is_data_error(ce_file, tmp_path, capsys, key,
     "kind, change, message",
     [
         ("knn", {"target_class": "maybe"}, "knn train_y must hold exactly the classes 'maybe'"),
+        ("knn", {"hyperparameters": {"k": True}}, "k must be an integer >= 1, got True"),
+        ("knn", {"hyperparameters": {"k": 2.5}}, "k must be an integer >= 1, got 2.5"),
         ("random_forest", {"hyperparameters": {"n_trees": 0, "max_depth": 8, "seed": 0}},
-         "n_trees must be positive"),
+         "n_trees must be an integer >= 1, got 0"),
+        ("random_forest", {"hyperparameters": {"n_trees": 25, "max_depth": 8, "seed": -1}},
+         "seed must be an integer >= 0, got -1"),
         ("decision_tree", {"hyperparameters": {"max_depth": 8, "min_samples_split": 0}},
-         "min_samples_split must be at least 2"),
+         "min_samples_split must be an integer >= 2, got 0"),
     ],
 )
 def test_validation_model_file_that_would_predict_nonsense_is_data_error(

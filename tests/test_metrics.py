@@ -5,6 +5,7 @@ import pytest
 
 from conftest import StubModel, make_encoded
 from tcol.metrics import (
+    N_NEIGHBORS,
     MetricsRow,
     centrality,
     data_fidelity,
@@ -15,7 +16,7 @@ from tcol.metrics import (
     sparsity,
     validity,
 )
-from tcol.models import ThirdPartyJury, f1_score
+from tcol.models import ThirdPartyJury
 
 ADULT_WEIGHTS = (0.73, 0.75, 0.74, 0.69, 0.74)
 GERMAN_WEIGHTS = (0.66, 0.67, 0.69, 0.65, 0.70)
@@ -144,7 +145,8 @@ class TestDataFidelity:
         ces = [np.array([float(i)]) for i in range(n)]
         for agreeing in range(n + 1):
             juror = StubModel(yes_vectors=ces[:agreeing])
-            expected = f1_score(1.0 if agreeing else 0.0, agreeing / n)
+            precision, recall = (1.0 if agreeing else 0.0), agreeing / n
+            expected = 2.0 * precision * recall / (precision + recall) if agreeing else 0.0
             assert member_agreement(juror, ces, "yes") == expected
 
 
@@ -153,7 +155,7 @@ class TestCentrality:
         rng = np.random.default_rng(34)
         data = make_encoded(rng.random((20, 4)), ["yes"] * 15 + ["no"] * 5)
         center = data.X[data.target_mask()].mean(axis=0)
-        assert centrality(center, data, n_neighbors=5) == 1.0
+        assert centrality(center, data) == 1.0
 
     def test_coincident_neighbor_rejected(self):
         rng = np.random.default_rng(35)
@@ -164,7 +166,7 @@ class TestCentrality:
             range(10), key=lambda i: float(np.linalg.norm(X[i] - center))
         )
         with pytest.raises(ValueError, match="coincides"):
-            centrality(X[nearest].copy(), data, n_neighbors=3)
+            centrality(X[nearest].copy(), data)
 
     def test_matches_independent_recomputation(self):
         rng = np.random.default_rng(36)
@@ -176,22 +178,16 @@ class TestCentrality:
         target_rows = [X[i] for i in range(20) if labels[i] == "yes"]
         center = [sum(r[j] for r in target_rows) / len(target_rows) for j in range(6)]
         by_center = sorted(target_rows, key=lambda r: math.dist(r, center))
-        n = 5
+        n = N_NEIGHBORS
         expected = sum(
             math.dist(r, center) / math.dist(r, ce) for r in by_center[:n]
         ) / n
-        assert abs(centrality(ce, data, n_neighbors=n) - expected) < 1e-12
-
-    @pytest.mark.parametrize("n_neighbors", [0, -3])
-    def test_n_neighbors_below_one_rejected(self, n_neighbors):
-        data = make_encoded([[0.1], [0.2], [0.9]], ["yes", "yes", "no"])
-        with pytest.raises(ValueError, match=f"n_neighbors must be at least 1, got {n_neighbors}"):
-            centrality(np.array([0.5]), data, n_neighbors=n_neighbors)
+        assert abs(centrality(ce, data) - expected) < 1e-12
 
     def test_needs_enough_target_rows(self):
         data = make_encoded([[0.1], [0.2], [0.9]], ["yes", "yes", "no"])
-        with pytest.raises(ValueError, match="target rows"):
-            centrality(np.array([0.5]), data, n_neighbors=5)
+        with pytest.raises(ValueError, match=f"need at least {N_NEIGHBORS} target rows, got 2"):
+            centrality(np.array([0.5]), data)
 
 
 class TestEvaluateSet:
@@ -205,13 +201,13 @@ class TestEvaluateSet:
         jury = jury_with((0.5, 0.5), (StubModel(always=True), StubModel(always=False)))
         query = X[11]
         ce = rng.random(3)
-        got = evaluate_set([ce, X[nearest].copy()], query, data, model, jury, n_neighbors=3)
+        got = evaluate_set([ce, X[nearest].copy()], query, data, model, jury)
         assert got.excluded == 1
-        assert got.centrality == centrality(ce, data, n_neighbors=3)
+        assert got.centrality == centrality(ce, data)
         assert got.proximity == proximity([ce, X[nearest]], query)
         assert got.sparsity == sparsity([ce, X[nearest]], query)
         assert (got.validity, got.data_fidelity) == (1.0, 0.5)
-        alone = evaluate_set([X[nearest].copy()], query, data, model, jury, n_neighbors=3)
+        alone = evaluate_set([X[nearest].copy()], query, data, model, jury)
         assert alone.excluded == 1 and alone.centrality is None
 
 

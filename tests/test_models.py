@@ -16,7 +16,6 @@ from tcol.models import (
     ThirdPartyJury,
     cross_val_f1,
     cv_weights,
-    f1_score,
     fit_builtin,
     kfold_indices,
     load_model,
@@ -26,32 +25,41 @@ from tcol.models import (
 )
 
 
+def confusion(tp, fp, fn, tn=0):
+    """(hits, truth) holding ``tp`` true positives, ``fp`` false positives,
+    ``fn`` false negatives and ``tn`` true negatives."""
+    hits = [True] * (tp + fp) + [False] * (fn + tn)
+    truth = [True] * tp + [False] * fp + [True] * fn + [False] * tn
+    return hits, truth
+
+
 class TestF1Score:
     def test_equal_precision_recall(self):
-        assert f1_score(0.9, 0.9) == pytest.approx(0.9)
+        # precision = recall = 9 / 10
+        assert prediction_f1(*confusion(9, 1, 1)) == pytest.approx(0.9)
 
     def test_zero_recall_gives_zero(self):
-        assert f1_score(1.0, 0.0) == 0.0
+        assert prediction_f1(*confusion(0, 0, 4, tn=3)) == 0.0
 
     def test_mixed_inputs(self):
-        # 2 * 0.8 * 0.6 / 1.4
-        assert f1_score(0.8, 0.6) == pytest.approx(0.6857142857142857, abs=1e-12)
+        # precision 12 / 15 = 0.8, recall 12 / 20 = 0.6: 2 * 0.8 * 0.6 / 1.4
+        assert prediction_f1(*confusion(12, 3, 8)) == pytest.approx(0.6857142857142857, abs=1e-12)
 
     def test_both_zero_defined_as_zero(self):
-        assert f1_score(0.0, 0.0) == 0.0
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            f1_score(1.2, 0.5)
-        with pytest.raises(ValueError):
-            f1_score(0.5, -0.1)
+        assert prediction_f1(*confusion(0, 0, 0, tn=5)) == 0.0
+        assert prediction_f1([], []) == 0.0
 
     def test_symmetry_and_min_bound(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
-            p, r = rng.random(2)
-            assert f1_score(p, r) == pytest.approx(f1_score(r, p), abs=1e-15)
-            assert f1_score(p, r) <= 2.0 * min(p, r) + 1e-15
+            tp, fp, fn, tn = rng.integers(0, 20, size=4).tolist()
+            hits, truth = confusion(tp, fp, fn, tn)
+            f1 = prediction_f1(hits, truth)
+            # swapping predictions and labels swaps precision and recall
+            assert f1 == pytest.approx(prediction_f1(truth, hits), abs=1e-15)
+            precision = tp / (tp + fp) if tp + fp else 0.0
+            recall = tp / (tp + fn) if tp + fn else 0.0
+            assert 0.0 <= f1 <= 2.0 * min(precision, recall) + 1e-15
 
 
 def separable_data(n=20):
@@ -118,10 +126,10 @@ class TestBuiltins:
     @pytest.mark.parametrize(
         "make, message",
         [
-            (lambda: RandomForest(n_trees=0), "n_trees must be positive"),
-            (lambda: RandomForest(max_depth=-1), "max_depth must be non-negative"),
-            (lambda: DecisionTree(max_depth=-1), "max_depth must be non-negative"),
-            (lambda: DecisionTree(min_samples_split=1), "min_samples_split must be at least 2"),
+            (lambda: RandomForest(n_trees=0), "n_trees must be an integer >= 1, got 0"),
+            (lambda: RandomForest(max_depth=-1), "max_depth must be an integer >= 0, got -1"),
+            (lambda: DecisionTree(max_depth=-1), "max_depth must be an integer >= 0, got -1"),
+            (lambda: DecisionTree(min_samples_split=1), "min_samples_split must be an integer >= 2, got 1"),
         ],
     )
     def test_cart_hyperparameters_out_of_range_rejected(self, make, message):
@@ -147,7 +155,7 @@ class TestKnn:
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_non_positive_k_rejected(self, k):
-        with pytest.raises(ValueError, match="k must be positive"):
+        with pytest.raises(ValueError, match=f"k must be an integer >= 1, got {k}"):
             Knn(k=k)
 
     @pytest.mark.parametrize(
@@ -338,10 +346,13 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "kind, hyperparameters, message",
         [
-            ("random_forest", {"n_trees": 0}, "n_trees must be positive, got 0"),
-            ("random_forest", {"max_depth": -1}, "max_depth must be non-negative, got -1"),
-            ("decision_tree", {"max_depth": -2}, "max_depth must be non-negative, got -2"),
-            ("decision_tree", {"min_samples_split": 1}, "min_samples_split must be at least 2, got 1"),
+            ("random_forest", {"n_trees": 0}, "n_trees must be an integer >= 1, got 0"),
+            ("random_forest", {"max_depth": -1}, "max_depth must be an integer >= 0, got -1"),
+            ("random_forest", {"seed": -1}, "seed must be an integer >= 0, got -1"),
+            ("random_forest", {"n_trees": 2.5}, "n_trees must be an integer >= 1, got 2.5"),
+            ("decision_tree", {"max_depth": -2}, "max_depth must be an integer >= 0, got -2"),
+            ("decision_tree", {"max_depth": True}, "max_depth must be an integer >= 0, got True"),
+            ("decision_tree", {"min_samples_split": 1}, "min_samples_split must be an integer >= 2, got 1"),
         ],
     )
     def test_file_with_out_of_range_cart_hyperparameters_fails_to_load(

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from conftest import numeric_schema
 from tcol.cli import main
 from tcol.tabular import (
     CsvParseError,
     Dataset,
+    EncodedDataset,
     FeatureSchema,
     SchemaViolationError,
     encode_dataset,
@@ -71,6 +73,15 @@ class TestLoadCsv:
         ds = load_csv(path, SCHEMA, "loan", "yes")
         assert len(ds) == 3
         assert ds.dropped_rows == 0
+
+    def test_blank_lines_are_skipped_not_dropped(self, tmp_path):
+        path = write_csv(tmp_path, "job,income,loan\nservice,100,yes\n\ntech,200,no\n\n")
+        ds = load_csv(path, SCHEMA, "loan", "yes")
+        assert (len(ds), ds.dropped_rows) == (2, 0)
+
+    def test_empty_file_rejected(self, tmp_path):
+        with pytest.raises(CsvParseError, match="line 1: empty file"):
+            load_csv(write_csv(tmp_path, ""), SCHEMA, "loan", "yes")
 
     def test_rows_with_nulls_are_dropped_and_counted(self, tmp_path):
         path = write_csv(
@@ -150,6 +161,10 @@ class TestDataset:
         rows = (("service", 1.0), ("tech", 2.0))
         with pytest.raises(ValueError, match="target_class"):
             Dataset(SCHEMA, rows, ("yes", "no"), "loan", "maybe")
+
+    def test_rows_and_target_must_have_one_length(self):
+        with pytest.raises(SchemaViolationError, match="rows and target column differ in length"):
+            Dataset(SCHEMA, (("service", 1.0), ("tech", 2.0)), ("yes", "no", "yes"), "loan", "yes")
 
     def test_row_width_checked(self):
         with pytest.raises(SchemaViolationError):
@@ -243,6 +258,18 @@ class TestEncoder:
         with pytest.raises(ValueError, match="row has 1 values, schema has 2"):
             enc.encode_rows(rows + [("A",)])
 
+    @pytest.mark.parametrize(
+        "vector, message",
+        [
+            ([1.0], "vector length does not match schema"),
+            ([1.0, 0.5, 0.5], "vector length does not match schema"),
+            ([0.5, 0.5], "component 0.5 of feature 'grade' matches no fitted category"),
+        ],
+    )
+    def test_decode_rejects_a_vector_it_cannot_invert(self, vector, message):
+        with pytest.raises(ValueError, match=message):
+            fit_encoder(two_value_dataset()).decode(vector)
+
     def test_no_rows_encode_to_an_empty_matrix(self):
         assert fit_encoder(two_value_dataset()).encode_rows([]).shape == (0, 2)
 
@@ -316,6 +343,25 @@ def test_encode_dataset_shapes(synthetic, synthetic_encoder):
     assert list(encoded.immutable_mask()) == [f.immutable for f in synthetic.schema]
 
 
+@pytest.mark.parametrize(
+    "X, n_labels, message",
+    [
+        (np.zeros(3), 3, "X and y shapes do not match"),
+        (np.zeros((3, 2)), 2, "X and y shapes do not match"),
+        (np.zeros((3, 3)), 3, "X width does not match schema length"),
+    ],
+)
+def test_encoded_dataset_checks_its_shapes(X, n_labels, message):
+    with pytest.raises(ValueError, match=message):
+        EncodedDataset(X, np.array(["yes"] * n_labels, dtype=object), "yes", numeric_schema(2))
+
+
+def test_target_centroid_needs_a_target_row():
+    data = EncodedDataset(np.zeros((2, 2)), np.array(["no", "no"], dtype=object), "yes", numeric_schema(2))
+    with pytest.raises(ValueError, match="no target-class rows to average"):
+        data.target_centroid
+
+
 def test_load_schema_round_trip(tmp_path):
     payload = [
         {"name": f.name, "kind": f.kind, "mutability": f.mutability, "domain": list(f.domain)}
@@ -342,6 +388,11 @@ def test_load_schema_requires_fields(tmp_path):
         ('[{"name": "x", "kind": "numeric", "mutability": "mutable", "domain": [0, 1]}, 7]', "entry 7"),
         ('[{"name": "x", "kind": "categorical", "mutability": "mutable", "domain": "ab"}]', "not a list"),
         ('[{"name": "x", "kind": "categorical", "mutability": "mutable", "domain": [["a"], "b"]}]', "a list"),
+        ('[{"name": "x", "kind": "numeric", "mutability": "frozen", "domain": [0, 1]}]', "unknown mutability 'frozen'"),
+        ('[{"name": "x", "kind": "categorical", "mutability": "mutable", "domain": ["a", "b", "a"]}]',
+         "duplicate categories in domain of 'x'"),
+        ('[{"name": "x", "kind": "numeric", "mutability": "mutable", "domain": [0, 1, 2]}]', r"needs a \(min, max\) domain"),
+        ('[{"name": "x", "kind": "numeric", "mutability": "mutable", "domain": [0]}]', r"needs a \(min, max\) domain"),
     ],
 )
 def test_load_schema_rejects_a_malformed_schema(tmp_path, text, message):
@@ -349,6 +400,13 @@ def test_load_schema_rejects_a_malformed_schema(tmp_path, text, message):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(SchemaViolationError, match=message):
         load_schema(path)
+
+
+def test_unknown_bundled_file_rejected():
+    from tcol.data import bundled_path
+
+    with pytest.raises(FileNotFoundError, match="no bundled file named 'missing.csv'"):
+        bundled_path("missing.csv")
 
 
 def test_bundled_public_schemas_parse():
