@@ -21,7 +21,8 @@ from pathlib import Path
 from . import data as bundled
 from . import metrics as metrics_mod
 from .engine import PREFERENCES, GenerationConfig, generate
-from .experiment import ExperimentConfig, ExperimentError, check_jury, emit_report, run_experiment
+from .experiment import CSV_COLUMNS, ExperimentConfig, ExperimentError, check_jury, emit_report
+from .experiment import run_experiment
 from .models import MODEL_KINDS, VALIDATION_MODEL, ModelFileError, cv_weights, fit_builtin
 from .models import load_model, save_model
 from .tabular import (
@@ -219,14 +220,10 @@ def _cmd_evaluate(args) -> int:
     jury = cv_weights(jury, encoded, args.folds, seed=seed)
 
     evaluated = metrics_mod.evaluate_set(vectors, query, encoded, model, jury)
-    results = {
-        "proximity": evaluated.proximity,
-        "sparsity": evaluated.sparsity,
-        "validity": evaluated.validity,
-        "data_fidelity": evaluated.data_fidelity,
-        "centrality": 0.0 if evaluated.centrality is None else evaluated.centrality,
-        "reliability": metrics_mod.reliability_composite(evaluated.data_fidelity, evaluated.validity),
-    }
+    results = {name: getattr(evaluated, name) for name in metrics_mod.METRICS}
+    if evaluated.centrality is None:  # every CE coincided with a centroid neighbor
+        results["centrality"] = 0.0
+    results["reliability"] = metrics_mod.reliability_composite(evaluated.data_fidelity, evaluated.validity)
     for name, value in results.items():
         print(f"{name}: {value:.6f}")
     if evaluated.excluded:
@@ -246,12 +243,8 @@ def _cmd_bench(args) -> int:
     record = run_experiment(config, measure_runtime=not args.no_timing)
     csv_path, json_path = emit_report(record, args.out or config.out)
     for row in record.rows:
-        print(
-            f"{row.generator}/{row.preference}: proximity={row.proximity:.4f} "
-            f"sparsity={row.sparsity:.4f} validity={row.validity:.4f} "
-            f"data_fidelity={row.data_fidelity:.4f} centrality={row.centrality:.4f} "
-            f"runtime_s={row.runtime_s:.4f}"
-        )
+        values = " ".join(f"{name}={getattr(row, name):.4f}" for name in CSV_COLUMNS[3:])
+        print(f"{row.generator}/{row.preference}: {values}")
     print(f"wrote {csv_path} and {json_path}")
     return EXIT_OK
 

@@ -15,6 +15,10 @@ from .tabular import EncodedDataset
 
 N_NEIGHBORS = 10  # target rows nearest the class centroid that centrality averages over
 
+# The metric suite, in report order: each report row and ``tcol evaluate``
+# carry one value per name, and ``SetMetrics`` and ``MetricsRow`` one field.
+METRICS = ("proximity", "sparsity", "validity", "data_fidelity", "centrality")
+
 
 class CoincidentNeighborError(ValueError):
     """A counterfactual coincides with a centroid neighbor; its centrality is undefined."""
@@ -160,7 +164,7 @@ class MetricsRow:
     n_ces: int
 
     def __post_init__(self):
-        for name in ("proximity", "sparsity", "validity", "data_fidelity", "centrality", "runtime_s"):
+        for name in METRICS + ("runtime_s",):
             v = getattr(self, name)
             if not np.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")

@@ -584,11 +584,18 @@ MODEL_KINDS = tuple(_MODEL_CLASSES)
 VALIDATION_MODEL = RandomForest.kind  # the deployed model that validates counterfactuals
 
 
+def _check_seed(seed) -> None:
+    if type(seed) is not int or seed < 0:  # exact type, so that true is no integer
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def make_model(kind: str, seed: int = 0) -> ClassifierModel:
+    """An unfitted model of ``kind``; ``seed`` goes to every kind whose table has one."""
     if kind not in _MODEL_CLASSES:
         raise ValueError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
+    _check_seed(seed)
     cls = _MODEL_CLASSES[kind]
-    return cls(seed=seed) if cls is RandomForest else cls()
+    return cls(seed=seed) if "seed" in cls._HYPERPARAMETERS else cls()
 
 
 def fit_builtin(kind: str, data: EncodedDataset, seed: int = 0) -> ClassifierModel:
@@ -604,6 +611,7 @@ def kfold_indices(n: int, folds: int, seed: int = 0) -> list[np.ndarray]:
         raise ValueError("folds must be at least 2")
     if n < folds:
         raise ValueError(f"need at least {folds} rows for {folds}-fold splits, got {n}")
+    _check_seed(seed)
     order = np.random.default_rng(seed).permutation(n)
     return [order[f::folds] for f in range(folds)]
 

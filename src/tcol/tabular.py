@@ -287,8 +287,11 @@ class Encoder:
     out-of-range inputs at encode time, while a value that is not a finite
     number raises ``SchemaViolationError``. ``encode_rows`` works column by
     column and reports the first bad cell in column order; ``encode`` is its
-    one-row case. ``decode`` inverts exactly for the fitted rows:
-    categorical by a stored reverse map, numeric by the inverse affine map.
+    one-row case. ``decode`` returns a fitted row's categories exactly, by a
+    stored reverse map. A numeric comes back through the inverse affine map
+    as a ``numpy.float64`` within rounding of the value, not always equal to
+    it (in a column from 0 to 100, 62.46 decodes to 62.46000000000001 and 7
+    to 7.000000000000001); a constant feature decodes to its one value.
     Two categories of one feature with the same target rate would encode
     identically and could not both round-trip, so fitting an encoder on
     them raises ``SchemaViolationError``.

@@ -1,11 +1,13 @@
 import json
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import StubModel, make_encoded
+from tcol import experiment
 from tcol.engine import GenerationConfig, generate
 from tcol.experiment import (
     CSV_COLUMNS,
@@ -202,6 +204,15 @@ class TestRunExperiment:
             assert 0.0 <= row.validity <= 1.0
             assert 0.0 <= row.data_fidelity <= 1.0
 
+    def test_baseline_rows_and_tables_agree_across_preferences(self, small_record):
+        # timed, yet equal: a baseline's first cell serves every preference
+        for generator in ("nearest_target", "random_path"):
+            rows = [r for r in small_record.rows if r.generator == generator]
+            tables = [t["queries"] for t in small_record.ce_tables if t["generator"] == generator]
+            assert [r.preference for r in rows] == ["a", "c"]
+            assert rows[1] == replace(rows[0], preference="c")
+            assert tables[1] is tables[0]
+
     def test_ce_tables_align_with_rows(self, small_record):
         assert len(small_record.ce_tables) == len(small_record.rows)
         for table in small_record.ce_tables:
@@ -222,6 +233,31 @@ class TestRunExperiment:
                             assert value in allowed
                         else:
                             assert min(abs(value - u) for u in allowed) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "generator, function, runs_per_query",
+        [
+            ("tcol", "generate", 5),
+            ("nearest_target", "baseline_nearest_target", 1),
+            ("random_path", "baseline_random_path", 1),
+        ],
+    )
+    def test_baselines_run_once_per_query_and_tcol_once_per_preference(
+        self, generator, function, runs_per_query, synthetic_files, monkeypatch
+    ):
+        real, calls = getattr(experiment, function), []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, function, spy)
+        config = ExperimentConfig(**synthetic_files, generators=(generator,), queries=3, folds=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            record = run_experiment(config, measure_runtime=False)
+        assert [r.preference for r in record.rows] == ["a", "b", "c", "d", "e"]
+        assert len(calls) == 3 * runs_per_query
 
     def test_missing_dataset_aborts_with_stage_tag(self, synthetic_files):
         config = ExperimentConfig(

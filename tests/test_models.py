@@ -108,6 +108,19 @@ class TestBuiltins:
         with pytest.raises(ValueError, match="10 rows"):
             fit_builtin("knn", data, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.0])
+    def test_seed_must_be_a_non_negative_int(self, seed, synthetic_encoded):
+        calls = (
+            lambda: fit_builtin("knn", synthetic_encoded, seed=seed),
+            lambda: make_model("random_forest", seed=seed),
+            lambda: cv_weights(("knn", "naive_bayes"), synthetic_encoded, folds=5, seed=seed),
+            lambda: kfold_indices(10, 2, seed=seed),
+        )
+        message = re.escape(f"seed must be a non-negative integer, got {seed!r}")
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown model kind"):
             make_model("boosted_stump")

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import numeric_schema
 from tcol.cli import main
@@ -334,6 +336,41 @@ class TestEncoder:
             assert tuple(entry["domain"]) == tuple(feat.domain)
             assert entry["category_rates"] == synthetic_encoder.category_rates[i]
             assert (entry["min"], entry["max"]) == (synthetic_encoder.mins[i], synthetic_encoder.maxs[i])
+
+
+@st.composite
+def round_trip_datasets(draw):
+    """A categorical feature of k categories with distinct target rates
+    (category j: j + 1 rows, one approved) and a numeric feature of finite
+    values, two-decimal ones among them."""
+    k = draw(st.integers(2, 5))
+    grades = [f"g{j}" for j in range(k) for _ in range(j + 1)]
+    target = [label for j in range(k) for label in ["yes"] + ["no"] * j]
+    value = st.one_of(
+        st.integers(-10**7, 10**7).map(lambda cents: cents / 100),
+        st.floats(-1e6, 1e6, allow_subnormal=False),
+    )
+    amounts = draw(st.lists(value, min_size=len(grades), max_size=len(grades)))
+    schema = (
+        FeatureSchema("grade", "categorical", "mutable", tuple(f"g{j}" for j in range(k))),
+        FeatureSchema("amount", "numeric", "mutable", (-1e6, 1e6)),
+    )
+    return Dataset(schema, tuple(zip(grades, amounts)), tuple(target), "loan", "yes")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=round_trip_datasets())
+def test_decode_is_exact_for_categories_and_within_rounding_for_numerics(data):
+    """A numeric x decodes to ((x - lo) / (hi - lo)) * (hi - lo) + lo: four
+    roundings of at most half an ulp each, which stay within
+    2 eps (hi - lo) + eps |lo| / 2; the bound doubles that."""
+    enc = fit_encoder(data)
+    lo, hi = enc.mins[1], enc.maxs[1]
+    bound = 4 * np.finfo(float).eps * ((hi - lo) + abs(lo))
+    for row, vector in zip(data.rows, enc.encode_rows(data.rows)):
+        grade, amount = enc.decode(vector)
+        assert grade == row[0]
+        assert abs(amount - row[1]) <= bound
 
 
 def test_encode_dataset_shapes(synthetic, synthetic_encoder):
