@@ -15,6 +15,7 @@ tables.
 from __future__ import annotations
 
 import json
+import sys
 import time
 import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -42,6 +43,15 @@ class ExperimentError(RuntimeError):
 
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
+
+
+def _warn(message: str) -> None:
+    """A ``UserWarning`` at the first frame outside this module, such as the
+    line that called ``run_experiment``, not at one of its stages."""
+    frame, level = sys._getframe(), 1
+    while frame is not None and frame.f_code.co_filename == __file__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 def check_jury(kinds: tuple, folds: int) -> None:
@@ -184,7 +194,7 @@ def baseline_random_path(
         if len(out) == m:
             break
     if not out:
-        warnings.warn("random path baseline found no valid counterfactual", stacklevel=2)
+        _warn("random path baseline found no valid counterfactual")
     return out
 
 
@@ -326,13 +336,12 @@ def _aggregate(
         return float(np.mean(values)) if values else 0.0
 
     if skipped_centrality:
-        warnings.warn(
+        _warn(
             f"{skipped_centrality} counterfactuals coincided with centroid neighbors "
-            f"and were excluded from centrality ({generator}/{preference})",
-            stacklevel=2,
+            f"and were excluded from centrality ({generator}/{preference})"
         )
     if n_ces == 0:
-        warnings.warn(f"no counterfactuals produced for {generator}/{preference}", stacklevel=2)
+        _warn(f"no counterfactuals produced for {generator}/{preference}")
     return metrics_mod.MetricsRow(
         dataset=dataset_name,
         generator=generator,

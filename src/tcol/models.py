@@ -31,15 +31,25 @@ such a tree readies only its next preorder node per step and every
 generator is drawn from as by a recursive grower; a tree that draws
 nothing readies every open node, level by level. The search takes the
 ready nodes in blocks of at most ``_GROW_BLOCK`` (row, candidate) entries.
+
+A fit takes samples of rows (``_fit_samples``): ``fit`` is the one sample
+of all rows, and ``cross_val_f1`` passes the k folds' training rows, then
+all rows. A decision tree grows every sample's tree in one ``_grow_trees``
+call over the full matrix, so its k fold trees and the final jury tree
+share one ``_Columns`` and one lockstep pass; a split depends only on its
+node's rows, so each tree is the one a fit on its sample alone grows. The
+other models fit sample by sample.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,21 +99,41 @@ class ClassifierModel:
         self.fitted = False
 
     def fit(self, X: np.ndarray, y: Sequence, target_class) -> "ClassifierModel":
+        """Fit on every row of ``X``: the one-sample case of ``_fit_samples``."""
+        [params] = self._fit_samples(X, y, target_class, [np.arange(len(X))])
+        return self._install(params)
+
+    def _fit_samples(self, X, y, target_class, samples) -> Iterable[dict]:
+        """The parameter records of a fit on each sample's rows of ``X``, in order.
+
+        Every sample's labels pass ``fit``'s checks, in sample order, before
+        anything is fitted, and all samples together hold the same two
+        classes, which this sets. ``_fit_records`` then fits them.
+        """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=object)
-        labels = set(y.tolist())
-        if len(labels) < 2:
-            raise ValueError("training data contains a single class")
-        if len(labels) > 2:
-            raise ValueError(f"expected binary labels, got {sorted(map(str, labels))}")
-        if target_class not in labels:
-            raise ValueError(f"target class {target_class!r} absent from training labels")
+        labels = set()
+        for rows in samples:
+            seen = set(y[rows].tolist())
+            labels |= seen
+            if len(seen) < 2:
+                raise ValueError("training data contains a single class")
+            if len(labels) > 2:
+                raise ValueError(f"expected binary labels, got {sorted(map(str, labels))}")
+            if target_class not in seen:
+                raise ValueError(f"target class {target_class!r} absent from training labels")
         self.target_class = target_class
         self.other_class = next(c for c in labels if c != target_class)
-        return self._install(self._fit(X, y))
+        return self._fit_records(X, y, samples)
+
+    def _fit_records(self, X: np.ndarray, y: np.ndarray, samples) -> Iterable[dict]:
+        """Fit each sample with ``_fit``, lazily, one at a time; a model that
+        fits many samples at once overrides this."""
+        return (self._fit(X[rows], y[rows]) for rows in samples)
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> dict:
-        """Fit on the rows; return the parameter record that ``save_model`` writes."""
+        """Fit on the rows, the sample's own copies; return the parameter
+        record that ``save_model`` writes."""
         raise NotImplementedError
 
     def _restore(self, params: dict) -> None:
@@ -156,7 +186,7 @@ class Knn(ClassifierModel):
     _HYPERPARAMETERS = {"k": (5, 1)}
 
     def _fit(self, X, y):
-        return {"train_x": X.copy(), "train_y": y.copy()}
+        return {"train_x": X, "train_y": y}
 
     def predict_proba_rows(self, X) -> np.ndarray:
         """The k nearest training rows by ``np.linalg.norm(t - q)``, distance
@@ -214,10 +244,15 @@ class Knn(ClassifierModel):
 
     def _restore(self, params):
         # the record keeps the array, not a loaded file's lists: one copy of the rows
-        params["train_x"] = self._X = np.asarray(params["train_x"], dtype=float)
+        params["train_x"] = self._X = _float_array(params["train_x"], "knn train_x")
+        labels = np.asarray(params["train_y"], dtype=object)
+        if self._X.ndim != 2 or len(self._X) != len(labels) or not np.isfinite(self._X).all():
+            raise ModelFileError(
+                f"knn train_x must be a finite matrix with one row per train_y label, "
+                f"got shape {self._X.shape} for {len(labels)} labels"
+            )
         self._XT = np.ascontiguousarray(self._X.T)
         self._sq = np.einsum("ij,ij->i", self._X, self._X)
-        labels = np.asarray(params["train_y"], dtype=object)
         # one class missing would make every vote the same, silently
         if set(labels.tolist()) != {self.target_class, self.other_class}:
             raise ModelFileError(
@@ -225,6 +260,15 @@ class Knn(ClassifierModel):
                 f"{self.other_class!r}, got {sorted(map(str, set(labels.tolist())))}"
             )
         self._hits = labels == self.target_class
+
+
+def _float_array(values, field: str) -> np.ndarray:
+    """``values`` as a float array; ``ModelFileError`` naming ``field`` if they are not numbers
+    or are ragged."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ModelFileError(f"{field} is not an array of numbers: {exc}") from None
 
 
 def _knn_error_bound(n_features: int, norms: np.ndarray) -> np.ndarray:
@@ -277,11 +321,17 @@ class NaiveBayes(ClassifierModel):
         self._stats = {}
         for label in (self.target_class, self.other_class):
             s = params["stats"][str(label)]
-            self._stats[label] = {
-                "prior": float(s["prior"]),
-                "mean": np.asarray(s["mean"], dtype=float),
-                "var": np.asarray(s["var"], dtype=float),
-            }
+            field = f"naive_bayes stats[{str(label)!r}]"
+            prior = _float_array(s["prior"], f"{field} prior")
+            mean = _float_array(s["mean"], f"{field} mean")
+            var = _float_array(s["var"], f"{field} var")
+            if prior.ndim or not 0.0 < prior <= 1.0:
+                raise ModelFileError(f"{field} prior must be a number in (0, 1], got {s['prior']!r}")
+            if mean.ndim != 1 or mean.shape != var.shape:
+                raise ModelFileError(f"{field} mean and var must be lists of one length")
+            if not (np.isfinite(mean).all() and np.isfinite(var).all() and (var > 0.0).all()):
+                raise ModelFileError(f"{field} needs a finite mean and a finite var above 0")
+            self._stats[label] = {"prior": float(prior), "mean": mean, "var": var}
 
 
 class _FlatTrees:
@@ -358,6 +408,9 @@ class _Columns:
         self.keys = ((codes << 1) | self.hit[:, np.newaxis]).ravel()
         # A column's lowest midpoint is that of its two lowest values above -inf.
         # If it overflows to -inf, a split's counts disagree with its partition.
+        # The check reads every row of X, not only the samples' rows. Encoded
+        # data lies in [0, 1] and never fails it; a cross-validation's last
+        # sample is all rows, which would fail it on its own anyway.
         low = self.value_base + (self.values[self.value_base] == -np.inf)
         low = low[low + 1 < self.value_base + lengths]
         with np.errstate(over="ignore"):
@@ -542,6 +595,11 @@ class _CartModel(ClassifierModel):
     def _restore(self, params):
         trees = params[self._key]
         self._flat = _FlatTrees(trees if self._key == "trees" else [trees])
+        if not len(self._flat.roots):
+            raise ModelFileError(f"{self.kind} {self._key} must hold at least one tree")
+        # an inner node's value is 0.0, so this reads every leaf
+        if not ((self._flat.value >= 0.0) & (self._flat.value <= 1.0)).all():
+            raise ModelFileError(f"{self.kind} {self._key} has a leaf outside [0, 1]")
 
 
 class DecisionTree(_CartModel):
@@ -551,12 +609,13 @@ class DecisionTree(_CartModel):
     _key = "tree"
     _HYPERPARAMETERS = {"max_depth": (8, 0), "min_samples_split": (2, 2)}
 
-    def _fit(self, X, y):
-        hits = y == self.target_class
-        [tree] = _grow_trees(
-            X, hits, [np.arange(len(X))], [None], X.shape[1], self.max_depth, self.min_samples_split
+    def _fit_records(self, X, y, samples):
+        # every sample's tree in one lockstep pass over the rows of X
+        trees = _grow_trees(
+            X, y == self.target_class, samples, [None] * len(samples), X.shape[1],
+            self.max_depth, self.min_samples_split,
         )
-        return {"tree": tree}
+        return [{"tree": tree} for tree in trees]
 
 
 class RandomForest(_CartModel):
@@ -616,18 +675,29 @@ def kfold_indices(n: int, folds: int, seed: int = 0) -> list[np.ndarray]:
     return [order[f::folds] for f in range(folds)]
 
 
-def cross_val_f1(make, data: EncodedDataset, folds: int, seed: int = 0) -> float:
-    """Mean held-out F1 (positive = target class) of ``make()`` over k folds."""
-    fold_idx = kfold_indices(len(data), folds, seed=seed)
+def cross_val_f1(make, data: EncodedDataset, folds: int, seed: int = 0) -> tuple[float, ClassifierModel]:
+    """The mean held-out F1 (positive = target class) of ``make()`` over k
+    folds, and ``make()`` fitted on all rows.
+
+    The k training sets, then all rows, are the samples of one
+    ``_fit_samples`` call: every fold's labels are checked before any fit,
+    and a decision tree grows the k + 1 trees in one ``_grow_trees`` pass.
+    """
+    tests = kfold_indices(len(data), folds, seed=seed)
+    samples = []
+    for test in tests:
+        train = np.ones(len(data), dtype=bool)
+        train[test] = False
+        samples.append(np.flatnonzero(train))
+    samples.append(np.arange(len(data)))
+    model = make()
+    records = iter(model._fit_samples(data.X, data.y, data.target_class, samples))
+    truth = data.y == data.target_class
     scores = []
-    for test in fold_idx:
-        mask = np.ones(len(data), dtype=bool)
-        mask[test] = False
-        model = make().fit(data.X[mask], data.y[mask], data.target_class)
-        hits = model.predicts_target(data.X[test])
-        truth = data.y[test] == data.target_class
-        scores.append(prediction_f1(hits, truth))
-    return float(np.mean(scores))
+    for test in tests:
+        on_fold = copy.copy(model)._install(next(records))
+        scores.append(prediction_f1(on_fold.predicts_target(data.X[test]), truth[test]))
+    return float(np.mean(scores)), model._install(next(records))
 
 
 @dataclass(frozen=True)
@@ -650,13 +720,13 @@ class ThirdPartyJury:
 
 
 def cv_weights(kinds: Sequence[str], data: EncodedDataset, folds: int, seed: int = 0) -> ThirdPartyJury:
-    """Weight each jury member by its mean held-out F1, then fit on all rows."""
+    """Each jury member fitted on all rows, weighted by its mean held-out F1,
+    both from one ``cross_val_f1`` call."""
     if len(kinds) < 2:
         raise ValueError("a jury needs at least two member kinds")
     members = []
     for kind in kinds:
-        weight = cross_val_f1(lambda: make_model(kind, seed=seed), data, folds, seed=seed)
-        model = make_model(kind, seed=seed).fit(data.X, data.y, data.target_class)
+        weight, model = cross_val_f1(partial(make_model, kind, seed=seed), data, folds, seed=seed)
         members.append((model, weight))
     return ThirdPartyJury(members=tuple(members))
 

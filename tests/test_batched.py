@@ -1,16 +1,20 @@
 """The batched model path: ``predict_proba_rows`` against per-row
 reference formulas, the CART grower against the per-threshold scan it
-replaced, the flat forest walk against the level-by-level kernel it
-replaced, knn's filter and refine against the blocked 3-D-norm kernel
-it replaced, ``generate`` against a sequential reference that draws for
+replaced, the decision tree's batched cross-validation fits against
+fits on each fold alone, the flat forest walk against the level-by-level
+kernel it replaced, knn's filter and refine against the blocked 3-D-norm
+kernel it replaced, ``generate`` against a sequential reference that draws for
 one prototype at a time and validates one drawn combination at a time,
 and the column-wise encoder against the per-cell one it replaced.
 The generation reference keeps its own fill and fallback-score helpers,
 independent of the engine's, and its own copy of the per-group scorer and
 the per-prototype merge that the width-batched ones replaced."""
 
+import copy
 import json
 import math
+import re
+import tempfile
 import warnings
 import zlib
 from dataclasses import replace
@@ -25,7 +29,7 @@ from hypothesis import strategies as st
 from conftest import feature_groups, make_encoded
 from tcol import models
 from tcol.engine import CandidateCE, GenerationConfig, generate
-from tcol.models import MODEL_KINDS, ClassifierModel, make_model
+from tcol.models import MODEL_KINDS, ClassifierModel, DecisionTree, cross_val_f1, make_model, save_model
 from tcol.scoring import cosine, count_diffs, euclidean, norm
 from tcol.tabular import Dataset, Encoder, FeatureSchema, SchemaViolationError, fit_encoder
 
@@ -334,6 +338,57 @@ def test_grower_rejects_values_whose_midpoint_overflows():
     # -inf itself and a huge positive pair are fine: their midpoints keep the counts
     X = np.array([[-np.inf], [-1e308], [0.0], [1e308], [1.5e308], [np.inf]])
     models.DecisionTree().fit(X, ["yes", "no", "yes", "no", "yes", "no"], "yes")
+
+
+@st.composite
+def cross_validation_cases(draw):
+    """Grid columns with many repeated values, labels that may leave a fold
+    single-class, and a fold count and seed."""
+    n_features = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(4, 36))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = rng.choice([2, 3, 5], size=n_features)
+    X = rng.integers(0, levels, size=(n_rows, n_features)) / (levels - 1)
+    y = np.where(rng.random(n_rows) < draw(st.sampled_from([0.1, 0.5])), "yes", "no")
+    folds = draw(st.integers(2, min(6, n_rows)))
+    return make_encoded(X, y), folds, draw(st.integers(0, 3))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    case=cross_validation_cases(),
+    max_depth=st.integers(0, 6),
+    min_samples_split=st.integers(2, 4),
+)
+def test_batched_fold_and_final_trees_save_as_fits_on_each_sample_alone(case, max_depth, min_samples_split):
+    """``cross_val_f1`` grows every fold's tree and the final tree in one
+    pass. Each saves byte for byte as ``DecisionTree().fit`` on its rows
+    alone saves, the weight is bit-equal to the per-fold fits' mean F1, and
+    a fold that fails ``fit``'s label checks raises ``fit``'s error."""
+    data, folds, seed = case
+    tests = models.kfold_indices(len(data), folds, seed=seed)
+    samples = [np.setdiff1d(np.arange(len(data)), test) for test in tests] + [np.arange(len(data))]
+    make = partial(DecisionTree, max_depth=max_depth, min_samples_split=min_samples_split)
+    alone, scores = [], []
+    try:
+        for rows in samples:
+            alone.append(make().fit(data.X[rows], data.y[rows], "yes"))
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            cross_val_f1(make, data, folds, seed=seed)
+        return
+    for model, test in zip(alone, tests):
+        scores.append(models.prediction_f1(model.predicts_target(data.X[test]), data.y[test] == "yes"))
+    model = make()
+    batched = [copy.copy(model)._install(params) for params in model._fit_samples(data.X, data.y, "yes", samples)]
+    weight, final = cross_val_f1(make, data, folds, seed=seed)
+    assert weight.hex() == float(np.mean(scores)).hex()
+    with tempfile.TemporaryDirectory() as tmp:
+        for fitted, reference in zip([*batched, final], [*alone, alone[-1]]):
+            save_model(fitted, f"{tmp}/batched.json")
+            save_model(reference, f"{tmp}/alone.json")
+            with open(f"{tmp}/batched.json", "rb") as a, open(f"{tmp}/alone.json", "rb") as b:
+                assert a.read() == b.read()
 
 
 def level_walk(trees, X) -> np.ndarray:

@@ -393,6 +393,28 @@ def test_validation_model_file_that_would_predict_nonsense_is_data_error(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, edit, message",
+    [
+        ("random_forest", lambda p: p.update(trees=[]), "random_forest trees must hold at least one tree"),
+        ("knn", lambda p: p.update(train_x=p["train_x"][:3]), "knn train_x must be a finite matrix"),
+        ("naive_bayes", lambda p: p["stats"]["approved"].update(var=[0.0] * 6), "a finite var above 0"),
+    ],
+    ids=["no-trees", "knn-rows-cut", "zero-var"],
+)
+def test_validation_model_file_whose_parameters_would_predict_nonsense_is_data_error(
+    ce_file, tmp_path, capsys, kind, edit, message
+):
+    assert main(["train", "--kind", kind, "--out-dir", str(tmp_path)]) == 0
+    path = tmp_path / f"{kind}.model.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    edit(payload["parameters"])
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code = main(["evaluate", "--ces", str(ce_file), "--folds", "5", "--validation-model", str(path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_readme_quick_start_prints_documented_metrics(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Quick start (CLI)")[1].split("```bash")[1].split("```")[0]

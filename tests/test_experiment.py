@@ -351,3 +351,17 @@ def test_aggregate_warns_when_no_counterfactual_was_produced(
     with pytest.warns(UserWarning, match="no counterfactuals produced for tcol/a"):
         row = _aggregate_one_set(synthetic_encoded, [], validation_model, synthetic_jury)
     assert (row.n_queries, row.n_ces, row.validity, row.centrality) == (1, 0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("no_ces", [False, True])
+def test_run_experiment_warnings_point_at_its_caller(synthetic_files, monkeypatch, no_ces):
+    """Not at a line of ``experiment.py``, such as its stage wrapper's call."""
+    if no_ces:
+        monkeypatch.setattr(experiment, "generate", lambda *args: [])
+    config = ExperimentConfig(**synthetic_files, generators=("tcol",), queries=5, folds=5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_experiment(config, measure_runtime=False)
+    expected = "no counterfactuals produced" if no_ces else "coincided with centroid neighbors"
+    assert any(expected in str(w.message) for w in caught)
+    assert {w.filename for w in caught} == {__file__}

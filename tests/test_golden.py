@@ -7,7 +7,7 @@ import pytest
 
 from golden.write_credit import CE_FIELDS, FIXTURE, MODEL_FILES, credit_ces
 from golden.write_report import REPORT_CSV, REPORT_JSON, bench_report
-from tcol.models import DecisionTree, RandomForest, load_model, save_model
+from tcol.models import DecisionTree, RandomForest, cv_weights, load_model, save_model
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +53,15 @@ def test_fitting_the_reference_models_saves_the_golden_files(kind, synthetic_enc
     model.fit(synthetic_encoded.X, synthetic_encoded.y, synthetic_encoded.target_class)
     save_model(model, tmp_path / "fitted.json")
     assert (tmp_path / "fitted.json").read_bytes() == MODEL_FILES[kind].read_bytes()
+
+
+def test_jury_weights_of_the_credit_set_match_golden_bit_for_bit(synthetic_encoded):
+    jury = cv_weights(("knn", "naive_bayes", "decision_tree"), synthetic_encoded, folds=10, seed=0)
+    assert [weight.hex() for weight in jury.weights] == [
+        "0x1.ad1e1e972837ap-1",
+        "0x1.a2237b4649f58p-1",
+        "0x1.acc088adea6cdp-1",
+    ]
 
 
 @pytest.mark.filterwarnings("ignore:.*coincided with centroid neighbors:UserWarning")

@@ -1,5 +1,7 @@
 import json
+import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -222,7 +224,7 @@ class TestCrossValidation:
 
     def test_perfect_classifier_weight_is_one(self):
         data = separable_data(40)
-        assert cross_val_f1(OracleModel, data, folds=5, seed=0) == 1.0
+        assert cross_val_f1(OracleModel, data, folds=5, seed=0)[0] == 1.0
 
     def test_constant_predictor_matches_closed_form(self):
         rng = np.random.default_rng(4)
@@ -230,7 +232,7 @@ class TestCrossValidation:
         y = ["yes"] * 100 + ["no"] * 100
         data = make_encoded(X, y)
         folds, seed = 10, 3
-        weight = cross_val_f1(
+        weight, _ = cross_val_f1(
             lambda: StubModel(target_class="yes", other_class="no", always=True),
             data,
             folds,
@@ -247,14 +249,31 @@ class TestCrossValidation:
 
     def test_better_member_gets_higher_weight(self):
         data = separable_data(60)
-        perfect = cross_val_f1(OracleModel, data, folds=5, seed=0)
-        constant = cross_val_f1(
+        perfect, _ = cross_val_f1(OracleModel, data, folds=5, seed=0)
+        constant, _ = cross_val_f1(
             lambda: StubModel(target_class="yes", other_class="no", always=True),
             data,
             folds=5,
             seed=0,
         )
         assert perfect == 1.0 >= constant
+
+    def test_a_single_class_fold_raises_fits_error(self):
+        # the one "no" row is held out of one fold, whose training rows are then all "yes"
+        data = make_encoded(np.linspace(0.0, 1.0, 10)[:, np.newaxis], ["yes"] * 9 + ["no"])
+        test = next(t for t in kfold_indices(10, 5, seed=0) if 9 in t)
+        with pytest.raises(ValueError, match="^training data contains a single class$"):
+            DecisionTree().fit(np.delete(data.X, test, axis=0), np.delete(data.y, test), "yes")
+        for make in (DecisionTree, Knn):
+            with pytest.raises(ValueError, match="^training data contains a single class$"):
+                cross_val_f1(make, data, folds=5, seed=0)
+
+    def test_final_member_is_the_fit_on_all_rows(self, synthetic_encoded, tmp_path):
+        for kind in ("knn", "naive_bayes", "decision_tree"):
+            _, final = cross_val_f1(partial(make_model, kind), synthetic_encoded, folds=4, seed=2)
+            save_model(final, tmp_path / "cv.json")
+            save_model(fit_builtin(kind, synthetic_encoded), tmp_path / "fit.json")
+            assert (tmp_path / "cv.json").read_bytes() == (tmp_path / "fit.json").read_bytes()
 
     def test_cv_weights_builds_fitted_jury(self, synthetic_encoded):
         jury = cv_weights(("knn", "decision_tree"), synthetic_encoded, folds=5, seed=0)
@@ -377,6 +396,42 @@ class TestPersistence:
         payload["hyperparameters"].update(hyperparameters)
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ModelFileError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "kind, edit, message",
+        [
+            ("random_forest", lambda p: p.update(trees=[]), "random_forest trees must hold at least one tree"),
+            ("random_forest", lambda p: p["trees"][0].update(leaf=-0.5, n=1), "trees has a leaf outside [0, 1]"),
+            ("decision_tree", lambda p: p.update(tree={"leaf": math.nan, "n": 2}), "tree has a leaf outside [0, 1]"),
+            ("decision_tree", lambda p: p.update(tree={"leaf": 1.5, "n": 2}), "tree has a leaf outside [0, 1]"),
+            ("knn", lambda p: p.update(train_x=p["train_x"][:3]), "one row per train_y label, got shape (3, 6)"),
+            ("knn", lambda p: p["train_x"][0].__setitem__(0, math.inf), "knn train_x must be a finite matrix"),
+            ("knn", lambda p: p.update(train_x=p["train_x"][0]), "knn train_x must be a finite matrix"),
+            ("knn", lambda p: p["train_x"][0].append(0.5), "knn train_x is not an array of numbers"),
+            ("naive_bayes", lambda p: p["stats"]["approved"].update(var=[0.0] * 6),
+             "stats['approved'] needs a finite mean and a finite var above 0"),
+            ("naive_bayes", lambda p: p["stats"]["denied"]["mean"].__setitem__(2, math.nan),
+             "stats['denied'] needs a finite mean and a finite var above 0"),
+            ("naive_bayes", lambda p: p["stats"]["denied"].update(prior=0.0),
+             "stats['denied'] prior must be a number in (0, 1], got 0.0"),
+            ("naive_bayes", lambda p: p["stats"]["denied"].update(prior=1.5), "prior must be a number in (0, 1]"),
+            ("naive_bayes", lambda p: p["stats"]["denied"].update(prior="x"), "stats['denied'] prior is not"),
+            ("naive_bayes", lambda p: p["stats"]["approved"]["mean"].pop(),
+             "stats['approved'] mean and var must be lists of one length"),
+        ],
+        ids=[
+            "no-trees", "negative-leaf", "nan-leaf", "leaf-above-one", "knn-rows-cut", "knn-inf", "knn-1d",
+            "knn-ragged", "zero-var", "nan-mean", "zero-prior", "prior-above-one", "prior-text", "short-mean",
+        ],
+    )
+    def test_file_that_would_predict_nonsense_fails_to_load(self, kind, edit, message, tmp_path, synthetic_encoded):
+        path = tmp_path / "m.json"
+        save_model(fit_builtin(kind, synthetic_encoded), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload["parameters"])
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelFileError, match=re.escape(message)):
             load_model(path)
 
     def test_unfitted_model_not_saved(self, tmp_path):
