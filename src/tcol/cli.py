@@ -215,6 +215,7 @@ def _cmd_evaluate(args) -> int:
 
     if args.validation_model:
         model = load_model(args.validation_model)
+        model.check_width(encoded.X.shape[1])
     else:
         model = fit_builtin(VALIDATION_MODEL, encoded, seed=seed)
     jury = cv_weights(jury, encoded, args.folds, seed=seed)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ClassifierModel, ThirdPartyJury, prediction_f1
-from .scoring import count_diffs, euclidean
+from .scoring import _dot, count_diffs, euclidean
 from .tabular import EncodedDataset
 
 N_NEIGHBORS = 10  # target rows nearest the class centroid that centrality averages over
@@ -29,17 +29,24 @@ def _vectors(ces) -> np.ndarray:
     out = np.array(ces, dtype=float)
     if not len(out):
         raise ValueError("empty counterfactual list")
+    if out.ndim != 2:
+        raise ValueError(f"counterfactuals must be the rows of a matrix, got shape {out.shape}")
     return out
+
+
+def _mean(values) -> float:
+    """``np.mean`` of a 1-D array, by the same sum and division, without its wrapper."""
+    return float(np.add.reduce(values) / len(values))
 
 
 def proximity(ces, query) -> float:
     """Mean Euclidean distance from each counterfactual to the query."""
-    return float(np.mean(euclidean(_vectors(ces), query)))
+    return _mean(euclidean(_vectors(ces), query))
 
 
 def sparsity(ces, query) -> float:
     """Mean count of features where a counterfactual differs from the query."""
-    return float(np.mean(count_diffs(_vectors(ces), query)))
+    return _mean(count_diffs(_vectors(ces), query))
 
 
 def _hits(model: ClassifierModel, ces, target_class) -> np.ndarray:
@@ -52,7 +59,8 @@ def _hits(model: ClassifierModel, ces, target_class) -> np.ndarray:
 
 def validity(ces, model: ClassifierModel, target_class) -> float:
     """Fraction of counterfactuals the model classifies as the target class."""
-    return float(np.mean(_hits(model, ces, target_class)))
+    hits = _hits(model, ces, target_class)
+    return np.count_nonzero(hits) / len(hits)
 
 
 def member_agreement(model: ClassifierModel, ces, target_class) -> float:
@@ -91,10 +99,14 @@ def centrality(ce, data: EncodedDataset) -> float:
     rows, to_center = data.centroid_neighbors
     if len(rows) < N_NEIGHBORS:
         raise ValueError(f"need at least {N_NEIGHBORS} target rows, got {len(rows)}")
-    denom = euclidean(rows[:N_NEIGHBORS], ce)
-    if np.any(denom == 0.0):
+    if ce.shape != rows.shape[1:]:
+        raise ValueError(f"vector shapes differ: {rows.shape[1:]} vs {ce.shape}")
+    # scoring.euclidean(rows, ce), by the same subtraction and row-wise dot
+    d = rows[:N_NEIGHBORS] - ce
+    denom = np.sqrt(_dot(d, d))
+    if (denom == 0.0).any():
         raise CoincidentNeighborError("counterfactual coincides with a centroid neighbor")
-    return float(np.mean(to_center[:N_NEIGHBORS] / denom))
+    return _mean(to_center[:N_NEIGHBORS] / denom)
 
 
 @dataclass(frozen=True)

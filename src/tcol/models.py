@@ -21,6 +21,13 @@ immutable after ``fit``, apart from a memo of one data set's target-row
 probabilities, which ``fit`` and loading reset, and safe to share across
 threads.
 
+A prediction pays for its rows only: whatever does not depend on them is
+computed once, by ``_restore``, after fitting or loading. That covers the
+flat trees, naive Bayes' ``log(2 pi var)`` and log prior per class, and
+knn's transposed training matrix with its squared row norms and their
+maximum. ``_restore`` also checks the record, and ``check_width`` checks a
+model against the width of the data it meets; both raise ``ModelFileError``.
+
 Both CART models grow their trees with ``_grow_trees``, which advances
 every tree of a fit in lockstep. Each step takes the ready nodes through
 one batched split search (``_best_splits``): Gini impurity at the
@@ -53,7 +60,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .scoring import _exp
+from .scoring import sigmoid
 from .tabular import EncodedDataset
 
 _VAR_FLOOR = 1e-9
@@ -76,7 +83,8 @@ def prediction_f1(hits, truth) -> float:
 
 
 class ModelFileError(ValueError):
-    """A model file that ``load_model`` cannot turn into a model."""
+    """A model file that ``load_model`` cannot turn into a model, or a model
+    whose row width does not fit the data (``check_width``)."""
 
 
 class ClassifierModel:
@@ -84,6 +92,7 @@ class ClassifierModel:
 
     kind = "abstract"
     _HYPERPARAMETERS: dict[str, tuple[int, int]] = {}  # name -> (default, least value)
+    _width: int  # set by _restore: the features a row must have (for trees, at least)
     _target_proba = None  # (a data set's target rows, their read-only probabilities)
 
     def __init__(self, **hyperparameters):
@@ -178,6 +187,14 @@ class ClassifierModel:
     def hyperparameters(self) -> dict:
         return {name: getattr(self, name) for name in self._HYPERPARAMETERS}
 
+    def check_width(self, n_features: int) -> None:
+        """``ModelFileError`` naming both widths unless the model reads rows of
+        ``n_features`` features; predictions do not check it again."""
+        if self._width != n_features:
+            raise ModelFileError(
+                f"{self.kind} model reads rows of {self._width} features, the data has {n_features}"
+            )
+
 
 class Knn(ClassifierModel):
     """k-nearest-neighbour vote; probability = target fraction among neighbours."""
@@ -208,7 +225,6 @@ class Knn(ClassifierModel):
         """
         X = np.asarray(X, dtype=float)
         k = min(self.k, len(self._X))
-        widest = self._sq.max()
         step = max(1, _KNN_BLOCK // len(self._X))
         out = np.empty(len(X))
         for start in range(0, len(X), step):
@@ -223,23 +239,27 @@ class Knn(ClassifierModel):
                 a *= -2.0
                 a += self._sq
                 a += qq[:, np.newaxis]
-                norms = qq + widest
+                norms = qq + self._widest
                 limit = np.partition(a, k - 1, axis=1)[:, k - 1] + 2.0 * _knn_error_bound(
-                    self._X.shape[1], norms
+                    self._width, norms
                 )
             # Below _KNN_SAFE every filter value and exact distance is finite;
             # a probe at or above it, or with a NaN, keeps every row.
             keep = a <= limit[:, np.newaxis]
             keep[~(norms < _KNN_SAFE)] = True
             probe, row = np.divmod(np.flatnonzero(keep), len(self._X))
-            d = np.linalg.norm(self._X[row] - Q[probe], axis=1)
+            # np.linalg.norm(t - q, axis=1), by the very operations it runs
+            d = self._X.take(row, axis=0)
+            d -= Q.take(probe, axis=0)
+            d *= d
+            d = np.sqrt(np.add.reduce(d, axis=1))
             # lexsort is stable and np.flatnonzero lists a probe's rows in ascending
             # order, so equal distances keep the lower row index first.
             order = np.lexsort((d, probe))
             kept = np.bincount(probe, minlength=len(Q))
             first = np.cumsum(kept) - kept
-            nearest = row[order[first[:, np.newaxis] + np.arange(k)]]
-            out[start : start + step] = self._hits[nearest].sum(axis=1) / k
+            nearest = row.take(order.take(first[:, np.newaxis] + np.arange(k)))
+            out[start : start + step] = np.add.reduce(self._hits.take(nearest), axis=1) / k
         return out
 
     def _restore(self, params):
@@ -251,8 +271,10 @@ class Knn(ClassifierModel):
                 f"knn train_x must be a finite matrix with one row per train_y label, "
                 f"got shape {self._X.shape} for {len(labels)} labels"
             )
+        self._width = self._X.shape[1]
         self._XT = np.ascontiguousarray(self._X.T)
         self._sq = np.einsum("ij,ij->i", self._X, self._X)
+        self._widest = self._sq.max()
         # one class missing would make every vote the same, silently
         if set(labels.tolist()) != {self.target_class, self.other_class}:
             raise ModelFileError(
@@ -285,7 +307,12 @@ def _knn_error_bound(n_features: int, norms: np.ndarray) -> np.ndarray:
 
 class NaiveBayes(ClassifierModel):
     """Gaussian naive Bayes per encoded feature, variance floored for stability;
-    its record keys the statistics by ``str(label)``, as the model file does."""
+    its record keys the statistics by ``str(label)``, as the model file does.
+
+    A class's log-likelihood of a row is ``log(prior) - 0.5 * sum(log(2 pi
+    var) + (x - mean)^2 / var)``, and the posterior of the target class is
+    the sigmoid of the target's log-likelihood minus the other's.
+    """
 
     kind = "naive_bayes"
 
@@ -302,19 +329,14 @@ class NaiveBayes(ClassifierModel):
             }
         return {"stats": stats}
 
-    def _log_likelihood(self, label, X) -> np.ndarray:
-        s = self._stats[label]
-        var = s["var"]
-        ll = -0.5 * np.sum(np.log(2.0 * np.pi * var) + (X - s["mean"]) ** 2 / var, axis=1)
-        return ll + math.log(s["prior"])
-
     def predict_proba_rows(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        lt = self._log_likelihood(self.target_class, X)
-        lo = self._log_likelihood(self.other_class, X)
-        m = np.maximum(lt, lo)
-        et, eo = _exp(lt - m), _exp(lo - m)
-        return et / (et + eo)
+        # one (row, class, feature) array: row i's classes are [target, other]
+        d = np.asarray(X, dtype=float)[:, np.newaxis, :] - self._mean
+        d *= d
+        d /= self._var
+        d += self._log_norm
+        ll = -0.5 * np.add.reduce(d, axis=2) + self._log_prior
+        return sigmoid(ll[:, 0] - ll[:, 1])
 
     def _restore(self, params):
         # a file that lacks a class's statistics fails here, not at the first prediction
@@ -332,6 +354,15 @@ class NaiveBayes(ClassifierModel):
             if not (np.isfinite(mean).all() and np.isfinite(var).all() and (var > 0.0).all()):
                 raise ModelFileError(f"{field} needs a finite mean and a finite var above 0")
             self._stats[label] = {"prior": float(prior), "mean": mean, "var": var}
+        # each statistic as [target's, other's]
+        stats = [self._stats[label] for label in (self.target_class, self.other_class)]
+        if stats[0]["mean"].shape != stats[1]["mean"].shape:
+            raise ModelFileError("naive_bayes stats must give both classes one number of features")
+        self._width = len(stats[0]["mean"])
+        self._log_prior = np.array([math.log(s["prior"]) for s in stats])
+        self._mean = np.array([s["mean"] for s in stats])
+        self._var = np.array([s["var"] for s in stats])
+        self._log_norm = np.array([np.log(2.0 * np.pi * s["var"]) for s in stats])
 
 
 class _FlatTrees:
@@ -339,18 +370,29 @@ class _FlatTrees:
 
     Node ``i`` owns slots ``2*i`` and ``2*i + 1`` of ``feature``,
     ``threshold``, ``children`` and ``value``; ``roots`` and a walk hold a
-    node as its slot ``2*i``. The node sends a row to the node at slot
-    ``children[2*i]`` when ``row[feature[2*i]] <= threshold[2*i]`` and to
-    the one at ``children[2*i + 1]`` otherwise, NaN included, so a step is
-    one gather at ``2*i + goes_right``. A leaf holds its probability in
-    ``value``, has threshold +inf and points to itself on both sides, so
-    ``depth`` steps (the deepest leaf's depth) take every row of every tree
-    to its leaf. Each step gathers the rows' cells from the flattened matrix
-    at per-row offsets. The result is the mean over trees.
+    node as its slot ``2*i``. ``children[2*i + 1]`` is the left child, which
+    takes the rows at or below the threshold, and ``children[2*i]`` the
+    right one, which takes the rest, NaN included. A walk keeps one flat
+    entry per (row, tree), and a step is
+
+        cell = feature[slot]; cell += offsets  # the entry's row start in cells
+        slot += cells[cell] <= threshold[slot]; slot = children[slot]
+
+    where ``cells`` is the flattened matrix. A leaf holds its probability in
+    ``value``, has threshold +inf and holds itself in both slots, so
+    ``depth`` steps (the deepest leaf's depth) take every entry to its leaf.
+    The result is the sum over trees of the leaves' values divided by the
+    number of trees, which is how ``np.mean`` computes it.
+
+    ``width`` is one more than the highest feature an inner node reads, or 0.
+    The constructor checks every inner node: an exact ``int`` feature of at
+    least 0 (a negative one would read a cell of another row) and a
+    threshold that is an ``int`` or ``float`` other than NaN. Anything else
+    is a ``ModelFileError`` that names ``field`` and the value.
     """
 
-    def __init__(self, trees: Sequence[dict]):
-        self.depth = 0
+    def __init__(self, trees: Sequence[dict], field: str = "trees"):
+        self.depth = self.width = 0
         feature, threshold, children, value = [], [], [], []
 
         def add(node, depth) -> int:
@@ -361,28 +403,38 @@ class _FlatTrees:
             value.append(node.get("leaf", 0.0))
             if "leaf" in node:
                 self.depth = max(self.depth, depth)
-            else:
-                feature[i] = node["feature"]
-                threshold[i] = node["threshold"]
-                children[2 * i] = add(node["left"], depth + 1)
-                children[2 * i + 1] = add(node["right"], depth + 1)
+                return i
+            f, t = node["feature"], node["threshold"]
+            if type(f) is not int or f < 0:  # exact type, so that true is no feature
+                raise ModelFileError(f"{field} feature must be a non-negative integer, got {f!r}")
+            if type(t) not in (int, float) or t != t:
+                raise ModelFileError(f"{field} threshold must be a number other than NaN, got {t!r}")
+            feature[i], threshold[i], self.width = f, t, max(self.width, f + 1)
+            children[2 * i + 1] = add(node["left"], depth + 1)
+            children[2 * i] = add(node["right"], depth + 1)
             return i
 
         self.roots = 2 * np.array([add(tree, 0) for tree in trees], dtype=np.intp)
         self.feature = np.repeat(np.array(feature, dtype=np.intp), 2)
         self.threshold = np.repeat(np.array(threshold, dtype=float), 2)
         self.children = 2 * np.array(children, dtype=np.intp)
-        self.value = np.repeat(np.array(value, dtype=float), 2)
+        self.value = np.repeat(_float_array(value, f"{field} leaf"), 2)
 
     def proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         cells = X.ravel()
-        offsets = np.arange(len(X))[:, np.newaxis] * X.shape[1]
-        slot = np.repeat(self.roots[np.newaxis], len(X), axis=0)
+        n, n_trees = len(X), len(self.roots)
+        # Entry r * n_trees + t follows row r down tree t. Flat index arrays
+        # gather faster than 2-D ones for the few rows of most calls.
+        offsets = (np.arange(n) * X.shape[1]).repeat(n_trees)
+        slot = self.roots[np.newaxis].repeat(n, axis=0).ravel()
+        feature, threshold, children = self.feature, self.threshold, self.children
         for _ in range(self.depth):
-            goes_right = ~(cells[offsets + self.feature[slot]] <= self.threshold[slot])
-            slot = self.children[slot + goes_right]
-        return self.value[slot].mean(axis=1)
+            cell = feature[slot]
+            cell += offsets
+            slot += cells[cell] <= threshold[slot]
+            slot = children[slot]
+        return np.add.reduce(self.value[slot].reshape(n, n_trees), axis=1) / n_trees
 
 
 class _Columns:
@@ -594,12 +646,23 @@ class _CartModel(ClassifierModel):
 
     def _restore(self, params):
         trees = params[self._key]
-        self._flat = _FlatTrees(trees if self._key == "trees" else [trees])
+        field = f"{self.kind} {self._key}"
+        self._flat = _FlatTrees(trees if self._key == "trees" else [trees], field)
         if not len(self._flat.roots):
-            raise ModelFileError(f"{self.kind} {self._key} must hold at least one tree")
+            raise ModelFileError(f"{field} must hold at least one tree")
         # an inner node's value is 0.0, so this reads every leaf
         if not ((self._flat.value >= 0.0) & (self._flat.value <= 1.0)).all():
-            raise ModelFileError(f"{self.kind} {self._key} has a leaf outside [0, 1]")
+            raise ModelFileError(f"{field} has a leaf outside [0, 1]")
+        self._width = self._flat.width
+
+    def check_width(self, n_features: int) -> None:
+        """A tree reads only the features it splits on, so any data at least
+        as wide as the highest of them fits."""
+        if self._width > n_features:
+            raise ModelFileError(
+                f"{self.kind} splits on feature {self._width - 1}, so it reads rows of at least "
+                f"{self._width} features; the data has {n_features}"
+            )
 
 
 class DecisionTree(_CartModel):

@@ -28,7 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_exp = np.vectorize(math.exp, otypes=[float])
+
+def _exp(x) -> np.ndarray:
+    """``math.exp`` of each element, as a float array of ``x``'s shape (0-d for
+    a number); ``OverflowError`` where ``math.exp`` overflows."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _rows(values):

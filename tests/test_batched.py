@@ -81,6 +81,42 @@ def naive_bayes_row(model, v) -> float:
     return et / (et + eo)
 
 
+def naive_bayes_max_exp(model, X) -> np.ndarray:
+    """The batched naive Bayes posterior before it became a sigmoid:
+    ``exp(lt - m) / (exp(lt - m) + exp(lo - m))`` with ``m = max(lt, lo)``."""
+
+    def log_likelihood(label) -> np.ndarray:
+        s = model._stats[label]
+        var = s["var"]
+        ll = -0.5 * np.sum(np.log(2.0 * np.pi * var) + (X - s["mean"]) ** 2 / var, axis=1)
+        return ll + math.log(s["prior"])
+
+    lt = log_likelihood(model.target_class)
+    lo = log_likelihood(model.other_class)
+    m = np.maximum(lt, lo)
+    et = np.array([math.exp(v) for v in (lt - m).tolist()])
+    eo = np.array([math.exp(v) for v in (lo - m).tolist()])
+    return et / (et + eo)
+
+
+def test_naive_bayes_sigmoid_gives_the_max_exp_bits_on_extreme_cells():
+    """Cells whose likelihoods overflow, vanish or are NaN: every number keeps
+    its bits, and NaN stays NaN (its sign bit is not part of the rule)."""
+    rng = np.random.default_rng(5)
+    X = rng.integers(0, 4, size=(30, 3)) / 3.0
+    y = np.where(rng.random(30) < 0.5, "yes", "no")
+    y[:2] = ["yes", "no"]
+    model = make_model("naive_bayes").fit(X, y, "yes")
+    cells = [math.nan, math.inf, -math.inf, 1e300, -1e300, 1e154, 2.0**-1074, -0.0, 0.5, 1.0]
+    probes = np.array([[a, b, c] for a in cells for b in cells for c in cells])
+    with np.errstate(all="ignore"):
+        expected = naive_bayes_max_exp(model, probes)
+        got = model.predict_proba_rows(probes)
+    nan = np.isnan(expected)
+    assert nan.any() and (nan == np.isnan(got)).all()
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
 # Trees have no per-row formula: a one-row matrix is their single-row call.
 ROW_REFERENCE = {"knn": knn_row, "naive_bayes": naive_bayes_row}
 
@@ -98,6 +134,26 @@ def test_rows_equal_single_row_calls_bit_for_bit(kind, case, seed):
     assert rows.tobytes() == single.tobytes()
     hits = model.predicts_target(probes)
     assert hits.tolist() == [model.predict(row) == "yes" for row in probes]
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@settings(max_examples=15, deadline=None)
+@given(case=training_and_probes(), seed=st.integers(0, 5), order=st.randoms(use_true_random=False))
+def test_a_row_gets_the_same_bits_in_any_batch(kind, case, seed, order):
+    """Permuted, or embedded among other rows in a batch that straddles a
+    knn block boundary, every probe keeps the bits of the probes' own call."""
+    X, y, probes = case
+    model = make_model(kind, seed=seed).fit(X, y, "yes")
+    alone = model.predict_proba_rows(probes)
+    permutation = list(range(len(probes)))
+    order.shuffle(permutation)
+    assert model.predict_proba_rows(probes[permutation]).tobytes() == alone[permutation].tobytes()
+    block_rows = models._KNN_BLOCK // len(X)
+    filler = np.resize(np.concatenate([X, probes[::-1]]), (block_rows + len(probes), X.shape[1]))
+    at = order.randrange(block_rows - len(probes) // 2, block_rows + 1)
+    batch = np.concatenate([filler[:at], probes, filler[at:]])
+    embedded = model.predict_proba_rows(batch)[at : at + len(probes)]
+    assert embedded.tobytes() == alone.tobytes()
 
 
 def test_knn_rows_spanning_several_distance_blocks_equal_the_per_row_vote():

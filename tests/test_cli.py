@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import shlex
@@ -13,7 +14,7 @@ import pytest
 from tcol import cli, experiment
 from tcol.cli import main
 from tcol.engine import GenerationConfig
-from tcol.models import load_model
+from tcol.models import ModelFileError, load_model
 
 
 def test_help_exits_zero(capsys):
@@ -410,6 +411,77 @@ def test_validation_model_file_whose_parameters_would_predict_nonsense_is_data_e
     payload = json.loads(path.read_text(encoding="utf-8"))
     edit(payload["parameters"])
     path.write_text(json.dumps(payload), encoding="utf-8")
+    code = main(["evaluate", "--ces", str(ce_file), "--folds", "5", "--validation-model", str(path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def trained_models(tmp_path_factory):
+    """A model file of every built-in kind, written by ``tcol train``."""
+    out = tmp_path_factory.mktemp("models")
+    assert main(["train", "--out-dir", str(out)]) == 0
+    return out
+
+
+def first_split(trees) -> dict:
+    """The root of the first tree that splits."""
+    return next(tree for tree in trees if "feature" in tree)
+
+
+def cut_stats(classes, width):
+    """An edit that keeps the first ``width`` features of the given classes' mean and var."""
+
+    def edit(params):
+        for label in classes:
+            for name in ("mean", "var"):
+                params["stats"][label][name] = params["stats"][label][name][:width]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "kind, edit, message",
+    [
+        ("random_forest", lambda p: first_split(p["trees"]).update(threshold="x"),
+         "random_forest trees threshold must be a number other than NaN, got 'x'"),
+        ("random_forest", lambda p: first_split(p["trees"]).update(threshold=math.nan),
+         "random_forest trees threshold must be a number other than NaN, got nan"),
+        ("decision_tree", lambda p: p["tree"].update(threshold=math.nan),
+         "decision_tree tree threshold must be a number other than NaN, got nan"),
+        ("random_forest", lambda p: first_split(p["trees"]).update(feature=-1),
+         "random_forest trees feature must be a non-negative integer, got -1"),
+        ("random_forest", lambda p: first_split(p["trees"]).update(feature=1.5),
+         "random_forest trees feature must be a non-negative integer, got 1.5"),
+        ("random_forest", lambda p: first_split(p["trees"]).update(feature=True),
+         "random_forest trees feature must be a non-negative integer, got True"),
+        ("naive_bayes", cut_stats(["approved"], 5),
+         "naive_bayes stats must give both classes one number of features"),
+        # the model file is sound, but its width does not fit the data's 6 features
+        ("knn", lambda p: p.update(train_x=[row[:3] for row in p["train_x"]]),
+         "knn model reads rows of 3 features, the data has 6"),
+        ("naive_bayes", cut_stats(["approved", "denied"], 2),
+         "naive_bayes model reads rows of 2 features, the data has 6"),
+        ("random_forest", lambda p: first_split(p["trees"]).update(feature=6),
+         "random_forest splits on feature 6, so it reads rows of at least 7 features; the data has 6"),
+        ("decision_tree", lambda p: p["tree"].update(feature=99),
+         "decision_tree splits on feature 99, so it reads rows of at least 100 features; the data has 6"),
+    ],
+    ids=[
+        "threshold-text", "threshold-nan", "tree-threshold-nan", "feature-negative", "feature-fraction",
+        "feature-true", "stats-widths-differ", "knn-width", "naive-bayes-width", "forest-feature-past-width",
+        "tree-feature-past-width",
+    ],
+)
+def test_validation_model_file_with_a_bad_split_or_width_is_data_error(
+    ce_file, trained_models, tmp_path, capsys, kind, edit, message
+):
+    payload = json.loads((trained_models / f"{kind}.model.json").read_text(encoding="utf-8"))
+    edit(payload["parameters"])
+    path = tmp_path / f"{kind}.model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ModelFileError, match=re.escape(message)):
+        load_model(path).check_width(6)
     code = main(["evaluate", "--ces", str(ce_file), "--folds", "5", "--validation-model", str(path)])
     assert code == 2
     assert message in capsys.readouterr().err

@@ -1,11 +1,15 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import StubModel, make_encoded
 from tcol.metrics import (
     N_NEIGHBORS,
+    CoincidentNeighborError,
     MetricsRow,
     centrality,
     data_fidelity,
@@ -16,7 +20,8 @@ from tcol.metrics import (
     sparsity,
     validity,
 )
-from tcol.models import ThirdPartyJury
+from tcol.models import ThirdPartyJury, make_model
+from tcol.scoring import count_diffs, euclidean
 
 ADULT_WEIGHTS = (0.73, 0.75, 0.74, 0.69, 0.74)
 GERMAN_WEIGHTS = (0.66, 0.67, 0.69, 0.65, 0.70)
@@ -251,3 +256,55 @@ def test_metrics_row_validation():
     for value in (-0.1, 1.5):
         with pytest.raises(ValueError, match=r"data_fidelity outside \[0, 1\]"):
             MetricsRow(**{**row, "data_fidelity": value})
+
+
+@st.composite
+def grid_sets(draw):
+    """Encoded data on a coarse grid (tied distances to the centroid, duplicate
+    rows) with at least ``N_NEIGHBORS`` target rows, a query row and a set of
+    grid counterfactuals, some of which land on a centroid neighbor."""
+    n_features = draw(st.integers(1, 5))
+    n_rows = draw(st.integers(N_NEIGHBORS + 2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, 4, size=(n_rows, n_features)) / 3.0
+    y = np.where(rng.random(n_rows) < 0.6, "yes", "no")
+    y[:N_NEIGHBORS], y[-2:] = "yes", "no"
+    ces = rng.integers(0, 4, size=(draw(st.integers(1, 8)), n_features)) / 3.0
+    return make_encoded(X, y), ces, X[-1]
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=grid_sets(), seed=st.integers(0, 3))
+def test_metrics_give_the_bits_of_the_np_mean_formulas(case, seed):
+    """Each metric against its formula as ``np.mean`` of ``scoring``'s vector functions."""
+    data, ces, query = case
+    assert bits(proximity(ces, query)) == bits(float(np.mean(euclidean(ces, query))))
+    assert bits(sparsity(ces, query)) == bits(float(np.mean(count_diffs(ces, query))))
+    model = make_model("decision_tree").fit(data.X, data.y, "yes")
+    hits = model.predicts_target(ces)
+    for target, expected in (("yes", hits), ("no", ~hits), ("maybe", np.zeros_like(hits))):
+        assert bits(validity(ces, model, target)) == bits(float(np.mean(expected)))
+    rows, to_center = data.centroid_neighbors
+    for ce in ces:
+        denom = euclidean(rows[:N_NEIGHBORS], ce)
+        if (denom == 0.0).any():
+            with pytest.raises(CoincidentNeighborError):
+                centrality(ce, data)
+        else:
+            assert bits(centrality(ce, data)) == bits(float(np.mean(to_center[:N_NEIGHBORS] / denom)))
+
+
+def test_centrality_rejects_a_counterfactual_of_another_width():
+    data = make_encoded(np.arange(24.0).reshape(12, 2) / 24.0, ["yes"] * 11 + ["no"])
+    for ce in ([0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]):
+        with pytest.raises(ValueError, match="shapes differ"):
+            centrality(ce, data)
+
+
+def test_set_metrics_need_a_matrix_of_counterfactuals():
+    with pytest.raises(ValueError, match="rows of a matrix, got shape"):
+        proximity([0.1, 0.2], np.zeros(2))

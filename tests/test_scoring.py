@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcol.scoring import RULES, ScoreRule, cosine, count_diffs, euclidean, fcs, ncs, norm, rss, sigmoid
+from tcol.scoring import RULES, ScoreRule, _exp, cosine, count_diffs, euclidean, fcs, ncs, norm, rss, sigmoid
 
 PROTO = np.array([0.6, 0.89, 0.49])
 QUERY = np.array([0.8, 0.45, 0.87])
@@ -268,3 +268,33 @@ def test_matrix_width_must_match_the_vector():
         cosine(np.ones((2, 3)), np.ones((3, 3)))
     with pytest.raises(ValueError, match="shapes differ"):
         euclidean(np.ones(3), np.ones((2, 3)))
+
+
+def math_exp_each(values) -> np.ndarray:
+    x = np.asarray(values, dtype=float)
+    return np.array([math.exp(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [0.5, -0.0, math.nan, math.inf, -math.inf, [], [[]], [[1.0, -2.0], [709.7, -745.2]],
+     [0.0, -1.5, 1e-320, math.nan, math.inf, -math.inf]],
+    ids=["number", "minus-zero", "nan", "inf", "minus-inf", "empty", "empty-matrix", "matrix", "specials"],
+)
+def test_exp_is_math_exp_per_element(values):
+    out = _exp(values)
+    assert isinstance(out, np.ndarray) and out.dtype == float
+    assert out.shape == np.shape(values)
+    assert out.tobytes() == math_exp_each(values).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=-800.0, max_value=800.0) | st.sampled_from([math.nan, math.inf, -math.inf])))
+def test_exp_matches_or_overflows_as_math_exp_does(values):
+    try:
+        expected = math_exp_each(values)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _exp(values)
+    else:
+        assert _exp(values).tobytes() == expected.tobytes()
