@@ -25,7 +25,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .engine import PREFERENCES, CandidateCE, GenerationConfig, _fill, generate
-from .models import MODEL_KINDS, VALIDATION_MODEL, ClassifierModel, cv_weights, fit_builtin
+from .models import MODEL_KINDS, VALIDATION_MODEL, ClassifierModel, _check_seed, cv_weights, fit_builtin
 from .scoring import euclidean
 from .tabular import Dataset, EncodedDataset, Encoder, encode_dataset, fit_encoder, load_csv, load_schema
 
@@ -95,8 +95,7 @@ class ExperimentConfig:
                 object.__setattr__(self, f.name, tuple(value))
         if self.queries < 1:
             raise ValueError("queries must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        _check_seed(self.seed)
         for gen in self.generators:
             if gen not in GENERATORS:
                 raise ValueError(f"unknown generator {gen!r}, expected one of {GENERATORS}")
@@ -206,24 +205,6 @@ def _sample_queries(data: EncodedDataset, count: int, seed: int) -> list[int]:
     return sorted(int(i) for i in picked)
 
 
-def _generate_for(
-    generator: str,
-    preference: str,
-    data: EncodedDataset,
-    query_index: int,
-    config: ExperimentConfig,
-    validation_model: ClassifierModel,
-) -> list[CandidateCE]:
-    query = data.X[query_index]
-    if generator == "tcol":
-        return generate(data, query, config.generation(preference), validation_model)
-    if generator == "nearest_target":
-        return baseline_nearest_target(data, query, config.num_ces)
-    return baseline_random_path(
-        data, query, config.num_ces, config.seed + 7919 * query_index, validation_model
-    )
-
-
 def run_experiment(config: ExperimentConfig, measure_runtime: bool = True) -> RunRecord:
     """Run the full pipeline; see the module docstring.
 
@@ -258,10 +239,16 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = True) -> Ru
         row and its decoded table."""
         sets, times, table = [], [], []
         for qi in query_indices:
+            query = encoded.X[qi]
             start = time.perf_counter()
-            ces = stage(
-                "generate", _generate_for, generator, preference, encoded, qi, config, validation_model
-            )
+            if generator == "tcol":
+                run = (generate, encoded, query, config.generation(preference), validation_model)
+            elif generator == "nearest_target":
+                run = (baseline_nearest_target, encoded, query, config.num_ces)
+            else:
+                seed = config.seed + 7919 * qi
+                run = (baseline_random_path, encoded, query, config.num_ces, seed, validation_model)
+            ces = stage("generate", *run)
             times.append(time.perf_counter() - start)
             sets.append((qi, ces))
             table.append(

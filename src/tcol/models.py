@@ -68,6 +68,7 @@ _KNN_BLOCK = 2**15  # most (probe, training row) pairs in one block of knn's fil
 _GROW_BLOCK = 2**15  # most (row, candidate feature) entries in one batched split search
 _KNN_SAFE = np.finfo(float).max / 4  # |q|^2 + max |t|^2 below it: no overflow in knn
 _THRESHOLD = 0.5  # predict_proba >= _THRESHOLD means the target class
+_INDEX_LIMIT = np.iinfo(np.intp).max  # a tree feature must lie below it to be an index
 
 
 def prediction_f1(hits, truth) -> float:
@@ -293,6 +294,13 @@ def _float_array(values, field: str) -> np.ndarray:
         raise ModelFileError(f"{field} is not an array of numbers: {exc}") from None
 
 
+def _number(value) -> float:
+    """An exact ``float``, or ``int`` below 2**1023 in size, as a float; NaN for
+    anything else, ``true`` included."""
+    ok = type(value) is float or type(value) is int and value.bit_length() < 1024
+    return float(value) if ok else math.nan
+
+
 def _knn_error_bound(n_features: int, norms: np.ndarray) -> np.ndarray:
     """The knn filter's ``E`` for probes whose ``|q|^2 + max |t|^2`` is ``norms``.
 
@@ -340,7 +348,7 @@ class NaiveBayes(ClassifierModel):
 
     def _restore(self, params):
         # a file that lacks a class's statistics fails here, not at the first prediction
-        self._stats = {}
+        stats = []  # (log prior, mean, var) of the target class, then the other
         for label in (self.target_class, self.other_class):
             s = params["stats"][str(label)]
             field = f"naive_bayes stats[{str(label)!r}]"
@@ -353,16 +361,12 @@ class NaiveBayes(ClassifierModel):
                 raise ModelFileError(f"{field} mean and var must be lists of one length")
             if not (np.isfinite(mean).all() and np.isfinite(var).all() and (var > 0.0).all()):
                 raise ModelFileError(f"{field} needs a finite mean and a finite var above 0")
-            self._stats[label] = {"prior": float(prior), "mean": mean, "var": var}
-        # each statistic as [target's, other's]
-        stats = [self._stats[label] for label in (self.target_class, self.other_class)]
-        if stats[0]["mean"].shape != stats[1]["mean"].shape:
+            stats.append((math.log(prior), mean, var))
+        if stats[0][1].shape != stats[1][1].shape:
             raise ModelFileError("naive_bayes stats must give both classes one number of features")
-        self._width = len(stats[0]["mean"])
-        self._log_prior = np.array([math.log(s["prior"]) for s in stats])
-        self._mean = np.array([s["mean"] for s in stats])
-        self._var = np.array([s["var"] for s in stats])
-        self._log_norm = np.array([np.log(2.0 * np.pi * s["var"]) for s in stats])
+        self._log_prior, self._mean, self._var = map(np.array, zip(*stats))
+        self._width = self._mean.shape[1]
+        self._log_norm = np.log(2.0 * np.pi * self._var)
 
 
 class _FlatTrees:
@@ -385,40 +389,47 @@ class _FlatTrees:
     number of trees, which is how ``np.mean`` computes it.
 
     ``width`` is one more than the highest feature an inner node reads, or 0.
-    The constructor checks every inner node: an exact ``int`` feature of at
-    least 0 (a negative one would read a cell of another row) and a
-    threshold that is an ``int`` or ``float`` other than NaN. Anything else
-    is a ``ModelFileError`` that names ``field`` and the value.
+    The constructor checks each node as it compiles it: a JSON object whose
+    leaf is a number in [0, 1], or whose feature is an exact ``int`` from 0
+    (a negative one would read a cell of another row) below ``_INDEX_LIMIT``
+    and whose threshold is a number other than NaN (``_number``). Anything
+    else is a ``ModelFileError`` that names ``field`` and the value.
     """
 
-    def __init__(self, trees: Sequence[dict], field: str = "trees"):
+    def __init__(self, trees: Sequence[dict], field: str):
         self.depth = self.width = 0
         feature, threshold, children, value = [], [], [], []
 
         def add(node, depth) -> int:
+            if type(node) is not dict:
+                raise ModelFileError(f"{field} node must be an object, got {node!r:.40}")
             i = len(feature)
             feature.append(0)
             threshold.append(math.inf)
             children.extend((i, i))
-            value.append(node.get("leaf", 0.0))
+            value.append(_number(node.get("leaf", 0.0)))
             if "leaf" in node:
+                if not 0.0 <= value[i] <= 1.0:
+                    raise ModelFileError(f"{field} has a leaf outside [0, 1], got {node['leaf']!r:.40}")
                 self.depth = max(self.depth, depth)
                 return i
             f, t = node["feature"], node["threshold"]
             if type(f) is not int or f < 0:  # exact type, so that true is no feature
                 raise ModelFileError(f"{field} feature must be a non-negative integer, got {f!r}")
-            if type(t) not in (int, float) or t != t:
-                raise ModelFileError(f"{field} threshold must be a number other than NaN, got {t!r}")
-            feature[i], threshold[i], self.width = f, t, max(self.width, f + 1)
+            if f >= _INDEX_LIMIT:
+                raise ModelFileError(f"{field} feature {f} is too large for a column index")
+            feature[i], threshold[i], self.width = f, _number(t), max(self.width, f + 1)
+            if threshold[i] != threshold[i]:
+                raise ModelFileError(f"{field} threshold must be a number other than NaN, got {t!r:.40}")
             children[2 * i + 1] = add(node["left"], depth + 1)
             children[2 * i] = add(node["right"], depth + 1)
             return i
 
         self.roots = 2 * np.array([add(tree, 0) for tree in trees], dtype=np.intp)
         self.feature = np.repeat(np.array(feature, dtype=np.intp), 2)
-        self.threshold = np.repeat(np.array(threshold, dtype=float), 2)
+        self.threshold = np.repeat(np.array(threshold), 2)
         self.children = 2 * np.array(children, dtype=np.intp)
-        self.value = np.repeat(_float_array(value, f"{field} leaf"), 2)
+        self.value = np.repeat(np.array(value), 2)
 
     def proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -629,9 +640,7 @@ def _best_splits(columns: _Columns, rows, owner, sizes, counts, features):
 
 
 def _random_features(rng: np.random.Generator, size: int, n_features: int) -> np.ndarray:
-    """The forest's per-node rule: ``size`` random features, or all of them."""
-    if size >= n_features:
-        return np.arange(n_features)
+    """The forest's per-node rule: ``size`` random features of fewer than ``n_features``."""
     return np.sort(rng.choice(n_features, size=size, replace=False))
 
 
@@ -645,14 +654,11 @@ class _CartModel(ClassifierModel):
         return self._flat.proba(X)
 
     def _restore(self, params):
-        trees = params[self._key]
+        trees = params[self._key] if self._key == "trees" else [params[self._key]]
         field = f"{self.kind} {self._key}"
-        self._flat = _FlatTrees(trees if self._key == "trees" else [trees], field)
-        if not len(self._flat.roots):
+        if type(trees) is not list or not trees:
             raise ModelFileError(f"{field} must hold at least one tree")
-        # an inner node's value is 0.0, so this reads every leaf
-        if not ((self._flat.value >= 0.0) & (self._flat.value <= 1.0)).all():
-            raise ModelFileError(f"{field} has a leaf outside [0, 1]")
+        self._flat = _FlatTrees(trees, field)
         self._width = self._flat.width
 
     def check_width(self, n_features: int) -> None:

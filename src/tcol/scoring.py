@@ -12,7 +12,7 @@ the vector length. The paper writes ``fcs`` with ``diffs`` itself, which
 grows with every changed feature; ``n - diffs`` makes the highest score
 the candidate with the fewest changes, as preference ``a`` asks.
 
-Each function takes one vector (giving a Python number) or a matrix of
+Each function takes one vector (giving a numpy scalar) or a matrix of
 rows (giving one array entry per row) and compares it with one vector, or
 with a matrix of the same shape row for row: row i with row i. A row gives
 the same bits alone as in a matrix: every dot product, norms included, is
@@ -36,17 +36,11 @@ def _exp(x) -> np.ndarray:
     return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _rows(values):
-    """A Python number for a single row, the array itself for a matrix."""
-    values = np.asarray(values)
-    return values if values.ndim else values.item()
-
-
 def sigmoid(z):
     # exp(-|z|) never overflows: 1 / (1 + e) for z >= 0, e / (1 + e) below
     z = np.asarray(z, dtype=float)
     e = _exp(-np.abs(z))
-    return _rows(np.where(z >= 0, 1.0, e) / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -66,7 +60,7 @@ def _dot(a: np.ndarray, b: np.ndarray):
 def norm(a):
     """Euclidean norm of a vector or of each row of a matrix."""
     a = np.asarray(a, dtype=float, order="C")
-    return _rows(np.sqrt(_dot(a, a)))
+    return np.sqrt(_dot(a, a))
 
 
 def euclidean(a, b):
@@ -80,7 +74,7 @@ def cosine(a, b):
     na, nb = np.sqrt(_dot(a, a)), np.sqrt(_dot(b, b))
     if (na == 0.0).any() or (nb == 0.0).any():
         raise ValueError("cosine similarity undefined for zero-norm vector")
-    return _rows(np.clip(_dot(a, b) / (na * nb), -1.0, 1.0))
+    return np.clip(_dot(a, b) / (na * nb), -1.0, 1.0)
 
 
 def count_diffs(a, b):
@@ -90,7 +84,7 @@ def count_diffs(a, b):
     so equality is bitwise and no tolerance is appropriate.
     """
     a, b = _pair(a, b)
-    return _rows(np.count_nonzero(a != b, axis=-1))
+    return np.count_nonzero(a != b, axis=-1)
 
 
 def fcs(candidate, prototype, query):
@@ -105,13 +99,13 @@ def fcs(candidate, prototype, query):
 def ncs(candidate, prototype, query):
     """Near-counterfactual score: prototype similarity over exp(query distance)."""
     sim = sigmoid(cosine(candidate, prototype))
-    return _rows(sim / _exp(euclidean(candidate, query)))
+    return sim / _exp(euclidean(candidate, query))
 
 
 def rss(candidate, prototype, query):
     """Relative similarity score: exp(prototype similarity) over sigmoid(query distance)."""
     sim = _exp(cosine(candidate, prototype))
-    return _rows(sim / sigmoid(euclidean(candidate, query)))
+    return sim / sigmoid(euclidean(candidate, query))
 
 
 RULES = {"fcs": fcs, "ncs": ncs, "rss": rss}
@@ -128,5 +122,5 @@ class ScoreRule:
             raise ValueError(f"unknown score rule {self.tag!r}")
 
     def score(self, candidate, prototype, query):
-        """One score for a candidate vector, or one per row of a candidate matrix."""
+        """One score, a numpy scalar, for a candidate vector, or one per row of a candidate matrix."""
         return RULES[self.tag](candidate, prototype, query)

@@ -301,7 +301,7 @@ class Encoder:
     category_rates: tuple  # per feature: dict[category -> raw rate] or None
     mins: tuple[float, ...]
     maxs: tuple[float, ...]
-    reverse_maps: tuple = field(repr=False, default=())
+    reverse_maps: tuple = field(repr=False)  # per feature: dict[encoded value -> category] or None
 
     def encode(self, row: Sequence) -> np.ndarray:
         return self.encode_rows([row])[0]

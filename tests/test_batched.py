@@ -69,7 +69,7 @@ def naive_bayes_row(model, v) -> float:
     """The per-row naive Bayes posterior the batched one must reproduce bit for bit."""
 
     def log_likelihood(label) -> float:
-        s = model._stats[label]
+        s = model._record["stats"][str(label)]
         var = s["var"]
         ll = -0.5 * np.sum(np.log(2.0 * np.pi * var) + (v - s["mean"]) ** 2 / var)
         return float(ll + math.log(s["prior"]))
@@ -86,7 +86,7 @@ def naive_bayes_max_exp(model, X) -> np.ndarray:
     ``exp(lt - m) / (exp(lt - m) + exp(lo - m))`` with ``m = max(lt, lo)``."""
 
     def log_likelihood(label) -> np.ndarray:
-        s = model._stats[label]
+        s = model._record["stats"][str(label)]
         var = s["var"]
         ll = -0.5 * np.sum(np.log(2.0 * np.pi * var) + (X - s["mean"]) ** 2 / var, axis=1)
         return ll + math.log(s["prior"])
@@ -359,7 +359,11 @@ def test_grow_matches_the_per_threshold_scan_byte_for_byte(
         size, seed = forest_rule
         rngs = [np.random.default_rng([seed, t]) for t in range(len(samples))]
         reference_rngs = [np.random.default_rng([seed, t]) for t in range(len(samples))]
-        reference = [partial(models._random_features, rng, size) for rng in reference_rngs]
+        # a size of at least the width draws nothing and takes every feature
+        reference = [
+            partial(models._random_features, rng, size) if size < X.shape[1] else np.arange
+            for rng in reference_rngs
+        ]
     with patch.object(models, "_GROW_BLOCK", block):
         trees = models._grow_trees(X, hits, samples, rngs, size, max_depth, min_samples_split)
     assert len(trees) == len(samples)
@@ -525,7 +529,7 @@ def trees_and_cells(draw):
 @given(case=trees_and_cells())
 def test_flat_walk_matches_the_level_by_level_kernel_byte_for_byte(case):
     trees, X = case
-    proba = models._FlatTrees(trees).proba(X)
+    proba = models._FlatTrees(trees, "trees").proba(X)
     assert proba.shape == (len(X),)
     assert proba.tobytes() == level_walk(trees, X).tobytes()
 

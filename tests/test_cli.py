@@ -10,6 +10,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcol import cli, experiment
 from tcol.cli import main
@@ -429,6 +431,13 @@ def first_split(trees) -> dict:
     return next(tree for tree in trees if "feature" in tree)
 
 
+def first_leaf(node) -> dict:
+    """The leftmost leaf below ``node``."""
+    while "leaf" not in node:
+        node = node["left"]
+    return node
+
+
 def cut_stats(classes, width):
     """An edit that keeps the first ``width`` features of the given classes' mean and var."""
 
@@ -466,11 +475,21 @@ def cut_stats(classes, width):
          "random_forest splits on feature 6, so it reads rows of at least 7 features; the data has 6"),
         ("decision_tree", lambda p: p["tree"].update(feature=99),
          "decision_tree splits on feature 99, so it reads rows of at least 100 features; the data has 6"),
+        ("random_forest", lambda p: first_split(p["trees"]).update(left=3),
+         "random_forest trees node must be an object, got 3"),
+        ("decision_tree", lambda p: p["tree"].update(right=[0.5]),
+         "decision_tree tree node must be an object, got [0.5]"),
+        ("random_forest", lambda p: first_split(p["trees"]).update(feature=2**70),
+         f"random_forest trees feature {2**70} is too large for a column index"),
+        ("random_forest", lambda p: first_split(p["trees"]).update(threshold=2**2000),
+         f"random_forest trees threshold must be a number other than NaN, got {str(2**2000)[:40]}"),
+        ("random_forest", lambda p: first_leaf(p["trees"][0]).update(leaf=True),
+         "random_forest trees has a leaf outside [0, 1], got True"),
     ],
     ids=[
         "threshold-text", "threshold-nan", "tree-threshold-nan", "feature-negative", "feature-fraction",
         "feature-true", "stats-widths-differ", "knn-width", "naive-bayes-width", "forest-feature-past-width",
-        "tree-feature-past-width",
+        "tree-feature-past-width", "node-int", "node-list", "feature-huge", "threshold-huge", "leaf-true",
     ],
 )
 def test_validation_model_file_with_a_bad_split_or_width_is_data_error(
@@ -485,6 +504,59 @@ def test_validation_model_file_with_a_bad_split_or_width_is_data_error(
     code = main(["evaluate", "--ces", str(ce_file), "--folds", "5", "--validation-model", str(path)])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def tree_slots(tree, holder, key):
+    """Every node of ``tree`` as ``(holder, key)``, its slot in the record, preorder."""
+    yield holder, key
+    if "leaf" not in tree:
+        for side in ("left", "right"):
+            yield from tree_slots(tree[side], tree, side)
+
+
+# what a mutation writes: type swaps, true, huge integers, NaN, strings, lists, objects
+ODD_VALUES = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.integers(-3, 8),
+    st.sampled_from([2**63, 2**70, 2**2000, -(2**2000)]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=2),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.fixed_dictionaries({}, optional={"leaf": st.floats(0, 1), "feature": st.integers(0, 5)}),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["random_forest", "decision_tree"]), data=st.data())
+def test_a_cart_file_with_one_node_mutated_predicts_probabilities_or_is_data_error(
+    trained_models, synthetic_encoded, kind, data
+):
+    """Delete one key of a node, set it to an odd value, or swap the node for one:
+    the model then predicts probabilities in [0, 1] or fails as bad data (exit 2)."""
+    payload = json.loads((trained_models / f"{kind}.model.json").read_text(encoding="utf-8"))
+    params = payload["parameters"]
+    trees = params.get("trees")
+    roots = [(params, "tree")] if trees is None else [(trees, t) for t in range(len(trees))]
+    slots = [slot for holder, key in roots for slot in tree_slots(holder[key], holder, key)]
+    holder, key = data.draw(st.sampled_from(slots))
+    node, action = holder[key], data.draw(st.sampled_from(["delete", "set", "swap"]))
+    if action == "swap":
+        holder[key] = data.draw(ODD_VALUES)
+    elif action == "delete":
+        del node[data.draw(st.sampled_from(sorted(node)))]
+    else:
+        field = data.draw(st.sampled_from(["leaf", "n", "feature", "threshold", "left", "right"]))
+        node[field] = data.draw(ODD_VALUES)
+    path = trained_models / "mutated.model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    try:
+        model = load_model(path)
+        model.check_width(6)
+        proba = model.predict_proba_rows(synthetic_encoded.X)
+    except cli._DATA_ERRORS:
+        return
+    assert ((proba >= 0.0) & (proba <= 1.0)).all()
 
 
 def test_readme_quick_start_prints_documented_metrics(tmp_path, monkeypatch, capsys):

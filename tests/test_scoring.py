@@ -252,10 +252,10 @@ def test_matrix_gives_the_bits_of_per_row_calls(case):
             ).tobytes()
 
 
-def test_vector_gives_a_python_number_and_matrix_an_array():
-    assert isinstance(cosine(QUERY, PROTO), float)
-    assert isinstance(count_diffs(QUERY, PROTO), int)
-    assert isinstance(ScoreRule("rss").score(QUERY, PROTO, QUERY), float)
+def test_vector_gives_a_numpy_scalar_and_matrix_an_array():
+    assert isinstance(cosine(QUERY, PROTO), np.float64)
+    assert isinstance(count_diffs(QUERY, PROTO), np.intp)
+    assert isinstance(ScoreRule("rss").score(QUERY, PROTO, QUERY), np.float64)
     both = np.array([QUERY, PROTO])
     assert ScoreRule("ncs").score(both, PROTO, QUERY).shape == (2,)
     assert count_diffs(both, QUERY).tolist() == [0, 3]

@@ -11,6 +11,7 @@ from tcol.tabular import (
     CsvParseError,
     Dataset,
     EncodedDataset,
+    Encoder,
     FeatureSchema,
     SchemaViolationError,
     encode_dataset,
@@ -271,6 +272,12 @@ class TestEncoder:
     def test_decode_rejects_a_vector_it_cannot_invert(self, vector, message):
         with pytest.raises(ValueError, match=message):
             fit_encoder(two_value_dataset()).decode(vector)
+
+    def test_encoder_without_reverse_maps_is_refused_when_built(self):
+        # built without them, its first categorical decode would fail instead
+        enc = fit_encoder(two_value_dataset())
+        with pytest.raises(TypeError, match="reverse_maps"):
+            Encoder(enc.schema, enc.category_rates, enc.mins, enc.maxs)
 
     def test_no_rows_encode_to_an_empty_matrix(self):
         assert fit_encoder(two_value_dataset()).encode_rows([]).shape == (0, 2)
