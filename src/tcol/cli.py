@@ -26,6 +26,7 @@ from .experiment import run_experiment
 from .models import MODEL_KINDS, VALIDATION_MODEL, ModelFileError, cv_weights, fit_builtin
 from .models import load_model, save_model
 from .tabular import (
+    NUMERIC,
     CsvParseError,
     SchemaViolationError,
     encode_dataset,
@@ -54,9 +55,9 @@ class _CeFileError(ValueError):
 
 
 def _typed(value, kind: type, what: str):
-    """``value`` if its type is exactly ``kind``, else ``_CeFileError``."""
-    if type(value) is not kind:
-        name = {dict: "object", list: "list", str: "string", int: "integer"}[kind]
+    """``value`` if its type is exactly ``kind``, or ``int`` for ``float``, else ``_CeFileError``."""
+    if type(value) is not kind and (kind, type(value)) != (float, int):  # true is no number
+        name = {dict: "object", list: "list", str: "string", int: "integer", float: "number"}[kind]
         raise _CeFileError(f"{what} must be a JSON {name}, got {value!r:.40}")
     return value
 
@@ -209,9 +210,13 @@ def _cmd_evaluate(args) -> int:
         _typed(ce_file["target_class"], str, "'target_class'"),
     )
 
-    names = [f.name for f in dataset.schema]
-    vectors = encoder.encode_rows([row[n] for n in names] for row in rows)
-    query = encoder.encode([_typed(ce_file["query"], dict, "'query'")[n] for n in names])
+    kinds = {f.name: float if f.kind == NUMERIC else str for f in dataset.schema}
+
+    def cells(row: dict, key: str) -> list:  # each of the JSON type that generate writes
+        return [_typed(row[name], kind, f"'{key}.{name}'") for name, kind in kinds.items()]
+
+    vectors = encoder.encode_rows(cells(row, "values") for row in rows)
+    query = encoder.encode(cells(_typed(ce_file["query"], dict, "'query'"), "query"))
 
     if args.validation_model:
         model = load_model(args.validation_model)
@@ -220,15 +225,12 @@ def _cmd_evaluate(args) -> int:
         model = fit_builtin(VALIDATION_MODEL, encoded, seed=seed)
     jury = cv_weights(jury, encoded, args.folds, seed=seed)
 
-    evaluated = metrics_mod.evaluate_set(vectors, query, encoded, model, jury)
-    results = {name: getattr(evaluated, name) for name in metrics_mod.METRICS}
-    if evaluated.centrality is None:  # every CE coincided with a centroid neighbor
-        results["centrality"] = 0.0
-    results["reliability"] = metrics_mod.reliability_composite(evaluated.data_fidelity, evaluated.validity)
+    results, excluded = metrics_mod.summarize([(query, vectors)], encoded, model, jury)
+    results["reliability"] = metrics_mod.reliability_composite(results["data_fidelity"], results["validity"])
     for name, value in results.items():
         print(f"{name}: {value:.6f}")
-    if evaluated.excluded:
-        print(f"centrality: excluded {evaluated.excluded} coincident counterfactuals", file=sys.stderr)
+    if excluded:
+        print(f"centrality: excluded {excluded} coincident counterfactuals", file=sys.stderr)
     if args.out:
         Path(args.out).write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
         print(f"wrote {args.out}")

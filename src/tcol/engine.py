@@ -31,6 +31,8 @@ forced to 1 in every mask considered.
 from __future__ import annotations
 
 import functools
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Iterator
@@ -50,10 +52,24 @@ PREFERENCES = ("a", "b", "c", "d", "e")
 RULE_BY_PREFERENCE = {"a": "fcs", "b": "ncs", "c": "rss", "d": "rss", "e": "rss"}
 
 MIN_DEPTH, MAX_DEPTH = 3, 9  # a group spans at most 2^9 local masks
+_PACKAGE_DIR = os.path.dirname(__file__)  # every module here but cli.py is library code
 
 
 class AlreadyTargetWarning(UserWarning):
     """The query is already classified as the target class."""
+
+
+def _warn(message: str, category: type[Warning] = UserWarning) -> None:
+    """A warning at the first frame outside tcol's library modules, such as
+    the line that called ``generate`` or ``run_experiment``, not at one of
+    their internal calls."""
+    frame, level = sys._getframe(), 1
+    while frame is not None:
+        directory, name = os.path.split(frame.f_code.co_filename)
+        if directory != _PACKAGE_DIR or name == "cli.py":
+            break
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 @dataclass(frozen=True)
@@ -112,11 +128,7 @@ def select_prototypes(
     if count > len(candidates):
         raise ValueError(f"requested {count} prototypes but only {len(candidates)} target rows")
     if model.predict(query) == data.target_class:
-        warnings.warn(
-            "query is already classified as the target class; explaining it anyway",
-            AlreadyTargetWarning,
-            stacklevel=2,
-        )
+        _warn("query is already classified as the target class; explaining it anyway", AlreadyTargetWarning)
 
     if preference == "a":
         keys = count_diffs(rows, query)

@@ -15,16 +15,14 @@ tables.
 from __future__ import annotations
 
 import json
-import sys
 import time
-import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics as metrics_mod
-from .engine import PREFERENCES, CandidateCE, GenerationConfig, _fill, generate
+from .engine import PREFERENCES, CandidateCE, GenerationConfig, _fill, _warn, generate
 from .models import MODEL_KINDS, VALIDATION_MODEL, ClassifierModel, _check_seed, cv_weights, fit_builtin
 from .scoring import euclidean
 from .tabular import Dataset, EncodedDataset, Encoder, encode_dataset, fit_encoder, load_csv, load_schema
@@ -43,15 +41,6 @@ class ExperimentError(RuntimeError):
 
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
-
-
-def _warn(message: str) -> None:
-    """A ``UserWarning`` at the first frame outside this module, such as the
-    line that called ``run_experiment``, not at one of its stages."""
-    frame, level = sys._getframe(), 1
-    while frame is not None and frame.f_code.co_filename == __file__:
-        frame, level = frame.f_back, level + 1
-    warnings.warn(message, stacklevel=level)
 
 
 def check_jury(kinds: tuple, folds: int) -> None:
@@ -302,29 +291,16 @@ def _decoded(encoder: Encoder, vector) -> dict:
 def _aggregate(
     dataset_name, generator, preference, sets, encoded, validation_model, jury, mean_time
 ) -> metrics_mod.MetricsRow:
-    """Average each metric over the per-query counterfactual sets.
-
-    Counterfactuals that coincide with a centroid neighbor are left out of
-    centrality with a warning; a dataset with too few target rows for
-    centrality raises.
-    """
-    per_set = [
-        metrics_mod.evaluate_set(
-            [ce.vector for ce in ces], encoded.X[qi], encoded, validation_model, jury
-        )
-        for qi, ces in sets
-        if ces
-    ]
+    """Average each metric over the per-query counterfactual sets
+    (``metrics.summarize``), warning when CEs are left out of centrality or
+    none was produced; a dataset with too few target rows for centrality
+    raises."""
+    vectors = [(encoded.X[qi], [ce.vector for ce in ces]) for qi, ces in sets]
+    means, excluded = metrics_mod.summarize(vectors, encoded, validation_model, jury)
     n_ces = sum(len(ces) for _, ces in sets)
-    skipped_centrality = sum(m.excluded for m in per_set)
-
-    def mean(name: str) -> float:
-        values = [getattr(m, name) for m in per_set if getattr(m, name) is not None]
-        return float(np.mean(values)) if values else 0.0
-
-    if skipped_centrality:
+    if excluded:
         _warn(
-            f"{skipped_centrality} counterfactuals coincided with centroid neighbors "
+            f"{excluded} counterfactuals coincided with centroid neighbors "
             f"and were excluded from centrality ({generator}/{preference})"
         )
     if n_ces == 0:
@@ -333,7 +309,7 @@ def _aggregate(
         dataset=dataset_name,
         generator=generator,
         preference=preference,
-        **{name: mean(name) for name in metrics_mod.METRICS},
+        **means,
         runtime_s=mean_time,
         n_queries=len(sets),
         n_ces=n_ces,

@@ -15,8 +15,9 @@ from .tabular import EncodedDataset
 
 N_NEIGHBORS = 10  # target rows nearest the class centroid that centrality averages over
 
-# The metric suite, in report order: each report row and ``tcol evaluate``
-# carry one value per name, and ``SetMetrics`` and ``MetricsRow`` one field.
+# The metric suite, in report order: ``summarize`` gives one mean per name,
+# which each report row and ``tcol evaluate`` print, and ``MetricsRow`` has
+# one field per name.
 METRICS = ("proximity", "sparsity", "validity", "data_fidelity", "centrality")
 
 
@@ -109,45 +110,27 @@ def centrality(ce, data: EncodedDataset) -> float:
     return _mean(to_center[:N_NEIGHBORS] / denom)
 
 
-@dataclass(frozen=True)
-class SetMetrics:
-    """The metric suite for the counterfactual set of one query.
-
-    ``centrality`` is the mean over the counterfactuals not excluded for
-    coinciding with a centroid neighbor, or ``None`` when every one is;
-    ``excluded`` counts them.
-    """
-
-    proximity: float
-    sparsity: float
-    validity: float
-    data_fidelity: float
-    centrality: float | None
-    excluded: int
-
-
-def evaluate_set(
-    vectors,
-    query,
-    data: EncodedDataset,
-    model: ClassifierModel,
-    jury: ThirdPartyJury,
-) -> SetMetrics:
-    """Every metric of one query's counterfactual set; ``centrality`` leaves out coincident CEs."""
-    ratios, excluded = [], 0
-    for v in vectors:
-        try:
-            ratios.append(centrality(v, data))
-        except CoincidentNeighborError:
-            excluded += 1
-    return SetMetrics(
-        proximity=proximity(vectors, query),
-        sparsity=sparsity(vectors, query),
-        validity=validity(vectors, model, data.target_class),
-        data_fidelity=data_fidelity(vectors, jury, data.target_class),
-        centrality=float(np.mean(ratios)) if ratios else None,
-        excluded=excluded,
-    )
+def summarize(sets, data: EncodedDataset, model: ClassifierModel, jury: ThirdPartyJury):
+    """Each ``METRICS`` name's mean over the (query, CE vectors) ``sets`` that
+    hold CEs, 0.0 for a metric no set gives, and the count of CEs left out
+    of centrality for coinciding with a centroid neighbor. A set's centrality
+    is the mean over the rest of its CEs; it gives none if none is left."""
+    per_set, excluded = {name: [] for name in METRICS}, 0
+    for query, vectors in sets:
+        if not len(vectors):
+            continue
+        ratios = []
+        for v in vectors:  # first, so that too few target rows raises before any other metric
+            try:
+                ratios.append(centrality(v, data))
+            except CoincidentNeighborError:
+                excluded += 1
+        per_set["centrality"] += [np.mean(ratios)] if ratios else []
+        per_set["proximity"].append(proximity(vectors, query))
+        per_set["sparsity"].append(sparsity(vectors, query))
+        per_set["validity"].append(validity(vectors, model, data.target_class))
+        per_set["data_fidelity"].append(data_fidelity(vectors, jury, data.target_class))
+    return {name: float(np.mean(v)) if v else 0.0 for name, v in per_set.items()}, excluded
 
 
 def reliability_composite(data_fidelity_value: float, validity_value: float) -> float:

@@ -228,11 +228,12 @@ class Knn(ClassifierModel):
         k = min(self.k, len(self._X))
         step = max(1, _KNN_BLOCK // len(self._X))
         out = np.empty(len(X))
-        for start in range(0, len(X), step):
-            Q = X[start : start + step]
-            # The filter may overflow where the exact distances do not; the
-            # guard below catches that, so its warnings are noise.
-            with np.errstate(over="ignore", invalid="ignore"):
+        # The filter may overflow where the exact distances do not, and the
+        # guard below catches that; past _KNN_SAFE an exact distance may be
+        # inf, as in np.linalg.norm. So neither needs a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(X), step):
+                Q = X[start : start + step]
                 qq = np.einsum("ij,ij->i", Q, Q)
                 # einsum, not BLAS: no threads, and its inner loop runs along
                 # the contiguous rows of the transposed training matrix.
@@ -244,29 +245,31 @@ class Knn(ClassifierModel):
                 limit = np.partition(a, k - 1, axis=1)[:, k - 1] + 2.0 * _knn_error_bound(
                     self._width, norms
                 )
-            # Below _KNN_SAFE every filter value and exact distance is finite;
-            # a probe at or above it, or with a NaN, keeps every row.
-            keep = a <= limit[:, np.newaxis]
-            keep[~(norms < _KNN_SAFE)] = True
-            probe, row = np.divmod(np.flatnonzero(keep), len(self._X))
-            # np.linalg.norm(t - q, axis=1), by the very operations it runs
-            d = self._X.take(row, axis=0)
-            d -= Q.take(probe, axis=0)
-            d *= d
-            d = np.sqrt(np.add.reduce(d, axis=1))
-            # lexsort is stable and np.flatnonzero lists a probe's rows in ascending
-            # order, so equal distances keep the lower row index first.
-            order = np.lexsort((d, probe))
-            kept = np.bincount(probe, minlength=len(Q))
-            first = np.cumsum(kept) - kept
-            nearest = row.take(order.take(first[:, np.newaxis] + np.arange(k)))
-            out[start : start + step] = np.add.reduce(self._hits.take(nearest), axis=1) / k
+                # Below _KNN_SAFE every filter value and exact distance is finite;
+                # a probe at or above it, or with a NaN, keeps every row.
+                keep = a <= limit[:, np.newaxis]
+                keep[~(norms < _KNN_SAFE)] = True
+                probe, row = np.divmod(np.flatnonzero(keep), len(self._X))
+                # np.linalg.norm(t - q, axis=1), by the very operations it runs
+                d = self._X.take(row, axis=0)
+                d -= Q.take(probe, axis=0)
+                d *= d
+                d = np.sqrt(np.add.reduce(d, axis=1))
+                # lexsort is stable and np.flatnonzero lists a probe's rows in ascending
+                # order, so equal distances keep the lower row index first.
+                order = np.lexsort((d, probe))
+                kept = np.bincount(probe, minlength=len(Q))
+                first = np.cumsum(kept) - kept
+                nearest = row.take(order.take(first[:, np.newaxis] + np.arange(k)))
+                out[start : start + step] = np.add.reduce(self._hits.take(nearest), axis=1) / k
         return out
 
     def _restore(self, params):
         # the record keeps the array, not a loaded file's lists: one copy of the rows
         params["train_x"] = self._X = _float_array(params["train_x"], "knn train_x")
         labels = np.asarray(params["train_y"], dtype=object)
+        if labels.ndim != 1:
+            raise ModelFileError(f"knn train_y must be a list of labels, got {params['train_y']!r:.40}")
         if self._X.ndim != 2 or len(self._X) != len(labels) or not np.isfinite(self._X).all():
             raise ModelFileError(
                 f"knn train_x must be a finite matrix with one row per train_y label, "
@@ -277,28 +280,42 @@ class Knn(ClassifierModel):
         self._sq = np.einsum("ij,ij->i", self._X, self._X)
         self._widest = self._sq.max()
         # one class missing would make every vote the same, silently
-        if set(labels.tolist()) != {self.target_class, self.other_class}:
+        self._hits, others = labels == self.target_class, labels == self.other_class
+        if not (self._hits.any() and others.any() and (self._hits | others).all()):
             raise ModelFileError(
                 f"knn train_y must hold exactly the classes {self.target_class!r} and "
-                f"{self.other_class!r}, got {sorted(map(str, set(labels.tolist())))}"
+                f"{self.other_class!r}, got {sorted({str(label) for label in labels.tolist()})}"
             )
-        self._hits = labels == self.target_class
 
 
 def _float_array(values, field: str) -> np.ndarray:
-    """``values`` as a float array; ``ModelFileError`` naming ``field`` if they are not numbers
-    or are ragged."""
-    try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ModelFileError(f"{field} is not an array of numbers: {exc}") from None
+    """A fitted record's float array as it is, or a loaded file's (nested)
+    lists as one; ``ModelFileError`` naming ``field`` and the value for a
+    cell that is no number by ``_is_number`` (``true``, text, a ragged row)."""
+    if type(values) is np.ndarray:
+        return values
+    cells = np.array(values, dtype=object)
+    ok = np.array(np.frompyfunc(_is_number, 1, 1)(cells), dtype=bool)
+    if not ok.all():
+        raise ModelFileError(f"{field} is not an array of numbers: {cells[~ok].flat[0]!r:.40}")
+    return cells.astype(float)
+
+
+def _object(value, field: str) -> dict:
+    """``value`` if it is a JSON object, else ``ModelFileError`` naming ``field``."""
+    if type(value) is not dict:
+        raise ModelFileError(f"{field} must be an object, got {value!r:.40}")
+    return value
+
+
+def _is_number(value) -> bool:
+    """An exact ``float``, or ``int`` below 2**1023 in size: ``true`` is no number."""
+    return type(value) is float or type(value) is int and value.bit_length() < 1024
 
 
 def _number(value) -> float:
-    """An exact ``float``, or ``int`` below 2**1023 in size, as a float; NaN for
-    anything else, ``true`` included."""
-    ok = type(value) is float or type(value) is int and value.bit_length() < 1024
-    return float(value) if ok else math.nan
+    """``value`` as a float if ``_is_number``, else NaN."""
+    return float(value) if _is_number(value) else math.nan
 
 
 def _knn_error_bound(n_features: int, norms: np.ndarray) -> np.ndarray:
@@ -338,20 +355,22 @@ class NaiveBayes(ClassifierModel):
         return {"stats": stats}
 
     def predict_proba_rows(self, X) -> np.ndarray:
-        # one (row, class, feature) array: row i's classes are [target, other]
-        d = np.asarray(X, dtype=float)[:, np.newaxis, :] - self._mean
-        d *= d
-        d /= self._var
-        d += self._log_norm
-        ll = -0.5 * np.add.reduce(d, axis=2) + self._log_prior
+        # one (row, class, feature) array: row i's classes are [target, other];
+        # a term past the float range is inf, which gives its class likelihood 0
+        with np.errstate(over="ignore"):
+            d = np.asarray(X, dtype=float)[:, np.newaxis, :] - self._mean
+            d *= d
+            d /= self._var
+            d += self._log_norm
+            ll = -0.5 * np.add.reduce(d, axis=2) + self._log_prior
         return sigmoid(ll[:, 0] - ll[:, 1])
 
     def _restore(self, params):
         # a file that lacks a class's statistics fails here, not at the first prediction
         stats = []  # (log prior, mean, var) of the target class, then the other
         for label in (self.target_class, self.other_class):
-            s = params["stats"][str(label)]
             field = f"naive_bayes stats[{str(label)!r}]"
+            s = _object(_object(params["stats"], "naive_bayes stats")[str(label)], field)
             prior = _float_array(s["prior"], f"{field} prior")
             mean = _float_array(s["mean"], f"{field} mean")
             var = _float_array(s["var"], f"{field} var")
@@ -401,8 +420,7 @@ class _FlatTrees:
         feature, threshold, children, value = [], [], [], []
 
         def add(node, depth) -> int:
-            if type(node) is not dict:
-                raise ModelFileError(f"{field} node must be an object, got {node!r:.40}")
+            _object(node, f"{field} node")
             i = len(feature)
             feature.append(0)
             threshold.append(math.inf)
@@ -818,16 +836,18 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> ClassifierModel:
     """Read a file from ``save_model``; ``ModelFileError`` for a bad version, kind or hyperparameter."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        payload = _object(json.load(fh), "a model file")
     if payload.get("format_version") != 1:
         raise ModelFileError("unsupported model file version")
     kind = payload["kind"]
-    if kind not in _MODEL_CLASSES:
+    if type(kind) is not str or kind not in _MODEL_CLASSES:
         raise ModelFileError(f"unknown model kind {kind!r} in file")
     try:
         model = _MODEL_CLASSES[kind](**payload["hyperparameters"])
     except (TypeError, ValueError) as exc:
         raise ModelFileError(f"bad {kind} hyperparameters in file: {exc}") from None
-    model.target_class = payload["target_class"]
-    model.other_class = payload["other_class"]
-    return model._install(payload["parameters"])
+    for key in ("target_class", "other_class"):
+        if type(payload[key]) not in (str, int, float):
+            raise ModelFileError(f"{key} must be a string or a number, got {payload[key]!r:.40}")
+        setattr(model, key, payload[key])
+    return model._install(_object(payload["parameters"], "parameters"))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from tcol import cli, experiment
 from tcol.cli import main
-from tcol.engine import GenerationConfig
+from tcol.engine import AlreadyTargetWarning, GenerationConfig
 from tcol.models import ModelFileError, load_model
 
 
@@ -331,6 +331,37 @@ def test_evaluate_rejects_a_non_finite_numeric_value_as_data_error(ce_file, tmp_
 
 
 @pytest.mark.parametrize(
+    "key, name, value, message",
+    [
+        ("values", "age", True, "'values.age' must be a JSON number, got True"),
+        ("values", "age", "43", "'values.age' must be a JSON number, got '43'"),
+        ("query", "income", False, "'query.income' must be a JSON number, got False"),
+        ("values", "job", 3, "'values.job' must be a JSON string, got 3"),
+        ("query", "sex", ["male"], "'query.sex' must be a JSON string, got ['male']"),
+    ],
+)
+def test_evaluate_rejects_a_value_of_another_json_type_than_generate_writes(
+    ce_file, tmp_path, key, name, value, message, capsys
+):
+    """Not read as 1 or 43: the encoder's numeric cast would take both."""
+    payload = json.loads(ce_file.read_text(encoding="utf-8"))
+    holder = payload["ces"][0]["values"] if key == "values" else payload["query"]
+    holder[name] = value
+    path = tmp_path / "ces.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["evaluate", "--ces", str(path), "--folds", "5"]) == 2
+    assert capsys.readouterr().err == f"data/schema error: {message}\n"
+
+
+def test_evaluate_takes_a_json_integer_as_a_number(ce_file, tmp_path, capsys):
+    payload = json.loads(ce_file.read_text(encoding="utf-8"))
+    payload["ces"][0]["values"]["age"] = int(payload["ces"][0]["values"]["age"])
+    path = tmp_path / "ces.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["evaluate", "--ces", str(path), "--folds", "5"]) == 0
+
+
+@pytest.mark.parametrize(
     "option, value, message",
     [
         ("--jury", "knn,svm", "unknown jury kind 'svm'"),
@@ -358,6 +389,8 @@ def test_bad_jury_or_folds_is_a_usage_error_before_any_read(
         ("format_version", 2, "unsupported model file version"),
         ("kind", "svm", "unknown model kind 'svm'"),
         ("hyperparameters", {"k": 3}, "unexpected keyword argument 'k'"),
+        ("parameters", 5, "parameters must be an object, got 5"),
+        ("target_class", ["x"], "target_class must be a string or a number, got ['x']"),
     ],
 )
 def test_bad_validation_model_file_is_data_error(ce_file, tmp_path, capsys, key, value, message):
@@ -559,6 +592,43 @@ def test_a_cart_file_with_one_node_mutated_predicts_probabilities_or_is_data_err
     assert ((proba >= 0.0) & (proba <= 1.0)).all()
 
 
+def json_slots(value, holder, key):
+    """Every value of a JSON document under ``holder[key]`` as ``(holder, key)``, preorder."""
+    yield holder, key
+    if type(value) in (dict, list):
+        for k, v in value.items() if type(value) is dict else enumerate(value):
+            yield from json_slots(v, value, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["knn", "naive_bayes", "random_forest"]), data=st.data())
+def test_a_model_file_with_one_record_or_top_level_value_mutated_predicts_probabilities_or_is_data_error(
+    trained_models, synthetic_encoded, kind, data
+):
+    """Delete or set to an odd value one value of a knn or naive Bayes record,
+    or the top-level ``parameters``, ``target_class`` or ``other_class`` of
+    any file: the model then predicts probabilities in [0, 1] or fails as bad
+    data (exit 2)."""
+    payload = json.loads((trained_models / f"{kind}.model.json").read_text(encoding="utf-8"))
+    slots = [(payload, key) for key in ("parameters", "target_class", "other_class")]
+    if kind != "random_forest":  # the CART test above mutates tree nodes
+        slots += list(json_slots(payload["parameters"], payload, "parameters"))[1:]
+    holder, key = data.draw(st.sampled_from(slots))
+    if data.draw(st.booleans()):
+        del holder[key]
+    else:
+        holder[key] = data.draw(ODD_VALUES)
+    path = trained_models / "mutated.model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    try:
+        model = load_model(path)
+        model.check_width(6)
+        proba = model.predict_proba_rows(synthetic_encoded.X)
+    except cli._DATA_ERRORS:
+        return
+    assert ((proba >= 0.0) & (proba <= 1.0)).all()
+
+
 def test_readme_quick_start_prints_documented_metrics(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Quick start (CLI)")[1].split("```bash")[1].split("```")[0]
@@ -632,6 +702,17 @@ def test_bench_writes_both_reports(tmp_path, synthetic_files, capsys):
     assert (tmp_path / "report.json").exists()
     out = capsys.readouterr().out
     assert "tcol/c" in out
+
+
+def test_warnings_point_at_the_cli_line_that_called_the_library(tmp_path, synthetic_files, monkeypatch):
+    """Not at a line inside ``engine`` or ``experiment``."""
+    with pytest.warns(AlreadyTargetWarning) as caught:  # row 0 is an approved applicant
+        argv = ["generate", "--query-index", "0", "--preference", "a", "--out", str(tmp_path / "ces.json")]
+        assert main(argv) == 0
+    monkeypatch.setattr(experiment, "generate", lambda *args: [])
+    with pytest.warns(UserWarning, match="no counterfactuals produced") as bench_caught:
+        assert main(["bench", "--config", str(bench_config(tmp_path, synthetic_files)), "--no-timing"]) == 0
+    assert {w.filename for w in [*caught, *bench_caught]} == {cli.__file__}
 
 
 def test_bench_no_timing_is_reproducible(tmp_path, synthetic_files):

@@ -130,6 +130,14 @@ class TestSelectPrototypes:
         with pytest.warns(AlreadyTargetWarning):
             select_prototypes(data, np.array([0.1]), "a", StubModel(always=True), count=1)
 
+    def test_the_already_target_warning_points_at_the_caller_of_generate(self):
+        """Not at ``generate``'s own call of ``select_prototypes`` in ``engine.py``."""
+        data = make_encoded([[0.1, 0.2], [0.9, 0.8]], ["yes", "no"])
+        config = GenerationConfig(preference="a", depth=3, num_ces=1)
+        with pytest.warns(AlreadyTargetWarning) as caught:
+            generate(data, np.array([0.9, 0.8]), config, StubModel(always=True))
+        assert [w.filename for w in caught] == [__file__]
+
 
 class TestCentroid:
     def test_single_row_is_its_own_centroid(self):

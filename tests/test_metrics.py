@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 
 from conftest import StubModel, make_encoded
 from tcol.metrics import (
+    METRICS,
     N_NEIGHBORS,
     CoincidentNeighborError,
     MetricsRow,
     centrality,
     data_fidelity,
-    evaluate_set,
     member_agreement,
     proximity,
     reliability_composite,
     sparsity,
+    summarize,
     validity,
 )
 from tcol.models import ThirdPartyJury, make_model
@@ -195,7 +196,7 @@ class TestCentrality:
             centrality(np.array([0.5]), data)
 
 
-class TestEvaluateSet:
+class TestSummarize:
     def test_coincident_counterfactuals_are_excluded_and_counted(self):
         rng = np.random.default_rng(37)
         X = rng.random((12, 3))
@@ -206,14 +207,30 @@ class TestEvaluateSet:
         jury = jury_with((0.5, 0.5), (StubModel(always=True), StubModel(always=False)))
         query = X[11]
         ce = rng.random(3)
-        got = evaluate_set([ce, X[nearest].copy()], query, data, model, jury)
-        assert got.excluded == 1
-        assert got.centrality == centrality(ce, data)
-        assert got.proximity == proximity([ce, X[nearest]], query)
-        assert got.sparsity == sparsity([ce, X[nearest]], query)
-        assert (got.validity, got.data_fidelity) == (1.0, 0.5)
-        alone = evaluate_set([X[nearest].copy()], query, data, model, jury)
-        assert alone.excluded == 1 and alone.centrality is None
+        got, excluded = summarize([(query, [ce, X[nearest].copy()])], data, model, jury)
+        assert excluded == 1
+        assert got["centrality"] == centrality(ce, data)
+        assert got["proximity"] == proximity([ce, X[nearest]], query)
+        assert got["sparsity"] == sparsity([ce, X[nearest]], query)
+        assert (got["validity"], got["data_fidelity"]) == (1.0, 0.5)
+        alone, excluded = summarize([(query, [X[nearest].copy()])], data, model, jury)
+        assert excluded == 1 and alone["centrality"] == 0.0
+
+    def test_means_are_over_the_sets_that_hold_counterfactuals(self):
+        rng = np.random.default_rng(41)
+        X = rng.random((12, 3))
+        data = make_encoded(X, ["yes"] * 10 + ["no"] * 2)
+        model = StubModel(always=True)
+        jury = jury_with((0.5, 0.5), (StubModel(always=True), StubModel(always=False)))
+        first, second = rng.random((2, 3)), rng.random((3, 3))
+        sets = [(X[10], first), (X[11], []), (X[11], second)]
+        got, excluded = summarize(sets, data, model, jury)
+        assert excluded == 0 and list(got) == list(METRICS)
+        assert got["proximity"] == np.mean([proximity(first, X[10]), proximity(second, X[11])])
+        assert got["centrality"] == np.mean(
+            [np.mean([centrality(v, data) for v in ces]) for ces in (first, second)]
+        )
+        assert summarize([(X[10], [])], data, model, jury) == (dict.fromkeys(METRICS, 0.0), 0)
 
 
 class TestReliabilityComposite:

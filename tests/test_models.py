@@ -365,6 +365,11 @@ class TestPersistence:
             ("format_version", 2, "unsupported model file version"),
             ("kind", "svm", "unknown model kind 'svm'"),
             ("hyperparameters", {"k": 3}, "bad decision_tree hyperparameters"),
+            ("kind", [1], "unknown model kind [1]"),
+            ("parameters", 5, "parameters must be an object, got 5"),
+            ("parameters", [], "parameters must be an object, got []"),
+            ("target_class", ["x"], "target_class must be a string or a number, got ['x']"),
+            ("other_class", True, "other_class must be a string or a number, got True"),
         ],
     )
     def test_bad_model_file_raises_model_file_error(self, key, value, message, tmp_path, synthetic_encoded):
@@ -372,7 +377,13 @@ class TestPersistence:
         save_model(fit_builtin("decision_tree", synthetic_encoded), path)
         payload = json.loads(path.read_text(encoding="utf-8"))
         path.write_text(json.dumps(dict(payload, **{key: value})), encoding="utf-8")
-        with pytest.raises(ModelFileError, match=message):
+        with pytest.raises(ModelFileError, match=re.escape(message)):
+            load_model(path)
+
+    def test_a_file_that_is_not_a_json_object_fails_to_load(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("5", encoding="utf-8")
+        with pytest.raises(ModelFileError, match="a model file must be an object, got 5"):
             load_model(path)
 
     @pytest.mark.parametrize(
@@ -419,10 +430,24 @@ class TestPersistence:
             ("naive_bayes", lambda p: p["stats"]["denied"].update(prior="x"), "stats['denied'] prior is not"),
             ("naive_bayes", lambda p: p["stats"]["approved"]["mean"].pop(),
              "stats['approved'] mean and var must be lists of one length"),
+            ("naive_bayes", lambda p: p.update(stats=[1]), "naive_bayes stats must be an object, got [1]"),
+            ("naive_bayes", lambda p: p["stats"].update(approved=5),
+             "naive_bayes stats['approved'] must be an object, got 5"),
+            ("naive_bayes", lambda p: p["stats"]["denied"].update(prior=True),
+             "naive_bayes stats['denied'] prior is not an array of numbers: True"),
+            ("naive_bayes", lambda p: p["stats"]["approved"]["mean"].__setitem__(2, True),
+             "naive_bayes stats['approved'] mean is not an array of numbers: True"),
+            ("knn", lambda p: p.update(train_y=5), "knn train_y must be a list of labels, got 5"),
+            ("knn", lambda p: p.update(train_y="ab"), "knn train_y must be a list of labels, got 'ab'"),
+            ("knn", lambda p: p["train_x"][0].__setitem__(0, 2**2000),
+             f"knn train_x is not an array of numbers: {str(2**2000)[:40]}"),
+            ("knn", lambda p: p["train_x"][3].__setitem__(1, True), "knn train_x is not an array of numbers: True"),
         ],
         ids=[
             "no-trees", "negative-leaf", "nan-leaf", "leaf-above-one", "knn-rows-cut", "knn-inf", "knn-1d",
             "knn-ragged", "zero-var", "nan-mean", "zero-prior", "prior-above-one", "prior-text", "short-mean",
+            "stats-list", "class-stats-int", "prior-true", "mean-true", "train-y-int", "train-y-text",
+            "train-x-huge", "train-x-true",
         ],
     )
     def test_file_that_would_predict_nonsense_fails_to_load(self, kind, edit, message, tmp_path, synthetic_encoded):
