@@ -13,10 +13,10 @@ Each class states its hyperparameters once, in ``_HYPERPARAMETERS``: name ->
 (default, least value), in ``save_model``'s key order. ``__init__`` takes
 those names only, each an exact ``int`` (no bool) at or above its least value.
 
-Trees are compiled once, after fitting or loading, into flat node arrays
-and evaluate a whole matrix level by level (the tensorized-tree layout of
-Hummingbird, Nakandala et al., OSDI 2020). A decision tree is a forest of
-one tree. The nested-dict tree stays the persisted form. Models are
+A tree is grown, saved and loaded as preorder node arrays, which fitting or
+loading checks as whole arrays and joins into flat arrays that evaluate a
+matrix level by level (the tensorized-tree layout of Hummingbird, Nakandala
+et al., OSDI 2020). A decision tree is a forest of one tree. Models are
 immutable after ``fit``, apart from a memo of one data set's target-row
 probabilities, which ``fit`` and loading reset, and safe to share across
 threads.
@@ -56,7 +56,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -68,7 +68,7 @@ _KNN_BLOCK = 2**15  # most (probe, training row) pairs in one block of knn's fil
 _GROW_BLOCK = 2**15  # most (row, candidate feature) entries in one batched split search
 _KNN_SAFE = np.finfo(float).max / 4  # |q|^2 + max |t|^2 below it: no overflow in knn
 _THRESHOLD = 0.5  # predict_proba >= _THRESHOLD means the target class
-_INDEX_LIMIT = np.iinfo(np.intp).max  # a tree feature must lie below it to be an index
+_TREE_ARRAYS = {"feature": np.intp, "threshold": float, "left": np.intp, "right": np.intp, "value": float}
 
 
 def prediction_f1(hits, truth) -> float:
@@ -266,7 +266,7 @@ class Knn(ClassifierModel):
 
     def _restore(self, params):
         # the record keeps the array, not a loaded file's lists: one copy of the rows
-        params["train_x"] = self._X = _float_array(params["train_x"], "knn train_x")
+        params["train_x"] = self._X = _number_array(params["train_x"], "knn train_x")
         labels = np.asarray(params["train_y"], dtype=object)
         if labels.ndim != 1:
             raise ModelFileError(f"knn train_y must be a list of labels, got {params['train_y']!r:.40}")
@@ -288,17 +288,20 @@ class Knn(ClassifierModel):
             )
 
 
-def _float_array(values, field: str) -> np.ndarray:
-    """A fitted record's float array as it is, or a loaded file's (nested)
-    lists as one; ``ModelFileError`` naming ``field`` and the value for a
-    cell that is no number by ``_is_number`` (``true``, text, a ragged row)."""
+def _number_array(values, field: str, dtype=float) -> np.ndarray:
+    """A fitted record's array as it is, or a loaded file's (nested) lists as
+    one of ``dtype``; ``ModelFileError`` naming ``field`` and the value for a
+    cell that is no number by ``_is_number`` (``true``, text, a ragged row),
+    or for an ``intp`` array, no exact ``int`` below 2**62 in size (``1.0``)."""
     if type(values) is np.ndarray:
         return values
     cells = np.array(values, dtype=object)
-    ok = np.array(np.frompyfunc(_is_number, 1, 1)(cells), dtype=bool)
+    exact = _is_number if dtype is float else lambda v: type(v) is int and v.bit_length() < 63
+    ok = np.array(np.frompyfunc(exact, 1, 1)(cells), dtype=bool)
     if not ok.all():
-        raise ModelFileError(f"{field} is not an array of numbers: {cells[~ok].flat[0]!r:.40}")
-    return cells.astype(float)
+        kind = "numbers" if dtype is float else "integers"
+        raise ModelFileError(f"{field} is not an array of {kind}: {cells[~ok].flat[0]!r:.40}")
+    return cells.astype(dtype)
 
 
 def _object(value, field: str) -> dict:
@@ -311,11 +314,6 @@ def _object(value, field: str) -> dict:
 def _is_number(value) -> bool:
     """An exact ``float``, or ``int`` below 2**1023 in size: ``true`` is no number."""
     return type(value) is float or type(value) is int and value.bit_length() < 1024
-
-
-def _number(value) -> float:
-    """``value`` as a float if ``_is_number``, else NaN."""
-    return float(value) if _is_number(value) else math.nan
 
 
 def _knn_error_bound(n_features: int, norms: np.ndarray) -> np.ndarray:
@@ -336,7 +334,8 @@ class NaiveBayes(ClassifierModel):
 
     A class's log-likelihood of a row is ``log(prior) - 0.5 * sum(log(2 pi
     var) + (x - mean)^2 / var)``, and the posterior of the target class is
-    the sigmoid of the target's log-likelihood minus the other's.
+    the sigmoid of the target's log-likelihood minus the other's; where both
+    are -inf, the difference is the log priors', so the posterior the prior.
     """
 
     kind = "naive_bayes"
@@ -357,13 +356,16 @@ class NaiveBayes(ClassifierModel):
     def predict_proba_rows(self, X) -> np.ndarray:
         # one (row, class, feature) array: row i's classes are [target, other];
         # a term past the float range is inf, which gives its class likelihood 0
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             d = np.asarray(X, dtype=float)[:, np.newaxis, :] - self._mean
             d *= d
             d /= self._var
             d += self._log_norm
             ll = -0.5 * np.add.reduce(d, axis=2) + self._log_prior
-        return sigmoid(ll[:, 0] - ll[:, 1])
+            z = ll[:, 0] - ll[:, 1]  # NaN for a NaN cell, or where both are -inf
+        if np.isnan(z).any():  # both likelihoods 0: the posterior is the prior
+            z[np.isnan(z) & (ll[:, 0] == -np.inf)] = self._log_prior[0] - self._log_prior[1]
+        return sigmoid(z)
 
     def _restore(self, params):
         # a file that lacks a class's statistics fails here, not at the first prediction
@@ -371,9 +373,9 @@ class NaiveBayes(ClassifierModel):
         for label in (self.target_class, self.other_class):
             field = f"naive_bayes stats[{str(label)!r}]"
             s = _object(_object(params["stats"], "naive_bayes stats")[str(label)], field)
-            prior = _float_array(s["prior"], f"{field} prior")
-            mean = _float_array(s["mean"], f"{field} mean")
-            var = _float_array(s["var"], f"{field} var")
+            prior = _number_array(s["prior"], f"{field} prior")
+            mean = _number_array(s["mean"], f"{field} mean")
+            var = _number_array(s["var"], f"{field} var")
             if prior.ndim or not 0.0 < prior <= 1.0:
                 raise ModelFileError(f"{field} prior must be a number in (0, 1], got {s['prior']!r}")
             if mean.ndim != 1 or mean.shape != var.shape:
@@ -389,65 +391,63 @@ class NaiveBayes(ClassifierModel):
 
 
 class _FlatTrees:
-    """Nested-dict trees compiled to flat node arrays, evaluated by matrix.
+    """Trees of preorder node arrays (``_TREE_ARRAYS``, laid out and checked as
+    README's Model file says), joined and evaluated by matrix; a failed check
+    is a ``ModelFileError`` naming ``field[t]``, the node and the value.
 
-    Node ``i`` owns slots ``2*i`` and ``2*i + 1`` of ``feature``,
-    ``threshold``, ``children`` and ``value``; ``roots`` and a walk hold a
-    node as its slot ``2*i``. ``children[2*i + 1]`` is the left child, which
-    takes the rows at or below the threshold, and ``children[2*i]`` the
-    right one, which takes the rest, NaN included. A walk keeps one flat
-    entry per (row, tree), and a step is
+    Joined, node ``i`` owns slots ``2*i`` (its right child in ``children``)
+    and ``2*i + 1`` (its left child); ``roots`` and a walk hold a node as
+    slot ``2*i``. A walk keeps one entry per (row, tree) and takes ``depth``
+    (the deepest leaf's) steps of
 
         cell = feature[slot]; cell += offsets  # the entry's row start in cells
         slot += cells[cell] <= threshold[slot]; slot = children[slot]
 
-    where ``cells`` is the flattened matrix. A leaf holds its probability in
-    ``value``, has threshold +inf and holds itself in both slots, so
-    ``depth`` steps (the deepest leaf's depth) take every entry to its leaf.
-    The result is the sum over trees of the leaves' values divided by the
-    number of trees, which is how ``np.mean`` computes it.
-
-    ``width`` is one more than the highest feature an inner node reads, or 0.
-    The constructor checks each node as it compiles it: a JSON object whose
-    leaf is a number in [0, 1], or whose feature is an exact ``int`` from 0
-    (a negative one would read a cell of another row) below ``_INDEX_LIMIT``
-    and whose threshold is a number other than NaN (``_number``). Anything
-    else is a ``ModelFileError`` that names ``field`` and the value.
+    and sums the leaves' values over the number of trees, as ``np.mean``
+    does. ``width`` is one more than the highest feature, or 0 for leaves.
     """
 
     def __init__(self, trees: Sequence[dict], field: str):
-        self.depth = self.width = 0
-        feature, threshold, children, value = [], [], [], []
+        parts = []
+        for t, tree in enumerate(trees):
+            tree = _object(tree, name := f"{field}[{t}]")
+            arrays = [_number_array(tree[key], f"{name} {key}", dtype) for key, dtype in _TREE_ARRAYS.items()]
+            if arrays[0].ndim != 1 or not len(arrays[0]) or any(a.shape != arrays[0].shape for a in arrays):
+                raise ModelFileError(f"{name} needs {', '.join(_TREE_ARRAYS)} lists of one length, at least 1")
+            parts.append(arrays)
+        feature, threshold, left, right, value = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        sizes = np.array([len(arrays[0]) for arrays in parts])
+        ends = np.cumsum(sizes)
+        start, end, node = (ends - sizes).repeat(sizes), ends.repeat(sizes), np.arange(len(feature))
+        left, right = left + start, right + start  # node numbers across all trees
 
-        def add(node, depth) -> int:
-            _object(node, f"{field} node")
-            i = len(feature)
-            feature.append(0)
-            threshold.append(math.inf)
-            children.extend((i, i))
-            value.append(_number(node.get("leaf", 0.0)))
-            if "leaf" in node:
-                if not 0.0 <= value[i] <= 1.0:
-                    raise ModelFileError(f"{field} has a leaf outside [0, 1], got {node['leaf']!r:.40}")
-                self.depth = max(self.depth, depth)
-                return i
-            f, t = node["feature"], node["threshold"]
-            if type(f) is not int or f < 0:  # exact type, so that true is no feature
-                raise ModelFileError(f"{field} feature must be a non-negative integer, got {f!r}")
-            if f >= _INDEX_LIMIT:
-                raise ModelFileError(f"{field} feature {f} is too large for a column index")
-            feature[i], threshold[i], self.width = f, _number(t), max(self.width, f + 1)
-            if threshold[i] != threshold[i]:
-                raise ModelFileError(f"{field} threshold must be a number other than NaN, got {t!r:.40}")
-            children[2 * i + 1] = add(node["left"], depth + 1)
-            children[2 * i] = add(node["right"], depth + 1)
-            return i
+        def check(bad, problem):
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ModelFileError(f"{field}[{ends.searchsorted(k, 'right')}] node {k - start[k]}: {problem(k)}")
 
-        self.roots = 2 * np.array([add(tree, 0) for tree in trees], dtype=np.intp)
-        self.feature = np.repeat(np.array(feature, dtype=np.intp), 2)
-        self.threshold = np.repeat(np.array(threshold), 2)
-        self.children = 2 * np.array(children, dtype=np.intp)
-        self.value = np.repeat(np.array(value), 2)
+        check(feature < 0, lambda k: f"feature {feature[k]} is no column index")  # it would read another row
+        check(np.isnan(threshold), lambda k: "threshold must be a number other than NaN, got nan")
+        check(~((value >= 0.0) & (value <= 1.0)), lambda k: f"value must lie in [0, 1], got {value[k].item()!r}")
+        leaf = (left == node) & (right == node)
+        i, n, l, r = node - start, end - start, left - start, right - start  # numbers within each tree
+        check(~(leaf | (np.minimum(left, right) > node) & (np.maximum(left, right) < end)), lambda k: (
+            f"left and right must both be {i[k]} (a leaf) or lie in ({i[k]}, {n[k]}), got {l[k]} and {r[k]}"))
+        inner = np.flatnonzero(~leaf)
+        parents = np.bincount(np.concatenate((left[inner], right[inner])), minlength=len(node))
+        check(parents != (node != start), lambda k: f"is the child of {parents[k]} nodes")
+        # Depths by pointer jumping: up[i] is a root or an ancestor depth[i] levels above i.
+        up = node.copy()
+        up[left[inner]] = up[right[inner]] = inner
+        depth = (up != node).astype(np.intp)
+        while not ((upper := up[up]) == up).all():
+            depth += depth[up]
+            up = upper
+        self.depth = int(depth.max())
+        self.width = int(feature.max()) + 1 if self.depth else 0
+        self.roots = 2 * (ends - sizes)
+        self.feature, self.threshold, self.value = (np.repeat(a, 2) for a in (feature, threshold, value))
+        self.children = 2 * np.stack((right, left), axis=1).ravel()
 
     def proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -499,97 +499,107 @@ class _Columns:
                 raise ValueError("two feature values have no finite midpoint")
 
 
-class _Open(NamedTuple):
-    """A node past the leaf test: its record to fill, its rows and hit count."""
-
-    record: dict
-    rows: np.ndarray
-    hits: int
-    depth: int
-    tree: int
-
-
 def _grow_trees(
     X, hits, samples, rngs, max_features: int, max_depth: int, min_samples_split: int
 ) -> list[dict]:
-    """Grow a nested-dict CART tree on Gini splits for each sample, all in lockstep.
+    """Grow a CART tree on Gini splits for each sample, all in lockstep as the
+    module docstring says, and return each as its preorder node arrays.
 
-    ``samples[t]`` lists tree ``t``'s rows of ``X``, repeats allowed, and
-    ``hits`` is 1 for a target-class row and 0 otherwise. A node is a leaf when
-    it is ``max_depth`` deep, has fewer than ``min_samples_split`` rows or is
-    pure; otherwise it splits as ``_best_splits`` finds, or is a leaf if it
-    cannot. With ``max_features`` below the feature count, each node draws its
-    candidate features from its tree's ``rngs[t]`` (``_random_features``), and
-    a tree readies only its next preorder node per step: every generator is
-    then drawn from node for node as by a recursive grower, left subtree first.
-    Otherwise no node draws, and every open node is ready at every step, level
-    by level. Ready nodes go through the split search in blocks of at most
-    ``_GROW_BLOCK`` (row, candidate feature) entries, or of one node.
+    ``samples[t]`` lists tree ``t``'s rows of ``X`` (at least one, repeats
+    allowed); ``hits`` is 1 for a target-class row, else 0. A node is a leaf
+    when it is ``max_depth`` deep, has fewer than ``min_samples_split`` rows,
+    is pure, or has no split; with ``max_features`` below the feature count,
+    a node draws its candidates from ``rngs[t]`` (``_random_features``). An
+    open node is a row of ``nodes`` (id, tree, depth, hits, rows, start of
+    its rows in ``pool``), a tree's in stack order; the end numbers each
+    tree's nodes, ids in order of making, in preorder.
     """
     n_features = X.shape[1]
     draws = max_features < n_features
     columns = _Columns(X, hits)
-    stacks = [[] for _ in samples]
+    pool = np.concatenate([np.asarray(rows, dtype=np.intp) for rows in samples])
+    tree, size = np.arange(len(samples)), np.array([len(rows) for rows in samples])
+    start = np.cumsum(size) - size
+    nodes = np.stack((tree, tree, 0 * tree, np.add.reduceat(columns.hit[pool], start), size, start), axis=1)
+    made = [nodes[:, 1:5]]  # tree, depth, hits and rows of each node, by id
+    splits = [(np.zeros(0, dtype=np.intp),) * 5]  # id, feature, threshold, left id, right id
+    used, next_id = len(pool), len(samples)
 
-    def place(record, rows, c, depth, tree):
-        n = len(rows)
-        proba = c / n
-        if depth >= max_depth or n < min_samples_split or proba in (0.0, 1.0):
-            record.update(leaf=proba, n=n)
-        else:
-            stacks[tree].append(_Open(record, rows, c, depth, tree))
+    def gather(nodes):  # the rows of nodes, node by node, each row's node and each node's end
+        n = nodes[:, 4]
+        ends = np.cumsum(n)
+        owner = np.repeat(np.arange(len(nodes)), n)
+        return pool[np.arange(len(owner)) + (nodes[:, 5] - ends + n)[owner]], owner, ends
 
-    def grow(block, features):
-        rows = np.concatenate([node.rows for node in block])
-        sizes = np.array([len(node.rows) for node in block])
-        counts = np.array([node.hits for node in block])
-        owner = np.repeat(np.arange(len(block)), sizes)
-        split, feature, threshold, nl, cl = _best_splits(columns, rows, owner, sizes, counts, features)
-        # One gather partitions the rows of every splitting node.
-        splits = np.zeros(len(block), dtype=bool)
-        node_feature = np.zeros(len(block), dtype=np.intp)
-        node_threshold = np.zeros(len(block))
-        splits[split], node_feature[split], node_threshold[split] = True, feature, threshold
-        splitting = splits[owner]
-        rows, owner = rows[splitting], owner[splitting]
-        goes_left = columns.cells[rows * n_features + node_feature[owner]] <= node_threshold[owner]
-        left, right = rows[goes_left], rows[~goes_left]
-        left_end, right_end = np.cumsum(nl), np.cumsum(sizes[split] - nl)
-        outcome = (split, feature, threshold, nl, cl, left_end, right_end)
-        for k, feat, thr, n_left, c_left, l_end, r_end in zip(*(values.tolist() for values in outcome)):
-            record, parent_rows, c, depth, tree = block[k]
-            n_right = len(parent_rows) - n_left
-            record.update(feature=feat, threshold=thr, left={}, right={})
-            # the right child first, so that the left one tops the stack
-            place(record["right"], right[r_end - n_right : r_end], c - c_left, depth + 1, tree)
-            place(record["left"], left[l_end - n_left : l_end], c_left, depth + 1, tree)
-        for k in np.flatnonzero(~splits).tolist():
-            node = block[k]
-            node.record.update(leaf=node.hits / len(node.rows), n=len(node.rows))
+    def still_open(new):
+        _, _, depth, c, n, _ = new.T
+        return new[(depth < max_depth) & (n >= min_samples_split) & (c > 0) & (c < n)]
 
-    trees = [{} for _ in samples]
-    for tree, rows in enumerate(samples):
-        rows = np.asarray(rows, dtype=np.intp)
-        place(trees[tree], rows, int(columns.hit[rows].sum()), 0, tree)
-    while True:
+    nodes = still_open(nodes)
+    while len(nodes):
         if draws:
-            ready = [stack.pop() for stack in stacks if stack]
-            features = np.array(
-                [_random_features(rngs[node.tree], max_features, n_features) for node in ready]
-            )
+            top = np.append(nodes[1:, 1] != nodes[:-1, 1], True)
+            ready, nodes = nodes[top], nodes[~top]
+            features = np.sort([_random_features(rngs[t], max_features, n_features) for t in ready[:, 1]])
         else:
-            ready = [node for stack in stacks for node in stack]
-            for stack in stacks:
-                stack.clear()
+            ready, nodes, used = nodes, nodes[:0], 0
             features = np.broadcast_to(np.arange(n_features), (len(ready), n_features))
-        if not ready:
-            return trees
-        width, start, entries = features.shape[1], 0, 0
-        for stop, node in enumerate(ready, 1):
-            entries += len(node.rows) * width
-            if stop == len(ready) or entries + len(ready[stop].rows) * width > _GROW_BLOCK:
-                grow(ready[start:stop], features[start:stop])
-                start, entries = stop, 0
+        rows, owner, ends = gather(ready)
+        c, n, room = ready[:, 3], ready[:, 4], _GROW_BLOCK // features.shape[1]  # rows per block
+        found, first = [], 0
+        while first < len(ready):
+            stop = max(first + 1, int(np.searchsorted(ends, ends[first] - n[first] + room, "right")))
+            lo, hi = ends[first] - n[first], ends[stop - 1]
+            k, *rest = _best_splits(
+                columns, rows[lo:hi], owner[lo:hi] - first, n[first:stop], c[first:stop], features[first:stop]
+            )
+            found.append((k + first, *rest))
+            first = stop
+        k, feature, threshold, nl, cl = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
+        if len(k) < len(ready):  # the others are leaves; owner becomes a split's index in k
+            split_of = np.full(len(ready), -1)
+            split_of[k] = np.arange(len(k))
+            keep = split_of[owner] >= 0
+            rows, owner = rows[keep], split_of[owner[keep]]
+        goes_left = columns.cells[rows * n_features + feature[owner]] <= threshold[owner]
+        if used + len(rows) > len(pool):  # keep only the waiting nodes' rows
+            kept = gather(nodes)[0]
+            nodes[:, 5] = np.cumsum(nodes[:, 4]) - nodes[:, 4]
+            pool = np.empty(max(len(pool), 2 * (len(kept) + len(rows))), dtype=np.intp)
+            pool[: len(kept)], used = kept, len(kept)
+        pool[used : used + len(rows)] = rows[np.argsort(goes_left, kind="stable")]
+        # The right children, then the left ones, as a stack pushes them, their
+        # rows in that order too; each starts as a copy of its parent.
+        kids = np.concatenate((ready[k], ready[k]))
+        kids[:, 0] = np.arange(next_id, next_id + len(kids))
+        kids[:, 2] += 1
+        kids[len(k) :, 3], kids[len(k) :, 4] = cl, nl
+        kids[: len(k), 3:5] -= kids[len(k) :, 3:5]
+        kids[:, 5] = used + np.cumsum(kids[:, 4]) - kids[:, 4]
+        used, next_id = used + len(rows), next_id + len(kids)
+        made.append(kids[:, 1:5])
+        splits.append((ready[k, 0], feature, threshold, kids[len(k) :, 0], kids[: len(k), 0]))
+        nodes = np.concatenate((nodes, still_open(kids)))
+        nodes = nodes[np.argsort(nodes[:, 1], kind="stable")]  # each tree's open nodes together
+    tree, depth, c, n = np.concatenate(made).T
+    split, feature, threshold, left, right = map(np.concatenate, zip(*splits))
+    # Subtree sizes bottom-up, then preorder numbers top-down, a depth at a time.
+    levels = np.split(np.argsort(depth[split], kind="stable"), np.cumsum(np.bincount(depth[split]))[:-1])
+    size, index = np.ones_like(tree), np.zeros_like(tree)
+    for j in reversed(levels):
+        size[split[j]] += size[left[j]] + size[right[j]]
+    for j in levels:
+        index[left[j]] = index[split[j]] + 1
+        index[right[j]] = index[split[j]] + 1 + size[left[j]]
+    ends = np.cumsum(size[: len(samples)])
+    place = index + (ends - size[: len(samples)])[tree]  # each node's place in the output, tree by tree
+    out = {key: np.empty(len(tree), dtype) for key, dtype in _TREE_ARRAYS.items()}
+    out["feature"][place], out["threshold"][place], out["value"][place] = 0, np.inf, c / n
+    out["left"][place] = out["right"][place] = index  # a leaf holds its own index
+    at = place[split]
+    out["feature"][at], out["threshold"][at], out["value"][at] = feature, threshold, 0.0
+    out["left"][at], out["right"][at] = index[left], index[right]
+    return [{key: a[s:e] for key, a in out.items()} for s, e in zip(ends - size[: len(samples)], ends)]
 
 
 def _best_splits(columns: _Columns, rows, owner, sizes, counts, features):
@@ -615,13 +625,11 @@ def _best_splits(columns: _Columns, rows, owner, sizes, counts, features):
     key += ((owner * width) << (shift + 1))[:, np.newaxis]
     key += np.arange(width) << (shift + 1)
     key = np.sort(key, axis=None)
-    # Runs of equal keys, then their counts and hits up to each run's end over all slots.
-    ends = np.append(np.flatnonzero(key[1:] != key[:-1]) + 1, len(key))
-    key = key[ends - 1]
-    hits_through = np.cumsum(np.diff(ends, prepend=0) * (key & 1))
-    # The last run of each (slot, value code): its value's rows and hits are all in.
-    last = np.append(key[1:] >> 1 != key[:-1] >> 1, True)
-    through, hits_through, bins = ends[last], hits_through[last], key[last] >> 1
+    # The last entry of each (slot, value code): the entries and hits up to it,
+    # over all slots, include its value's rows and hits.
+    bins = key >> 1
+    last = np.concatenate((bins[1:] != bins[:-1], [True]))
+    through, hits_through, bins = np.flatnonzero(last) + 1, np.cumsum(key & 1)[last], bins[last]
     slot, code = bins >> shift, bins & ((1 << shift) - 1)
 
     def before(per_node):
@@ -649,34 +657,32 @@ def _best_splits(columns: _Columns, rows, owner, sizes, counts, features):
         impurity = (nl * (2.0 * pl * (1.0 - pl)) + nr * (2.0 * pr * (1.0 - pr))) / n
     impurity[~((slot == slot_after) & (threshold <= hi) & (nl < n))] = np.inf
     # Pairs run node by node; take each node's first lowest one.
-    starts = np.flatnonzero(np.diff(node, prepend=-1))
+    first = node != np.concatenate(([-1], node[:-1]))
+    starts = np.flatnonzero(first)
     lowest = np.minimum.reduceat(impurity, starts)
-    at_lowest = impurity == np.repeat(lowest, np.diff(np.append(starts, len(node))))
+    at_lowest = impurity == lowest[np.cumsum(first) - 1]
     best = np.minimum.reduceat(np.where(at_lowest, np.arange(len(node)), len(node)), starts)
     best = best[lowest < np.inf]
     return node[best], features.ravel()[slot[best]], threshold[best], nl[best], cl[best]
 
 
 def _random_features(rng: np.random.Generator, size: int, n_features: int) -> np.ndarray:
-    """The forest's per-node rule: ``size`` random features of fewer than ``n_features``."""
-    return np.sort(rng.choice(n_features, size=size, replace=False))
+    """The forest's per-node rule: ``size`` random features of fewer than ``n_features``, as drawn."""
+    return rng.choice(n_features, size=size, replace=False)
 
 
 class _CartModel(ClassifierModel):
-    """CART models: nested-dict trees persisted under ``_key`` (``tree``: one
-    tree, ``trees``: a list), compiled once into ``_FlatTrees``."""
-
-    _key: str
+    """CART models: a list of trees of node arrays, ``trees`` in the record,
+    joined once into ``_FlatTrees``; a decision tree's list holds one."""
 
     def predict_proba_rows(self, X) -> np.ndarray:
         return self._flat.proba(X)
 
     def _restore(self, params):
-        trees = params[self._key] if self._key == "trees" else [params[self._key]]
-        field = f"{self.kind} {self._key}"
+        trees = params["trees"]
         if type(trees) is not list or not trees:
-            raise ModelFileError(f"{field} must hold at least one tree")
-        self._flat = _FlatTrees(trees, field)
+            raise ModelFileError(f"{self.kind} trees must hold at least one tree")
+        self._flat = _FlatTrees(trees, f"{self.kind} trees")
         self._width = self._flat.width
 
     def check_width(self, n_features: int) -> None:
@@ -693,7 +699,6 @@ class DecisionTree(_CartModel):
     """CART tree with Gini splits; leaf probability = target fraction."""
 
     kind = "decision_tree"
-    _key = "tree"
     _HYPERPARAMETERS = {"max_depth": (8, 0), "min_samples_split": (2, 2)}
 
     def _fit_records(self, X, y, samples):
@@ -702,14 +707,13 @@ class DecisionTree(_CartModel):
             X, y == self.target_class, samples, [None] * len(samples), X.shape[1],
             self.max_depth, self.min_samples_split,
         )
-        return [{"tree": tree} for tree in trees]
+        return [{"trees": [tree]} for tree in trees]
 
 
 class RandomForest(_CartModel):
     """Bagged Gini trees with sqrt-feature splits; probability = mean of trees."""
 
     kind = "random_forest"
-    _key = "trees"
     _HYPERPARAMETERS = {"n_trees": (25, 1), "max_depth": (8, 0), "seed": (0, 0)}
 
     def _fit(self, X, y):
@@ -771,12 +775,7 @@ def cross_val_f1(make, data: EncodedDataset, folds: int, seed: int = 0) -> tuple
     and a decision tree grows the k + 1 trees in one ``_grow_trees`` pass.
     """
     tests = kfold_indices(len(data), folds, seed=seed)
-    samples = []
-    for test in tests:
-        train = np.ones(len(data), dtype=bool)
-        train[test] = False
-        samples.append(np.flatnonzero(train))
-    samples.append(np.arange(len(data)))
+    samples = [np.delete(np.arange(len(data)), test) for test in tests] + [np.arange(len(data))]
     model = make()
     records = iter(model._fit_samples(data.X, data.y, data.target_class, samples))
     truth = data.y == data.target_class
@@ -811,11 +810,8 @@ def cv_weights(kinds: Sequence[str], data: EncodedDataset, folds: int, seed: int
     both from one ``cross_val_f1`` call."""
     if len(kinds) < 2:
         raise ValueError("a jury needs at least two member kinds")
-    members = []
-    for kind in kinds:
-        weight, model = cross_val_f1(partial(make_model, kind, seed=seed), data, folds, seed=seed)
-        members.append((model, weight))
-    return ThirdPartyJury(members=tuple(members))
+    fits = [cross_val_f1(partial(make_model, kind, seed=seed), data, folds, seed=seed) for kind in kinds]
+    return ThirdPartyJury(members=tuple((model, weight) for weight, model in fits))
 
 
 def save_model(model: ClassifierModel, path: str | Path) -> None:
@@ -823,7 +819,7 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
     if not model.fitted:
         raise ValueError("cannot save an unfitted model")
     payload = {
-        "format_version": 1,
+        "format_version": 2,
         "kind": model.kind,
         "target_class": model.target_class,
         "other_class": model.other_class,
@@ -837,8 +833,9 @@ def load_model(path: str | Path) -> ClassifierModel:
     """Read a file from ``save_model``; ``ModelFileError`` for a bad version, kind or hyperparameter."""
     with open(path, encoding="utf-8") as fh:
         payload = _object(json.load(fh), "a model file")
-    if payload.get("format_version") != 1:
-        raise ModelFileError("unsupported model file version")
+    version = payload.get("format_version", "missing")
+    if type(version) is not int or version != 2:  # exact type, so that true and 2.0 are refused
+        raise ModelFileError(f"model file version {version!r:.40} is not 2: run tcol train again")
     kind = payload["kind"]
     if type(kind) is not str or kind not in _MODEL_CLASSES:
         raise ModelFileError(f"unknown model kind {kind!r} in file")

@@ -14,8 +14,10 @@ Two kinds of fixture are written next to this script:
 
 ``tests/test_golden.py`` compares the current code against them bit for
 bit. The fixtures are written once by a reference version of the package
-and then kept as they are. To rewrite them, put that version's ``src`` on
-the path:
+and then kept as they are. The two model files were written again, once,
+when model files moved to ``format_version`` 2 (trees as preorder node
+arrays); the trees, their predictions and ``credit.npz`` stayed as they
+were. To rewrite them, put that version's ``src`` on the path:
 
     PYTHONPATH=<reference checkout>/src python tests/golden/write_credit.py
 """

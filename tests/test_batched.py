@@ -83,7 +83,8 @@ def naive_bayes_row(model, v) -> float:
 
 def naive_bayes_max_exp(model, X) -> np.ndarray:
     """The batched naive Bayes posterior before it became a sigmoid:
-    ``exp(lt - m) / (exp(lt - m) + exp(lo - m))`` with ``m = max(lt, lo)``."""
+    ``exp(lt - m) / (exp(lt - m) + exp(lo - m))`` with ``m = max(lt, lo)``,
+    and where ``lt`` and ``lo`` are both -inf, the log priors in their place."""
 
     def log_likelihood(label) -> np.ndarray:
         s = model._record["stats"][str(label)]
@@ -93,6 +94,9 @@ def naive_bayes_max_exp(model, X) -> np.ndarray:
 
     lt = log_likelihood(model.target_class)
     lo = log_likelihood(model.other_class)
+    vanish = (lt == -np.inf) & (lo == -np.inf)
+    lt[vanish] = math.log(model._record["stats"][str(model.target_class)]["prior"])
+    lo[vanish] = math.log(model._record["stats"][str(model.other_class)]["prior"])
     m = np.maximum(lt, lo)
     et = np.array([math.exp(v) for v in (lt - m).tolist()])
     eo = np.array([math.exp(v) for v in (lo - m).tolist()])
@@ -101,7 +105,8 @@ def naive_bayes_max_exp(model, X) -> np.ndarray:
 
 def test_naive_bayes_sigmoid_gives_the_max_exp_bits_on_extreme_cells():
     """Cells whose likelihoods overflow, vanish or are NaN: every number keeps
-    its bits, and NaN stays NaN (its sign bit is not part of the rule)."""
+    its bits, a row whose likelihoods both vanish gets the prior, and NaN
+    stays NaN (its sign bit is not part of the rule)."""
     rng = np.random.default_rng(5)
     X = rng.integers(0, 4, size=(30, 3)) / 3.0
     y = np.where(rng.random(30) < 0.5, "yes", "no")
@@ -114,6 +119,8 @@ def test_naive_bayes_sigmoid_gives_the_max_exp_bits_on_extreme_cells():
         got = model.predict_proba_rows(probes)
     nan = np.isnan(expected)
     assert nan.any() and (nan == np.isnan(got)).all()
+    far = probes.tolist().index([math.inf, 0.5, 0.5])  # both classes' likelihoods vanish
+    assert got[far] == pytest.approx(model._record["stats"]["yes"]["prior"])
     assert got[~nan].tobytes() == expected[~nan].tobytes()
 
 
@@ -300,6 +307,35 @@ def grow_reference(X, hits, candidates, max_depth, min_samples_split, depth=0) -
     }
 
 
+def preorder_arrays(tree: dict) -> dict:
+    """A nested-dict tree as the preorder node arrays of ``_grow_trees``: a
+    leaf holds its own index in ``left`` and ``right``, feature 0 and
+    threshold +inf, and an inner node value 0.0."""
+    arrays = {key: [] for key in models._TREE_ARRAYS}
+
+    def add(node) -> int:
+        i = len(arrays["feature"])
+        for key, start in zip(models._TREE_ARRAYS, (0, math.inf, i, i, 0.0)):
+            arrays[key].append(start)
+        if "leaf" in node:
+            arrays["value"][i] = node["leaf"]
+        else:
+            arrays["feature"][i], arrays["threshold"][i] = node["feature"], node["threshold"]
+            arrays["left"][i] = add(node["left"])
+            arrays["right"][i] = add(node["right"])
+        return i
+
+    add(tree)
+    return arrays
+
+
+def as_lists(tree: dict) -> dict:
+    """A grown tree's arrays as lists, once their dtypes are checked."""
+    for key, dtype in zip(models._TREE_ARRAYS, (np.intp, float, np.intp, np.intp, float)):
+        assert tree[key].dtype == dtype, key
+    return {key: tree[key].tolist() for key in models._TREE_ARRAYS}
+
+
 # (0.9999999999999999 + 1.0) / 2.0 rounds onto 1.0: that midpoint puts both
 # values on the left, like the (1.0, 2.0) midpoint does.
 ROUNDING_EDGE = np.array([0.5, 0.9999999999999999, 1.0, 2.0])
@@ -369,7 +405,7 @@ def test_grow_matches_the_per_threshold_scan_byte_for_byte(
     assert len(trees) == len(samples)
     for tree, sample, candidates in zip(trees, samples, reference):
         expected = grow_reference(X[sample], hits[sample], candidates, max_depth, min_samples_split)
-        assert json.dumps(tree) == json.dumps(expected)
+        assert json.dumps(as_lists(tree)) == json.dumps(preorder_arrays(expected))
     if forest_rule is not None:
         # equal states: the same candidate draws, node for node
         for rng, reference_rng in zip(rngs, reference_rngs):
@@ -380,13 +416,14 @@ def test_grow_records_a_midpoint_that_rounds_onto_the_upper_value():
     X = ROUNDING_EDGE[:, np.newaxis]
     hits = np.array([0.0, 0.0, 0.0, 1.0])
     [tree] = models._grow_trees(X, hits, [np.arange(4)], [None], 1, max_depth=8, min_samples_split=2)
-    assert tree == {
-        "feature": 0,
-        "threshold": 1.0,
-        "left": {"leaf": 0.0, "n": 3},
-        "right": {"leaf": 1.0, "n": 1},
+    assert as_lists(tree) == {
+        "feature": [0, 0, 0],
+        "threshold": [1.0, math.inf, math.inf],
+        "left": [1, 1, 2],
+        "right": [2, 1, 2],
+        "value": [0.0, 0.0, 1.0],
     }
-    assert json.dumps(tree) == json.dumps(grow_reference(X, hits, np.arange, 8, 2))
+    assert json.dumps(as_lists(tree)) == json.dumps(preorder_arrays(grow_reference(X, hits, np.arange, 8, 2)))
 
 
 def test_grower_rejects_values_whose_midpoint_overflows():
@@ -452,43 +489,33 @@ def test_batched_fold_and_final_trees_save_as_fits_on_each_sample_alone(case, ma
 
 
 def level_walk(trees, X) -> np.ndarray:
-    """The kernel ``_FlatTrees.proba`` must reproduce byte for byte: its own
-    compiled left/right arrays, a 2-D fancy index of ``X`` and ``np.where``
-    per level."""
-    feature, threshold, left, right, value, depth = [], [], [], [], [], [0]
+    """The kernel ``_FlatTrees.proba`` must reproduce byte for byte: the
+    trees' own left/right arrays joined, a 2-D fancy index of ``X`` and
+    ``np.where`` per level, for as many levels as the deepest leaf lies deep."""
+    offsets = np.cumsum([0] + [len(tree["feature"]) for tree in trees])
+    feature, threshold, value = (
+        np.concatenate([np.asarray(tree[key]) for tree in trees]) for key in ("feature", "threshold", "value")
+    )
+    left, right = (
+        np.concatenate([np.asarray(tree[key]) + offset for tree, offset in zip(trees, offsets)])
+        for key in ("left", "right")
+    )
 
-    def add(node, d) -> int:
-        i = len(feature)
-        feature.append(0)
-        threshold.append(math.inf)
-        left.append(i)
-        right.append(i)
-        value.append(node.get("leaf", 0.0))
-        if "leaf" in node:
-            depth[0] = max(depth[0], d)
-        else:
-            feature[i] = node["feature"]
-            threshold[i] = node["threshold"]
-            left[i] = add(node["left"], d + 1)
-            right[i] = add(node["right"], d + 1)
-        return i
+    def depth(i) -> int:
+        return 0 if left[i] == i else 1 + max(depth(left[i]), depth(right[i]))
 
-    roots = np.array([add(tree, 0) for tree in trees], dtype=np.intp)
-    feature, left, right = (np.array(a, dtype=np.intp) for a in (feature, left, right))
-    threshold, value = np.array(threshold), np.array(value)
     X = np.asarray(X, dtype=float)
-    node = np.broadcast_to(roots, (len(X), len(roots)))
+    node = np.broadcast_to(offsets[:-1], (len(X), len(trees)))
     rows = np.arange(len(X))[:, np.newaxis]
-    for _ in range(depth[0]):
+    for _ in range(max(depth(root) for root in offsets[:-1])):
         goes_left = X[rows, feature[node]] <= threshold[node]
         node = np.where(goes_left, left[node], right[node])
     return value[node].mean(axis=1)
 
 
-def tree_thresholds(node) -> list:
-    if "leaf" in node:
-        return []
-    return [node["threshold"], *tree_thresholds(node["left"]), *tree_thresholds(node["right"])]
+def tree_thresholds(tree) -> list:
+    inner = np.asarray(tree["left"]) != np.arange(len(tree["left"]))
+    return np.asarray(tree["threshold"])[inner].tolist()
 
 
 SPECIAL_CELLS = [math.nan, math.inf, -math.inf, -0.0, 0.0]
@@ -496,21 +523,24 @@ SPECIAL_CELLS = [math.nan, math.inf, -math.inf, -0.0, 0.0]
 
 @st.composite
 def trees_and_cells(draw):
-    """A decision tree, a forest or a one-leaf tree, and a matrix of 0, 1 or
-    many rows whose cells are split thresholds, grid values, NaN, +-inf and
-    -0.0, laid out in C order, in Fortran order or as a column slice."""
-    kind = draw(st.sampled_from(["decision_tree", "random_forest", "leaf"]))
+    """A fitted decision tree or forest, a one-leaf tree or a tree of the
+    per-threshold scan, and a matrix of 0, 1 or many rows whose cells are
+    split thresholds, grid values, NaN, +-inf and -0.0, laid out in C order,
+    in Fortran order or as a column slice."""
+    kind = draw(st.sampled_from(["decision_tree", "random_forest", "leaf", "scan"]))
     n_features = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows = draw(st.integers(4, 30))
+    X = rng.integers(0, 4, size=(n_rows, n_features)) / 3.0
+    y = np.where(rng.random(n_rows) < 0.5, "yes", "no")
+    y[:2] = ["yes", "no"]
     if kind == "leaf":
-        trees = [{"leaf": float(rng.integers(0, 5)) / 4.0, "n": 3}]
+        trees = [preorder_arrays({"leaf": float(rng.integers(0, 5)) / 4.0, "n": 3})]
+    elif kind == "scan":
+        trees = [preorder_arrays(grow_reference(X, (y == "yes").astype(float), np.arange, 8, 2))]
     else:
-        n_rows = draw(st.integers(4, 30))
-        X = rng.integers(0, 4, size=(n_rows, n_features)) / 3.0
-        y = np.where(rng.random(n_rows) < 0.5, "yes", "no")
-        y[:2] = ["yes", "no"]
         model = make_model(kind, seed=draw(st.integers(0, 5))).fit(X, y, "yes")
-        trees = model._record["trees"] if kind == "random_forest" else [model._record["tree"]]
+        trees = model._record["trees"]
     pool = np.array(
         [t for tree in trees for t in tree_thresholds(tree)]
         + SPECIAL_CELLS

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -386,7 +388,7 @@ def test_bad_jury_or_folds_is_a_usage_error_before_any_read(
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("format_version", 2, "unsupported model file version"),
+        ("format_version", 1, "model file version 1 is not 2: run tcol train again"),
         ("kind", "svm", "unknown model kind 'svm'"),
         ("hyperparameters", {"k": 3}, "unexpected keyword argument 'k'"),
         ("parameters", 5, "parameters must be an object, got 5"),
@@ -459,16 +461,9 @@ def trained_models(tmp_path_factory):
     return out
 
 
-def first_split(trees) -> dict:
-    """The root of the first tree that splits."""
-    return next(tree for tree in trees if "feature" in tree)
-
-
-def first_leaf(node) -> dict:
-    """The leftmost leaf below ``node``."""
-    while "leaf" not in node:
-        node = node["left"]
-    return node
+def first_leaf(tree) -> int:
+    """The index of the first leaf of a tree's node arrays."""
+    return next(i for i, (left, right) in enumerate(zip(tree["left"], tree["right"])) if left == right == i)
 
 
 def cut_stats(classes, width):
@@ -485,18 +480,18 @@ def cut_stats(classes, width):
 @pytest.mark.parametrize(
     "kind, edit, message",
     [
-        ("random_forest", lambda p: first_split(p["trees"]).update(threshold="x"),
-         "random_forest trees threshold must be a number other than NaN, got 'x'"),
-        ("random_forest", lambda p: first_split(p["trees"]).update(threshold=math.nan),
-         "random_forest trees threshold must be a number other than NaN, got nan"),
-        ("decision_tree", lambda p: p["tree"].update(threshold=math.nan),
-         "decision_tree tree threshold must be a number other than NaN, got nan"),
-        ("random_forest", lambda p: first_split(p["trees"]).update(feature=-1),
-         "random_forest trees feature must be a non-negative integer, got -1"),
-        ("random_forest", lambda p: first_split(p["trees"]).update(feature=1.5),
-         "random_forest trees feature must be a non-negative integer, got 1.5"),
-        ("random_forest", lambda p: first_split(p["trees"]).update(feature=True),
-         "random_forest trees feature must be a non-negative integer, got True"),
+        ("random_forest", lambda p: p["trees"][0]["threshold"].__setitem__(0, "x"),
+         "random_forest trees[0] threshold is not an array of numbers: 'x'"),
+        ("random_forest", lambda p: p["trees"][0]["threshold"].__setitem__(0, math.nan),
+         "random_forest trees[0] node 0: threshold must be a number other than NaN, got nan"),
+        ("decision_tree", lambda p: p["trees"][0]["threshold"].__setitem__(0, math.nan),
+         "decision_tree trees[0] node 0: threshold must be a number other than NaN, got nan"),
+        ("random_forest", lambda p: p["trees"][0]["feature"].__setitem__(0, -1),
+         "random_forest trees[0] node 0: feature -1 is no column index"),
+        ("random_forest", lambda p: p["trees"][0]["feature"].__setitem__(0, 1.5),
+         "random_forest trees[0] feature is not an array of integers: 1.5"),
+        ("random_forest", lambda p: p["trees"][0]["feature"].__setitem__(0, True),
+         "random_forest trees[0] feature is not an array of integers: True"),
         ("naive_bayes", cut_stats(["approved"], 5),
          "naive_bayes stats must give both classes one number of features"),
         # the model file is sound, but its width does not fit the data's 6 features
@@ -504,25 +499,27 @@ def cut_stats(classes, width):
          "knn model reads rows of 3 features, the data has 6"),
         ("naive_bayes", cut_stats(["approved", "denied"], 2),
          "naive_bayes model reads rows of 2 features, the data has 6"),
-        ("random_forest", lambda p: first_split(p["trees"]).update(feature=6),
+        ("random_forest", lambda p: p["trees"][0]["feature"].__setitem__(0, 6),
          "random_forest splits on feature 6, so it reads rows of at least 7 features; the data has 6"),
-        ("decision_tree", lambda p: p["tree"].update(feature=99),
+        ("decision_tree", lambda p: p["trees"][0]["feature"].__setitem__(0, 99),
          "decision_tree splits on feature 99, so it reads rows of at least 100 features; the data has 6"),
-        ("random_forest", lambda p: first_split(p["trees"]).update(left=3),
-         "random_forest trees node must be an object, got 3"),
-        ("decision_tree", lambda p: p["tree"].update(right=[0.5]),
-         "decision_tree tree node must be an object, got [0.5]"),
-        ("random_forest", lambda p: first_split(p["trees"]).update(feature=2**70),
-         f"random_forest trees feature {2**70} is too large for a column index"),
-        ("random_forest", lambda p: first_split(p["trees"]).update(threshold=2**2000),
-         f"random_forest trees threshold must be a number other than NaN, got {str(2**2000)[:40]}"),
-        ("random_forest", lambda p: first_leaf(p["trees"][0]).update(leaf=True),
-         "random_forest trees has a leaf outside [0, 1], got True"),
+        ("random_forest", lambda p: p["trees"][0]["left"].__setitem__(0, 0),
+         "random_forest trees[0] node 0: left and right must both be 0 (a leaf) or lie in (0, "),
+        ("decision_tree", lambda p: p.update(trees=[[0.5]]), "decision_tree trees[0] must be an object, got [0.5]"),
+        ("random_forest", lambda p: p["trees"][0]["feature"].__setitem__(0, 2**70),
+         f"random_forest trees[0] feature is not an array of integers: {2**70}"),
+        ("random_forest", lambda p: p["trees"][0]["threshold"].__setitem__(0, 2**2000),
+         f"random_forest trees[0] threshold is not an array of numbers: {str(2**2000)[:40]}"),
+        ("random_forest", lambda p: p["trees"][0]["value"].__setitem__(first_leaf(p["trees"][0]), True),
+         "random_forest trees[0] value is not an array of numbers: True"),
+        ("random_forest", lambda p: p["trees"][0]["right"].__setitem__(1, 0),
+         "random_forest trees[0] node 1: left and right must both be 1 (a leaf) or lie in (1, 69), got 2 and 0"),
     ],
     ids=[
         "threshold-text", "threshold-nan", "tree-threshold-nan", "feature-negative", "feature-fraction",
         "feature-true", "stats-widths-differ", "knn-width", "naive-bayes-width", "forest-feature-past-width",
-        "tree-feature-past-width", "node-int", "node-list", "feature-huge", "threshold-huge", "leaf-true",
+        "tree-feature-past-width", "root-loop", "tree-list", "feature-huge", "threshold-huge", "value-true",
+        "cycle-to-the-root",
     ],
 )
 def test_validation_model_file_with_a_bad_split_or_width_is_data_error(
@@ -539,14 +536,6 @@ def test_validation_model_file_with_a_bad_split_or_width_is_data_error(
     assert message in capsys.readouterr().err
 
 
-def tree_slots(tree, holder, key):
-    """Every node of ``tree`` as ``(holder, key)``, its slot in the record, preorder."""
-    yield holder, key
-    if "leaf" not in tree:
-        for side in ("left", "right"):
-            yield from tree_slots(tree[side], tree, side)
-
-
 # what a mutation writes: type swaps, true, huge integers, NaN, strings, lists, objects
 ODD_VALUES = st.one_of(
     st.booleans(),
@@ -560,36 +549,50 @@ ODD_VALUES = st.one_of(
 )
 
 
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+
 @settings(max_examples=100, deadline=None)
 @given(kind=st.sampled_from(["random_forest", "decision_tree"]), data=st.data())
-def test_a_cart_file_with_one_node_mutated_predicts_probabilities_or_is_data_error(
-    trained_models, synthetic_encoded, kind, data
-):
-    """Delete one key of a node, set it to an odd value, or swap the node for one:
-    the model then predicts probabilities in [0, 1] or fails as bad data (exit 2)."""
+def test_a_cart_file_with_one_array_mutated_evaluates_or_is_data_error(ce_file, trained_models, kind, data):
+    """Set one entry of a tree's node array to an odd value or to a node
+    index (cycles, self-loops and links out of the tree included), drop or
+    repeat an entry, turn an array into floats or booleans, swap it for an
+    odd value or delete it: ``tcol evaluate --validation-model`` then prints
+    finite metrics (exit 0) or fails as bad data (exit 2), never exit 3."""
     payload = json.loads((trained_models / f"{kind}.model.json").read_text(encoding="utf-8"))
     params = payload["parameters"]
-    trees = params.get("trees")
-    roots = [(params, "tree")] if trees is None else [(trees, t) for t in range(len(trees))]
-    slots = [slot for holder, key in roots for slot in tree_slots(holder[key], holder, key)]
-    holder, key = data.draw(st.sampled_from(slots))
-    node, action = holder[key], data.draw(st.sampled_from(["delete", "set", "swap"]))
-    if action == "swap":
-        holder[key] = data.draw(ODD_VALUES)
-    elif action == "delete":
-        del node[data.draw(st.sampled_from(sorted(node)))]
+    tree = data.draw(st.sampled_from(params["trees"]))
+    key = data.draw(st.sampled_from(TREE_ARRAYS))
+    values, action = tree[key], data.draw(
+        st.sampled_from(["entry", "index", "drop", "repeat", "floats", "booleans", "swap", "delete"])
+    )
+    i = data.draw(st.integers(0, len(values) - 1))
+    if action == "entry":
+        values[i] = data.draw(ODD_VALUES)
+    elif action == "index":
+        values[i] = data.draw(st.integers(-1, len(values)))
+    elif action == "drop":
+        del values[i]
+    elif action == "repeat":
+        values.append(values[i])
+    elif action == "floats":
+        tree[key] = [float(v) for v in values]
+    elif action == "booleans":
+        tree[key] = [bool(v) for v in values]
+    elif action == "swap":
+        tree[key] = data.draw(ODD_VALUES)
     else:
-        field = data.draw(st.sampled_from(["leaf", "n", "feature", "threshold", "left", "right"]))
-        node[field] = data.draw(ODD_VALUES)
+        del tree[key]
     path = trained_models / "mutated.model.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    try:
-        model = load_model(path)
-        model.check_width(6)
-        proba = model.predict_proba_rows(synthetic_encoded.X)
-    except cli._DATA_ERRORS:
-        return
-    assert ((proba >= 0.0) & (proba <= 1.0)).all()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["evaluate", "--ces", str(ce_file), "--folds", "2", "--validation-model", str(path)])
+    assert code in (0, 2), err.getvalue()
+    if code == 0:
+        printed = [float(line.split(": ")[1]) for line in out.getvalue().splitlines()]
+        assert len(printed) == 6 and all(math.isfinite(value) for value in printed)
 
 
 def json_slots(value, holder, key):

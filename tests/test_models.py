@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from functools import partial
 
 import numpy as np
@@ -25,6 +26,7 @@ from tcol.models import (
     prediction_f1,
     save_model,
 )
+from tcol.scoring import sigmoid
 
 
 def confusion(tp, fp, fn, tn=0):
@@ -362,7 +364,7 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("format_version", 2, "unsupported model file version"),
+            ("format_version", 1, "run tcol train again"),
             ("kind", "svm", "unknown model kind 'svm'"),
             ("hyperparameters", {"k": 3}, "bad decision_tree hyperparameters"),
             ("kind", [1], "unknown model kind [1]"),
@@ -379,6 +381,31 @@ class TestPersistence:
         path.write_text(json.dumps(dict(payload, **{key: value})), encoding="utf-8")
         with pytest.raises(ModelFileError, match=re.escape(message)):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "kind, version, message",
+        [
+            *((kind, 1, "model file version 1 is not 2: run tcol train again") for kind in MODEL_KINDS),
+            ("decision_tree", True, "model file version True is not 2: run tcol train again"),
+            ("decision_tree", 2.0, "model file version 2.0 is not 2: run tcol train again"),
+            ("decision_tree", "2", "model file version '2' is not 2: run tcol train again"),
+            ("decision_tree", None, "model file version None is not 2: run tcol train again"),
+            ("decision_tree", "missing", "model file version 'missing' is not 2: run tcol train again"),
+        ],
+    )
+    def test_only_the_exact_integer_version_2_loads(self, kind, version, message, tmp_path, synthetic_encoded):
+        path = tmp_path / "m.json"
+        save_model(fit_builtin(kind, synthetic_encoded), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["format_version"] == 2 and type(payload["format_version"]) is int
+        if version == "missing":
+            del payload["format_version"]
+        else:
+            payload["format_version"] = version
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelFileError) as refused:
+            load_model(path)
+        assert str(refused.value) == message
 
     def test_a_file_that_is_not_a_json_object_fails_to_load(self, tmp_path):
         path = tmp_path / "m.json"
@@ -413,9 +440,35 @@ class TestPersistence:
         "kind, edit, message",
         [
             ("random_forest", lambda p: p.update(trees=[]), "random_forest trees must hold at least one tree"),
-            ("random_forest", lambda p: p["trees"][0].update(leaf=-0.5, n=1), "trees has a leaf outside [0, 1]"),
-            ("decision_tree", lambda p: p.update(tree={"leaf": math.nan, "n": 2}), "tree has a leaf outside [0, 1]"),
-            ("decision_tree", lambda p: p.update(tree={"leaf": 1.5, "n": 2}), "tree has a leaf outside [0, 1]"),
+            ("random_forest", lambda p: p["trees"][0]["value"].__setitem__(first_leaf(p["trees"][0]), -0.5),
+             "value must lie in [0, 1], got -0.5"),
+            ("decision_tree", lambda p: p.update(trees=[one_leaf(math.nan)]),
+             "decision_tree trees[0] node 0: value must lie in [0, 1], got nan"),
+            ("decision_tree", lambda p: p.update(trees=[one_leaf(1.5)]),
+             "decision_tree trees[0] node 0: value must lie in [0, 1], got 1.5"),
+            ("decision_tree", lambda p: p["trees"][0]["left"].__setitem__(1, 0),
+             "decision_tree trees[0] node 1: left and right must both be 1 (a leaf) or lie in (1, "),
+            ("decision_tree", lambda p: p["trees"][0]["left"].__setitem__(first_leaf(p["trees"][0]), 0),
+             "or lie in ("),
+            ("random_forest", lambda p: p["trees"][0]["right"].__setitem__(0, len(p["trees"][0]["right"])),
+             "random_forest trees[0] node 0: left and right must both be 0 (a leaf) or lie in (0, "),
+            ("decision_tree", lambda p: p["trees"][0]["right"].__setitem__(0, p["trees"][0]["left"][0]),
+             "decision_tree trees[0] node 1: is the child of 2 nodes"),
+            ("decision_tree", lambda p: p["trees"][0]["value"].pop(),
+             "decision_tree trees[0] needs feature, threshold, left, right, value lists of one length, at least 1"),
+            ("decision_tree", lambda p: p["trees"][0].update(dict.fromkeys(p["trees"][0], [])),
+             "decision_tree trees[0] needs feature, threshold, left, right, value lists of one length, at least 1"),
+            ("decision_tree", lambda p: p["trees"][0].update(threshold=[[t] for t in p["trees"][0]["threshold"]]),
+             "decision_tree trees[0] needs feature, threshold, left, right, value lists of one length, at least 1"),
+            ("random_forest", lambda p: p["trees"].__setitem__(1, 5), "random_forest trees[1] must be an object, got 5"),
+            ("decision_tree", lambda p: p["trees"][0].update(feature=[float(f) for f in p["trees"][0]["feature"]]),
+             "decision_tree trees[0] feature is not an array of integers: 5.0"),
+            ("random_forest", lambda p: p["trees"][0]["left"].__setitem__(first_leaf(p["trees"][0]), True),
+             "random_forest trees[0] left is not an array of integers: True"),
+            ("decision_tree", lambda p: p["trees"][0].update(right=7),
+             "decision_tree trees[0] needs feature, threshold, left, right, value lists of one length, at least 1"),
+            ("decision_tree", lambda p: p["trees"][0].update(value="abc"),
+             "decision_tree trees[0] value is not an array of numbers: 'abc'"),
             ("knn", lambda p: p.update(train_x=p["train_x"][:3]), "one row per train_y label, got shape (3, 6)"),
             ("knn", lambda p: p["train_x"][0].__setitem__(0, math.inf), "knn train_x must be a finite matrix"),
             ("knn", lambda p: p.update(train_x=p["train_x"][0]), "knn train_x must be a finite matrix"),
@@ -444,7 +497,9 @@ class TestPersistence:
             ("knn", lambda p: p["train_x"][3].__setitem__(1, True), "knn train_x is not an array of numbers: True"),
         ],
         ids=[
-            "no-trees", "negative-leaf", "nan-leaf", "leaf-above-one", "knn-rows-cut", "knn-inf", "knn-1d",
+            "no-trees", "negative-leaf", "nan-leaf", "leaf-above-one", "child-below-parent", "leaf-links-up",
+            "child-past-the-end", "two-parents", "lengths-differ", "no-nodes", "threshold-matrix", "tree-int",
+            "feature-floats", "left-true", "right-int", "value-text", "knn-rows-cut", "knn-inf", "knn-1d",
             "knn-ragged", "zero-var", "nan-mean", "zero-prior", "prior-above-one", "prior-text", "short-mean",
             "stats-list", "class-stats-int", "prior-true", "mean-true", "train-y-int", "train-y-text",
             "train-x-huge", "train-x-true",
@@ -462,6 +517,40 @@ class TestPersistence:
     def test_unfitted_model_not_saved(self, tmp_path):
         with pytest.raises(ValueError, match="unfitted"):
             save_model(Knn(), tmp_path / "m.json")
+
+
+def first_leaf(tree) -> int:
+    """The index of the first leaf of a tree's node arrays."""
+    return next(i for i, (left, right) in enumerate(zip(tree["left"], tree["right"])) if left == right == i)
+
+
+def one_leaf(value) -> dict:
+    """The node arrays of a tree that is one leaf of ``value``."""
+    return {"feature": [0], "threshold": [math.inf], "left": [0], "right": [0], "value": [value]}
+
+
+def test_naive_bayes_gives_the_prior_where_both_likelihoods_vanish(tmp_path, synthetic_encoded):
+    """A loaded var of 5e-324 in both classes, or a row far from both means,
+    makes both log-likelihoods -inf: the posterior is then the prior, as the
+    sigmoid of the log priors' difference, with no warning."""
+    model = fit_builtin("naive_bayes", synthetic_encoded)
+    save_model(model, tmp_path / "m.json")
+    payload = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
+    stats = payload["parameters"]["stats"]
+    for s in stats.values():
+        s["var"] = [5e-324] * len(s["var"])
+    (tmp_path / "m.json").write_text(json.dumps(payload), encoding="utf-8")
+    tiny = load_model(tmp_path / "m.json")
+    prior = float(sigmoid(math.log(stats["approved"]["prior"]) - math.log(stats["denied"]["prior"])))
+    rows = np.full((4, synthetic_encoded.X.shape[1]), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tiny.predict_proba_rows(rows).tobytes() == np.full(4, prior).tobytes()
+        far = model.predict_proba_rows(synthetic_encoded.X[:4] + 1e200)
+        assert far.tobytes() == np.full(4, prior).tobytes()
+        # a row near the means keeps its posterior beside them
+        mixed = model.predict_proba_rows(np.vstack([synthetic_encoded.X[:1], rows + 1e200]))
+    assert mixed[0] == model.predict_proba(synthetic_encoded.X[0]) and mixed[1] == prior
 
 
 def test_prediction_f1_counts_confusion():
