@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: ``encode`` (fit and dump the encoder), ``train`` (fit and
-persist models), ``generate`` (counterfactuals for one query row),
-``evaluate`` (metric suite over an existing counterfactual file), and
-``bench`` (full experiment from a JSON config).
+Subcommands: ``train`` (fit and persist models), ``generate``
+(counterfactuals for one query row), ``evaluate`` (``metrics.METRICS``
+over an existing counterfactual file), and ``bench`` (full experiment from
+a JSON config).
 
 Exit codes: 0 success, 1 usage error, 2 data/schema error, 3 runtime error.
 """
@@ -62,6 +62,13 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+def _path(value, what: str) -> str:
+    """``value`` if it is a JSON string that can name a file (no NUL), else ``_CeFileError``."""
+    if "\0" in _typed(value, str, what):
+        raise _CeFileError(f"{what} must be a file path, got {value!r:.40}")
+    return value
+
+
 def _add_data_options(parser: argparse.ArgumentParser) -> None:
     csv_path, schema_path = bundled.synthetic_paths()
     parser.add_argument("--data", default=str(csv_path), help="dataset CSV path")
@@ -76,17 +83,15 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="tcol", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("encode", help="fit the encoder and dump it as JSON")
-    _add_data_options(p)
-    p.add_argument("--out", default="encoder.json")
-
     p = sub.add_parser("train", help="fit models and persist them as JSON")
+    p.set_defaults(run=_cmd_train)
     _add_data_options(p)
     p.add_argument("--kind", default="all", choices=MODEL_KINDS + ("all",))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=".")
 
     p = sub.add_parser("generate", help="generate counterfactuals for one query row")
+    p.set_defaults(run=_cmd_generate)
     _add_data_options(p)
     p.add_argument("--query-index", type=int, required=True, help="row index of the query")
     for f in fields(GenerationConfig):  # one flag per setting; f.type is the annotation's name
@@ -101,6 +106,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="ces.json")
 
     p = sub.add_parser("evaluate", help="metric suite over an existing counterfactual file")
+    p.set_defaults(run=_cmd_evaluate)
     p.add_argument("--ces", required=True, help="counterfactual JSON written by 'generate'")
     p.add_argument("--data", default=None, help="override the dataset recorded in the file")
     p.add_argument("--schema", default=None, help="override the schema recorded in the file")
@@ -111,6 +117,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="optional JSON output path")
 
     p = sub.add_parser("bench", help="run a full experiment from a JSON config")
+    p.set_defaults(run=_cmd_bench)
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="override the config's output stem")
     p.add_argument(
@@ -129,15 +136,9 @@ def _load_encoded(data_path, schema_path, target, target_class):
     return dataset, encoder, encode_dataset(encoder, dataset)
 
 
-def _cmd_encode(args) -> int:
-    dataset, encoder, _ = _load_encoded(args.data, args.schema, args.target, args.target_class)
-    encoder.to_json(args.out)
-    print(f"fitted encoder on {len(dataset)} rows ({dataset.dropped_rows} dropped) -> {args.out}")
-    return EXIT_OK
-
-
 def _cmd_train(args) -> int:
-    _, _, encoded = _load_encoded(args.data, args.schema, args.target, args.target_class)
+    dataset, _, encoded = _load_encoded(args.data, args.schema, args.target, args.target_class)
+    print(f"read {len(dataset)} rows ({dataset.dropped_rows} dropped)")
     kinds = MODEL_KINDS if args.kind == "all" else (args.kind,)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -204,8 +205,8 @@ def _cmd_evaluate(args) -> int:
     if seed < 0:
         raise _CeFileError(f"seed must be a non-negative integer, got {seed}")
     dataset, encoder, encoded = _load_encoded(
-        args.data or _typed(ce_file["dataset"], str, "'dataset'"),
-        args.schema or _typed(ce_file["schema"], str, "'schema'"),
+        args.data or _path(ce_file["dataset"], "'dataset'"),
+        args.schema or _path(ce_file["schema"], "'schema'"),
         _typed(ce_file["target"], str, "'target'"),
         _typed(ce_file["target_class"], str, "'target_class'"),
     )
@@ -226,7 +227,6 @@ def _cmd_evaluate(args) -> int:
     jury = cv_weights(jury, encoded, args.folds, seed=seed)
 
     results, excluded = metrics_mod.summarize([(query, vectors)], encoded, model, jury)
-    results["reliability"] = metrics_mod.reliability_composite(results["data_fidelity"], results["validity"])
     for name, value in results.items():
         print(f"{name}: {value:.6f}")
     if excluded:
@@ -252,14 +252,6 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "encode": _cmd_encode,
-    "train": _cmd_train,
-    "generate": _cmd_generate,
-    "evaluate": _cmd_evaluate,
-    "bench": _cmd_bench,
-}
-
 # An error of one of these types, or an ``ExperimentError`` caused by one,
 # is a data error (exit 2); any other error is a runtime error (exit 3).
 _DATA_ERRORS = (
@@ -281,7 +273,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise _UsageError(f"--seed must be a non-negative integer, got {args.seed}")
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,7 +1,6 @@
 """Evaluation of counterfactual sets: proximity, sparsity, validity, data
-fidelity (each juror scored by ``models.prediction_f1``, the one F1 rule),
-centrality (over the ``N_NEIGHBORS`` rows nearest the target centroid), and
-the reliability composite."""
+fidelity (each juror scored by ``models.prediction_f1``, the one F1 rule) and
+centrality (over the ``N_NEIGHBORS`` rows nearest the target centroid)."""
 
 from __future__ import annotations
 
@@ -131,14 +130,6 @@ def summarize(sets, data: EncodedDataset, model: ClassifierModel, jury: ThirdPar
         per_set["validity"].append(validity(vectors, model, data.target_class))
         per_set["data_fidelity"].append(data_fidelity(vectors, jury, data.target_class))
     return {name: float(np.mean(v)) if v else 0.0 for name, v in per_set.items()}, excluded
-
-
-def reliability_composite(data_fidelity_value: float, validity_value: float) -> float:
-    """Reliability under model change: 0.75 * data fidelity + 0.25 * validity."""
-    for name, v in (("data_fidelity", data_fidelity_value), ("validity", validity_value)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {v}")
-    return 0.75 * data_fidelity_value + 0.25 * validity_value
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,10 @@ Each function takes one vector (giving a numpy scalar) or a matrix of
 rows (giving one array entry per row) and compares it with one vector, or
 with a matrix of the same shape row for row: row i with row i. A row gives
 the same bits alone as in a matrix: every dot product, norms included, is
-one BLAS dot per row (``_dot``), and every exponential is ``math.exp`` per
-element. A matrix-vector product or an axis reduction
+one ``np.einsum`` reduction per row (``_dot``), and every exponential is
+``math.exp`` per element. A matrix-vector product or an axis reduction
 sums in another order, and ``np.exp`` rounds some inputs differently.
+``einsum`` calls no BLAS, so no score depends on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dot(a: np.ndarray, b: np.ndarray):
-    """Row-wise dot product, one BLAS dot per row (see the module docstring)."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    """Row-wise dot product, one einsum reduction per row (see the module docstring)."""
+    return np.einsum("...i,...i->...", a, b)
 
 
 def norm(a):

@@ -28,7 +28,7 @@ CATEGORICAL = "categorical"
 NUMERIC = "numeric"
 MUTABLE = "mutable"
 IMMUTABLE = "immutable"
-_SCHEMA_FIELDS = ("name", "kind", "mutability", "domain")  # of a schema or encoder file entry
+_SCHEMA_FIELDS = ("name", "kind", "mutability", "domain")  # of a schema file entry
 
 
 class SchemaViolationError(ValueError):
@@ -338,21 +338,6 @@ class Encoder:
             else:
                 row.append(vector[i] * (self.maxs[i] - self.mins[i]) + self.mins[i])
         return tuple(row)
-
-    def to_json(self, path: str | Path) -> None:
-        payload = {
-            "format_version": 1,
-            "features": [
-                {
-                    **{k: getattr(f, k) for k in _SCHEMA_FIELDS},
-                    "category_rates": self.category_rates[i],
-                    "min": self.mins[i],
-                    "max": self.maxs[i],
-                }
-                for i, f in enumerate(self.schema)
-            ],
-        }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def fit_encoder(data: Dataset) -> Encoder:

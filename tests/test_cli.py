@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from tcol import cli, experiment
 from tcol.cli import main
 from tcol.engine import AlreadyTargetWarning, GenerationConfig
+from tcol.metrics import METRICS
 from tcol.models import ModelFileError, load_model
 
 
@@ -31,24 +32,28 @@ def test_missing_required_argument_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_unknown_subcommand_is_usage_error():
-    assert main(["explain"]) == 1
+@pytest.mark.parametrize("command", ["explain", "encode"])
+def test_unknown_subcommand_is_usage_error(command):
+    assert main([command]) == 1
+
+
+def train(tmp_path, *args):
+    """``tcol train --kind naive_bayes`` into ``tmp_path / "models"``: the
+    cheapest command that reads a CSV and its schema."""
+    return main(["train", "--kind", "naive_bayes", "--out-dir", str(tmp_path / "models"), *args])
 
 
 def test_missing_data_file_is_data_error(tmp_path, capsys):
-    code = main(["encode", "--data", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "e.json")])
-    assert code == 2
+    assert train(tmp_path, "--data", str(tmp_path / "missing.csv")) == 2
     assert "data/schema error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # nothing written
 
 
 def test_bad_schema_json_is_data_error(tmp_path, synthetic_files):
     bad = tmp_path / "schema.json"
     bad.write_text("{not json", encoding="utf-8")
-    code = main(
-        ["encode", "--data", synthetic_files["dataset"], "--schema", str(bad),
-         "--out", str(tmp_path / "e.json")]
-    )
-    assert code == 2
+    assert train(tmp_path, "--data", synthetic_files["dataset"], "--schema", str(bad)) == 2
+    assert list(tmp_path.iterdir()) == [bad]  # nothing written
 
 
 def test_csv_column_named_twice_is_data_error(tmp_path, synthetic_files, capsys):
@@ -58,12 +63,9 @@ def test_csv_column_named_twice_is_data_error(tmp_path, synthetic_files, capsys)
     data.write_text(
         "\n".join(f"{line.split(',')[0]},{line}" for line in lines) + "\n", encoding="utf-8"
     )
-    code = main(
-        ["encode", "--data", str(data), "--schema", synthetic_files["schema"],
-         "--out", str(tmp_path / "e.json")]
-    )
-    assert code == 2
+    assert train(tmp_path, "--data", str(data), "--schema", synthetic_files["schema"]) == 2
     assert f"column {first!r} named 2 times in CSV header" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [data]  # nothing written
 
 
 def test_out_of_range_query_index_is_runtime_error(tmp_path, capsys):
@@ -107,13 +109,12 @@ def test_unknown_feature_kind_is_data_error(tmp_path, synthetic_files, capsys):
     ],
     ids=["no-features", "non-object-entry", "string-domain", "list-category"],
 )
-@pytest.mark.parametrize("command", ["encode", "train", "generate"])
+@pytest.mark.parametrize("command", ["train", "generate"])
 def test_a_malformed_schema_is_a_data_error(tmp_path, synthetic_files, capsys, command, schema_text):
     schema = tmp_path / "schema.json"
     schema.write_text(schema_text, encoding="utf-8")
     args = {
-        "encode": ["--out", str(tmp_path / "e.json")],
-        "train": ["--kind", "random_forest", "--out-dir", str(tmp_path)],
+        "train": ["--kind", "naive_bayes", "--out-dir", str(tmp_path)],
         "generate": ["--query-index", "1", "--preference", "a", "--out", str(tmp_path / "ces.json")],
     }[command]
     code = main([command, "--data", synthetic_files["dataset"], "--schema", str(schema), *args])
@@ -142,13 +143,16 @@ def test_bad_generation_option_is_a_usage_error_before_any_read(
     assert message in capsys.readouterr().err
 
 
-def test_encode_writes_encoder(tmp_path, capsys):
-    out = tmp_path / "encoder.json"
-    assert main(["encode", "--out", str(out)]) == 0
-    payload = json.loads(out.read_text(encoding="utf-8"))
-    assert payload["format_version"] == 1
-    assert len(payload["features"]) == 6
-    assert "200 rows" in capsys.readouterr().out
+def test_train_notes_a_row_dropped_for_an_empty_cell(tmp_path, synthetic_files, capsys):
+    lines = Path(synthetic_files["dataset"]).read_text(encoding="utf-8").splitlines()
+    lines[1] = "," + lines[1].split(",", 1)[1]  # no age
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert train(tmp_path, "--data", str(data), "--schema", synthetic_files["schema"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"read {len(lines) - 2} rows (1 dropped)",
+        f"trained naive_bayes -> {tmp_path / 'models' / 'naive_bayes.model.json'}",
+    ]
 
 
 def test_train_persists_loadable_models(tmp_path):
@@ -238,9 +242,8 @@ def test_a_negative_seed_is_refused_before_any_read(
 
 def test_evaluate_reads_generate_output(ce_file, capsys):
     assert main(["evaluate", "--ces", str(ce_file), "--folds", "5"]) == 0
-    out = capsys.readouterr().out
-    for name in ("proximity", "sparsity", "validity", "data_fidelity", "centrality", "reliability"):
-        assert name in out
+    names = [line.split(": ")[0] for line in capsys.readouterr().out.splitlines()]
+    assert names == list(METRICS)
 
 
 def test_evaluate_reads_a_file_with_the_old_distance_and_fcs_variant_keys(ce_file, tmp_path, capsys):
@@ -258,7 +261,7 @@ def test_evaluate_reads_a_file_with_the_old_distance_and_fcs_variant_keys(ce_fil
         capsys.readouterr()
         assert main(["evaluate", "--ces", str(tmp_path / name), "--folds", "5"]) == 0
         printed.append(capsys.readouterr().out.splitlines())
-    assert len(printed[0]) == 6 and printed[1] == printed[0]
+    assert len(printed[0]) == len(METRICS) and printed[1] == printed[0]
 
 
 def test_evaluate_notes_counterfactuals_left_out_of_centrality(
@@ -302,6 +305,8 @@ def test_json_of_the_wrong_shape_is_a_data_error(tmp_path, command, content, mes
         ("seed", "3", "'seed' must be a JSON integer, got '3'"),
         ("dataset", 5, "'dataset' must be a JSON string, got 5"),
         ("schema", None, "'schema' must be a JSON string, got None"),
+        ("dataset", "a\0", "'dataset' must be a file path, got 'a\\x00'"),
+        ("schema", "\0", "'schema' must be a file path, got '\\x00'"),
         ("target", ["loan"], "'target' must be a JSON string, got ['loan']"),
         ("target_class", 1, "'target_class' must be a JSON string, got 1"),
         ("query", [1], "'query' must be a JSON object, got [1]"),
@@ -552,6 +557,18 @@ ODD_VALUES = st.one_of(
 TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
 
 
+def assert_evaluates_or_is_data_error(ces, model):
+    """``tcol evaluate --folds 2 --validation-model model`` on ``ces`` prints
+    ``len(METRICS)`` finite numbers (exit 0) or fails as bad data (exit 2), never exit 3."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["evaluate", "--ces", str(ces), "--folds", "2", "--validation-model", str(model)])
+    assert code in (0, 2), err.getvalue()
+    if code == 0:
+        printed = [float(line.split(": ")[1]) for line in out.getvalue().splitlines()]
+        assert len(printed) == len(METRICS) and all(math.isfinite(value) for value in printed)
+
+
 @settings(max_examples=100, deadline=None)
 @given(kind=st.sampled_from(["random_forest", "decision_tree"]), data=st.data())
 def test_a_cart_file_with_one_array_mutated_evaluates_or_is_data_error(ce_file, trained_models, kind, data):
@@ -586,13 +603,7 @@ def test_a_cart_file_with_one_array_mutated_evaluates_or_is_data_error(ce_file, 
         del tree[key]
     path = trained_models / "mutated.model.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["evaluate", "--ces", str(ce_file), "--folds", "2", "--validation-model", str(path)])
-    assert code in (0, 2), err.getvalue()
-    if code == 0:
-        printed = [float(line.split(": ")[1]) for line in out.getvalue().splitlines()]
-        assert len(printed) == 6 and all(math.isfinite(value) for value in printed)
+    assert_evaluates_or_is_data_error(ce_file, path)
 
 
 def json_slots(value, holder, key):
@@ -632,6 +643,23 @@ def test_a_model_file_with_one_record_or_top_level_value_mutated_predicts_probab
     assert ((proba >= 0.0) & (proba <= 1.0)).all()
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_ce_file_with_one_value_mutated_evaluates_or_is_data_error(ce_file, trained_models, data):
+    """Delete or set to an odd value one value anywhere in a ``generate``
+    file: ``tcol evaluate`` then prints finite metrics (exit 0) or fails as
+    bad data (exit 2), never exit 3."""
+    payload = json.loads(ce_file.read_text(encoding="utf-8"))
+    holder, key = data.draw(st.sampled_from(list(json_slots(payload, None, None))[1:]))
+    if data.draw(st.booleans()):
+        del holder[key]
+    else:
+        holder[key] = data.draw(ODD_VALUES)
+    path = trained_models / "mutated.ces.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert_evaluates_or_is_data_error(path, trained_models / "random_forest.model.json")
+
+
 def test_readme_quick_start_prints_documented_metrics(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Quick start (CLI)")[1].split("```bash")[1].split("```")[0]
@@ -640,7 +668,7 @@ def test_readme_quick_start_prints_documented_metrics(tmp_path, monkeypatch, cap
         shlex.split(line)[1:] for line in lines if line.startswith(("tcol generate", "tcol evaluate"))
     ]
     documented = [line[2:] for line in lines if re.fullmatch(r"# \w+: -?\d+\.\d+", line)]
-    assert len(commands) == 2 and len(documented) == 6
+    assert len(commands) == 2 and len(documented) == len(METRICS)
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         capsys.readouterr()
@@ -815,18 +843,18 @@ def directory_as_data(tmp_path, files):
 
 
 @pytest.mark.parametrize("make_input", [equal_target_rates, non_utf8_csv, oversized_field, directory_as_data])
-@pytest.mark.parametrize("command", ["encode", "bench"])
-def test_encode_and_bench_agree_on_data_errors(tmp_path, synthetic_files, capsys, command, make_input):
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_train_and_bench_agree_on_data_errors(tmp_path, synthetic_files, capsys, command, make_input):
     given = tmp_path / "input"
     given.mkdir()
     files = dict(synthetic_files, **make_input(given, synthetic_files))
-    if command == "encode":
-        args = ["encode", "--data", files["dataset"], "--schema", files["schema"],
-                "--out", str(tmp_path / "e.json")]
+    if command == "train":
+        assert train(tmp_path, "--data", files["dataset"], "--schema", files["schema"]) == 2
     else:
-        args = ["bench", "--config", str(bench_config(tmp_path, files))]
-    assert main(args) == 2
+        assert main(["bench", "--config", str(bench_config(tmp_path, files))]) == 2
     assert "data/schema error" in capsys.readouterr().err
+    inputs = {"train": ["input"], "bench": ["config.json", "input"]}[command]
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs  # nothing written
 
 
 def test_console_entry_point_runs():
@@ -840,4 +868,4 @@ def test_console_entry_point_runs():
         env=env,
     )
     assert proc.returncode == 0
-    assert "encode" in proc.stdout
+    assert "generate" in proc.stdout

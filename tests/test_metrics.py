@@ -16,7 +16,6 @@ from tcol.metrics import (
     data_fidelity,
     member_agreement,
     proximity,
-    reliability_composite,
     sparsity,
     summarize,
     validity,
@@ -231,23 +230,6 @@ class TestSummarize:
             [np.mean([centrality(v, data) for v in ces]) for ces in (first, second)]
         )
         assert summarize([(X[10], [])], data, model, jury) == (dict.fromkeys(METRICS, 0.0), 0)
-
-
-class TestReliabilityComposite:
-    def test_perfect_inputs(self):
-        assert reliability_composite(1.0, 1.0) == 1.0
-
-    def test_weighted_blend(self):
-        assert reliability_composite(0.9, 1.0) == pytest.approx(0.925)
-
-    def test_zero_inputs(self):
-        assert reliability_composite(0.0, 0.0) == 0.0
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            reliability_composite(1.1, 0.5)
-        with pytest.raises(ValueError):
-            reliability_composite(0.5, -0.2)
 
 
 def test_proximity_and_sparsity_order_invariant():

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import numeric_schema
-from tcol.cli import main
 from tcol.tabular import (
     CsvParseError,
     Dataset,
@@ -329,20 +328,6 @@ class TestEncoder:
         a, b = fit_encoder(synthetic), fit_encoder(shuffled)
         assert a.category_rates == b.category_rates
         assert a.mins == b.mins and a.maxs == b.maxs
-
-    def test_encode_writes_schema_rates_and_bounds(self, tmp_path, synthetic, synthetic_encoder):
-        path = tmp_path / "enc.json"
-        assert main(["encode", "--out", str(path)]) == 0
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload["format_version"] == 1
-        assert len(payload["features"]) == len(synthetic.schema)
-        for i, (entry, feat) in enumerate(zip(payload["features"], synthetic.schema)):
-            assert {k: entry[k] for k in ("name", "kind", "mutability")} == {
-                "name": feat.name, "kind": feat.kind, "mutability": feat.mutability
-            }
-            assert tuple(entry["domain"]) == tuple(feat.domain)
-            assert entry["category_rates"] == synthetic_encoder.category_rates[i]
-            assert (entry["min"], entry["max"]) == (synthetic_encoder.mins[i], synthetic_encoder.maxs[i])
 
 
 @st.composite
