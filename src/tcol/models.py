@@ -387,7 +387,10 @@ class NaiveBayes(ClassifierModel):
             raise ModelFileError("naive_bayes stats must give both classes one number of features")
         self._log_prior, self._mean, self._var = map(np.array, zip(*stats))
         self._width = self._mean.shape[1]
-        self._log_norm = np.log(2.0 * np.pi * self._var)
+        with np.errstate(over="ignore"):
+            self._log_norm = np.log(2.0 * np.pi * self._var)
+        wide = np.isinf(self._log_norm)  # a var past the float range over 2 pi
+        self._log_norm[wide] = math.log(2.0 * np.pi) + np.log(self._var[wide])
 
 
 class _FlatTrees:

@@ -109,13 +109,14 @@ def test_unknown_feature_kind_is_data_error(tmp_path, synthetic_files, capsys):
     ],
     ids=["no-features", "non-object-entry", "string-domain", "list-category"],
 )
-@pytest.mark.parametrize("command", ["train", "generate"])
-def test_a_malformed_schema_is_a_data_error(tmp_path, synthetic_files, capsys, command, schema_text):
+@pytest.mark.parametrize("command", ["train", "generate", "evaluate"])
+def test_a_malformed_schema_is_a_data_error(tmp_path, synthetic_files, ce_file, capsys, command, schema_text):
     schema = tmp_path / "schema.json"
     schema.write_text(schema_text, encoding="utf-8")
     args = {
         "train": ["--kind", "naive_bayes", "--out-dir", str(tmp_path)],
         "generate": ["--query-index", "1", "--preference", "a", "--out", str(tmp_path / "ces.json")],
+        "evaluate": ["--ces", str(ce_file), "--out", str(tmp_path / "metrics.json")],
     }[command]
     code = main([command, "--data", synthetic_files["dataset"], "--schema", str(schema), *args])
     assert code == 2

@@ -553,6 +553,31 @@ def test_naive_bayes_gives_the_prior_where_both_likelihoods_vanish(tmp_path, syn
     assert mixed[0] == model.predict_proba(synthetic_encoded.X[0]) and mixed[1] == prior
 
 
+@pytest.mark.parametrize("label", ["approved", "denied"])
+def test_naive_bayes_loads_a_var_past_the_float_range_over_two_pi(tmp_path, synthetic_encoded, label):
+    """A loaded var of 1e308, whose 2 pi var is past the float range, keeps
+    the finite log(2 pi) + log(var) in its class's log-likelihood, with no
+    warning: the posterior is the one the README's formula gives."""
+    model = fit_builtin("naive_bayes", synthetic_encoded)
+    save_model(model, tmp_path / "m.json")
+    payload = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
+    stats = payload["parameters"]["stats"]
+    stats[label]["var"][0] = 1e308
+    (tmp_path / "m.json").write_text(json.dumps(payload), encoding="utf-8")
+    rows = synthetic_encoded.X[:4]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        proba = load_model(tmp_path / "m.json").predict_proba_rows(rows)
+
+    def log_likelihood(s, x):
+        return math.log(s["prior"]) - 0.5 * sum(
+            math.log(2.0 * math.pi) + math.log(v) + (xi - m) ** 2 / v for xi, m, v in zip(x, s["mean"], s["var"])
+        )
+
+    expected = [float(sigmoid(log_likelihood(stats["approved"], x) - log_likelihood(stats["denied"], x))) for x in rows]
+    assert proba.tolist() == pytest.approx(expected, rel=1e-9)
+
+
 def test_prediction_f1_counts_confusion():
     hits = [True, True, False, False]
     truth = [True, False, True, False]
