@@ -29,15 +29,14 @@ maximum. ``_restore`` also checks the record, and ``check_width`` checks a
 model against the width of the data it meets; both raise ``ModelFileError``.
 
 Both CART models grow their trees with ``_grow_trees``, which advances
-every tree of a fit in lockstep. Each step takes the ready nodes through
-one batched split search (``_best_splits``): Gini impurity at the
-midpoints between distinct values, ties to the lowest ``(impurity,
-feature, threshold)``, exactly as in a scan of every threshold in turn.
-A forest node draws its candidate features from its tree's generator, so
-such a tree readies only its next preorder node per step and every
-generator is drawn from as by a recursive grower; a tree that draws
-nothing readies every open node, level by level. The search takes the
-ready nodes in blocks of at most ``_GROW_BLOCK`` (row, candidate) entries.
+every tree of a fit in lockstep, one depth level per step. Each step takes
+every open node through one batched split search (``_best_splits``): Gini
+impurity at the midpoints between distinct values, ties to the lowest
+``(impurity, feature, threshold)``, exactly as in a scan of every
+threshold in turn. A forest node's candidate features are a fresh uniform
+draw from its tree's generator (Breiman, Machine Learning, 2001), taken
+for all of the tree's nodes of a level at once. The search takes the
+nodes in blocks of at most ``_GROW_BLOCK`` (row, candidate) entries.
 
 A fit takes samples of rows (``_fit_samples``): ``fit`` is the one sample
 of all rows, and ``cross_val_f1`` passes the k folds' training rows, then
@@ -511,11 +510,14 @@ def _grow_trees(
     ``samples[t]`` lists tree ``t``'s rows of ``X`` (at least one, repeats
     allowed); ``hits`` is 1 for a target-class row, else 0. A node is a leaf
     when it is ``max_depth`` deep, has fewer than ``min_samples_split`` rows,
-    is pure, or has no split; with ``max_features`` below the feature count,
-    a node draws its candidates from ``rngs[t]`` (``_random_features``). An
-    open node is a row of ``nodes`` (id, tree, depth, hits, rows, start of
-    its rows in ``pool``), a tree's in stack order; the end numbers each
-    tree's nodes, ids in order of making, in preorder.
+    is pure, or has no split. Each step readies every open node, one depth
+    level. With ``max_features`` below the feature count, tree ``t``'s ready
+    nodes take successive rows of one ``rngs[t].random((count, n_features))``
+    draw, and a node's candidates are the indices of its row's
+    ``max_features`` smallest values, ascending. An open node is a row of
+    ``nodes`` (id, tree, depth, hits, rows, start of its rows in ``pool``),
+    tree by tree in order of making (each split's left child, then its right);
+    the end numbers each tree's nodes, ids in order of making, in preorder.
     """
     n_features = X.shape[1]
     draws = max_features < n_features
@@ -526,13 +528,7 @@ def _grow_trees(
     nodes = np.stack((tree, tree, 0 * tree, np.add.reduceat(columns.hit[pool], start), size, start), axis=1)
     made = [nodes[:, 1:5]]  # tree, depth, hits and rows of each node, by id
     splits = [(np.zeros(0, dtype=np.intp),) * 5]  # id, feature, threshold, left id, right id
-    used, next_id = len(pool), len(samples)
-
-    def gather(nodes):  # the rows of nodes, node by node, each row's node and each node's end
-        n = nodes[:, 4]
-        ends = np.cumsum(n)
-        owner = np.repeat(np.arange(len(nodes)), n)
-        return pool[np.arange(len(owner)) + (nodes[:, 5] - ends + n)[owner]], owner, ends
+    next_id = len(samples)
 
     def still_open(new):
         _, _, depth, c, n, _ = new.T
@@ -541,16 +537,19 @@ def _grow_trees(
     nodes = still_open(nodes)
     while len(nodes):
         if draws:
-            top = np.append(nodes[1:, 1] != nodes[:-1, 1], True)
-            ready, nodes = nodes[top], nodes[~top]
-            features = np.sort([_random_features(rngs[t], max_features, n_features) for t in ready[:, 1]])
+            count = np.bincount(nodes[:, 1], minlength=len(samples))
+            draw = np.concatenate([rngs[t].random((count[t], n_features)) for t in np.flatnonzero(count)])
+            features = np.sort(np.argsort(draw, axis=1, kind="stable")[:, :max_features], axis=1)
         else:
-            ready, nodes, used = nodes, nodes[:0], 0
-            features = np.broadcast_to(np.arange(n_features), (len(ready), n_features))
-        rows, owner, ends = gather(ready)
-        c, n, room = ready[:, 3], ready[:, 4], _GROW_BLOCK // features.shape[1]  # rows per block
+            features = np.broadcast_to(np.arange(n_features), (len(nodes), n_features))
+        # the rows of the nodes, node by node, each row's node and each node's end
+        c, n = nodes[:, 3], nodes[:, 4]
+        ends = np.cumsum(n)
+        owner = np.repeat(np.arange(len(nodes)), n)
+        rows = pool[np.arange(len(owner)) + (nodes[:, 5] - ends + n)[owner]]
+        room = _GROW_BLOCK // features.shape[1]  # rows per block
         found, first = [], 0
-        while first < len(ready):
+        while first < len(nodes):
             stop = max(first + 1, int(np.searchsorted(ends, ends[first] - n[first] + room, "right")))
             lo, hi = ends[first] - n[first], ends[stop - 1]
             k, *rest = _best_splits(
@@ -559,31 +558,25 @@ def _grow_trees(
             found.append((k + first, *rest))
             first = stop
         k, feature, threshold, nl, cl = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
-        if len(k) < len(ready):  # the others are leaves; owner becomes a split's index in k
-            split_of = np.full(len(ready), -1)
+        if len(k) < len(nodes):  # the others are leaves; owner becomes a split's index in k
+            split_of = np.full(len(nodes), -1)
             split_of[k] = np.arange(len(k))
             keep = split_of[owner] >= 0
             rows, owner = rows[keep], split_of[owner[keep]]
         goes_left = columns.cells[rows * n_features + feature[owner]] <= threshold[owner]
-        if used + len(rows) > len(pool):  # keep only the waiting nodes' rows
-            kept = gather(nodes)[0]
-            nodes[:, 5] = np.cumsum(nodes[:, 4]) - nodes[:, 4]
-            pool = np.empty(max(len(pool), 2 * (len(kept) + len(rows))), dtype=np.intp)
-            pool[: len(kept)], used = kept, len(kept)
-        pool[used : used + len(rows)] = rows[np.argsort(goes_left, kind="stable")]
-        # The right children, then the left ones, as a stack pushes them, their
-        # rows in that order too; each starts as a copy of its parent.
-        kids = np.concatenate((ready[k], ready[k]))
+        pool = rows[np.argsort(2 * owner - goes_left, kind="stable")]
+        # Each split's left child, then its right one, their rows in that
+        # order too; each starts as a copy of its parent.
+        kids = nodes[k].repeat(2, axis=0)
         kids[:, 0] = np.arange(next_id, next_id + len(kids))
         kids[:, 2] += 1
-        kids[len(k) :, 3], kids[len(k) :, 4] = cl, nl
-        kids[: len(k), 3:5] -= kids[len(k) :, 3:5]
-        kids[:, 5] = used + np.cumsum(kids[:, 4]) - kids[:, 4]
-        used, next_id = used + len(rows), next_id + len(kids)
+        kids[0::2, 3], kids[0::2, 4] = cl, nl
+        kids[1::2, 3:5] -= kids[0::2, 3:5]
+        kids[:, 5] = np.cumsum(kids[:, 4]) - kids[:, 4]
+        next_id += len(kids)
         made.append(kids[:, 1:5])
-        splits.append((ready[k, 0], feature, threshold, kids[len(k) :, 0], kids[: len(k), 0]))
-        nodes = np.concatenate((nodes, still_open(kids)))
-        nodes = nodes[np.argsort(nodes[:, 1], kind="stable")]  # each tree's open nodes together
+        splits.append((nodes[k, 0], feature, threshold, kids[0::2, 0], kids[1::2, 0]))
+        nodes = still_open(kids)
     tree, depth, c, n = np.concatenate(made).T
     split, feature, threshold, left, right = map(np.concatenate, zip(*splits))
     # Subtree sizes bottom-up, then preorder numbers top-down, a depth at a time.
@@ -667,11 +660,6 @@ def _best_splits(columns: _Columns, rows, owner, sizes, counts, features):
     best = np.minimum.reduceat(np.where(at_lowest, np.arange(len(node)), len(node)), starts)
     best = best[lowest < np.inf]
     return node[best], features.ravel()[slot[best]], threshold[best], nl[best], cl[best]
-
-
-def _random_features(rng: np.random.Generator, size: int, n_features: int) -> np.ndarray:
-    """The forest's per-node rule: ``size`` random features of fewer than ``n_features``, as drawn."""
-    return rng.choice(n_features, size=size, replace=False)
 
 
 class _CartModel(ClassifierModel):

@@ -268,16 +268,13 @@ def gini_reference(hits: np.ndarray) -> float:
     return 2.0 * p * (1.0 - p)
 
 
-def grow_reference(X, hits, candidates, max_depth, min_samples_split, depth=0) -> dict:
-    """The per-threshold CART scan that every tree of ``models._grow_trees``
-    must reproduce byte for byte: one fresh mask per midpoint of every
-    candidate feature, left subtree first."""
+def best_split_reference(X, hits, candidates):
+    """The per-threshold scan of one node: one fresh mask per midpoint of
+    every candidate feature. Returns the lowest ``(impurity, feature,
+    threshold)`` split as ``(feature, threshold, left mask)``, or None."""
     n = len(hits)
-    proba = float(hits.mean())
-    if depth >= max_depth or n < min_samples_split or proba in (0.0, 1.0):
-        return {"leaf": proba, "n": n}
     best = None
-    for feat in candidates(X.shape[1]):
+    for feat in candidates:
         values = np.unique(X[:, feat])
         if len(values) < 2:
             continue
@@ -292,19 +289,41 @@ def grow_reference(X, hits, candidates, max_depth, min_samples_split, depth=0) -
             key = (impurity, int(feat), float(threshold))
             if best is None or key < best[0]:
                 best = (key, feat, threshold, left)
-    if best is None:
-        return {"leaf": proba, "n": n}
-    _, feat, threshold, left = best
-    return {
-        "feature": int(feat),
-        "threshold": float(threshold),
-        "left": grow_reference(
-            X[left], hits[left], candidates, max_depth, min_samples_split, depth + 1
-        ),
-        "right": grow_reference(
-            X[~left], hits[~left], candidates, max_depth, min_samples_split, depth + 1
-        ),
-    }
+    return None if best is None else best[1:]
+
+
+def grow_reference(X, hits, max_depth, min_samples_split, rng=None, size=None) -> dict:
+    """The per-threshold CART scan that every tree of ``models._grow_trees``
+    must reproduce byte for byte, grown one depth level at a time as nested
+    dicts. With ``rng``, a level's open nodes, each split's left child
+    before its right one, take successive rows of one ``rng.random((count,
+    width))`` draw, and a node's candidates are the ``size`` features whose
+    values in its row are the smallest."""
+    root = {"rows": np.arange(len(hits))}
+    level, depth = [root], 0
+    while level:
+        open_nodes = []
+        for node in level:
+            rows = node.pop("rows")
+            proba = float(hits[rows].mean())
+            node.update(leaf=proba, n=len(rows))
+            if depth < max_depth and len(rows) >= min_samples_split and proba not in (0.0, 1.0):
+                open_nodes.append((node, rows))
+        draw = rng.random((len(open_nodes), X.shape[1])) if rng is not None and open_nodes else None
+        level, depth = [], depth + 1
+        for i, (node, rows) in enumerate(open_nodes):
+            if draw is None:
+                candidates = range(X.shape[1])
+            else:
+                candidates = np.flatnonzero(draw[i] <= np.sort(draw[i])[size - 1])
+            best = best_split_reference(X[rows], hits[rows], candidates)
+            if best is not None:
+                feat, threshold, left = best
+                node.clear()
+                node.update(feature=int(feat), threshold=float(threshold),
+                            left={"rows": rows[left]}, right={"rows": rows[~left]})
+                level += [node["left"], node["right"]]
+    return root
 
 
 def preorder_arrays(tree: dict) -> dict:
@@ -388,28 +407,59 @@ def test_grow_matches_the_per_threshold_scan_byte_for_byte(
     """Each tree of one ``_grow_trees`` call is the one the scan grows on its
     sample alone, whatever the block size (one entry: one node per block)."""
     X, hits, samples = case
-    if forest_rule is None:
-        size, rngs = X.shape[1], [None] * len(samples)
-        reference = [np.arange] * len(samples)
-    else:
+    size, rngs, reference_rngs = X.shape[1], [None] * len(samples), [None] * len(samples)
+    if forest_rule is not None:
         size, seed = forest_rule
         rngs = [np.random.default_rng([seed, t]) for t in range(len(samples))]
         reference_rngs = [np.random.default_rng([seed, t]) for t in range(len(samples))]
-        # a size of at least the width draws nothing and takes every feature
-        reference = [
-            partial(models._random_features, rng, size) if size < X.shape[1] else np.arange
-            for rng in reference_rngs
-        ]
     with patch.object(models, "_GROW_BLOCK", block):
         trees = models._grow_trees(X, hits, samples, rngs, size, max_depth, min_samples_split)
     assert len(trees) == len(samples)
-    for tree, sample, candidates in zip(trees, samples, reference):
-        expected = grow_reference(X[sample], hits[sample], candidates, max_depth, min_samples_split)
+    for tree, sample, rng in zip(trees, samples, reference_rngs):
+        # a size of at least the width draws nothing and takes every feature
+        rng = rng if size < X.shape[1] else None
+        expected = grow_reference(X[sample], hits[sample], max_depth, min_samples_split, rng, size)
         assert json.dumps(as_lists(tree)) == json.dumps(preorder_arrays(expected))
     if forest_rule is not None:
-        # equal states: the same candidate draws, node for node
+        # equal states: the same candidate draws, level for level
         for rng, reference_rng in zip(rngs, reference_rngs):
             assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=growing_cases(), size=st.integers(0, 4), seed=st.integers(0, 2**32 - 1), max_depth=st.integers(0, 8))
+def test_each_tree_of_a_call_with_draws_is_the_tree_its_sample_grows_alone(case, size, seed, max_depth):
+    """A tree's candidate draws come from its own generator only, so the
+    other trees of a call change neither the tree nor the generator's state."""
+    X, hits, samples = case
+    assume(X.shape[1] >= 2 and len(samples) >= 2)
+    size = 1 + size % (X.shape[1] - 1)  # below the width: every open node draws
+    together = [np.random.default_rng([seed, t]) for t in range(len(samples))]
+    trees = models._grow_trees(X, hits, samples, together, size, max_depth, 2)
+    for t, sample in enumerate(samples):
+        alone = np.random.default_rng([seed, t])
+        [tree] = models._grow_trees(X, hits, [sample], [alone], size, max_depth, 2)
+        assert json.dumps(as_lists(trees[t])) == json.dumps(as_lists(tree))
+        assert together[t].bit_generator.state == alone.bit_generator.state
+
+
+@pytest.mark.parametrize("max_depth", [0, 1, 3, 8])
+def test_a_forest_fit_takes_one_split_search_per_depth_level(max_depth, synthetic_encoded):
+    """Every tree readies all of its open nodes at each step, so with a
+    level's nodes in one block a fit of ``max_depth`` makes at most that many
+    searches, each over the nodes of many trees."""
+    best_splits, nodes = models._best_splits, []
+
+    def spy(columns, rows, owner, sizes, counts, features):
+        nodes.append(len(sizes))
+        return best_splits(columns, rows, owner, sizes, counts, features)
+
+    with patch.object(models, "_GROW_BLOCK", 2**40), patch.object(models, "_best_splits", spy):
+        model = models.RandomForest(max_depth=max_depth).fit(
+            synthetic_encoded.X, synthetic_encoded.y, synthetic_encoded.target_class
+        )
+    assert len(nodes) <= max_depth == model._flat.depth  # the trees grow as deep as they may
+    assert all(n > model.n_trees for n in nodes[1:])
 
 
 def test_grow_records_a_midpoint_that_rounds_onto_the_upper_value():
@@ -423,7 +473,7 @@ def test_grow_records_a_midpoint_that_rounds_onto_the_upper_value():
         "right": [2, 1, 2],
         "value": [0.0, 0.0, 1.0],
     }
-    assert json.dumps(as_lists(tree)) == json.dumps(preorder_arrays(grow_reference(X, hits, np.arange, 8, 2)))
+    assert json.dumps(as_lists(tree)) == json.dumps(preorder_arrays(grow_reference(X, hits, 8, 2)))
 
 
 def test_grower_rejects_values_whose_midpoint_overflows():
@@ -537,7 +587,7 @@ def trees_and_cells(draw):
     if kind == "leaf":
         trees = [preorder_arrays({"leaf": float(rng.integers(0, 5)) / 4.0, "n": 3})]
     elif kind == "scan":
-        trees = [preorder_arrays(grow_reference(X, (y == "yes").astype(float), np.arange, 8, 2))]
+        trees = [preorder_arrays(grow_reference(X, (y == "yes").astype(float), 8, 2))]
     else:
         model = make_model(kind, seed=draw(st.integers(0, 5))).fit(X, y, "yes")
         trees = model._record["trees"]

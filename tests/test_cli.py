@@ -199,7 +199,7 @@ def test_generate_records_every_generation_setting(tmp_path):
 def test_evaluate_refits_with_the_seed_recorded_in_the_file(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["generate", "--query-index", "4", "--preference", "b", "--seed", "3"]) == 0
-    for override, validity in ([], "1.000000"), (["--seed", "0"], "0.400000"):
+    for override, validity in ([], "1.000000"), (["--seed", "0"], "0.600000"):
         capsys.readouterr()
         assert main(["evaluate", "--ces", "ces.json", *override]) == 0
         assert f"validity: {validity}" in capsys.readouterr().out.splitlines()
@@ -519,7 +519,7 @@ def cut_stats(classes, width):
         ("random_forest", lambda p: p["trees"][0]["value"].__setitem__(first_leaf(p["trees"][0]), True),
          "random_forest trees[0] value is not an array of numbers: True"),
         ("random_forest", lambda p: p["trees"][0]["right"].__setitem__(1, 0),
-         "random_forest trees[0] node 1: left and right must both be 1 (a leaf) or lie in (1, 69), got 2 and 0"),
+         "random_forest trees[0] node 1: left and right must both be 1 (a leaf) or lie in (1, 59), got 2 and 0"),
     ],
     ids=[
         "threshold-text", "threshold-nan", "tree-threshold-nan", "feature-negative", "feature-fraction",

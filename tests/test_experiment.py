@@ -358,7 +358,7 @@ def test_run_experiment_warnings_point_at_its_caller(synthetic_files, monkeypatc
     """Not at a line of ``experiment.py``, such as its stage wrapper's call."""
     if no_ces:
         monkeypatch.setattr(experiment, "generate", lambda *args: [])
-    config = ExperimentConfig(**synthetic_files, generators=("tcol",), queries=5, folds=5)
+    config = ExperimentConfig(**synthetic_files, generators=("tcol",), queries=4, folds=5)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         run_experiment(config, measure_runtime=False)
