@@ -21,8 +21,14 @@ were. ``credit.npz`` was written again, once, when row dot products moved
 from one BLAS dot per row to an ``np.einsum`` reduction: only ``score``
 changed, in 452 of the 3,428 CEs, by at most 5.92e-16 relative, and the
 writer gave the same arrays under the OpenBLAS kernels ``SkylakeX`` and
-``Haswell`` (``OPENBLAS_CORETYPE``). To rewrite them, put that version's
-``src`` on the path:
+``Haswell`` (``OPENBLAS_CORETYPE``). ``credit.npz`` and
+``random_forest.model.json`` were written again, once, when the forest
+grower moved from one ``rng.choice`` per node, in preorder, to one
+``random`` draw per tree and depth level: every forest changed, the
+decision tree and its probabilities did not. 522 of the 700 CE sets
+changed; 1,358 of the 3,411 CEs (3,428 before) are not in their set's old
+list, and fallbacks went from 38 to 0. To rewrite them, put that
+version's ``src`` on the path:
 
     PYTHONPATH=<reference checkout>/src python tests/golden/write_credit.py
 """
