@@ -80,6 +80,8 @@ class ExperimentConfig:
                 ok = type(value) is {"int": int, "str": str}[f.type]
             if not ok:
                 raise ValueError(f"config key {f.name!r} must be {_FIELD_KINDS[f.type]}, got {value!r}")
+            if f.name in ("dataset", "schema", "out") and "\0" in value:  # no file has that name
+                raise ValueError(f"config key {f.name!r} must be a file path, got {value!r:.40}")
             if f.type == "tuple":
                 object.__setattr__(self, f.name, tuple(value))
         if self.queries < 1:

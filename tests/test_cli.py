@@ -813,6 +813,22 @@ def test_bench_unknown_jury_kind_is_data_error_before_any_fit(
     assert "unknown jury kind 'svm'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["dataset", "schema", "out"])
+def test_bench_config_path_with_a_nul_is_data_error_before_any_read(
+    tmp_path, synthetic_files, monkeypatch, key, capsys
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bench read data before checking the config's paths")
+
+    monkeypatch.setattr(experiment, "load_schema", refuse)
+    monkeypatch.setattr(experiment, "load_csv", refuse)
+    path = {**synthetic_files, "out": str(tmp_path / "report")}[key]
+    config = bench_config(tmp_path, synthetic_files, **{key: path + "\0"})
+    assert main(["bench", "--config", str(config)]) == 2
+    assert f"config key '{key}' must be a file path" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def equal_target_rates(tmp_path, files):
     # red and blue both have target rate 0.5, so the encoder refuses them
     schema = tmp_path / "schema.json"
