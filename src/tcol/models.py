@@ -13,10 +13,11 @@ Each class states its hyperparameters once, in ``_HYPERPARAMETERS``: name ->
 (default, least value), in ``save_model``'s key order. ``__init__`` takes
 those names only, each an exact ``int`` (no bool) at or above its least value.
 
-A tree is grown, saved and loaded as preorder node arrays, which fitting or
-loading checks as whole arrays and joins into flat arrays that evaluate a
-matrix level by level (the tensorized-tree layout of Hummingbird, Nakandala
-et al., OSDI 2020). A decision tree is a forest of one tree. Models are
+A tree is grown and saved as level-order node arrays, and loaded from any
+order in which a node's children come after it. Fitting or loading checks
+them as whole arrays and joins them into flat arrays that evaluate a matrix
+level by level (the tensorized-tree layout of Hummingbird, Nakandala et
+al., OSDI 2020). A decision tree is a forest of one tree. Models are
 immutable after ``fit``, apart from a memo of one data set's target-row
 probabilities, which ``fit`` and loading reset, and safe to share across
 threads.
@@ -393,9 +394,11 @@ class NaiveBayes(ClassifierModel):
 
 
 class _FlatTrees:
-    """Trees of preorder node arrays (``_TREE_ARRAYS``, laid out and checked as
-    README's Model file says), joined and evaluated by matrix; a failed check
-    is a ``ModelFileError`` naming ``field[t]``, the node and the value.
+    """Trees of node arrays (``_TREE_ARRAYS``, laid out and checked as README's
+    Model file says) in any order that puts a node's children after it: the
+    level order ``_grow_trees`` writes, or the preorder of earlier versions.
+    They are joined and evaluated by matrix; a failed check is a
+    ``ModelFileError`` naming ``field[t]``, the node and the value.
 
     Joined, node ``i`` owns slots ``2*i`` (its right child in ``children``)
     and ``2*i + 1`` (its left child); ``roots`` and a walk hold a node as
@@ -406,7 +409,8 @@ class _FlatTrees:
         slot += cells[cell] <= threshold[slot]; slot = children[slot]
 
     and sums the leaves' values over the number of trees, as ``np.mean``
-    does. ``width`` is one more than the highest feature, or 0 for leaves.
+    does. A leaf's two child slots both hold the leaf, so its threshold,
+    whatever the comparison gives, is never used to pick a node. ``width`` is one more than the highest feature, or 0 for leaves.
     """
 
     def __init__(self, trees: Sequence[dict], field: str):
@@ -417,7 +421,7 @@ class _FlatTrees:
             if arrays[0].ndim != 1 or not len(arrays[0]) or any(a.shape != arrays[0].shape for a in arrays):
                 raise ModelFileError(f"{name} needs {', '.join(_TREE_ARRAYS)} lists of one length, at least 1")
             parts.append(arrays)
-        feature, threshold, left, right, value = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        feature, threshold, left, right, value = map(np.concatenate, zip(*parts))
         sizes = np.array([len(arrays[0]) for arrays in parts])
         ends = np.cumsum(sizes)
         start, end, node = (ends - sizes).repeat(sizes), ends.repeat(sizes), np.arange(len(feature))
@@ -505,7 +509,7 @@ def _grow_trees(
     X, hits, samples, rngs, max_features: int, max_depth: int, min_samples_split: int
 ) -> list[dict]:
     """Grow a CART tree on Gini splits for each sample, all in lockstep as the
-    module docstring says, and return each as its preorder node arrays.
+    module docstring says, and return each as its level-order node arrays.
 
     ``samples[t]`` lists tree ``t``'s rows of ``X`` (at least one, repeats
     allowed); ``hits`` is 1 for a target-class row, else 0. A node is a leaf
@@ -515,9 +519,10 @@ def _grow_trees(
     nodes take successive rows of one ``rngs[t].random((count, n_features))``
     draw, and a node's candidates are the indices of its row's
     ``max_features`` smallest values, ascending. An open node is a row of
-    ``nodes`` (id, tree, depth, hits, rows, start of its rows in ``pool``),
-    tree by tree in order of making (each split's left child, then its right);
-    the end numbers each tree's nodes, ids in order of making, in preorder.
+    ``nodes`` (id, tree, hits, rows, start of its rows in ``pool``), tree by
+    tree in order of making (each split's left child, then its right). Ids
+    run level by level and, within a level, tree by tree, so a stable sort
+    of the ids by tree gives each tree's nodes in level order.
     """
     n_features = X.shape[1]
     draws = max_features < n_features
@@ -525,16 +530,16 @@ def _grow_trees(
     pool = np.concatenate([np.asarray(rows, dtype=np.intp) for rows in samples])
     tree, size = np.arange(len(samples)), np.array([len(rows) for rows in samples])
     start = np.cumsum(size) - size
-    nodes = np.stack((tree, tree, 0 * tree, np.add.reduceat(columns.hit[pool], start), size, start), axis=1)
-    made = [nodes[:, 1:5]]  # tree, depth, hits and rows of each node, by id
+    nodes = np.stack((tree, tree, np.add.reduceat(columns.hit[pool], start), size, start), axis=1)
+    made = [nodes[:, 1:4]]  # tree, hits and rows of each node, by id
     splits = [(np.zeros(0, dtype=np.intp),) * 5]  # id, feature, threshold, left id, right id
     next_id = len(samples)
 
-    def still_open(new):
-        _, _, depth, c, n, _ = new.T
+    def still_open(new, depth):
+        c, n = new[:, 2], new[:, 3]
         return new[(depth < max_depth) & (n >= min_samples_split) & (c > 0) & (c < n)]
 
-    nodes = still_open(nodes)
+    nodes, depth = still_open(nodes, 0), 0
     while len(nodes):
         if draws:
             count = np.bincount(nodes[:, 1], minlength=len(samples))
@@ -543,10 +548,10 @@ def _grow_trees(
         else:
             features = np.broadcast_to(np.arange(n_features), (len(nodes), n_features))
         # the rows of the nodes, node by node, each row's node and each node's end
-        c, n = nodes[:, 3], nodes[:, 4]
+        c, n = nodes[:, 2], nodes[:, 3]
         ends = np.cumsum(n)
         owner = np.repeat(np.arange(len(nodes)), n)
-        rows = pool[np.arange(len(owner)) + (nodes[:, 5] - ends + n)[owner]]
+        rows = pool[np.arange(len(owner)) + (nodes[:, 4] - ends + n)[owner]]
         room = _GROW_BLOCK // features.shape[1]  # rows per block
         found, first = [], 0
         while first < len(nodes):
@@ -557,45 +562,39 @@ def _grow_trees(
             )
             found.append((k + first, *rest))
             first = stop
-        k, feature, threshold, nl, cl = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
-        if len(k) < len(nodes):  # the others are leaves; owner becomes a split's index in k
-            split_of = np.full(len(nodes), -1)
-            split_of[k] = np.arange(len(k))
-            keep = split_of[owner] >= 0
-            rows, owner = rows[keep], split_of[owner[keep]]
+        k, feature, threshold, nl, cl = map(np.concatenate, zip(*found))
+        # The other nodes are leaves; owner becomes a split's index in k.
+        split_of = np.full(len(nodes), -1)
+        split_of[k] = np.arange(len(k))
+        keep = split_of[owner] >= 0
+        rows, owner = rows[keep], split_of[owner[keep]]
         goes_left = columns.cells[rows * n_features + feature[owner]] <= threshold[owner]
         pool = rows[np.argsort(2 * owner - goes_left, kind="stable")]
         # Each split's left child, then its right one, their rows in that
         # order too; each starts as a copy of its parent.
         kids = nodes[k].repeat(2, axis=0)
         kids[:, 0] = np.arange(next_id, next_id + len(kids))
-        kids[:, 2] += 1
-        kids[0::2, 3], kids[0::2, 4] = cl, nl
-        kids[1::2, 3:5] -= kids[0::2, 3:5]
-        kids[:, 5] = np.cumsum(kids[:, 4]) - kids[:, 4]
+        kids[0::2, 2], kids[0::2, 3] = cl, nl
+        kids[1::2, 2:4] -= kids[0::2, 2:4]
+        kids[:, 4] = np.cumsum(kids[:, 3]) - kids[:, 3]
         next_id += len(kids)
-        made.append(kids[:, 1:5])
+        made.append(kids[:, 1:4])
         splits.append((nodes[k, 0], feature, threshold, kids[0::2, 0], kids[1::2, 0]))
-        nodes = still_open(kids)
-    tree, depth, c, n = np.concatenate(made).T
+        depth += 1
+        nodes = still_open(kids, depth)
+    tree, c, n = np.concatenate(made).T
     split, feature, threshold, left, right = map(np.concatenate, zip(*splits))
-    # Subtree sizes bottom-up, then preorder numbers top-down, a depth at a time.
-    levels = np.split(np.argsort(depth[split], kind="stable"), np.cumsum(np.bincount(depth[split]))[:-1])
-    size, index = np.ones_like(tree), np.zeros_like(tree)
-    for j in reversed(levels):
-        size[split[j]] += size[left[j]] + size[right[j]]
-    for j in levels:
-        index[left[j]] = index[split[j]] + 1
-        index[right[j]] = index[split[j]] + 1 + size[left[j]]
-    ends = np.cumsum(size[: len(samples)])
-    place = index + (ends - size[: len(samples)])[tree]  # each node's place in the output, tree by tree
-    out = {key: np.empty(len(tree), dtype) for key, dtype in _TREE_ARRAYS.items()}
-    out["feature"][place], out["threshold"][place], out["value"][place] = 0, np.inf, c / n
-    out["left"][place] = out["right"][place] = index  # a leaf holds its own index
-    at = place[split]
-    out["feature"][at], out["threshold"][at], out["value"][at] = feature, threshold, 0.0
-    out["left"][at], out["right"][at] = index[left], index[right]
-    return [{key: a[s:e] for key, a in out.items()} for s, e in zip(ends - size[: len(samples)], ends)]
+    order = np.argsort(tree, kind="stable")  # ids, tree by tree, each tree in level order
+    size = np.bincount(tree, minlength=len(samples))
+    ends = np.cumsum(size)
+    index = np.empty_like(order)  # each node's number within its tree
+    index[order] = np.arange(len(order)) - (ends - size).repeat(size)
+    out = {"feature": np.zeros_like(tree), "threshold": np.zeros(len(tree)), "left": index.copy()}
+    out["right"], out["value"] = index.copy(), c / n  # a leaf holds its own index
+    out["feature"][split], out["threshold"][split], out["value"][split] = feature, threshold, 0.0
+    out["left"][split], out["right"][split] = index[left], index[right]
+    out = {key: out[key][order] for key in _TREE_ARRAYS}
+    return [{key: a[s:e] for key, a in out.items()} for s, e in zip(ends - size, ends)]
 
 
 def _best_splits(columns: _Columns, rows, owner, sizes, counts, features):

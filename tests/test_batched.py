@@ -327,9 +327,9 @@ def grow_reference(X, hits, max_depth, min_samples_split, rng=None, size=None) -
 
 
 def preorder_arrays(tree: dict) -> dict:
-    """A nested-dict tree as the preorder node arrays of ``_grow_trees``: a
-    leaf holds its own index in ``left`` and ``right``, feature 0 and
-    threshold +inf, and an inner node value 0.0."""
+    """A nested-dict tree as the preorder node arrays that earlier versions
+    of ``_grow_trees`` wrote: a leaf holds its own index in ``left`` and
+    ``right``, feature 0 and threshold +inf, and an inner node value 0.0."""
     arrays = {key: [] for key in models._TREE_ARRAYS}
 
     def add(node) -> int:
@@ -345,6 +345,24 @@ def preorder_arrays(tree: dict) -> dict:
         return i
 
     add(tree)
+    return arrays
+
+
+def level_order_arrays(tree: dict) -> dict:
+    """A nested-dict tree as the level-order node arrays of ``_grow_trees``:
+    the root, then each depth level, each split's left child before its
+    right one. A leaf holds its own index in ``left`` and ``right``, feature
+    0 and threshold 0.0, and an inner node value 0.0."""
+    arrays = {key: [] for key in models._TREE_ARRAYS}
+    queue = [tree]
+    for i, node in enumerate(queue):  # the queue grows as it is read
+        if "leaf" in node:
+            entries = (0, 0.0, i, i, node["leaf"])
+        else:
+            entries = (node["feature"], node["threshold"], len(queue), len(queue) + 1, 0.0)
+            queue += [node["left"], node["right"]]
+        for key, entry in zip(models._TREE_ARRAYS, entries):
+            arrays[key].append(entry)
     return arrays
 
 
@@ -419,7 +437,7 @@ def test_grow_matches_the_per_threshold_scan_byte_for_byte(
         # a size of at least the width draws nothing and takes every feature
         rng = rng if size < X.shape[1] else None
         expected = grow_reference(X[sample], hits[sample], max_depth, min_samples_split, rng, size)
-        assert json.dumps(as_lists(tree)) == json.dumps(preorder_arrays(expected))
+        assert json.dumps(as_lists(tree)) == json.dumps(level_order_arrays(expected))
     if forest_rule is not None:
         # equal states: the same candidate draws, level for level
         for rng, reference_rng in zip(rngs, reference_rngs):
@@ -468,12 +486,12 @@ def test_grow_records_a_midpoint_that_rounds_onto_the_upper_value():
     [tree] = models._grow_trees(X, hits, [np.arange(4)], [None], 1, max_depth=8, min_samples_split=2)
     assert as_lists(tree) == {
         "feature": [0, 0, 0],
-        "threshold": [1.0, math.inf, math.inf],
+        "threshold": [1.0, 0.0, 0.0],
         "left": [1, 1, 2],
         "right": [2, 1, 2],
         "value": [0.0, 0.0, 1.0],
     }
-    assert json.dumps(as_lists(tree)) == json.dumps(preorder_arrays(grow_reference(X, hits, 8, 2)))
+    assert json.dumps(as_lists(tree)) == json.dumps(level_order_arrays(grow_reference(X, hits, 8, 2)))
 
 
 def test_grower_rejects_values_whose_midpoint_overflows():

@@ -519,7 +519,7 @@ def cut_stats(classes, width):
         ("random_forest", lambda p: p["trees"][0]["value"].__setitem__(first_leaf(p["trees"][0]), True),
          "random_forest trees[0] value is not an array of numbers: True"),
         ("random_forest", lambda p: p["trees"][0]["right"].__setitem__(1, 0),
-         "random_forest trees[0] node 1: left and right must both be 1 (a leaf) or lie in (1, 59), got 2 and 0"),
+         "random_forest trees[0] node 1: left and right must both be 1 (a leaf) or lie in (1, 59), got 3 and 0"),
     ],
     ids=[
         "threshold-text", "threshold-nan", "tree-threshold-nan", "feature-negative", "feature-fraction",
