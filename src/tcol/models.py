@@ -395,10 +395,9 @@ class NaiveBayes(ClassifierModel):
 
 class _FlatTrees:
     """Trees of node arrays (``_TREE_ARRAYS``, laid out and checked as README's
-    Model file says) in any order that puts a node's children after it: the
-    level order ``_grow_trees`` writes, or the preorder of earlier versions.
-    They are joined and evaluated by matrix; a failed check is a
-    ``ModelFileError`` naming ``field[t]``, the node and the value.
+    Model file says, in any order that puts a node's children after it),
+    joined and evaluated by matrix; a failed check is a ``ModelFileError``
+    naming ``field[t]``, the node and the value.
 
     Joined, node ``i`` owns slots ``2*i`` (its right child in ``children``)
     and ``2*i + 1`` (its left child); ``roots`` and a walk hold a node as
@@ -409,8 +408,8 @@ class _FlatTrees:
         slot += cells[cell] <= threshold[slot]; slot = children[slot]
 
     and sums the leaves' values over the number of trees, as ``np.mean``
-    does. A leaf's two child slots both hold the leaf, so its threshold,
-    whatever the comparison gives, is never used to pick a node. ``width`` is one more than the highest feature, or 0 for leaves.
+    does. A leaf's two child slots both hold the leaf, so its threshold picks
+    no node. ``width`` is one more than the highest feature, or 0 for leaves.
     """
 
     def __init__(self, trees: Sequence[dict], field: str):
@@ -520,9 +519,7 @@ def _grow_trees(
     draw, and a node's candidates are the indices of its row's
     ``max_features`` smallest values, ascending. An open node is a row of
     ``nodes`` (id, tree, hits, rows, start of its rows in ``pool``), tree by
-    tree in order of making (each split's left child, then its right). Ids
-    run level by level and, within a level, tree by tree, so a stable sort
-    of the ids by tree gives each tree's nodes in level order.
+    tree in order of making, each split's left child before its right.
     """
     n_features = X.shape[1]
     draws = max_features < n_features
@@ -535,12 +532,12 @@ def _grow_trees(
     splits = [(np.zeros(0, dtype=np.intp),) * 5]  # id, feature, threshold, left id, right id
     next_id = len(samples)
 
-    def still_open(new, depth):
-        c, n = new[:, 2], new[:, 3]
-        return new[(depth < max_depth) & (n >= min_samples_split) & (c > 0) & (c < n)]
-
-    nodes, depth = still_open(nodes, 0), 0
-    while len(nodes):
+    for _ in range(max_depth):  # one depth level per step
+        c, n = nodes[:, 2], nodes[:, 3]
+        ready = (n >= min_samples_split) & (c > 0) & (c < n)
+        nodes, c, n = nodes[ready], c[ready], n[ready]
+        if not len(nodes):
+            break
         if draws:
             count = np.bincount(nodes[:, 1], minlength=len(samples))
             draw = np.concatenate([rngs[t].random((count[t], n_features)) for t in np.flatnonzero(count)])
@@ -548,7 +545,6 @@ def _grow_trees(
         else:
             features = np.broadcast_to(np.arange(n_features), (len(nodes), n_features))
         # the rows of the nodes, node by node, each row's node and each node's end
-        c, n = nodes[:, 2], nodes[:, 3]
         ends = np.cumsum(n)
         owner = np.repeat(np.arange(len(nodes)), n)
         rows = pool[np.arange(len(owner)) + (nodes[:, 4] - ends + n)[owner]]
@@ -580,21 +576,21 @@ def _grow_trees(
         next_id += len(kids)
         made.append(kids[:, 1:4])
         splits.append((nodes[k, 0], feature, threshold, kids[0::2, 0], kids[1::2, 0]))
-        depth += 1
-        nodes = still_open(kids, depth)
+        nodes = kids
     tree, c, n = np.concatenate(made).T
     split, feature, threshold, left, right = map(np.concatenate, zip(*splits))
-    order = np.argsort(tree, kind="stable")  # ids, tree by tree, each tree in level order
+    # Ids run level by level, and tree by tree within a level: sorted by
+    # tree, stably, each tree's nodes come in level order.
+    order = np.argsort(tree, kind="stable")
     size = np.bincount(tree, minlength=len(samples))
     ends = np.cumsum(size)
     index = np.empty_like(order)  # each node's number within its tree
     index[order] = np.arange(len(order)) - (ends - size).repeat(size)
-    out = {"feature": np.zeros_like(tree), "threshold": np.zeros(len(tree)), "left": index.copy()}
-    out["right"], out["value"] = index.copy(), c / n  # a leaf holds its own index
-    out["feature"][split], out["threshold"][split], out["value"][split] = feature, threshold, 0.0
-    out["left"][split], out["right"][split] = index[left], index[right]
-    out = {key: out[key][order] for key in _TREE_ARRAYS}
-    return [{key: a[s:e] for key, a in out.items()} for s, e in zip(ends - size, ends)]
+    # a leaf: feature 0, threshold 0.0 and its own index as both children
+    out = dict(zip(_TREE_ARRAYS, (np.zeros_like(tree), np.zeros(len(tree)), index.copy(), index.copy(), c / n)))
+    for key, at_split in zip(_TREE_ARRAYS, (feature, threshold, index[left], index[right], 0.0)):
+        out[key][split] = at_split
+    return [{key: a[order[s:e]] for key, a in out.items()} for s, e in zip(ends - size, ends)]
 
 
 def _best_splits(columns: _Columns, rows, owner, sizes, counts, features):
