@@ -22,7 +22,7 @@ from . import data as bundled
 from . import metrics as metrics_mod
 from .engine import PREFERENCES, GenerationConfig, generate
 from .experiment import CSV_COLUMNS, ExperimentConfig, ExperimentError, check_jury, emit_report
-from .experiment import run_experiment
+from .experiment import ConfigError, run_experiment
 from .models import MODEL_KINDS, VALIDATION_MODEL, ModelFileError, cv_weights, fit_builtin
 from .models import load_model, save_model
 from .tabular import (
@@ -238,11 +238,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        config = ExperimentConfig.from_json(args.config)
-    except ValueError as exc:
-        print(f"data/schema error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    config = ExperimentConfig.from_json(args.config)
     record = run_experiment(config, measure_runtime=not args.no_timing)
     csv_path, json_path = emit_report(record, args.out or config.out)
     for row in record.rows:
@@ -256,6 +252,7 @@ def _cmd_bench(args) -> int:
 # is a data error (exit 2); any other error is a runtime error (exit 3).
 _DATA_ERRORS = (
     _CeFileError,
+    ConfigError,
     SchemaViolationError,
     CsvParseError,
     ModelFileError,

@@ -43,6 +43,10 @@ class ExperimentError(RuntimeError):
         super().__init__(f"[{stage}] {message}")
 
 
+class ConfigError(ValueError):
+    """A bench config that ``from_json`` refuses or ``check_data`` finds past its data."""
+
+
 def check_jury(kinds: tuple, folds: int) -> None:
     """Reject a jury setting before any work: at least two built-in kinds and two folds."""
     if len(kinds) < 2:
@@ -96,6 +100,17 @@ class ExperimentConfig:
             self.generation(pref)
         check_jury(self.jury, self.folds)
 
+    def check_data(self, data: EncodedDataset) -> None:
+        """``ConfigError`` for the first of ``queries``, ``folds`` and ``num_ces`` (which
+        only ``tcol`` and ``nearest_target`` read) that asks for more rows than ``data`` holds."""
+        targets = int(np.count_nonzero(data.target_mask()))
+        limits = [("queries", len(data) - targets, "non-target rows"), ("folds", len(data), "rows")]
+        if {"tcol", "nearest_target"} & set(self.generators):
+            limits.append(("num_ces", targets, "target rows"))
+        for key, limit, what in limits:
+            if (value := getattr(self, key)) > limit:
+                raise ConfigError(f"config key {key!r} asks for {value}, but the data set has {limit} {what}")
+
     def generation(self, preference: str) -> GenerationConfig:
         return GenerationConfig(preference, self.depth, self.num_ces, budget=self.budget)
 
@@ -104,15 +119,18 @@ class ExperimentConfig:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
         if type(raw) is not dict:
-            raise ValueError(f"config must be a JSON object, got {raw!r:.40}")
+            raise ConfigError(f"config must be a JSON object, got {raw!r:.40}")
         keys = fields(cls)
         unknown = set(raw) - {f.name for f in keys}
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         missing = {f.name for f in keys if f.default is MISSING} - set(raw)
         if missing:
-            raise ValueError(f"missing config keys: {sorted(missing)}")
-        return cls(**raw)
+            raise ConfigError(f"missing config keys: {sorted(missing)}")
+        try:
+            return cls(**raw)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 @dataclass
@@ -215,6 +233,7 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = True) -> Ru
     )
     encoder: Encoder = stage("encode", fit_encoder, dataset)
     encoded: EncodedDataset = stage("encode", encode_dataset, encoder, dataset)
+    stage("config", config.check_data, encoded)
     validation_model = stage("train", fit_builtin, VALIDATION_MODEL, encoded, config.seed)
     jury = stage("jury", cv_weights, config.jury, encoded, config.folds, config.seed)
     query_indices = stage("sample", _sample_queries, encoded, config.queries, config.seed)
@@ -245,10 +264,10 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = True) -> Ru
             table.append(
                 {
                     "query_index": qi,
-                    "query": _decoded(encoder, encoded.X[qi]),
+                    "query": dataset.row_as_dict(qi),
                     "ces": [
                         {
-                            "values": _decoded(encoder, ce.vector),
+                            "values": dict(zip((f.name for f in schema), encoder.decode(ce.vector))),
                             "validated": ce.validated,
                             "fallback": ce.fallback,
                         }
@@ -283,11 +302,6 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = True) -> Ru
                 {"generator": generator, "preference": preference, "queries": table}
             )
     return record
-
-
-def _decoded(encoder: Encoder, vector) -> dict:
-    values = encoder.decode(vector)
-    return {f.name: v for f, v in zip(encoder.schema, values)}
 
 
 def _aggregate(

@@ -2,7 +2,8 @@
 reference formulas, the CART grower against the per-threshold scan it
 replaced, the decision tree's batched cross-validation fits against
 fits on each fold alone, the flat forest walk against the level-by-level
-kernel it replaced, knn's filter and refine against the blocked 3-D-norm
+kernel it replaced, a preorder model file of earlier versions against the
+fitted model it was written from, knn's filter and refine against the blocked 3-D-norm
 kernel it replaced, ``generate`` against a sequential reference that draws for
 one prototype at a time and validates one drawn combination at a time,
 and the column-wise encoder against the per-cell one it replaced.
@@ -630,6 +631,36 @@ def test_flat_walk_matches_the_level_by_level_kernel_byte_for_byte(case):
     proba = models._FlatTrees(trees, "trees").proba(X)
     assert proba.shape == (len(X),)
     assert proba.tobytes() == level_walk(trees, X).tobytes()
+
+
+def nested(tree: dict, i: int = 0) -> dict:
+    """Node ``i`` of a tree's node arrays, with the nodes under it, as a nested-dict tree."""
+    if tree["left"][i] == i:
+        return {"leaf": tree["value"][i]}
+    return {
+        "feature": tree["feature"][i],
+        "threshold": tree["threshold"][i],
+        "left": nested(tree, tree["left"][i]),
+        "right": nested(tree, tree["right"][i]),
+    }
+
+
+@pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
+def test_a_preorder_file_with_infinite_leaves_predicts_as_the_fitted_model(kind, synthetic_encoded, tmp_path):
+    """Earlier versions wrote each tree in preorder, with every leaf's
+    threshold +inf (``Infinity`` in the file). Such a file still loads and
+    predicts the fitted model's bits."""
+    data = synthetic_encoded
+    model = make_model(kind).fit(data.X, data.y, data.target_class)
+    save_model(model, tmp_path / "model.json")
+    payload = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
+    trees = payload["parameters"]["trees"]
+    payload["parameters"]["trees"] = [preorder_arrays(nested(tree)) for tree in trees]
+    assert any(old["left"] != new["left"] for old, new in zip(trees, payload["parameters"]["trees"]))
+    (tmp_path / "old.json").write_text(json.dumps(payload), encoding="utf-8")
+    assert "Infinity" in (tmp_path / "old.json").read_text(encoding="utf-8")
+    loaded = models.load_model(tmp_path / "old.json")
+    assert loaded.predict_proba_rows(data.X).tobytes() == model.predict_proba_rows(data.X).tobytes()
 
 
 def _fill(prototype: np.ndarray, query: np.ndarray, path) -> np.ndarray:

@@ -19,7 +19,7 @@ from tcol import cli, experiment
 from tcol.cli import main
 from tcol.engine import AlreadyTargetWarning, GenerationConfig
 from tcol.metrics import METRICS
-from tcol.models import ModelFileError, load_model
+from tcol.models import MODEL_KINDS, ModelFileError, load_model
 
 
 def test_help_exits_zero(capsys):
@@ -467,6 +467,16 @@ def trained_models(tmp_path_factory):
     return out
 
 
+def test_every_trained_model_file_is_strict_json(trained_models):
+    """No ``Infinity`` or ``NaN``, which Python's ``json`` writes and strict parsers refuse."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is no JSON value")
+
+    for kind in MODEL_KINDS:
+        json.loads((trained_models / f"{kind}.model.json").read_text(encoding="utf-8"), parse_constant=refuse)
+
+
 def first_leaf(tree) -> int:
     """The index of the first leaf of a tree's node arrays."""
     return next(i for i, (left, right) in enumerate(zip(tree["left"], tree["right"])) if left == right == i)
@@ -813,6 +823,33 @@ def test_bench_unknown_jury_kind_is_data_error_before_any_fit(
     assert "unknown jury kind 'svm'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, limit, what", [("queries", 70, "non-target rows"), ("folds", 200, "rows"), ("num_ces", 130, "target rows")]
+)
+def test_bench_config_value_past_the_data_is_data_error_before_any_fit(
+    tmp_path, synthetic_files, monkeypatch, key, limit, what, capsys
+):
+    """The bundled set has 200 rows, 130 of them approved."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bench fitted a model before checking the config against the data")
+
+    monkeypatch.setattr(experiment, "fit_builtin", refuse)
+    monkeypatch.setattr(experiment, "cv_weights", refuse)
+    config = bench_config(tmp_path, synthetic_files, generators=["random_path", "nearest_target"], **{key: 500})
+    assert main(["bench", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"data/schema error: [config] config key '{key}' asks for 500, but the data set has {limit} {what}" in err
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_bench_random_path_alone_takes_more_ces_than_target_rows(tmp_path, synthetic_files):
+    """The random-path baseline returns fewer CEs than asked for, so a large
+    ``num_ces`` is no error for it."""
+    config = bench_config(tmp_path, synthetic_files, generators=["random_path"], num_ces=500, folds=2)
+    assert main(["bench", "--config", str(config), "--no-timing"]) == 0
+
+
 @pytest.mark.parametrize("key", ["dataset", "schema", "out"])
 def test_bench_config_path_with_a_nul_is_data_error_before_any_read(
     tmp_path, synthetic_files, monkeypatch, key, capsys
@@ -827,6 +864,30 @@ def test_bench_config_path_with_a_nul_is_data_error_before_any_read(
     assert main(["bench", "--config", str(config)]) == 2
     assert f"config key '{key}' must be a file path" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.filterwarnings("ignore:.*coincided with centroid neighbors:UserWarning")
+def test_bench_reports_each_query_row_as_the_csv_holds_it(tmp_path, synthetic_files):
+    """Column ``x`` spans 0 to 100 in the data, so its 7 encodes to 0.07,
+    which decodes to 7.000000000000001; ``report.json`` has the raw 7.0, as
+    ``tcol generate`` writes it."""
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps([
+        {"name": "x", "kind": "numeric", "mutability": "mutable", "domain": [0, 100]},
+        {"name": "y", "kind": "numeric", "mutability": "mutable", "domain": [0, 100]},
+    ]), encoding="utf-8")
+    rows = [(7 * i % 101, 13 * i % 101) for i in range(1, 39)] + [(0, 50), (100, 50)]
+    data = tmp_path / "data.csv"
+    data.write_text("x,y,loan\n" + "".join(
+        f"{x},{y},{'approved' if x + y > 90 else 'denied'}\n" for x, y in rows), encoding="utf-8")
+    files = dict(synthetic_files, dataset=str(data), schema=str(schema))
+    denied = sum(x + y <= 90 for x, y in rows)
+    config = bench_config(tmp_path, files, generators=["nearest_target"], queries=denied)
+    assert main(["bench", "--config", str(config), "--no-timing"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    queries = {entry["query_index"]: entry["query"] for entry in report["counterfactuals"][0]["queries"]}
+    assert queries[0] == {"x": 7.0, "y": 13.0}
+    assert queries == {i: {"x": float(rows[i][0]), "y": float(rows[i][1])} for i in queries}
 
 
 def equal_target_rates(tmp_path, files):

@@ -168,6 +168,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="generator"):
             ExperimentConfig(**synthetic_files, generators=("dice",))
 
+    def test_a_value_past_the_data_is_a_value_error_from_the_limit_on(self, synthetic_files, synthetic_encoded):
+        """The bundled set has 200 rows, 130 of them approved."""
+        config = ExperimentConfig(**synthetic_files, generators=("nearest_target",), queries=70, folds=200, num_ces=130)
+        config.check_data(synthetic_encoded)
+        replace(config, generators=("random_path",), num_ces=131).check_data(synthetic_encoded)
+        for key, value, what in [("queries", 71, "70 non-target rows"), ("folds", 201, "200 rows"),
+                                 ("num_ces", 131, "130 target rows")]:
+            with pytest.raises(ValueError, match=f"^config key '{key}' asks for {value}, but the data set has {what}$"):
+                replace(config, **{key: value}).check_data(synthetic_encoded)
+
 
 @pytest.fixture(scope="module")
 def small_config(synthetic_files):
