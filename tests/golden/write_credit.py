@@ -27,8 +27,12 @@ grower moved from one ``rng.choice`` per node, in preorder, to one
 ``random`` draw per tree and depth level: every forest changed, the
 decision tree and its probabilities did not. 522 of the 700 CE sets
 changed; 1,358 of the 3,411 CEs (3,428 before) are not in their set's old
-list, and fallbacks went from 38 to 0. To rewrite them, put that
-version's ``src`` on the path:
+list, and fallbacks went from 38 to 0. The two model files were written
+again, once, when trees moved from preorder with ``Infinity`` leaf
+thresholds to level order with 0.0 ones: the trees, their predictions
+and ``credit.npz`` stayed as they were, and ``credit.npz`` was not
+rewritten (a new zip changes its bytes even when its arrays do not). To
+rewrite them, put that version's ``src`` on the path:
 
     PYTHONPATH=<reference checkout>/src python tests/golden/write_credit.py
 """
