@@ -5,11 +5,11 @@
 query rows, generates counterfactual sets, times the generation, and
 aggregates the full metric suite into one report row per (generator,
 preference). T-COL runs once per preference. Neither baseline reads the
-preference, so a baseline is run and timed once per query, under the
-first preference, and its row and table are repeated under every
-preference. Reports serialize to a CSV table with a fixed column order and
-to a structured JSON document that also embeds the decoded counterfactual
-tables.
+preference, so a baseline runs once, under the first preference, and its
+row is repeated under every preference. Each run keeps one decoded
+counterfactual table, which lists the preferences it stands for. Reports
+serialize to a CSV table with a fixed column order and to a structured
+JSON document that also embeds those tables.
 """
 
 from __future__ import annotations
@@ -244,62 +244,58 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = True) -> Ru
         query_indices=query_indices,
     )
 
-    def cell(generator: str, preference: str) -> tuple[metrics_mod.MetricsRow, list]:
-        """One cell's CE sets, generated and timed per query, as its metric
-        row and its decoded table."""
-        sets, times, table = [], [], []
-        for qi in query_indices:
-            query = encoded.X[qi]
-            start = time.perf_counter()
-            if generator == "tcol":
-                run = (generate, encoded, query, config.generation(preference), validation_model)
-            elif generator == "nearest_target":
-                run = (baseline_nearest_target, encoded, query, config.num_ces)
-            else:
-                seed = config.seed + 7919 * qi
-                run = (baseline_random_path, encoded, query, config.num_ces, seed, validation_model)
-            ces = stage("generate", *run)
-            times.append(time.perf_counter() - start)
-            sets.append((qi, ces))
-            table.append(
-                {
-                    "query_index": qi,
-                    "query": dataset.row_as_dict(qi),
-                    "ces": [
-                        {
-                            "values": dict(zip((f.name for f in schema), encoder.decode(ce.vector))),
-                            "validated": ce.validated,
-                            "fallback": ce.fallback,
-                        }
-                        for ce in ces
-                    ],
-                }
-            )
-        runtime = float(np.mean(times)) if measure_runtime else 0.0
-        row = stage(
-            "metrics",
-            _aggregate,
-            record.dataset_name,
-            generator,
-            preference,
-            sets,
-            encoded,
-            validation_model,
-            jury,
-            runtime,
-        )
-        return row, table
-
+    names = [f.name for f in schema]
     for generator in config.generators:
-        made = None
-        for preference in config.preferences:
-            # a baseline reads no preference: its first cell serves them all
-            if made is None or generator == "tcol":
-                made = cell(generator, preference)
-            row, table = made
-            record.rows.append(replace(row, preference=preference))
+        # a baseline reads no preference: one run, under the first, stands for them all
+        if generator == "tcol":
+            runs = [(preference,) for preference in config.preferences]
+        else:
+            runs = [config.preferences] if config.preferences else []
+        for preferences in runs:
+            sets, times, table = [], [], []
+            for qi in query_indices:
+                query = encoded.X[qi]
+                start = time.perf_counter()
+                if generator == "tcol":
+                    run = (generate, encoded, query, config.generation(preferences[0]), validation_model)
+                elif generator == "nearest_target":
+                    run = (baseline_nearest_target, encoded, query, config.num_ces)
+                else:
+                    seed = config.seed + 7919 * qi
+                    run = (baseline_random_path, encoded, query, config.num_ces, seed, validation_model)
+                ces = stage("generate", *run)
+                times.append(time.perf_counter() - start)
+                sets.append((qi, ces))
+                table.append(
+                    {
+                        "query_index": qi,
+                        "query": dataset.row_as_dict(qi),
+                        "ces": [
+                            {
+                                "values": dict(zip(names, encoder.decode(ce.vector))),
+                                "validated": ce.validated,
+                                "fallback": ce.fallback,
+                            }
+                            for ce in ces
+                        ],
+                    }
+                )
+            runtime = float(np.mean(times)) if measure_runtime else 0.0
+            row = stage(
+                "metrics",
+                _aggregate,
+                record.dataset_name,
+                generator,
+                preferences[0],
+                sets,
+                encoded,
+                validation_model,
+                jury,
+                runtime,
+            )
+            record.rows += [replace(row, preference=p) for p in preferences]
             record.ce_tables.append(
-                {"generator": generator, "preference": preference, "queries": table}
+                {"generator": generator, "preferences": list(preferences), "queries": table}
             )
     return record
 
@@ -343,7 +339,7 @@ def emit_report(record: RunRecord, stem: str | Path) -> tuple[Path, Path]:
         lines.append(",".join(cells))
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     payload = {
-        "format_version": 1,
+        "format_version": 2,
         "config": record.config,
         "dataset": record.dataset_name,
         "query_indices": record.query_indices,

@@ -12,7 +12,12 @@ generators x 5 preferences, 10 queries):
 
 ``tests/test_golden.py`` compares the current code against them byte for
 byte. As with ``write_credit.py``, the files are written once by a
-reference version of the package and then kept as they are:
+reference version of the package and then kept as they are.
+``report.json`` was written again, once, when the report moved to
+``format_version`` 2: each baseline's table, which version 1 repeated
+under every preference, is kept once, with the list of preferences it
+stands for. Its ``metrics`` list and every kept table stayed as they
+were, and ``report.csv`` kept its bytes. To rewrite them:
 
     PYTHONPATH=<reference checkout>/src python tests/golden/write_report.py
 """

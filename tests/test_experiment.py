@@ -215,18 +215,23 @@ class TestRunExperiment:
             assert 0.0 <= row.data_fidelity <= 1.0
 
     def test_baseline_rows_and_tables_agree_across_preferences(self, small_record):
-        # timed, yet equal: a baseline's first cell serves every preference
+        # timed, yet equal: a baseline's one run, under the first preference, serves them all
         for generator in ("nearest_target", "random_path"):
             rows = [r for r in small_record.rows if r.generator == generator]
-            tables = [t["queries"] for t in small_record.ce_tables if t["generator"] == generator]
+            tables = [t for t in small_record.ce_tables if t["generator"] == generator]
             assert [r.preference for r in rows] == ["a", "c"]
             assert rows[1] == replace(rows[0], preference="c")
-            assert tables[1] is tables[0]
+            assert [t["preferences"] for t in tables] == [["a", "c"]]
 
     def test_ce_tables_align_with_rows(self, small_record):
-        assert len(small_record.ce_tables) == len(small_record.rows)
+        # each (generator, preference) row is stood for by exactly one table
+        covered = [(t["generator"], p) for t in small_record.ce_tables for p in t["preferences"]]
+        assert covered == [(r.generator, r.preference) for r in small_record.rows]
+        assert [t["preferences"] for t in small_record.ce_tables if t["generator"] == "tcol"] == [
+            ["a"], ["c"]
+        ]
         for table in small_record.ce_tables:
-            assert len(table["queries"]) == 4
+            assert [entry["query_index"] for entry in table["queries"]] == small_record.query_indices
 
     def test_decoded_values_come_from_dataset_or_query(self, small_record, synthetic):
         columns = {
@@ -318,8 +323,9 @@ class TestEmitReport:
     def test_structured_report_embeds_counterfactual_tables(self, small_record, tmp_path):
         _, path = emit_report(small_record, tmp_path / "report")
         payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload["format_version"] == 1
+        assert payload["format_version"] == 2
         assert len(payload["metrics"]) == len(small_record.rows)
+        assert payload["counterfactuals"][0]["preferences"] == ["a"]
         assert payload["counterfactuals"][0]["queries"][0]["ces"]
 
 
