@@ -157,7 +157,9 @@ def _cmd_generate(args) -> int:
         raise _UsageError(exc) from None
     dataset, encoder, encoded = _load_encoded(args.data, args.schema, args.target, args.target_class)
     if not 0 <= args.query_index < len(dataset):
-        raise ValueError(f"query index {args.query_index} outside [0, {len(dataset) - 1}]")
+        raise ConfigError(f"--query-index {args.query_index} is outside [0, {len(dataset) - 1}]")
+    if config.num_ces > (targets := len(encoded.target_rows[0])):
+        raise ConfigError(f"--num-ces asks for {config.num_ces}, but the data set has {targets} target rows")
     model = fit_builtin(VALIDATION_MODEL, encoded, seed=args.seed)
     ces = generate(encoded, encoded.X[args.query_index], config, model)
     payload = {
@@ -182,7 +184,7 @@ def _cmd_generate(args) -> int:
             for ce in ces
         ],
     }
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    Path(args.out).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     validated = sum(1 for ce in ces if ce.validated)
     print(f"generated {len(ces)} counterfactuals ({validated} validated) -> {args.out}")
     return EXIT_OK
@@ -219,6 +221,8 @@ def _cmd_evaluate(args) -> int:
     vectors = encoder.encode_rows(cells(row, "values") for row in rows)
     query = encoder.encode(cells(_typed(ce_file["query"], dict, "'query'"), "query"))
 
+    if args.folds > len(encoded):
+        raise ConfigError(f"--folds asks for {args.folds}, but the data set has {len(encoded)} rows")
     if args.validation_model:
         model = load_model(args.validation_model)
         model.check_width(encoded.X.shape[1])
@@ -232,7 +236,7 @@ def _cmd_evaluate(args) -> int:
     if excluded:
         print(f"centrality: excluded {excluded} coincident counterfactuals", file=sys.stderr)
     if args.out:
-        Path(args.out).write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
+        Path(args.out).write_text(json.dumps(results, indent=2, allow_nan=False) + "\n", encoding="utf-8")
         print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -44,7 +44,7 @@ class ExperimentError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A bench config that ``from_json`` refuses or ``check_data`` finds past its data."""
+    """A bench config that ``from_json`` refuses, or a config value or command flag past its data."""
 
 
 def check_jury(kinds: tuple, folds: int) -> None:
@@ -84,7 +84,7 @@ class ExperimentConfig:
                 ok = type(value) is {"int": int, "str": str}[f.type]
             if not ok:
                 raise ValueError(f"config key {f.name!r} must be {_FIELD_KINDS[f.type]}, got {value!r}")
-            if f.name in ("dataset", "schema", "out") and "\0" in value:  # no file has that name
+            if f.name in ("dataset", "schema", "out") and ("\0" in value or not Path(value).name):
                 raise ValueError(f"config key {f.name!r} must be a file path, got {value!r:.40}")
             if f.type == "tuple":
                 object.__setattr__(self, f.name, tuple(value))
@@ -244,14 +244,10 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = True) -> Ru
         query_indices=query_indices,
     )
 
-    names = [f.name for f in schema]
     for generator in config.generators:
         # a baseline reads no preference: one run, under the first, stands for them all
-        if generator == "tcol":
-            runs = [(preference,) for preference in config.preferences]
-        else:
-            runs = [config.preferences] if config.preferences else []
-        for preferences in runs:
+        runs = [(p,) for p in config.preferences] if generator == "tcol" else [config.preferences]
+        for preferences in filter(None, runs):  # no preference, no run
             sets, times, table = [], [], []
             for qi in query_indices:
                 query = encoded.X[qi]
@@ -272,7 +268,7 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = True) -> Ru
                         "query": dataset.row_as_dict(qi),
                         "ces": [
                             {
-                                "values": dict(zip(names, encoder.decode(ce.vector))),
+                                "values": dict(zip((f.name for f in schema), encoder.decode(ce.vector))),
                                 "validated": ce.validated,
                                 "fallback": ce.fallback,
                             }
@@ -329,15 +325,9 @@ def _aggregate(
 
 
 def emit_report(record: RunRecord, stem: str | Path) -> tuple[Path, Path]:
-    """Write the report as ``stem.csv`` and as structured ``stem.json``;
-    return both paths."""
+    """Write the report as ``stem.csv`` and as structured, strict ``stem.json``
+    (a NaN or infinity raises ``ValueError`` before either is written); return both paths."""
     csv_path, json_path = Path(stem).with_suffix(".csv"), Path(stem).with_suffix(".json")
-    lines = [",".join(CSV_COLUMNS)]
-    for row in record.rows:
-        cells = [row.dataset, row.generator, row.preference]
-        cells += [f"{getattr(row, name):.6f}" for name in CSV_COLUMNS[3:]]
-        lines.append(",".join(cells))
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     payload = {
         "format_version": 2,
         "config": record.config,
@@ -346,5 +336,11 @@ def emit_report(record: RunRecord, stem: str | Path) -> tuple[Path, Path]:
         "metrics": [asdict(row) for row in record.rows],
         "counterfactuals": record.ce_tables,
     }
-    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
+    lines = [",".join(CSV_COLUMNS)]
+    for row in record.rows:
+        cells = [row.dataset, row.generator, row.preference]
+        cells += [f"{getattr(row, name):.6f}" for name in CSV_COLUMNS[3:]]
+        lines.append(",".join(cells))
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return csv_path, json_path

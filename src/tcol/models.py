@@ -801,7 +801,7 @@ def cv_weights(kinds: Sequence[str], data: EncodedDataset, folds: int, seed: int
 
 
 def save_model(model: ClassifierModel, path: str | Path) -> None:
-    """Persist a fitted model as a versioned JSON document."""
+    """Persist a fitted model as versioned, strict JSON; NaN or infinity raises ``ValueError``."""
     if not model.fitted:
         raise ValueError("cannot save an unfitted model")
     payload = {
@@ -812,7 +812,7 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
         "hyperparameters": model.hyperparameters(),
         "parameters": model._record,
     }
-    Path(path).write_text(json.dumps(payload, default=np.ndarray.tolist) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(payload, default=np.ndarray.tolist, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def load_model(path: str | Path) -> ClassifierModel:

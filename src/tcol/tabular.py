@@ -84,8 +84,9 @@ class FeatureSchema:
                 raise SchemaViolationError(
                     f"numeric feature {self.name!r} needs a (min, max) domain"
                 )
+            # _to_float gives NaN for an integer past the float range, such as 10**400
             if not all(
-                isinstance(b, numbers.Real) and not isinstance(b, bool) and math.isfinite(b)
+                isinstance(b, numbers.Real) and not isinstance(b, bool) and math.isfinite(_to_float(b))
                 for b in self.domain
             ):
                 raise SchemaViolationError(f"numeric domain of {self.name!r} is not two finite numbers")
@@ -344,7 +345,7 @@ def fit_encoder(data: Dataset) -> Encoder:
     """Fit the target-rate + min-max encoder on every row of ``data``.
 
     A numeric cell that is not a finite number is a schema violation; the
-    first one in column order is reported.
+    first one in column order is reported, as is a column whose max - min overflows.
     """
     hits = np.array([1.0 if t == data.target_class else 0.0 for t in data.target])
     rates, mins, maxs = [], [], []
@@ -363,6 +364,8 @@ def fit_encoder(data: Dataset) -> Encoder:
         maxs.append(float(raw[raw.argmax()]))
     reverse_maps = []
     for feat, rate_map, lo, hi in zip(data.schema, rates, mins, maxs):
+        if not math.isfinite(hi - lo):
+            raise SchemaViolationError(f"numeric feature {feat.name!r} spans {lo:g} to {hi:g}, too wide to scale")
         reverse = None if rate_map is None else {}
         for category, rate in (rate_map or {}).items():
             key = float(_scale(rate, lo, hi))

@@ -68,13 +68,33 @@ def test_csv_column_named_twice_is_data_error(tmp_path, synthetic_files, capsys)
     assert list(tmp_path.iterdir()) == [data]  # nothing written
 
 
-def test_out_of_range_query_index_is_runtime_error(tmp_path, capsys):
-    code = main(
-        ["generate", "--query-index", "9999", "--preference", "c",
-         "--out", str(tmp_path / "ces.json")]
-    )
-    assert code == 3
-    assert "outside" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "command, option, value, message",
+    [
+        ("generate", "--query-index", "9999", "--query-index 9999 is outside [0, 199]"),
+        ("generate", "--query-index", "-1", "--query-index -1 is outside [0, 199]"),
+        ("generate", "--num-ces", "500", "--num-ces asks for 500, but the data set has 130 target rows"),
+        ("evaluate", "--folds", "500", "--folds asks for 500, but the data set has 200 rows"),
+    ],
+    ids=["query-index", "negative-query-index", "num-ces", "folds"],
+)
+def test_a_flag_past_the_data_is_data_error_before_any_fit(
+    command, option, value, message, ce_file, tmp_path, monkeypatch, capsys
+):
+    """The bundled set has 200 rows, 130 of them approved."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{command} fitted a model before checking {option} against the data")
+
+    for name in ("fit_builtin", "cv_weights", "load_model"):
+        monkeypatch.setattr(cli, name, refuse)
+    args = {
+        "generate": ["--query-index", "1", "--preference", "c", "--out", str(tmp_path / "out.json")],
+        "evaluate": ["--ces", str(ce_file), "--out", str(tmp_path / "out.json")],
+    }[command]
+    assert main([command, *args, option, value]) == 2
+    assert f"data/schema error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_unknown_target_class_is_data_error(tmp_path, capsys):
@@ -933,6 +953,33 @@ def test_train_and_bench_agree_on_data_errors(tmp_path, synthetic_files, capsys,
     assert "data/schema error" in capsys.readouterr().err
     inputs = {"train": ["input"], "bench": ["config.json", "input"]}[command]
     assert sorted(p.name for p in tmp_path.iterdir()) == inputs  # nothing written
+
+
+@pytest.mark.parametrize("command", ["train", "generate", "bench"])
+def test_a_numeric_column_too_wide_to_scale_is_data_error(tmp_path, synthetic_files, capsys, command):
+    """Each cell of ``x`` lies in its domain, but max - min overflows, so no
+    encoder can scale the column; nothing is fitted or written."""
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps([
+        {"name": "x", "kind": "numeric", "mutability": "mutable", "domain": [-1e308, 1e308]},
+        {"name": "y", "kind": "numeric", "mutability": "mutable", "domain": [0, 10]},
+    ]), encoding="utf-8")
+    data = tmp_path / "data.csv"
+    data.write_text("x,y,loan\n" + "".join(
+        f"{x},{i % 10},{'approved' if i % 2 else 'denied'}\n"
+        for i, x in enumerate(["-1e308", "1e308", "0", "5"] * 3)), encoding="utf-8")
+    files = dict(synthetic_files, dataset=str(data), schema=str(schema))
+    if command == "train":
+        code = main(["train", "--out-dir", str(tmp_path / "models"), "--data", str(data), "--schema", str(schema)])
+    elif command == "generate":
+        code = main(["generate", "--query-index", "0", "--preference", "a", "--data", str(data),
+                     "--schema", str(schema), "--out", str(tmp_path / "ces.json")])
+    else:
+        code = main(["bench", "--config", str(bench_config(tmp_path, files, num_ces=1, folds=2))])
+    assert code == 2
+    assert "numeric feature 'x' spans -1e+308 to 1e+308, too wide to scale" in capsys.readouterr().err
+    inputs = ["config.json"] if command == "bench" else []
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["data.csv", "schema.json", *inputs])
 
 
 def test_console_entry_point_runs():

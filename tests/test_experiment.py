@@ -227,9 +227,8 @@ class TestRunExperiment:
         # each (generator, preference) row is stood for by exactly one table
         covered = [(t["generator"], p) for t in small_record.ce_tables for p in t["preferences"]]
         assert covered == [(r.generator, r.preference) for r in small_record.rows]
-        assert [t["preferences"] for t in small_record.ce_tables if t["generator"] == "tcol"] == [
-            ["a"], ["c"]
-        ]
+        tcol = [t["preferences"] for t in small_record.ce_tables if t["generator"] == "tcol"]
+        assert tcol == [["a"], ["c"]]
         for table in small_record.ce_tables:
             assert [entry["query_index"] for entry in table["queries"]] == small_record.query_indices
 
@@ -327,6 +326,12 @@ class TestEmitReport:
         assert len(payload["metrics"]) == len(small_record.rows)
         assert payload["counterfactuals"][0]["preferences"] == ["a"]
         assert payload["counterfactuals"][0]["queries"][0]["ces"]
+
+    def test_a_non_finite_value_is_refused_before_either_file_is_written(self, small_record, tmp_path):
+        table = {"generator": "tcol", "preferences": ["a"], "queries": [{"query": {"x": float("nan")}}]}
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            emit_report(replace(small_record, ce_tables=[table]), tmp_path / "report")
+        assert list(tmp_path.iterdir()) == []
 
 
 def _aggregate_one_set(encoded, ces, validation_model, jury):

@@ -518,6 +518,16 @@ class TestPersistence:
         with pytest.raises(ValueError, match="unfitted"):
             save_model(Knn(), tmp_path / "m.json")
 
+    def test_a_non_finite_value_is_refused_and_no_file_written(self, tmp_path):
+        """A tree fitted on a column that holds -inf splits at the midpoint
+        -inf, which strict JSON cannot hold."""
+        X = np.array([[-np.inf], [-1e308], [0.0], [1e308], [1.5e308], [np.inf]])
+        model = DecisionTree().fit(X, ["yes", "no", "no", "no", "no", "no"], "yes")
+        assert model._record["trees"][0]["threshold"][0] == -np.inf
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_model(model, tmp_path / "m.json")
+        assert not (tmp_path / "m.json").exists()
+
 
 def first_leaf(tree) -> int:
     """The index of the first leaf of a tree's node arrays."""

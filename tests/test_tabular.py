@@ -37,7 +37,7 @@ class TestFeatureSchema:
             FeatureSchema("x", "numeric", "mutable", (5, 1))
 
     @pytest.mark.parametrize(
-        "domain", [("young", "old"), (0, None), (0, float("nan")), (False, True)]
+        "domain", [("young", "old"), (0, None), (0, float("nan")), (False, True), (0, 10**400)]
     )
     def test_numeric_domain_bounds_must_be_finite_numbers(self, domain):
         with pytest.raises(SchemaViolationError, match="'x'"):
