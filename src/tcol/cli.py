@@ -21,19 +21,10 @@ from pathlib import Path
 from . import data as bundled
 from . import metrics as metrics_mod
 from .engine import PREFERENCES, GenerationConfig, generate
-from .experiment import CSV_COLUMNS, ExperimentConfig, ExperimentError, check_jury, emit_report
-from .experiment import ConfigError, run_experiment
-from .models import MODEL_KINDS, VALIDATION_MODEL, ModelFileError, cv_weights, fit_builtin
-from .models import load_model, save_model
-from .tabular import (
-    NUMERIC,
-    CsvParseError,
-    SchemaViolationError,
-    encode_dataset,
-    fit_encoder,
-    load_csv,
-    load_schema,
-)
+from .experiment import CSV_COLUMNS, ConfigError, ExperimentConfig, ExperimentError, check_jury, check_limits
+from .experiment import check_path, emit_report, load, run_experiment
+from .models import MODEL_KINDS, VALIDATION_MODEL, ModelFileError, cv_weights, fit_builtin, load_model, save_model
+from .tabular import NUMERIC, CsvParseError, SchemaViolationError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,22 +41,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-class _CeFileError(ValueError):
-    """A counterfactual file holding a value of the wrong JSON type."""
-
-
 def _typed(value, kind: type, what: str):
-    """``value`` if its type is exactly ``kind``, or ``int`` for ``float``, else ``_CeFileError``."""
+    """``value`` if its type is exactly ``kind``, or ``int`` for ``float``, else ``ConfigError``."""
     if type(value) is not kind and (kind, type(value)) != (float, int):  # true is no number
         name = {dict: "object", list: "list", str: "string", int: "integer", float: "number"}[kind]
-        raise _CeFileError(f"{what} must be a JSON {name}, got {value!r:.40}")
-    return value
-
-
-def _path(value, what: str) -> str:
-    """``value`` if it is a JSON string that can name a file (no NUL), else ``_CeFileError``."""
-    if "\0" in _typed(value, str, what):
-        raise _CeFileError(f"{what} must be a file path, got {value!r:.40}")
+        raise ConfigError(f"{what} must be a JSON {name}, got {value!r:.40}")
     return value
 
 
@@ -129,15 +109,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_encoded(data_path, schema_path, target, target_class):
-    schema = load_schema(schema_path)
-    dataset = load_csv(data_path, schema, target, target_class)
-    encoder = fit_encoder(dataset)
-    return dataset, encoder, encode_dataset(encoder, dataset)
-
-
 def _cmd_train(args) -> int:
-    dataset, _, encoded = _load_encoded(args.data, args.schema, args.target, args.target_class)
+    dataset, _, encoded = load(args.data, args.schema, args.target, args.target_class)
+    check_limits(encoded)
     print(f"read {len(dataset)} rows ({dataset.dropped_rows} dropped)")
     kinds = MODEL_KINDS if args.kind == "all" else (args.kind,)
     out_dir = Path(args.out_dir)
@@ -155,11 +129,8 @@ def _cmd_generate(args) -> int:
         config = GenerationConfig(**{f.name: getattr(args, f.name) for f in fields(GenerationConfig)})
     except ValueError as exc:
         raise _UsageError(exc) from None
-    dataset, encoder, encoded = _load_encoded(args.data, args.schema, args.target, args.target_class)
-    if not 0 <= args.query_index < len(dataset):
-        raise ConfigError(f"--query-index {args.query_index} is outside [0, {len(dataset) - 1}]")
-    if config.num_ces > (targets := len(encoded.target_rows[0])):
-        raise ConfigError(f"--num-ces asks for {config.num_ces}, but the data set has {targets} target rows")
+    dataset, encoder, encoded = load(args.data, args.schema, args.target, args.target_class)
+    check_limits(encoded, [("--num-ces", config.num_ces, "target rows")], query_index=args.query_index)
     model = fit_builtin(VALIDATION_MODEL, encoded, seed=args.seed)
     ces = generate(encoded, encoded.X[args.query_index], config, model)
     payload = {
@@ -200,18 +171,19 @@ def _cmd_evaluate(args) -> int:
         ce_file = _typed(json.load(fh), dict, "a counterfactual file")
     ces = _typed(ce_file["ces"], list, "'ces'")
     if not ces:
-        raise _CeFileError("counterfactual file contains no counterfactuals")
+        raise ConfigError("counterfactual file contains no counterfactuals")
     rows = [_typed(_typed(ce, dict, "each CE")["values"], dict, "each CE's 'values'") for ce in ces]
     # each setting the user does not override is the one that made the file
     seed = _typed(ce_file["seed"], int, "'seed'") if args.seed is None else args.seed
     if seed < 0:
-        raise _CeFileError(f"seed must be a non-negative integer, got {seed}")
-    dataset, encoder, encoded = _load_encoded(
-        args.data or _path(ce_file["dataset"], "'dataset'"),
-        args.schema or _path(ce_file["schema"], "'schema'"),
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    dataset, encoder, encoded = load(
+        args.data or check_path(_typed(ce_file["dataset"], str, "'dataset'"), "'dataset'"),
+        args.schema or check_path(_typed(ce_file["schema"], str, "'schema'"), "'schema'"),
         _typed(ce_file["target"], str, "'target'"),
         _typed(ce_file["target_class"], str, "'target_class'"),
     )
+    check_limits(encoded, folds=("--folds", args.folds), seed=seed, evaluates=True)
 
     kinds = {f.name: float if f.kind == NUMERIC else str for f in dataset.schema}
 
@@ -221,8 +193,6 @@ def _cmd_evaluate(args) -> int:
     vectors = encoder.encode_rows(cells(row, "values") for row in rows)
     query = encoder.encode(cells(_typed(ce_file["query"], dict, "'query'"), "query"))
 
-    if args.folds > len(encoded):
-        raise ConfigError(f"--folds asks for {args.folds}, but the data set has {len(encoded)} rows")
     if args.validation_model:
         model = load_model(args.validation_model)
         model.check_width(encoded.X.shape[1])
@@ -243,8 +213,9 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = ExperimentConfig.from_json(args.config)
+    out = config.out if args.out is None else check_path(args.out, "--out")  # report.json keeps the file's out
     record = run_experiment(config, measure_runtime=not args.no_timing)
-    csv_path, json_path = emit_report(record, args.out or config.out)
+    csv_path, json_path = emit_report(record, out)
     for row in record.rows:
         values = " ".join(f"{name}={getattr(row, name):.4f}" for name in CSV_COLUMNS[3:])
         print(f"{row.generator}/{row.preference}: {values}")
@@ -255,7 +226,6 @@ def _cmd_bench(args) -> int:
 # An error of one of these types, or an ``ExperimentError`` caused by one,
 # is a data error (exit 2); any other error is a runtime error (exit 3).
 _DATA_ERRORS = (
-    _CeFileError,
     ConfigError,
     SchemaViolationError,
     CsvParseError,

@@ -1,15 +1,16 @@
 """End-to-end experiment harness: config, baselines, orchestration, reports.
 
-``run_experiment`` loads and encodes a dataset, fits the validation model
-(random forest) and the cross-validated jury, samples seeded non-target
-query rows, generates counterfactual sets, times the generation, and
-aggregates the full metric suite into one report row per (generator,
-preference). T-COL runs once per preference. Neither baseline reads the
-preference, so a baseline runs once, under the first preference, and its
-row is repeated under every preference. Each run keeps one decoded
+``load`` and ``check_limits``, the set-up of every command, read a data set
+and refuse settings past its limits. ``run_experiment`` then fits the
+validation model (random forest) and the cross-validated jury, samples
+seeded non-target query rows, generates counterfactual sets, times the
+generation, and aggregates the full metric suite into one report row per
+(generator, preference). T-COL runs once per preference. Neither baseline
+reads the preference, so a baseline runs once, under the first preference,
+and its row is repeated under every preference. Each run keeps one decoded
 counterfactual table, which lists the preferences it stands for. Reports
-serialize to a CSV table with a fixed column order and to a structured
-JSON document that also embeds those tables.
+serialize to a CSV table with a fixed column order and to a structured JSON
+document that also embeds those tables.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .engine import PREFERENCES, CandidateCE, GenerationConfig, _fill, _warn, generate
-from .models import MODEL_KINDS, VALIDATION_MODEL, ClassifierModel, _check_seed, cv_weights, fit_builtin
+from .models import MIN_FIT_ROWS, MODEL_KINDS, VALIDATION_MODEL, ClassifierModel, _check_seed, cv_weights
+from .models import fit_builtin, kfold_indices
 from .scoring import euclidean
 from .tabular import Dataset, EncodedDataset, Encoder, encode_dataset, fit_encoder, load_csv, load_schema
 
@@ -44,7 +46,46 @@ class ExperimentError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A bench config that ``from_json`` refuses, or a config value or command flag past its data."""
+    """A setting that is refused: of a bench config, a counterfactual file or a command flag."""
+
+
+def check_path(value: str, name: str) -> str:
+    """``value`` if it can name a file (no NUL, not ``""``, ``"."`` or ``"/"``), else ``ConfigError``."""
+    if "\0" in value or not Path(value).name:
+        raise ConfigError(f"{name} must be a file path, got {value!r:.40}")
+    return value
+
+
+def load(dataset, schema, target: str, target_class: str) -> tuple[Dataset, Encoder, EncodedDataset]:
+    """The CSV ``dataset`` read under the schema file ``schema``, its fitted encoder and its encoding."""
+    data = load_csv(dataset, load_schema(schema), target, target_class)
+    encoder = fit_encoder(data)
+    return data, encoder, encode_dataset(encoder, data)
+
+
+def check_limits(data: EncodedDataset, asks=(), query_index=None, folds=None, seed=0, evaluates=False) -> None:
+    """``ConfigError`` for the first setting past a limit of ``data``; every command calls it before any fit.
+
+    Each ``(name, value, what)`` of ``asks`` is a config key or flag asking for
+    ``value`` rows, target rows or non-target rows. A fit asks for ``MIN_FIT_ROWS``
+    rows; centrality, if the command ``evaluates`` CEs, ``metrics.N_NEIGHBORS``
+    target rows; the jury's ``folds``, a ``(name, value)``, ``value`` rows, each
+    fold of ``cross_val_f1``'s split with ``seed`` training on both classes.
+    """
+    targets = int(np.count_nonzero(data.target_mask()))
+    have = {"rows": len(data), "target rows": targets, "non-target rows": len(data) - targets}
+    asks = [("a model fit", MIN_FIT_ROWS, "rows"), *asks]
+    asks += [(*folds, "rows")] if folds else []
+    asks += [("centrality", metrics_mod.N_NEIGHBORS, "target rows")] if evaluates else []
+    for name, value, what in asks:
+        if value > have[what]:
+            raise ConfigError(f"{name} asks for {value}, but the data set has {have[what]} {what}")
+    if query_index is not None and not 0 <= query_index < len(data):
+        raise ConfigError(f"--query-index {query_index} is outside [0, {len(data) - 1}]")
+    for i, test in enumerate(kfold_indices(len(data), folds[1], seed) if folds else []):
+        if len(labels := set(np.delete(data.y, test).tolist())) < 2:
+            only = f"fold {i + 1} trains on {labels.pop()!r} rows only"
+            raise ConfigError(f"{folds[0]} asks for {folds[1]} folds, but with seed {seed} {only}")
 
 
 def check_jury(kinds: tuple, folds: int) -> None:
@@ -84,8 +125,8 @@ class ExperimentConfig:
                 ok = type(value) is {"int": int, "str": str}[f.type]
             if not ok:
                 raise ValueError(f"config key {f.name!r} must be {_FIELD_KINDS[f.type]}, got {value!r}")
-            if f.name in ("dataset", "schema", "out") and ("\0" in value or not Path(value).name):
-                raise ValueError(f"config key {f.name!r} must be a file path, got {value!r:.40}")
+            if f.name in ("dataset", "schema", "out"):
+                check_path(value, f"config key {f.name!r}")
             if f.type == "tuple":
                 object.__setattr__(self, f.name, tuple(value))
         if self.queries < 1:
@@ -99,17 +140,6 @@ class ExperimentConfig:
         for pref in self.preferences or PREFERENCES[:1]:
             self.generation(pref)
         check_jury(self.jury, self.folds)
-
-    def check_data(self, data: EncodedDataset) -> None:
-        """``ConfigError`` for the first of ``queries``, ``folds`` and ``num_ces`` (which
-        only ``tcol`` and ``nearest_target`` read) that asks for more rows than ``data`` holds."""
-        targets = int(np.count_nonzero(data.target_mask()))
-        limits = [("queries", len(data) - targets, "non-target rows"), ("folds", len(data), "rows")]
-        if {"tcol", "nearest_target"} & set(self.generators):
-            limits.append(("num_ces", targets, "target rows"))
-        for key, limit, what in limits:
-            if (value := getattr(self, key)) > limit:
-                raise ConfigError(f"config key {key!r} asks for {value}, but the data set has {limit} {what}")
 
     def generation(self, preference: str) -> GenerationConfig:
         return GenerationConfig(preference, self.depth, self.num_ces, budget=self.budget)
@@ -227,13 +257,12 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = True) -> Ru
         except Exception as exc:
             raise ExperimentError(name, str(exc)) from exc
 
-    schema = stage("schema", load_schema, config.schema)
-    dataset: Dataset = stage(
-        "load", load_csv, config.dataset, schema, config.target, config.target_class
-    )
-    encoder: Encoder = stage("encode", fit_encoder, dataset)
-    encoded: EncodedDataset = stage("encode", encode_dataset, encoder, dataset)
-    stage("config", config.check_data, encoded)
+    dataset, encoder, encoded = stage("load", load, config.dataset, config.schema, config.target, config.target_class)
+    asks = [("config key 'queries'", config.queries, "non-target rows")]
+    if {"tcol", "nearest_target"} & set(config.generators):  # random_path returns fewer CEs instead
+        asks.append(("config key 'num_ces'", config.num_ces, "target rows"))
+    stage("config", check_limits, encoded, asks, folds=("config key 'folds'", config.folds), seed=config.seed,
+          evaluates=bool(config.generators and config.preferences))  # no run, no metrics
     validation_model = stage("train", fit_builtin, VALIDATION_MODEL, encoded, config.seed)
     jury = stage("jury", cv_weights, config.jury, encoded, config.folds, config.seed)
     query_indices = stage("sample", _sample_queries, encoded, config.queries, config.seed)
@@ -268,7 +297,7 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = True) -> Ru
                         "query": dataset.row_as_dict(qi),
                         "ces": [
                             {
-                                "values": dict(zip((f.name for f in schema), encoder.decode(ce.vector))),
+                                "values": dict(zip((f.name for f in dataset.schema), encoder.decode(ce.vector))),
                                 "validated": ce.validated,
                                 "fallback": ce.fallback,
                             }
@@ -301,8 +330,7 @@ def _aggregate(
 ) -> metrics_mod.MetricsRow:
     """Average each metric over the per-query counterfactual sets
     (``metrics.summarize``), warning when CEs are left out of centrality or
-    none was produced; a dataset with too few target rows for centrality
-    raises."""
+    none was produced."""
     vectors = [(encoded.X[qi], [ce.vector for ce in ces]) for qi, ces in sets]
     means, excluded = metrics_mod.summarize(vectors, encoded, validation_model, jury)
     n_ces = sum(len(ces) for _, ces in sets)

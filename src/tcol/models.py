@@ -718,6 +718,7 @@ class RandomForest(_CartModel):
 _MODEL_CLASSES = {cls.kind: cls for cls in (Knn, NaiveBayes, DecisionTree, RandomForest)}
 MODEL_KINDS = tuple(_MODEL_CLASSES)
 VALIDATION_MODEL = RandomForest.kind  # the deployed model that validates counterfactuals
+MIN_FIT_ROWS = 10  # the fewest rows fit_builtin fits on
 
 
 def _check_seed(seed) -> None:
@@ -736,8 +737,8 @@ def make_model(kind: str, seed: int = 0) -> ClassifierModel:
 
 def fit_builtin(kind: str, data: EncodedDataset, seed: int = 0) -> ClassifierModel:
     """Fit one of the built-in classifiers on an encoded dataset."""
-    if len(data) < 10:
-        raise ValueError(f"need at least 10 rows to fit, got {len(data)}")
+    if len(data) < MIN_FIT_ROWS:
+        raise ValueError(f"need at least {MIN_FIT_ROWS} rows to fit, got {len(data)}")
     return make_model(kind, seed=seed).fit(data.X, data.y, data.target_class)
 
 

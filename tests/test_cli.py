@@ -154,7 +154,7 @@ def test_bad_generation_option_is_a_usage_error_before_any_read(
     def refuse(*args, **kwargs):
         raise AssertionError("generate read data or fitted a model before checking its options")
 
-    monkeypatch.setattr(cli, "load_csv", refuse)
+    monkeypatch.setattr(experiment, "load_csv", refuse)
     monkeypatch.setattr(cli, "fit_builtin", refuse)
     code = main(
         ["generate", "--query-index", "1", "--preference", "a", option, value,
@@ -229,7 +229,7 @@ def test_an_empty_counterfactual_file_is_refused_before_any_read(ce_file, tmp_pa
     def refuse(*args, **kwargs):
         raise AssertionError("evaluate read data before checking the counterfactual file")
 
-    monkeypatch.setattr(cli, "load_csv", refuse)
+    monkeypatch.setattr(experiment, "load_csv", refuse)
     empty = tmp_path / "ces.json"
     empty.write_text(json.dumps(dict(json.loads(ce_file.read_text(encoding="utf-8")), ces=[])))
     assert main(["evaluate", "--ces", str(empty)]) == 2
@@ -246,7 +246,6 @@ def test_a_negative_seed_is_refused_before_any_read(
     def refuse(*args, **kwargs):
         raise AssertionError(f"{command} read data before checking the seed")
 
-    monkeypatch.setattr(cli, "load_csv", refuse)
     monkeypatch.setattr(experiment, "load_csv", refuse)
     bad_file = tmp_path / "ces.json"
     bad_file.write_text(json.dumps(dict(json.loads(ce_file.read_text(encoding="utf-8")), seed=-1)))
@@ -404,7 +403,7 @@ def test_bad_jury_or_folds_is_a_usage_error_before_any_read(
     def refuse(*args, **kwargs):
         raise AssertionError("evaluate read data or fitted a model before checking --jury and --folds")
 
-    monkeypatch.setattr(cli, "load_csv", refuse)
+    monkeypatch.setattr(experiment, "load_csv", refuse)
     monkeypatch.setattr(cli, "fit_builtin", refuse)
     monkeypatch.setattr(cli, "cv_weights", refuse)
     assert main(["evaluate", "--ces", str(ce_file), option, value]) == 1
@@ -886,6 +885,78 @@ def test_bench_config_path_with_a_nul_is_data_error_before_any_read(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+@pytest.mark.parametrize("out", ["/", ".", "", "report\0"])
+def test_bench_out_flag_that_names_no_file_is_data_error_before_any_read(
+    tmp_path, synthetic_files, monkeypatch, out, capsys
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bench read data before checking --out")
+
+    monkeypatch.setattr(experiment, "load_csv", refuse)
+    config = bench_config(tmp_path, synthetic_files)
+    assert main(["bench", "--config", str(config), "--out", out]) == 2
+    assert capsys.readouterr().err == f"data/schema error: --out must be a file path, got {out!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def numeric_rows(tmp_path, approved, denied) -> dict:
+    """A two-column numeric data set, its ``denied`` rows first, and its schema."""
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps([
+        {"name": "x", "kind": "numeric", "mutability": "mutable", "domain": [0, 100]},
+        {"name": "y", "kind": "numeric", "mutability": "mutable", "domain": [0, 100]},
+    ]), encoding="utf-8")
+    data = tmp_path / "data.csv"
+    data.write_text("x,y,loan\n" + "".join(
+        f"{i},{7 * i % 11},{'denied' if i < denied else 'approved'}\n" for i in range(approved + denied)
+    ), encoding="utf-8")
+    return {"dataset": str(data), "schema": str(schema)}
+
+
+@pytest.mark.parametrize(
+    "command, approved, denied, folds, message",
+    [
+        *[(command, 5, 4, 2, "a model fit asks for 10, but the data set has 9 rows")
+          for command in ("train", "generate", "evaluate", "bench")],
+        ("evaluate", 9, 70, 10, "centrality asks for 10, but the data set has 9 target rows"),
+        ("bench", 9, 70, 10, "centrality asks for 10, but the data set has 9 target rows"),
+        # the one denied row, row 0, is in fold 2, so fold 2 trains on approved rows only
+        ("evaluate", 20, 1, 2, "--folds asks for 2 folds, but with seed 0 fold 2 trains on 'approved' rows only"),
+        ("bench", 20, 1, 2,
+         "config key 'folds' asks for 2 folds, but with seed 0 fold 2 trains on 'approved' rows only"),
+    ],
+    ids=["rows-train", "rows-generate", "rows-evaluate", "rows-bench", "target-rows-evaluate", "target-rows-bench",
+         "one-class-fold-evaluate", "one-class-fold-bench"],
+)
+def test_data_past_a_limit_of_the_fits_or_metrics_is_data_error_before_any_fit(
+    command, approved, denied, folds, message, ce_file, synthetic_files, tmp_path, monkeypatch, capsys
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{command} fitted a model before checking the data's limits")
+
+    for module in (cli, experiment):
+        for name in ("fit_builtin", "cv_weights"):
+            monkeypatch.setattr(module, name, refuse)
+    files = numeric_rows(tmp_path, approved, denied)
+    data = ["--data", files["dataset"], "--schema", files["schema"]]
+    if command == "train":
+        argv = ["train", *data, "--out-dir", str(tmp_path / "models")]
+    elif command == "generate":
+        argv = ["generate", *data, "--query-index", "1", "--preference", "a", "--out", str(tmp_path / "out.json")]
+    elif command == "evaluate":  # a CE file of the numeric set, as generate would write it
+        ces = tmp_path / "ces.json"
+        payload = dict(json.loads(ce_file.read_text(encoding="utf-8")), **files, query={"x": 1.0, "y": 7.0})
+        ces.write_text(json.dumps(dict(payload, ces=[{"values": {"x": 5.0, "y": 2.0}}])), encoding="utf-8")
+        argv = ["evaluate", "--ces", str(ces), "--folds", str(folds), "--out", str(tmp_path / "out.json")]
+    else:
+        argv = ["bench", "--config", str(bench_config(tmp_path, dict(synthetic_files, **files), queries=1, folds=folds))]
+    assert main(argv) == 2
+    stage = "[config] " if command == "bench" else ""
+    assert capsys.readouterr().err == f"data/schema error: {stage}{message}\n"
+    inputs = {"evaluate": ["ces.json"], "bench": ["config.json"]}.get(command, [])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["data.csv", "schema.json", *inputs])
+
+
 @pytest.mark.filterwarnings("ignore:.*coincided with centroid neighbors:UserWarning")
 def test_bench_reports_each_query_row_as_the_csv_holds_it(tmp_path, synthetic_files):
     """Column ``x`` spans 0 to 100 in the data, so its 7 encodes to 0.07,
@@ -978,7 +1049,7 @@ def test_a_numeric_column_too_wide_to_scale_is_data_error(tmp_path, synthetic_fi
         code = main(["bench", "--config", str(bench_config(tmp_path, files, num_ces=1, folds=2))])
     assert code == 2
     assert "numeric feature 'x' spans -1e+308 to 1e+308, too wide to scale" in capsys.readouterr().err
-    inputs = ["config.json"] if command == "bench" else []
+    inputs = {"evaluate": ["ces.json"], "bench": ["config.json"]}.get(command, [])
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["data.csv", "schema.json", *inputs])
 
 

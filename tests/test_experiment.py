@@ -11,16 +11,18 @@ from tcol import experiment
 from tcol.engine import GenerationConfig, generate
 from tcol.experiment import (
     CSV_COLUMNS,
+    ConfigError,
     ExperimentConfig,
     ExperimentError,
     _aggregate,
     _sample_queries,
     baseline_nearest_target,
     baseline_random_path,
+    check_limits,
     emit_report,
     run_experiment,
 )
-from tcol.models import ClassifierModel
+from tcol.models import ClassifierModel, kfold_indices
 from tcol.tabular import EncodedDataset
 
 
@@ -168,15 +170,36 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="generator"):
             ExperimentConfig(**synthetic_files, generators=("dice",))
 
-    def test_a_value_past_the_data_is_a_value_error_from_the_limit_on(self, synthetic_files, synthetic_encoded):
-        """The bundled set has 200 rows, 130 of them approved."""
-        config = ExperimentConfig(**synthetic_files, generators=("nearest_target",), queries=70, folds=200, num_ces=130)
-        config.check_data(synthetic_encoded)
-        replace(config, generators=("random_path",), num_ces=131).check_data(synthetic_encoded)
-        for key, value, what in [("queries", 71, "70 non-target rows"), ("folds", 201, "200 rows"),
-                                 ("num_ces", 131, "130 target rows")]:
-            with pytest.raises(ValueError, match=f"^config key '{key}' asks for {value}, but the data set has {what}$"):
-                replace(config, **{key: value}).check_data(synthetic_encoded)
+
+def test_check_limits_names_the_first_setting_past_the_data(synthetic_encoded):
+    """The bundled set has 200 rows, 130 of them approved."""
+    asks = [("queries", 70, "non-target rows"), ("num_ces", 130, "target rows")]
+    check_limits(synthetic_encoded, asks, query_index=199, folds=("folds", 200), evaluates=True)
+    for change, message in [
+        ({"asks": [("queries", 71, "non-target rows")]}, "queries asks for 71, but the data set has 70 non-target rows"),
+        ({"asks": [("num_ces", 131, "target rows")]}, "num_ces asks for 131, but the data set has 130 target rows"),
+        ({"folds": ("folds", 201)}, "folds asks for 201, but the data set has 200 rows"),
+        ({"query_index": 200}, "--query-index 200 is outside [0, 199]"),
+        ({"query_index": -1}, "--query-index -1 is outside [0, 199]"),
+    ]:
+        with pytest.raises(ConfigError) as info:
+            check_limits(synthetic_encoded, **change)
+        assert str(info.value) == message
+
+
+def test_check_limits_refuses_too_few_rows_target_rows_and_one_class_folds():
+    """Eleven rows, ten of them "yes": each limit that no flag names."""
+    data = make_encoded(np.arange(11.0)[:, np.newaxis], ["no"] + ["yes"] * 10)
+    check_limits(data, evaluates=True)
+    with pytest.raises(ConfigError, match=r"^a model fit asks for 10, but the data set has 9 rows$"):
+        check_limits(make_encoded(data.X[:9], data.y[:9]))
+    with pytest.raises(ConfigError, match=r"^centrality asks for 10, but the data set has 9 target rows$"):
+        check_limits(make_encoded(data.X[1:], ["no"] + ["yes"] * 9), evaluates=True)
+    # the one "no" row is in one of the two folds, and the other trains on "yes" rows only
+    fold = next(i for i, test in enumerate(kfold_indices(11, 2, seed=3)) if 0 in test)
+    with pytest.raises(ConfigError) as info:
+        check_limits(data, folds=("--folds", 2), seed=3)
+    assert str(info.value) == f"--folds asks for 2 folds, but with seed 3 fold {fold + 1} trains on 'yes' rows only"
 
 
 @pytest.fixture(scope="module")

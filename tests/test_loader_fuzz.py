@@ -1,7 +1,8 @@
 """Mutate what the loaders read, one small input at a time: numeric CSV
-cells, schema entries and bench config values. Every command must then
-finish (exit 0) or refuse the input as bad data (exit 2), never exit 3, and
-an exit 0 must leave only strict JSON files and finite metrics."""
+cells, empty cells (which drop rows), schema entries and bench config
+values. Every command must then finish (exit 0) or refuse the input as bad
+data (exit 2), never exit 3, and an exit 0 must leave only strict JSON
+files and finite metrics."""
 
 import contextlib
 import io
@@ -51,6 +52,7 @@ CONFIG = {
     "out": "report",
 }
 QUERY = str(next(i for i, row in enumerate(ROWS) if row[3] == "denied"))  # for generate
+CLASS_ROWS = {label: [i for i, row in enumerate(ROWS) if row[3] == label] for label in ("approved", "denied")}
 DATA = ["--data", "data.csv", "--schema", "schema.json", "--target", "loan", "--target-class", "approved"]
 
 CELLS = ["1e308", "-1e308", "5e-324", "-5e-324", "-0", "0", "1e309", "nan", "inf", "abc", "1,5"]
@@ -131,6 +133,30 @@ def test_mutated_numeric_cells(cells):
     rows = [list(row) for row in ROWS]
     for row, column, value in cells:
         rows[row][column] = value
+    with inside_a_new_directory() as directory:
+        write_inputs(rows=rows)
+        run_every_command(directory)
+
+
+@st.composite
+def emptied_cells(draw):
+    """``(row, column)`` cells to empty, each of which drops its row: up to
+    every row of one class, and up to three rows of either."""
+    rows = draw(st.lists(st.sampled_from(CLASS_ROWS[draw(st.sampled_from(sorted(CLASS_ROWS)))]), unique=True))
+    rows += draw(st.lists(st.integers(0, len(ROWS) - 1), max_size=3))
+    return [(row, draw(st.integers(0, 3))) for row in rows]
+
+
+@settings(max_examples=25, deadline=None)
+@given(cells=emptied_cells())
+@example(cells=[(i, 1) for i in CLASS_ROWS["approved"][:3]])  # 9 target rows, too few for centrality
+@example(cells=[(i, 3) for i in CLASS_ROWS["approved"]])  # one class left
+@example(cells=[(i, 0) for i in CLASS_ROWS["denied"][1:]])  # one denied row: a 2-fold split trains on one class
+@example(cells=[(i, 2) for i in range(15)])  # 9 rows, too few to fit
+def test_dropped_rows(cells):
+    rows = [list(row) for row in ROWS]
+    for row, column in cells:
+        rows[row][column] = ""
     with inside_a_new_directory() as directory:
         write_inputs(rows=rows)
         run_every_command(directory)
