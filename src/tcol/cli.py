@@ -21,9 +21,10 @@ from pathlib import Path
 from . import data as bundled
 from . import metrics as metrics_mod
 from .engine import PREFERENCES, GenerationConfig, generate
-from .experiment import CSV_COLUMNS, ConfigError, ExperimentConfig, ExperimentError, check_jury, check_limits
-from .experiment import check_path, emit_report, load, run_experiment
-from .models import MODEL_KINDS, VALIDATION_MODEL, ModelFileError, cv_weights, fit_builtin, load_model, save_model
+from .experiment import CSV_COLUMNS, ConfigError, ExperimentConfig, check_limits, check_path, decode_ce, emit_report
+from .experiment import load, run_experiment
+from .models import MODEL_KINDS, VALIDATION_MODEL, ModelFileError, check_jury, cv_weights, fit_builtin, load_model
+from .models import save_model
 from .tabular import NUMERIC, CsvParseError, SchemaViolationError
 
 EXIT_OK = 0
@@ -129,6 +130,7 @@ def _cmd_generate(args) -> int:
         config = GenerationConfig(**{f.name: getattr(args, f.name) for f in fields(GenerationConfig)})
     except ValueError as exc:
         raise _UsageError(exc) from None
+    check_path(args.out, "--out")
     dataset, encoder, encoded = load(args.data, args.schema, args.target, args.target_class)
     check_limits(encoded, [("--num-ces", config.num_ces, "target rows")], query_index=args.query_index)
     model = fit_builtin(VALIDATION_MODEL, encoded, seed=args.seed)
@@ -145,9 +147,7 @@ def _cmd_generate(args) -> int:
         "query": dataset.row_as_dict(args.query_index),
         "ces": [
             {
-                "values": dict(zip((f.name for f in dataset.schema), encoder.decode(ce.vector))),
-                "validated": ce.validated,
-                "fallback": ce.fallback,
+                **decode_ce(encoder, ce),
                 "prototype_index": ce.prototype_index,
                 "path": list(ce.path),
                 "score": ce.score if math.isfinite(ce.score) else None,
@@ -167,6 +167,8 @@ def _cmd_evaluate(args) -> int:
         check_jury(jury, args.folds)
     except ValueError as exc:
         raise _UsageError(exc) from None
+    if args.out is not None:
+        check_path(args.out, "--out")
     with open(args.ces, encoding="utf-8") as fh:
         ce_file = _typed(json.load(fh), dict, "a counterfactual file")
     ces = _typed(ce_file["ces"], list, "'ces'")
@@ -223,8 +225,8 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-# An error of one of these types, or an ``ExperimentError`` caused by one,
-# is a data error (exit 2); any other error is a runtime error (exit 3).
+# An error of one of these types is a data error (exit 2); any other error
+# is a runtime error (exit 3).
 _DATA_ERRORS = (
     ConfigError,
     SchemaViolationError,
@@ -251,8 +253,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except Exception as exc:
-        cause = exc.__cause__ if isinstance(exc, ExperimentError) else exc
-        if isinstance(cause, _DATA_ERRORS):
+        if isinstance(exc, _DATA_ERRORS):
             print(f"data/schema error: {exc}", file=sys.stderr)
             return EXIT_DATA
         print(f"error: {exc}", file=sys.stderr)

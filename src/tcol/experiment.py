@@ -24,7 +24,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .engine import PREFERENCES, CandidateCE, GenerationConfig, _fill, _warn, generate
-from .models import MIN_FIT_ROWS, MODEL_KINDS, VALIDATION_MODEL, ClassifierModel, _check_seed, cv_weights
+from .models import MIN_FIT_ROWS, VALIDATION_MODEL, ClassifierModel, _check_seed, check_jury, cv_weights
 from .models import fit_builtin, kfold_indices
 from .scoring import euclidean
 from .tabular import Dataset, EncodedDataset, Encoder, encode_dataset, fit_encoder, load_csv, load_schema
@@ -35,14 +35,7 @@ CSV_COLUMNS = ("dataset", "generator", "preference", *metrics_mod.METRICS, "runt
 
 _RANDOM_PATH_ATTEMPTS = 200  # random fills drawn per query by the random-path baseline
 
-_FIELD_KINDS = {"int": "an integer", "str": "a string", "tuple": "a list of strings"}
-
-
-class ExperimentError(RuntimeError):
-    """A pipeline stage failed; the message carries the stage tag."""
-
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"[{stage}] {message}")
+_FIELD_KINDS = {"int": "an integer", "str": "a string", "tuple": "a list of distinct strings"}
 
 
 class ConfigError(ValueError):
@@ -88,17 +81,6 @@ def check_limits(data: EncodedDataset, asks=(), query_index=None, folds=None, se
             raise ConfigError(f"{folds[0]} asks for {folds[1]} folds, but with seed {seed} {only}")
 
 
-def check_jury(kinds: tuple, folds: int) -> None:
-    """Reject a jury setting before any work: at least two built-in kinds and two folds."""
-    if len(kinds) < 2:
-        raise ValueError("jury needs at least two member kinds")
-    for kind in kinds:
-        if kind not in MODEL_KINDS:
-            raise ValueError(f"unknown jury kind {kind!r}, expected one of {MODEL_KINDS}")
-    if folds < 2:
-        raise ValueError("folds must be at least 2")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: str
@@ -121,6 +103,7 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if f.type == "tuple":
                 ok = isinstance(value, (list, tuple)) and all(type(v) is str for v in value)
+                ok = ok and len(set(value)) == len(value)  # a repeated entry would run or count twice
             else:  # exact types, so that true is no integer
                 ok = type(value) is {"int": int, "str": str}[f.type]
             if not ok:
@@ -236,6 +219,12 @@ def baseline_random_path(
     return out
 
 
+def decode_ce(encoder: Encoder, ce: CandidateCE) -> dict:
+    """``ce`` as a report or a CE file holds it: its decoded ``values``, ``validated`` and ``fallback``."""
+    values = dict(zip((f.name for f in encoder.schema), encoder.decode(ce.vector)))
+    return {"values": values, "validated": ce.validated, "fallback": ce.fallback}
+
+
 def _sample_queries(data: EncodedDataset, count: int, seed: int) -> list[int]:
     non_target = np.flatnonzero(~data.target_mask())
     if len(non_target) < count:
@@ -251,21 +240,15 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = True) -> Ru
     that two runs of the same config are byte-identical end to end.
     """
 
-    def stage(name, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except Exception as exc:
-            raise ExperimentError(name, str(exc)) from exc
-
-    dataset, encoder, encoded = stage("load", load, config.dataset, config.schema, config.target, config.target_class)
+    dataset, encoder, encoded = load(config.dataset, config.schema, config.target, config.target_class)
     asks = [("config key 'queries'", config.queries, "non-target rows")]
     if {"tcol", "nearest_target"} & set(config.generators):  # random_path returns fewer CEs instead
         asks.append(("config key 'num_ces'", config.num_ces, "target rows"))
-    stage("config", check_limits, encoded, asks, folds=("config key 'folds'", config.folds), seed=config.seed,
-          evaluates=bool(config.generators and config.preferences))  # no run, no metrics
-    validation_model = stage("train", fit_builtin, VALIDATION_MODEL, encoded, config.seed)
-    jury = stage("jury", cv_weights, config.jury, encoded, config.folds, config.seed)
-    query_indices = stage("sample", _sample_queries, encoded, config.queries, config.seed)
+    check_limits(encoded, asks, folds=("config key 'folds'", config.folds), seed=config.seed,
+                 evaluates=bool(config.generators and config.preferences))  # no run, no metrics
+    validation_model = fit_builtin(VALIDATION_MODEL, encoded, config.seed)
+    jury = cv_weights(config.jury, encoded, config.folds, config.seed)
+    query_indices = _sample_queries(encoded, config.queries, config.seed)
 
     record = RunRecord(
         config=asdict(config),
@@ -282,41 +265,24 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = True) -> Ru
                 query = encoded.X[qi]
                 start = time.perf_counter()
                 if generator == "tcol":
-                    run = (generate, encoded, query, config.generation(preferences[0]), validation_model)
+                    ces = generate(encoded, query, config.generation(preferences[0]), validation_model)
                 elif generator == "nearest_target":
-                    run = (baseline_nearest_target, encoded, query, config.num_ces)
+                    ces = baseline_nearest_target(encoded, query, config.num_ces)
                 else:
                     seed = config.seed + 7919 * qi
-                    run = (baseline_random_path, encoded, query, config.num_ces, seed, validation_model)
-                ces = stage("generate", *run)
+                    ces = baseline_random_path(encoded, query, config.num_ces, seed, validation_model)
                 times.append(time.perf_counter() - start)
                 sets.append((qi, ces))
                 table.append(
                     {
                         "query_index": qi,
                         "query": dataset.row_as_dict(qi),
-                        "ces": [
-                            {
-                                "values": dict(zip((f.name for f in dataset.schema), encoder.decode(ce.vector))),
-                                "validated": ce.validated,
-                                "fallback": ce.fallback,
-                            }
-                            for ce in ces
-                        ],
+                        "ces": [decode_ce(encoder, ce) for ce in ces],
                     }
                 )
             runtime = float(np.mean(times)) if measure_runtime else 0.0
-            row = stage(
-                "metrics",
-                _aggregate,
-                record.dataset_name,
-                generator,
-                preferences[0],
-                sets,
-                encoded,
-                validation_model,
-                jury,
-                runtime,
+            row = _aggregate(
+                record.dataset_name, generator, preferences[0], sets, encoded, validation_model, jury, runtime
             )
             record.rows += [replace(row, preference=p) for p in preferences]
             record.ce_tables.append(

@@ -792,11 +792,23 @@ class ThirdPartyJury:
         return tuple(w for _, w in self.members)
 
 
+def check_jury(kinds: Sequence[str], folds: int) -> None:
+    """``ValueError`` unless ``kinds`` names at least two built-in kinds, none twice, and ``folds`` is at least 2."""
+    if len(kinds) < 2:
+        raise ValueError("jury needs at least two member kinds")
+    for i, kind in enumerate(kinds):
+        if kind not in MODEL_KINDS:
+            raise ValueError(f"unknown jury kind {kind!r}, expected one of {MODEL_KINDS}")
+        if kind in kinds[:i]:
+            raise ValueError(f"jury names kind {kind!r} twice")
+    if folds < 2:
+        raise ValueError("folds must be at least 2")
+
+
 def cv_weights(kinds: Sequence[str], data: EncodedDataset, folds: int, seed: int = 0) -> ThirdPartyJury:
     """Each jury member fitted on all rows, weighted by its mean held-out F1,
     both from one ``cross_val_f1`` call."""
-    if len(kinds) < 2:
-        raise ValueError("a jury needs at least two member kinds")
+    check_jury(kinds, folds)
     fits = [cross_val_f1(partial(make_model, kind, seed=seed), data, folds, seed=seed) for kind in kinds]
     return ThirdPartyJury(members=tuple((model, weight) for weight, model in fits))
 

@@ -394,6 +394,7 @@ def test_evaluate_takes_a_json_integer_as_a_number(ce_file, tmp_path, capsys):
         ("--jury", "knn,svm", "unknown jury kind 'svm'"),
         ("--jury", "knn", "at least two member kinds"),
         ("--jury", "knn,,naive_bayes", "unknown jury kind ''"),
+        ("--jury", "knn,naive_bayes,knn", "jury names kind 'knn' twice"),
         ("--folds", "1", "folds must be at least 2"),
     ],
 )
@@ -806,11 +807,18 @@ def test_bench_bad_config_key_is_data_error(tmp_path, synthetic_files, capsys):
         ("depth", 3.5),
         ("seed", True),
         ("target_class", 1),
+        ("preferences", ["a", "c", "a"]),  # would write each tcol/a row twice
+        ("generators", ["tcol", "nearest_target", "tcol"]),  # would run T-COL twice
+        ("jury", ["knn", "knn"]),  # would pass the two-kinds rule with one kind
     ],
 )
 def test_bench_config_value_of_the_wrong_type_is_data_error(
-    tmp_path, synthetic_files, key, value, capsys
+    tmp_path, synthetic_files, monkeypatch, key, value, capsys
 ):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bench read data before checking the config's values")
+
+    monkeypatch.setattr(experiment, "load_csv", refuse)
     config = bench_config(tmp_path, synthetic_files, **{key: value})
     assert main(["bench", "--config", str(config)]) == 2
     assert f"config key '{key}' must be" in capsys.readouterr().err
@@ -858,7 +866,7 @@ def test_bench_config_value_past_the_data_is_data_error_before_any_fit(
     config = bench_config(tmp_path, synthetic_files, generators=["random_path", "nearest_target"], **{key: 500})
     assert main(["bench", "--config", str(config)]) == 2
     err = capsys.readouterr().err
-    assert f"data/schema error: [config] config key '{key}' asks for 500, but the data set has {limit} {what}" in err
+    assert f"data/schema error: config key '{key}' asks for 500, but the data set has {limit} {what}" in err
     assert not (tmp_path / "report.csv").exists()
 
 
@@ -886,17 +894,24 @@ def test_bench_config_path_with_a_nul_is_data_error_before_any_read(
 
 
 @pytest.mark.parametrize("out", ["/", ".", "", "report\0"])
+@pytest.mark.parametrize("command", ["generate", "evaluate", "bench"])
 def test_bench_out_flag_that_names_no_file_is_data_error_before_any_read(
-    tmp_path, synthetic_files, monkeypatch, out, capsys
+    tmp_path, synthetic_files, ce_file, monkeypatch, command, out, capsys
 ):
     def refuse(*args, **kwargs):
-        raise AssertionError("bench read data before checking --out")
+        raise AssertionError(f"{command} read data before checking --out")
 
     monkeypatch.setattr(experiment, "load_csv", refuse)
-    config = bench_config(tmp_path, synthetic_files)
-    assert main(["bench", "--config", str(config), "--out", out]) == 2
-    assert capsys.readouterr().err == f"data/schema error: --out must be a file path, got {out!r}\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+    inputs = []
+    if command == "generate":
+        argv = ["generate", "--query-index", "1", "--preference", "a"]
+    elif command == "evaluate":
+        argv = ["evaluate", "--ces", str(ce_file)]
+    else:
+        argv, inputs = ["bench", "--config", str(bench_config(tmp_path, synthetic_files))], ["config.json"]
+    assert main([*argv, "--out", out]) == 2
+    assert capsys.readouterr() == ("", f"data/schema error: --out must be a file path, got {out!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
 
 def numeric_rows(tmp_path, approved, denied) -> dict:
@@ -951,8 +966,7 @@ def test_data_past_a_limit_of_the_fits_or_metrics_is_data_error_before_any_fit(
     else:
         argv = ["bench", "--config", str(bench_config(tmp_path, dict(synthetic_files, **files), queries=1, folds=folds))]
     assert main(argv) == 2
-    stage = "[config] " if command == "bench" else ""
-    assert capsys.readouterr().err == f"data/schema error: {stage}{message}\n"
+    assert capsys.readouterr().err == f"data/schema error: {message}\n"
     inputs = {"evaluate": ["ces.json"], "bench": ["config.json"]}.get(command, [])
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["data.csv", "schema.json", *inputs])
 

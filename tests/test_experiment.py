@@ -13,7 +13,6 @@ from tcol.experiment import (
     CSV_COLUMNS,
     ConfigError,
     ExperimentConfig,
-    ExperimentError,
     _aggregate,
     _sample_queries,
     baseline_nearest_target,
@@ -296,7 +295,7 @@ class TestRunExperiment:
         assert [r.preference for r in record.rows] == ["a", "b", "c", "d", "e"]
         assert len(calls) == 3 * runs_per_query
 
-    def test_missing_dataset_aborts_with_stage_tag(self, synthetic_files):
+    def test_missing_dataset_raises_the_loaders_error(self, synthetic_files):
         config = ExperimentConfig(
             dataset="/nonexistent/x.csv",
             schema=synthetic_files["schema"],
@@ -304,8 +303,21 @@ class TestRunExperiment:
             target_class="approved",
             queries=1,
         )
-        with pytest.raises(ExperimentError, match=r"\[load\]"):
+        with pytest.raises(FileNotFoundError):
             run_experiment(config)
+
+    def test_config_past_the_data_raises_config_error_before_any_fit(self, synthetic_files, monkeypatch):
+        """The bundled set has 200 rows, 70 of them denied."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_experiment fitted a model before checking the config against the data")
+
+        monkeypatch.setattr(experiment, "fit_builtin", refuse)
+        monkeypatch.setattr(experiment, "cv_weights", refuse)
+        config = ExperimentConfig(**synthetic_files, queries=71)
+        with pytest.raises(ConfigError) as info:
+            run_experiment(config)
+        assert str(info.value) == "config key 'queries' asks for 71, but the data set has 70 non-target rows"
 
     def test_more_queries_than_non_target_rows_is_an_error(self):
         data = make_encoded([[0.1], [0.5], [0.9]], ["yes", "no", "no"])

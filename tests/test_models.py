@@ -289,6 +289,10 @@ class TestCrossValidation:
         with pytest.raises(ValueError, match="two member kinds"):
             cv_weights(("knn",), synthetic_encoded, folds=5, seed=0)
 
+    def test_cv_weights_refuses_a_kind_named_twice(self, synthetic_encoded):
+        with pytest.raises(ValueError, match="jury names kind 'knn' twice"):
+            cv_weights(("knn", "knn"), synthetic_encoded, folds=5, seed=0)
+
     def test_cv_weights_needs_enough_rows(self):
         data = make_encoded([[0.1], [0.9], [0.2], [0.8]], ["yes", "no", "yes", "no"])
         with pytest.raises(ValueError):
