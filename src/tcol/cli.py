@@ -50,6 +50,13 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+def _check_out(value: str, name: str) -> str:
+    """``value`` if ``check_path`` takes it and its directory exists, else ``ConfigError``."""
+    if not Path(check_path(value, name)).parent.is_dir():
+        raise ConfigError(f"{name} must be a file in an existing directory, got {value!r:.40}")
+    return value
+
+
 def _add_data_options(parser: argparse.ArgumentParser) -> None:
     csv_path, schema_path = bundled.synthetic_paths()
     parser.add_argument("--data", default=str(csv_path), help="dataset CSV path")
@@ -130,7 +137,7 @@ def _cmd_generate(args) -> int:
         config = GenerationConfig(**{f.name: getattr(args, f.name) for f in fields(GenerationConfig)})
     except ValueError as exc:
         raise _UsageError(exc) from None
-    check_path(args.out, "--out")
+    _check_out(args.out, "--out")
     dataset, encoder, encoded = load(args.data, args.schema, args.target, args.target_class)
     check_limits(encoded, [("--num-ces", config.num_ces, "target rows")], query_index=args.query_index)
     model = fit_builtin(VALIDATION_MODEL, encoded, seed=args.seed)
@@ -168,7 +175,7 @@ def _cmd_evaluate(args) -> int:
     except ValueError as exc:
         raise _UsageError(exc) from None
     if args.out is not None:
-        check_path(args.out, "--out")
+        _check_out(args.out, "--out")
     with open(args.ces, encoding="utf-8") as fh:
         ce_file = _typed(json.load(fh), dict, "a counterfactual file")
     ces = _typed(ce_file["ces"], list, "'ces'")
@@ -187,10 +194,18 @@ def _cmd_evaluate(args) -> int:
     )
     check_limits(encoded, folds=("--folds", args.folds), seed=seed, evaluates=True)
 
-    kinds = {f.name: float if f.kind == NUMERIC else str for f in dataset.schema}
-
-    def cells(row: dict, key: str) -> list:  # each of the JSON type that generate writes
-        return [_typed(row[name], kind, f"'{key}.{name}'") for name, kind in kinds.items()]
+    def cells(row: dict, key: str) -> list:  # each of the JSON type that generate writes, in its domain
+        out = []
+        for f in dataset.schema:
+            value = _typed(row[f.name], float if f.kind == NUMERIC else str, f"'{key}.{f.name}'")
+            if f.kind == NUMERIC:  # the encoder would clamp it: the metrics would not describe the file
+                lo, hi = f.domain
+                slack = 1e-12 * max(abs(lo), abs(hi))  # decode's rounding: -5 to 0.7 gives 0.7000000000000002
+                if not lo - slack <= value <= hi + slack:
+                    what = f"'{key}.{f.name}' {value!r}"
+                    raise SchemaViolationError(f"{what} is outside the domain [{lo:g}, {hi:g}]")
+            out.append(value)
+        return out
 
     vectors = encoder.encode_rows(cells(row, "values") for row in rows)
     query = encoder.encode(cells(_typed(ce_file["query"], dict, "'query'"), "query"))
@@ -215,7 +230,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = ExperimentConfig.from_json(args.config)
-    out = config.out if args.out is None else check_path(args.out, "--out")  # report.json keeps the file's out
+    # report.json keeps the file's out
+    out = _check_out(config.out, "config key 'out'") if args.out is None else _check_out(args.out, "--out")
     record = run_experiment(config, measure_runtime=not args.no_timing)
     csv_path, json_path = emit_report(record, out)
     for row in record.rows:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -194,7 +194,8 @@ def baseline_random_path(
     when zero) if the attempts run out.
     """
     query = np.asarray(query, dtype=float)
-    proto_idx = baseline_nearest_target(data, query, 1)[0].prototype_index
+    target_idx, rows = data.target_rows
+    proto_idx = int(target_idx[np.argmin(euclidean(rows, query))])
     prototype = data.X[proto_idx]
     rng = np.random.default_rng(seed)
     paths = rng.integers(0, 2, size=(_RANDOM_PATH_ATTEMPTS, data.n_features))
@@ -225,14 +226,6 @@ def decode_ce(encoder: Encoder, ce: CandidateCE) -> dict:
     return {"values": values, "validated": ce.validated, "fallback": ce.fallback}
 
 
-def _sample_queries(data: EncodedDataset, count: int, seed: int) -> list[int]:
-    non_target = np.flatnonzero(~data.target_mask())
-    if len(non_target) < count:
-        raise ValueError(f"requested {count} queries but only {len(non_target)} non-target rows")
-    picked = np.random.default_rng(seed).choice(non_target, size=count, replace=False)
-    return sorted(int(i) for i in picked)
-
-
 def run_experiment(config: ExperimentConfig, measure_runtime: bool = True) -> RunRecord:
     """Run the full pipeline; see the module docstring.
 
@@ -248,7 +241,9 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = True) -> Ru
                  evaluates=bool(config.generators and config.preferences))  # no run, no metrics
     validation_model = fit_builtin(VALIDATION_MODEL, encoded, config.seed)
     jury = cv_weights(config.jury, encoded, config.folds, config.seed)
-    query_indices = _sample_queries(encoded, config.queries, config.seed)
+    non_target = np.flatnonzero(~encoded.target_mask())  # check_limits saw enough of them
+    picked = np.random.default_rng(config.seed).choice(non_target, size=config.queries, replace=False)
+    query_indices = sorted(int(i) for i in picked)
 
     record = RunRecord(
         config=asdict(config),
@@ -272,7 +267,7 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = True) -> Ru
                     seed = config.seed + 7919 * qi
                     ces = baseline_random_path(encoded, query, config.num_ces, seed, validation_model)
                 times.append(time.perf_counter() - start)
-                sets.append((qi, ces))
+                sets.append((query, [ce.vector for ce in ces]))
                 table.append(
                     {
                         "query_index": qi,
@@ -280,42 +275,20 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = True) -> Ru
                         "ces": [decode_ce(encoder, ce) for ce in ces],
                     }
                 )
+            means, excluded = metrics_mod.summarize(sets, encoded, validation_model, jury)
+            n_ces = sum(len(vectors) for _, vectors in sets)
+            if excluded:
+                _warn(f"{excluded} counterfactuals coincided with centroid neighbors "
+                      f"and were excluded from centrality ({generator}/{preferences[0]})")
+            if n_ces == 0:
+                _warn(f"no counterfactuals produced for {generator}/{preferences[0]}")
             runtime = float(np.mean(times)) if measure_runtime else 0.0
-            row = _aggregate(
-                record.dataset_name, generator, preferences[0], sets, encoded, validation_model, jury, runtime
-            )
-            record.rows += [replace(row, preference=p) for p in preferences]
+            row = dict(means, runtime_s=runtime, n_queries=len(sets), n_ces=n_ces)
+            record.rows += [metrics_mod.MetricsRow(record.dataset_name, generator, p, **row) for p in preferences]
             record.ce_tables.append(
                 {"generator": generator, "preferences": list(preferences), "queries": table}
             )
     return record
-
-
-def _aggregate(
-    dataset_name, generator, preference, sets, encoded, validation_model, jury, mean_time
-) -> metrics_mod.MetricsRow:
-    """Average each metric over the per-query counterfactual sets
-    (``metrics.summarize``), warning when CEs are left out of centrality or
-    none was produced."""
-    vectors = [(encoded.X[qi], [ce.vector for ce in ces]) for qi, ces in sets]
-    means, excluded = metrics_mod.summarize(vectors, encoded, validation_model, jury)
-    n_ces = sum(len(ces) for _, ces in sets)
-    if excluded:
-        _warn(
-            f"{excluded} counterfactuals coincided with centroid neighbors "
-            f"and were excluded from centrality ({generator}/{preference})"
-        )
-    if n_ces == 0:
-        _warn(f"no counterfactuals produced for {generator}/{preference}")
-    return metrics_mod.MetricsRow(
-        dataset=dataset_name,
-        generator=generator,
-        preference=preference,
-        **means,
-        runtime_s=mean_time,
-        n_queries=len(sets),
-        n_ces=n_ces,
-    )
 
 
 def emit_report(record: RunRecord, stem: str | Path) -> tuple[Path, Path]:

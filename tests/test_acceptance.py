@@ -79,10 +79,8 @@ def _oracle_argmax(tag, proto, query):
 
 
 @pytest.fixture(scope="module")
-def sampled_queries(synthetic_encoded):
-    from tcol.experiment import _sample_queries
-
-    return _sample_queries(synthetic_encoded, 10, seed=0)
+def sampled_queries(bench_record):
+    return bench_record.query_indices
 
 
 @pytest.fixture(scope="module")

@@ -389,6 +389,60 @@ def test_evaluate_takes_a_json_integer_as_a_number(ce_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "key, name, value, message",
+    [
+        ("values", "income", 1e9, "'values.income' 1000000000.0 is outside the domain [8000, 90000]"),
+        ("values", "income", -5.0, "'values.income' -5.0 is outside the domain [8000, 90000]"),
+        ("query", "age", 500, "'query.age' 500 is outside the domain [18, 75]"),
+    ],
+)
+def test_evaluate_refuses_a_numeric_value_outside_its_domain_before_any_fit(
+    ce_file, tmp_path, key, name, value, message, monkeypatch, capsys
+):
+    """Not clamped into the domain, which would score vectors the file does not hold."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate fitted a model before checking the counterfactual file")
+
+    monkeypatch.setattr(cli, "fit_builtin", refuse)
+    payload = json.loads(ce_file.read_text(encoding="utf-8"))
+    holder = payload["ces"][0]["values"] if key == "values" else payload["query"]
+    holder[name] = value
+    path = tmp_path / "ces.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["evaluate", "--ces", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"data/schema error: {message}\n")
+
+
+def test_evaluate_takes_a_value_that_decoding_rounded_past_its_domain(tmp_path, capsys):
+    """Over a column from -5 to 0.7, a CE holding the row of 0.7 decodes it as 0.7000000000000002."""
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps([
+        {"name": "x", "kind": "numeric", "mutability": "mutable", "domain": [-5, 0.7]},
+        {"name": "y", "kind": "numeric", "mutability": "mutable", "domain": [0, 100]},
+    ]), encoding="utf-8")
+    data = tmp_path / "data.csv"
+    xs = [-5 + i * 0.25 for i in range(22)] + [0.7]
+    data.write_text("x,y,loan\n" + "".join(
+        f"{x!r},{7 * i % 11},{'denied' if i < 10 else 'approved'}\n" for i, x in enumerate(xs)
+    ), encoding="utf-8")
+    files = ["--data", str(data), "--schema", str(schema), "--target", "loan", "--target-class", "approved"]
+    ces = tmp_path / "ces.json"
+    assert main(["generate", *files, "--query-index", "0", "--preference", "a", "--out", str(ces)]) == 0
+    _, encoder, encoded = experiment.load(str(data), str(schema), "loan", "approved")
+    decoded = encoder.decode(encoded.X[-1])[0]
+    assert decoded > 0.7
+    payload = json.loads(ces.read_text(encoding="utf-8"))
+    payload["ces"][0]["values"]["x"] = decoded
+    ces.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["evaluate", "--ces", str(ces), "--folds", "2"]) == 0
+    payload["ces"][0]["values"]["x"] = 0.7000001
+    ces.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["evaluate", "--ces", str(ces), "--folds", "2"]) == 2
+    assert capsys.readouterr().err.endswith("'values.x' 0.7000001 is outside the domain [-5, 0.7]\n")
+
+
+@pytest.mark.parametrize(
     "option, value, message",
     [
         ("--jury", "knn,svm", "unknown jury kind 'svm'"),
@@ -893,7 +947,7 @@ def test_bench_config_path_with_a_nul_is_data_error_before_any_read(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
-@pytest.mark.parametrize("out", ["/", ".", "", "report\0"])
+@pytest.mark.parametrize("out", ["/", ".", "", "report\0", "no_such_dir/report"])
 @pytest.mark.parametrize("command", ["generate", "evaluate", "bench"])
 def test_bench_out_flag_that_names_no_file_is_data_error_before_any_read(
     tmp_path, synthetic_files, ce_file, monkeypatch, command, out, capsys
@@ -910,7 +964,41 @@ def test_bench_out_flag_that_names_no_file_is_data_error_before_any_read(
     else:
         argv, inputs = ["bench", "--config", str(bench_config(tmp_path, synthetic_files))], ["config.json"]
     assert main([*argv, "--out", out]) == 2
-    assert capsys.readouterr() == ("", f"data/schema error: --out must be a file path, got {out!r}\n")
+    message = "must be a file in an existing directory" if out == "no_such_dir/report" else "must be a file path"
+    assert capsys.readouterr() == ("", f"data/schema error: --out {message}, got {out!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+
+def test_bench_config_out_in_a_missing_directory_is_data_error_before_any_read(
+    tmp_path, synthetic_files, monkeypatch, capsys
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bench read data before checking the config's out")
+
+    monkeypatch.setattr(experiment, "load_csv", refuse)
+    out = str(tmp_path / "missing" / "report")
+    config = bench_config(tmp_path, synthetic_files, out=out)
+    assert main(["bench", "--config", str(config)]) == 2
+    message = f"config key 'out' must be a file in an existing directory, got {out!r:.40}"
+    assert capsys.readouterr() == ("", f"data/schema error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("command", ["generate", "bench"])
+def test_an_error_of_no_data_error_type_is_a_runtime_error(tmp_path, synthetic_files, monkeypatch, command, capsys):
+    """Exit 3, with the plain ``error:`` prefix, nothing on stdout and no file written."""
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    if command == "generate":
+        monkeypatch.setattr(cli, "generate", boom)
+        argv, inputs = ["generate", "--query-index", "1", "--preference", "a", "--out", str(tmp_path / "ces.json")], []
+    else:
+        monkeypatch.setattr(experiment, "generate", boom)
+        argv, inputs = ["bench", "--config", str(bench_config(tmp_path, synthetic_files))], ["config.json"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "error: boom\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
 

@@ -1,20 +1,16 @@
 import json
 import warnings
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import StubModel, make_encoded
 from tcol import experiment
-from tcol.engine import GenerationConfig, generate
 from tcol.experiment import (
     CSV_COLUMNS,
     ConfigError,
     ExperimentConfig,
-    _aggregate,
-    _sample_queries,
     baseline_nearest_target,
     baseline_random_path,
     check_limits,
@@ -22,7 +18,6 @@ from tcol.experiment import (
     run_experiment,
 )
 from tcol.models import ClassifierModel, kfold_indices
-from tcol.tabular import EncodedDataset
 
 
 class TestNearestTargetBaseline:
@@ -319,12 +314,6 @@ class TestRunExperiment:
             run_experiment(config)
         assert str(info.value) == "config key 'queries' asks for 71, but the data set has 70 non-target rows"
 
-    def test_more_queries_than_non_target_rows_is_an_error(self):
-        data = make_encoded([[0.1], [0.5], [0.9]], ["yes", "no", "no"])
-        assert _sample_queries(data, 2, seed=0) == [1, 2]
-        with pytest.raises(ValueError, match="requested 3 queries but only 2 non-target rows"):
-            _sample_queries(data, 3, seed=0)
-
     def test_repeat_run_identical_without_timing(self, small_config, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -369,55 +358,17 @@ class TestEmitReport:
         assert list(tmp_path.iterdir()) == []
 
 
-def _aggregate_one_set(encoded, ces, validation_model, jury):
-    return _aggregate("credit", "tcol", "a", [(1, ces)], encoded, validation_model, jury, 0.0)
-
-
-def test_aggregate_rejects_too_few_target_rows(synthetic_encoded, validation_model, synthetic_jury):
-    query = synthetic_encoded.X[1]
-    ces = generate(synthetic_encoded, query, GenerationConfig(preference="a"), validation_model)
-    target = synthetic_encoded.target_mask()
-    keep = np.flatnonzero(target)[:8].tolist() + np.flatnonzero(~target).tolist()
-    cut = EncodedDataset(
-        X=synthetic_encoded.X[keep],
-        y=synthetic_encoded.y[keep],
-        target_class=synthetic_encoded.target_class,
-        schema=synthetic_encoded.schema,
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="at least 10 target rows, got 8"):
-            _aggregate_one_set(cut, ces, validation_model, synthetic_jury)
-
-
-def test_aggregate_excludes_only_coincident_counterfactuals(
-    synthetic_encoded, validation_model, synthetic_jury
-):
-    rows = synthetic_encoded.X[synthetic_encoded.target_mask()]
-    nearest = rows[np.argmin(np.linalg.norm(rows - rows.mean(axis=0), axis=1))]
-    ces = [SimpleNamespace(vector=v) for v in (nearest, synthetic_encoded.X[1])]
-    with pytest.warns(UserWarning, match="1 counterfactuals coincided"):
-        row = _aggregate_one_set(synthetic_encoded, ces, validation_model, synthetic_jury)
-    assert row.centrality > 0.0
-
-
-def test_aggregate_warns_when_no_counterfactual_was_produced(
-    synthetic_encoded, validation_model, synthetic_jury
-):
-    with pytest.warns(UserWarning, match="no counterfactuals produced for tcol/a"):
-        row = _aggregate_one_set(synthetic_encoded, [], validation_model, synthetic_jury)
-    assert (row.n_queries, row.n_ces, row.validity, row.centrality) == (1, 0, 0.0, 0.0)
-
-
 @pytest.mark.parametrize("no_ces", [False, True])
 def test_run_experiment_warnings_point_at_its_caller(synthetic_files, monkeypatch, no_ces):
-    """Not at a line of ``experiment.py``, such as its stage wrapper's call."""
+    """Not at a line of ``experiment.py``, such as ``run_experiment``'s own ``_warn`` call."""
     if no_ces:
         monkeypatch.setattr(experiment, "generate", lambda *args: [])
     config = ExperimentConfig(**synthetic_files, generators=("tcol",), queries=4, folds=5)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        run_experiment(config, measure_runtime=False)
+        record = run_experiment(config, measure_runtime=False)
     expected = "no counterfactuals produced" if no_ces else "coincided with centroid neighbors"
     assert any(expected in str(w.message) for w in caught)
     assert {w.filename for w in caught} == {__file__}
+    if no_ces:
+        assert all((r.n_ces, r.validity, r.centrality) == (0, 0.0, 0.0) for r in record.rows)

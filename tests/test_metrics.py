@@ -231,6 +231,11 @@ class TestSummarize:
         )
         assert summarize([(X[10], [])], data, model, jury) == (dict.fromkeys(METRICS, 0.0), 0)
 
+    def test_too_few_target_rows_raise_before_any_other_metric(self):
+        data = make_encoded(np.random.default_rng(42).random((10, 3)), ["yes"] * 8 + ["no"] * 2)
+        with pytest.raises(ValueError, match="at least 10 target rows, got 8"):  # no model is asked
+            summarize([(data.X[9], data.X[:2])], data, None, None)
+
 
 def test_proximity_and_sparsity_order_invariant():
     rng = np.random.default_rng(37)
