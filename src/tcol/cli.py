@@ -194,16 +194,16 @@ def _cmd_evaluate(args) -> int:
     )
     check_limits(encoded, folds=("--folds", args.folds), seed=seed, evaluates=True)
 
-    def cells(row: dict, key: str) -> list:  # each of the JSON type that generate writes, in its domain
+    def cells(row: dict, key: str) -> list:  # each of the JSON type that generate writes, in its fitted range
         out = []
-        for f in dataset.schema:
+        for f, fit_lo, fit_hi in zip(dataset.schema, encoder.mins, encoder.maxs):
             value = _typed(row[f.name], float if f.kind == NUMERIC else str, f"'{key}.{f.name}'")
             if f.kind == NUMERIC:  # the encoder would clamp it: the metrics would not describe the file
-                lo, hi = f.domain
-                slack = 1e-12 * max(abs(lo), abs(hi))  # decode's rounding: -5 to 0.7 gives 0.7000000000000002
-                if not lo - slack <= value <= hi + slack:
-                    what = f"'{key}.{f.name}' {value!r}"
-                    raise SchemaViolationError(f"{what} is outside the domain [{lo:g}, {hi:g}]")
+                fitted = fit_lo, fit_hi, "the range of the data the encoder was fitted on"
+                for lo, hi, name in ((*f.domain, "the domain"), fitted):
+                    slack = 1e-12 * max(abs(lo), abs(hi))  # decode's rounding: -5 to 0.7 gives 0.7000000000000002
+                    if not lo - slack <= value <= hi + slack:
+                        raise SchemaViolationError(f"'{key}.{f.name}' {value!r} is outside {name} [{lo:g}, {hi:g}]")
             out.append(value)
         return out
 

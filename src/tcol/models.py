@@ -31,13 +31,15 @@ model against the width of the data it meets; both raise ``ModelFileError``.
 
 Both CART models grow their trees with ``_grow_trees``, which advances
 every tree of a fit in lockstep, one depth level per step. Each step takes
-every open node through one batched split search (``_best_splits``): Gini
-impurity at the midpoints between distinct values, ties to the lowest
-``(impurity, feature, threshold)``, exactly as in a scan of every
-threshold in turn. A forest node's candidate features are a fresh uniform
-draw from its tree's generator (Breiman, Machine Learning, 2001), taken
-for all of the tree's nodes of a level at once. The search takes the
-nodes in blocks of at most ``_GROW_BLOCK`` (row, candidate) entries.
+every open node through one batched split search (``_best_splits``): one
+sort of per-cell keys that carry their column, one pass over its runs of
+equal keys, and Gini impurity at the midpoints between distinct values,
+ties to the lowest ``(impurity, feature, threshold)``, exactly as in a scan
+of every threshold in turn. A forest node's candidate features are a
+fresh uniform draw from its tree's generator (Breiman, Machine Learning,
+2001), taken for all of the tree's nodes of a level at once. The search
+takes the nodes in blocks of at most ``_GROW_BLOCK`` (row, candidate)
+entries.
 
 A fit takes samples of rows (``_fit_samples``): ``fit`` is the one sample
 of all rows, and ``cross_val_f1`` passes the k folds' training rows, then
@@ -473,9 +475,12 @@ class _FlatTrees:
 
 class _Columns:
     """The training matrix as ``_best_splits`` reads it: its flat ``cells``, and
-    per cell ``(value code << 1) | hit``, where a value code is the cell's rank
-    among its column's distinct ``values`` (column ``j``'s from ``value_base[j]``)
-    and fits in ``shift`` bits."""
+    per cell ``keys[row, column]``, ``(column << (shift + 1)) | (value code << 1)
+    | hit``, where a value code is the cell's rank among its column's distinct
+    ``values`` (column ``j``'s from ``value_base[j]``) and fits in ``shift``
+    bits. A block adds ``(node * L) << (shift + 1)``; it holds at most 2**15
+    nodes (``_GROW_BLOCK``, at least one row each), so a key stays below
+    2**15 * L * 2**(shift + 1): 2**37 at L = 48 with 20k distinct values."""
 
     def __init__(self, X, hits):
         X = np.asarray(X, dtype=float)
@@ -491,7 +496,7 @@ class _Columns:
         self.shift = int(lengths.max(initial=0)).bit_length()
         self.hit = np.asarray(hits, dtype=np.intp)
         self.cells = X.ravel()
-        self.keys = ((codes << 1) | self.hit[:, np.newaxis]).ravel()
+        self.keys = (np.arange(X.shape[1]) << (self.shift + 1)) | (codes << 1) | self.hit[:, np.newaxis]
         # A column's lowest midpoint is that of its two lowest values above -inf.
         # If it overflows to -inf, a split's counts disagree with its partition.
         # The check reads every row of X, not only the samples' rows. Encoded
@@ -601,42 +606,46 @@ def _best_splits(columns: _Columns, rows, owner, sizes, counts, features):
     Returns ``(node, feature, threshold, nl, cl)`` for each node that has a
     split, ``nl`` rows and ``cl`` hits going left, in node order.
 
-    One sort of ``(slot, value code, hit)`` keys, a slot being a (node,
-    candidate) pair, gives each slot's distinct values in ascending order with
-    the rows and hits up to each. Between two successive values ``lo < hi`` the
+    One sort of ``(slot, value code, hit)`` keys, a slot being ``node * L +
+    feature`` for the node's candidate features, gives each slot's distinct
+    values in ascending order. One pass finds the runs of equal keys, and
+    sums over the runs give the rows and hits up to each value, less those
+    of the slots before. Between two successive values ``lo < hi`` the
     threshold is ``(lo + hi) / 2``: it sends the rows up to ``lo`` left, up to
     ``hi`` if it rounds onto ``hi``, and none if it is NaN (such a split is
     skipped, as is one that sends every row one way). The Gini impurity follows
     from the counts, and a segmented argmin takes each node's first lowest one,
     in (feature, threshold) order.
     """
-    width = features.shape[1]
-    shift = columns.shift
-    key = columns.keys[(rows * len(columns.value_base))[:, np.newaxis] + features[owner]]
-    key += ((owner * width) << (shift + 1))[:, np.newaxis]
-    key += np.arange(width) << (shift + 1)
+    n_features, shift = columns.keys.shape[1], columns.shift
+    if features.shape[1] == n_features:  # every feature a candidate: whole rows
+        key = columns.keys.take(rows, axis=0)
+    else:
+        key = features.take(owner, axis=0)
+        key += (rows * n_features)[:, np.newaxis]
+        key = columns.keys.take(key)
+    key += (owner * (n_features << (shift + 1)))[:, np.newaxis]
     key = np.sort(key, axis=None)
-    # The last entry of each (slot, value code): the entries and hits up to it,
-    # over all slots, include its value's rows and hits.
+    # The last entry of each run of equal keys. A (slot, value code) bin is one
+    # run or two, its hits last: the entries and hits up to a bin's end, over
+    # all slots, are sums over the runs, less those up to the slot before's end.
+    ends = np.append(np.flatnonzero(key[1:] != key[:-1]), len(key) - 1)
+    key = key[ends]
     bins = key >> 1
-    last = np.concatenate((bins[1:] != bins[:-1], [True]))
-    through, hits_through, bins = np.flatnonzero(last) + 1, np.cumsum(key & 1)[last], bins[last]
-    slot, code = bins >> shift, bins & ((1 << shift) - 1)
-
-    def before(per_node):
-        # Per slot k * width + j, the entries (or hits) of the slots before it:
-        # every slot of the nodes before k, and j slots of node k.
-        nodes_before = (np.cumsum(per_node) - per_node)[:, np.newaxis] * width
-        return (nodes_before + np.arange(width) * per_node[:, np.newaxis]).ravel()
-
-    through -= before(sizes)[slot]
-    hits_through -= before(counts)[slot]
-    value = columns.values[columns.value_base[features].ravel()[slot] + code]
+    last = np.append(np.flatnonzero(bins[1:] != bins[:-1]), len(bins) - 1)
+    hits_through = np.cumsum(np.diff(ends, prepend=-1) * (key & 1))[last]
+    through, bins = ends[last] + 1, bins[last]
+    slot = bins >> shift
+    new = np.flatnonzero(slot[1:] != slot[:-1]) + 1  # each slot's first bin, the first slot's aside
+    span = np.diff(new, prepend=0, append=len(slot))
+    through -= np.repeat(np.append(0, through[new - 1]), span)
+    hits_through -= np.repeat(np.append(0, hits_through[new - 1]), span)
+    node, feature = np.divmod(slot, n_features)
+    value = columns.values[columns.value_base[feature] + (bins & ((1 << shift) - 1))]
     # Successive distinct values pair up. A pair is no split if it spans two
     # slots, its midpoint lies above hi (overflow) or is NaN, or every row goes
     # left; it may then overflow or divide by zero, and its impurity is inf.
-    lo, hi, slot, slot_after = value[:-1], value[1:], slot[:-1], slot[1:]
-    node = slot // width
+    lo, hi, slot, slot_after, node = value[:-1], value[1:], slot[:-1], slot[1:], node[:-1]
     n = sizes[node]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         threshold = (lo + hi) / 2.0
@@ -654,7 +663,7 @@ def _best_splits(columns: _Columns, rows, owner, sizes, counts, features):
     at_lowest = impurity == lowest[np.cumsum(first) - 1]
     best = np.minimum.reduceat(np.where(at_lowest, np.arange(len(node)), len(node)), starts)
     best = best[lowest < np.inf]
-    return node[best], features.ravel()[slot[best]], threshold[best], nl[best], cl[best]
+    return node[best], feature[best], threshold[best], nl[best], cl[best]
 
 
 class _CartModel(ClassifierModel):

@@ -495,6 +495,25 @@ def test_grow_records_a_midpoint_that_rounds_onto_the_upper_value():
     assert json.dumps(as_lists(tree)) == json.dumps(level_order_arrays(grow_reference(X, hits, 8, 2)))
 
 
+@pytest.mark.parametrize("size", [48, 7])
+def test_grow_matches_the_scan_with_the_key_fields_at_their_widest(size):
+    """600 distinct values (a 10-bit value code) in 48 columns, one of them
+    a 3-level grid, fill the key fields far past the hypothesis cases; with
+    every feature or a seeded draw of 7, each block size grows the scan's tree."""
+    rng = np.random.default_rng(5)
+    X = rng.random((600, 48))
+    X[:, 1] = rng.integers(0, 3, size=600) / 2.0
+    hits = (X[:, 0] + 0.4 * rng.random(600) > 0.7).astype(float)
+    assert models._Columns(X, hits).shift == 10
+    seed = 11 if size < X.shape[1] else None
+    expected = json.dumps(level_order_arrays(grow_reference(
+        X, hits, 2, 2, None if seed is None else np.random.default_rng(seed), size)))
+    for block in (1, 37, models._GROW_BLOCK):
+        with patch.object(models, "_GROW_BLOCK", block):
+            [tree] = models._grow_trees(X, hits, [np.arange(600)], [np.random.default_rng(seed)], size, 2, 2)
+        assert json.dumps(as_lists(tree)) == expected
+
+
 def test_grower_rejects_values_whose_midpoint_overflows():
     """The midpoint of -1e308 and -1.5e308 rounds to -inf, which sends no row
     left; the grower refuses such a column rather than disagree with its counts."""

@@ -394,6 +394,9 @@ def test_evaluate_takes_a_json_integer_as_a_number(ce_file, tmp_path, capsys):
         ("values", "income", 1e9, "'values.income' 1000000000.0 is outside the domain [8000, 90000]"),
         ("values", "income", -5.0, "'values.income' -5.0 is outside the domain [8000, 90000]"),
         ("query", "age", 500, "'query.age' 500 is outside the domain [18, 75]"),
+        ("values", "income", 89000.0,
+         "'values.income' 89000.0 is outside the range of the data the encoder was fitted on [21159, 81537]"),
+        ("query", "age", 19, "'query.age' 19 is outside the range of the data the encoder was fitted on [21, 65]"),
     ],
 )
 def test_evaluate_refuses_a_numeric_value_outside_its_domain_before_any_fit(
