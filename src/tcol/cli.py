@@ -23,8 +23,8 @@ from . import metrics as metrics_mod
 from .engine import PREFERENCES, GenerationConfig, generate
 from .experiment import CSV_COLUMNS, ConfigError, ExperimentConfig, check_limits, check_path, decode_ce, emit_report
 from .experiment import load, run_experiment
-from .models import MODEL_KINDS, VALIDATION_MODEL, ModelFileError, check_jury, cv_weights, fit_builtin, load_model
-from .models import save_model
+from .models import MODEL_KINDS, VALIDATION_MODEL, ModelFileError, check_int, check_jury, cv_weights, fit_builtin
+from .models import load_model, save_model
 from .tabular import NUMERIC, CsvParseError, SchemaViolationError
 
 EXIT_OK = 0
@@ -45,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
 def _typed(value, kind: type, what: str):
     """``value`` if its type is exactly ``kind``, or ``int`` for ``float``, else ``ConfigError``."""
     if type(value) is not kind and (kind, type(value)) != (float, int):  # true is no number
-        name = {dict: "object", list: "list", str: "string", int: "integer", float: "number"}[kind]
+        name = {dict: "object", list: "list", str: "string", float: "number"}[kind]
         raise ConfigError(f"{what} must be a JSON {name}, got {value!r:.40}")
     return value
 
@@ -183,9 +183,7 @@ def _cmd_evaluate(args) -> int:
         raise ConfigError("counterfactual file contains no counterfactuals")
     rows = [_typed(_typed(ce, dict, "each CE")["values"], dict, "each CE's 'values'") for ce in ces]
     # each setting the user does not override is the one that made the file
-    seed = _typed(ce_file["seed"], int, "'seed'") if args.seed is None else args.seed
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    seed = check_int("'seed'", ce_file["seed"], 0, error=ConfigError) if args.seed is None else args.seed
     dataset, encoder, encoded = load(
         args.data or check_path(_typed(ce_file["dataset"], str, "'dataset'"), "'dataset'"),
         args.schema or check_path(_typed(ce_file["schema"], str, "'schema'"), "'schema'"),
@@ -213,6 +211,9 @@ def _cmd_evaluate(args) -> int:
     if args.validation_model:
         model = load_model(args.validation_model)
         model.check_width(encoded.X.shape[1])
+        classes, labels = (model.target_class, model.other_class), tuple(sorted(set(encoded.y.tolist())))
+        if set(classes) != set(labels):  # in either order: validity follows the file's target class
+            raise ModelFileError(f"{model.kind} model classes {classes!r} are not the data's labels {labels!r}")
     else:
         model = fit_builtin(VALIDATION_MODEL, encoded, seed=seed)
     jury = cv_weights(jury, encoded, args.folds, seed=seed)
@@ -260,8 +261,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "seed", None) is not None and args.seed < 0:
-            raise _UsageError(f"--seed must be a non-negative integer, got {args.seed}")
+        if getattr(args, "seed", None) is not None:
+            check_int("--seed", args.seed, 0, error=_UsageError)
         return args.run(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -270,7 +271,8 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except Exception as exc:
         if isinstance(exc, _DATA_ERRORS):
-            print(f"data/schema error: {exc}", file=sys.stderr)
+            missing = "missing key " if isinstance(exc, KeyError) else ""  # str(KeyError) is only the key
+            print(f"data/schema error: {missing}{exc}", file=sys.stderr)
             return EXIT_DATA
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -39,7 +39,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .models import ClassifierModel
+from .models import ClassifierModel, check_int
 from .scoring import ScoreRule, cosine, count_diffs, euclidean, norm
 from .tabular import EncodedDataset
 
@@ -82,16 +82,9 @@ class GenerationConfig:
     def __post_init__(self):
         if self.preference not in PREFERENCES:
             raise ValueError(f"unknown preference {self.preference!r}, expected one of {PREFERENCES}")
-        for name in ("depth", "num_ces", "budget"):
-            value = getattr(self, name)
-            if type(value) is not int:  # exact type, so that True is no integer
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not MIN_DEPTH <= self.depth <= MAX_DEPTH:
-            raise ValueError(f"depth must lie in [{MIN_DEPTH}, {MAX_DEPTH}], got {self.depth}")
-        if self.num_ces < 1:
-            raise ValueError("num_ces must be positive")
-        if self.budget < 1:
-            raise ValueError("budget must be positive")
+        check_int("depth", self.depth, MIN_DEPTH, MAX_DEPTH)
+        check_int("num_ces", self.num_ces, 1)
+        check_int("budget", self.budget, 1)
 
     def score_rule(self) -> ScoreRule:
         return ScoreRule(RULE_BY_PREFERENCE[self.preference])
@@ -119,6 +112,7 @@ def select_prototypes(
     ranks by ``model.target_proba(data)``, the target rows' probabilities,
     which the model computes once per fit and data set.
     """
+    check_int("count", count, 1)
     if preference not in PREFERENCES:
         raise ValueError(f"unknown preference {preference!r}")
     query = np.asarray(query, dtype=float)

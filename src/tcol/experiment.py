@@ -24,7 +24,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .engine import PREFERENCES, CandidateCE, GenerationConfig, _fill, _warn, generate
-from .models import MIN_FIT_ROWS, VALIDATION_MODEL, ClassifierModel, _check_seed, check_jury, cv_weights
+from .models import MIN_FIT_ROWS, VALIDATION_MODEL, ClassifierModel, check_int, check_jury, cv_weights
 from .models import fit_builtin, kfold_indices
 from .scoring import euclidean
 from .tabular import Dataset, EncodedDataset, Encoder, encode_dataset, fit_encoder, load_csv, load_schema
@@ -112,9 +112,8 @@ class ExperimentConfig:
                 check_path(value, f"config key {f.name!r}")
             if f.type == "tuple":
                 object.__setattr__(self, f.name, tuple(value))
-        if self.queries < 1:
-            raise ValueError("queries must be positive")
-        _check_seed(self.seed)
+        check_int("queries", self.queries, 1)
+        check_int("seed", self.seed, 0)
         for gen in self.generators:
             if gen not in GENERATORS:
                 raise ValueError(f"unknown generator {gen!r}, expected one of {GENERATORS}")
@@ -160,6 +159,7 @@ class RunRecord:
 def baseline_nearest_target(data: EncodedDataset, query, m: int) -> list[CandidateCE]:
     """The m nearest target-class rows by Euclidean distance, returned
     verbatim as counterfactuals."""
+    check_int("m", m, 1)
     query = np.asarray(query, dtype=float)
     target_idx, rows = data.target_rows
     if len(target_idx) < m:
@@ -193,6 +193,7 @@ def baseline_random_path(
     distinct validated fills in draw order; returns fewer (with a warning
     when zero) if the attempts run out.
     """
+    check_int("m", m, 1)
     query = np.asarray(query, dtype=float)
     target_idx, rows = data.target_rows
     proto_idx = int(target_idx[np.argmin(euclidean(rows, query))])

@@ -11,7 +11,7 @@ by construction.
 
 Each class states its hyperparameters once, in ``_HYPERPARAMETERS``: name ->
 (default, least value), in ``save_model``'s key order. ``__init__`` takes
-those names only, each an exact ``int`` (no bool) at or above its least value.
+those names only, each an integer at or above its least value (``check_int``).
 
 A tree is grown and saved as level-order node arrays, and loaded from any
 order in which a node's children come after it. Fitting or loading checks
@@ -85,6 +85,15 @@ def prediction_f1(hits, truth) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
+def check_int(name: str, value, least: int, most: int | None = None, error: type[Exception] = ValueError) -> int:
+    """``value`` if it is an exact ``int`` (no bool) in ``[least, most]``, else
+    ``error`` naming ``name``, the bounds and ``value``."""
+    if type(value) is not int or value < least or most is not None and value > most:
+        bounds = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise error(f"{name} must be an integer {bounds}, got {value!r}")
+    return value
+
+
 class ModelFileError(ValueError):
     """A model file that ``load_model`` cannot turn into a model, or a model
     whose row width does not fit the data (``check_width``)."""
@@ -100,10 +109,7 @@ class ClassifierModel:
 
     def __init__(self, **hyperparameters):
         for name, (default, least) in self._HYPERPARAMETERS.items():
-            value = hyperparameters.pop(name, default)
-            if type(value) is not int or value < least:  # exact type, so that true is no integer
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-            setattr(self, name, value)
+            setattr(self, name, check_int(name, hyperparameters.pop(name, default), least))
         if hyperparameters:
             raise TypeError(f"{self.kind} got an unexpected keyword argument {min(hyperparameters)!r}")
         self.target_class = None
@@ -730,16 +736,11 @@ VALIDATION_MODEL = RandomForest.kind  # the deployed model that validates counte
 MIN_FIT_ROWS = 10  # the fewest rows fit_builtin fits on
 
 
-def _check_seed(seed) -> None:
-    if type(seed) is not int or seed < 0:  # exact type, so that true is no integer
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-
-
 def make_model(kind: str, seed: int = 0) -> ClassifierModel:
     """An unfitted model of ``kind``; ``seed`` goes to every kind whose table has one."""
     if kind not in _MODEL_CLASSES:
         raise ValueError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
-    _check_seed(seed)
+    check_int("seed", seed, 0)
     cls = _MODEL_CLASSES[kind]
     return cls(seed=seed) if "seed" in cls._HYPERPARAMETERS else cls()
 
@@ -753,11 +754,10 @@ def fit_builtin(kind: str, data: EncodedDataset, seed: int = 0) -> ClassifierMod
 
 def kfold_indices(n: int, folds: int, seed: int = 0) -> list[np.ndarray]:
     """Seeded shuffle then round-robin assignment; returns per-fold row indices."""
-    if folds < 2:
-        raise ValueError("folds must be at least 2")
+    check_int("folds", folds, 2)
     if n < folds:
         raise ValueError(f"need at least {folds} rows for {folds}-fold splits, got {n}")
-    _check_seed(seed)
+    check_int("seed", seed, 0)
     order = np.random.default_rng(seed).permutation(n)
     return [order[f::folds] for f in range(folds)]
 
@@ -802,7 +802,7 @@ class ThirdPartyJury:
 
 
 def check_jury(kinds: Sequence[str], folds: int) -> None:
-    """``ValueError`` unless ``kinds`` names at least two built-in kinds, none twice, and ``folds`` is at least 2."""
+    """``ValueError`` unless ``kinds`` names at least two built-in kinds, none twice, and ``folds`` is an integer >= 2."""
     if len(kinds) < 2:
         raise ValueError("jury needs at least two member kinds")
     for i, kind in enumerate(kinds):
@@ -810,8 +810,7 @@ def check_jury(kinds: Sequence[str], folds: int) -> None:
             raise ValueError(f"unknown jury kind {kind!r}, expected one of {MODEL_KINDS}")
         if kind in kinds[:i]:
             raise ValueError(f"jury names kind {kind!r} twice")
-    if folds < 2:
-        raise ValueError("folds must be at least 2")
+    check_int("folds", folds, 2)
 
 
 def cv_weights(kinds: Sequence[str], data: EncodedDataset, folds: int, seed: int = 0) -> ThirdPartyJury:

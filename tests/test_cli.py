@@ -257,7 +257,7 @@ def test_a_negative_seed_is_refused_before_any_read(
         "ce-file": ["evaluate", "--ces", str(bad_file)],
     }[command]
     assert main(argv) == code
-    assert "seed must be a non-negative integer, got" in capsys.readouterr().err
+    assert re.search(r"seed'? must be an integer >= 0, got -1", capsys.readouterr().err)
 
 
 def test_evaluate_reads_generate_output(ce_file, capsys):
@@ -322,7 +322,7 @@ def test_json_of_the_wrong_shape_is_a_data_error(tmp_path, command, content, mes
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("seed", "3", "'seed' must be a JSON integer, got '3'"),
+        ("seed", "3", "'seed' must be an integer >= 0, got '3'"),
         ("dataset", 5, "'dataset' must be a JSON string, got 5"),
         ("schema", None, "'schema' must be a JSON string, got None"),
         ("dataset", "a\0", "'dataset' must be a file path, got 'a\\x00'"),
@@ -452,7 +452,7 @@ def test_evaluate_takes_a_value_that_decoding_rounded_past_its_domain(tmp_path, 
         ("--jury", "knn", "at least two member kinds"),
         ("--jury", "knn,,naive_bayes", "unknown jury kind ''"),
         ("--jury", "knn,naive_bayes,knn", "jury names kind 'knn' twice"),
-        ("--folds", "1", "folds must be at least 2"),
+        ("--folds", "1", "folds must be an integer >= 2, got 1"),
     ],
 )
 def test_bad_jury_or_folds_is_a_usage_error_before_any_read(
@@ -794,6 +794,69 @@ def test_evaluate_accepts_persisted_validation_model(ce_file, tmp_path):
     assert code == 0
 
 
+def test_validation_model_of_other_labels_is_data_error_before_the_jury(ce_file, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate cross-validated the jury before checking the model's classes")
+
+    assert main(["train", "--kind", "random_forest", "--out-dir", str(tmp_path)]) == 0
+    path = tmp_path / "random_forest.model.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(dict(payload, target_class="x", other_class="y")), encoding="utf-8")
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "cv_weights", refuse)
+    out = tmp_path / "metrics.json"
+    code = main(["evaluate", "--ces", str(ce_file), "--validation-model", str(path), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "",
+        "data/schema error: random_forest model classes ('x', 'y') are not the data's labels "
+        "('approved', 'denied')\n",
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "train_args, edit, validity",
+    [
+        ([], {}, "1.000000"),
+        ([], {"target_class": "denied", "other_class": "approved"}, "0.000000"),
+        (["--target-class", "denied"], {}, "0.333333"),
+    ],
+    ids=["as-trained", "classes-swapped", "trained-for-denied"],
+)
+def test_validation_model_of_the_data_labels_loads_and_its_target_class_decides_validity(
+    ce_file, tmp_path, capsys, train_args, edit, validity
+):
+    assert main(["train", "--kind", "random_forest", "--out-dir", str(tmp_path), *train_args]) == 0
+    path = tmp_path / "random_forest.model.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(dict(payload, **edit)), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["evaluate", "--ces", str(ce_file), "--folds", "5", "--validation-model", str(path)]) == 0
+    printed = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    assert printed["validity"] == validity
+
+
+@pytest.mark.parametrize("missing", ["income", "kind"])
+def test_a_missing_json_key_is_named_as_one(ce_file, tmp_path, capsys, missing):
+    args = ["evaluate", "--ces", str(ce_file), "--folds", "5"]
+    if missing == "income":
+        payload = json.loads(ce_file.read_text(encoding="utf-8"))
+        del payload["ces"][0]["values"]["income"]
+        args[2] = str(tmp_path / "ces.json")
+        Path(args[2]).write_text(json.dumps(payload), encoding="utf-8")
+    else:
+        assert main(["train", "--kind", "random_forest", "--out-dir", str(tmp_path)]) == 0
+        path = tmp_path / "random_forest.model.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        del payload["kind"]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        args += ["--validation-model", str(path)]
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"data/schema error: missing key '{missing}'\n"
+
+
 def bench_config(tmp_path, synthetic_files, **overrides):
     payload = dict(
         synthetic_files,
@@ -883,7 +946,7 @@ def test_bench_config_value_of_the_wrong_type_is_data_error(
 
 @pytest.mark.parametrize(
     "key, value, message",
-    [("depth", 2, "depth must lie in"), ("num_ces", 0, "num_ces"), ("budget", 0, "budget")],
+    [("depth", 2, "depth must be an integer in [3, 9], got 2"), ("num_ces", 0, "num_ces"), ("budget", 0, "budget")],
 )
 def test_bench_bad_generation_value_without_preferences_is_data_error(
     tmp_path, synthetic_files, key, value, message, capsys

@@ -1,4 +1,5 @@
 import pickle
+import re
 from itertools import product
 
 import numpy as np
@@ -696,7 +697,8 @@ class TestGenerationConfig:
         [("depth", 3.5), ("num_ces", 2.5), ("budget", 7.5), ("budget", True), ("num_ces", True)],
     )
     def test_counts_must_be_exact_integers(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+        bounds = "in [3, 9]" if name == "depth" else ">= 1"
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer {bounds}, got {value!r}")):
             GenerationConfig("a", **{name: value})
 
     def test_rule_mapping(self):

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import StubModel, make_encoded
 from tcol import experiment
+from tcol.engine import select_prototypes
 from tcol.experiment import (
     CSV_COLUMNS,
     ConfigError,
@@ -121,6 +123,23 @@ class TestRandomPathBaseline:
                 data, np.array([0.5]), 2, seed=0, validation_model=StubModel(always=False)
             )
         assert ces == []
+
+
+@pytest.mark.parametrize("count", [-1, 0, 2.5, True])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("count", lambda data, query, model, count: select_prototypes(data, query, "a", model, count)),
+        ("m", lambda data, query, model, count: baseline_nearest_target(data, query, count)),
+        ("m", lambda data, query, model, count: baseline_random_path(data, query, count, 0, model)),
+    ],
+    ids=["select_prototypes", "baseline_nearest_target", "baseline_random_path"],
+)
+def test_a_count_that_is_no_positive_integer_is_refused(synthetic_encoded, validation_model, name, call, count):
+    """Neither a slice past the end (-1, 0) nor numpy's slice error (2.5) nor one row for True."""
+    query = synthetic_encoded.X[1]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= 1, got {count!r}")):
+        call(synthetic_encoded, query, validation_model, count)
 
 
 class TestExperimentConfig:

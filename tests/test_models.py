@@ -17,6 +17,7 @@ from tcol.models import (
     NaiveBayes,
     RandomForest,
     ThirdPartyJury,
+    check_int,
     cross_val_f1,
     cv_weights,
     fit_builtin,
@@ -120,10 +121,32 @@ class TestBuiltins:
             lambda: cv_weights(("knn", "naive_bayes"), synthetic_encoded, folds=5, seed=seed),
             lambda: kfold_indices(10, 2, seed=seed),
         )
-        message = re.escape(f"seed must be a non-negative integer, got {seed!r}")
+        message = re.escape(f"seed must be an integer >= 0, got {seed!r}")
         for call in calls:
             with pytest.raises(ValueError, match=message):
                 call()
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda data: check_int("n", True, 0), ValueError, "n must be an integer >= 0, got True"),
+            (lambda data: check_int("n", 1.0, 0), ValueError, "n must be an integer >= 0, got 1.0"),
+            (lambda data: check_int("n", 2.5, 0, 9), ValueError, "n must be an integer in [0, 9], got 2.5"),
+            (lambda data: check_int("n", -1, 0), ValueError, "n must be an integer >= 0, got -1"),
+            (lambda data: check_int("n", 2, 3, 9), ValueError, "n must be an integer in [3, 9], got 2"),
+            (lambda data: check_int("n", 10, 3, 9), ValueError, "n must be an integer in [3, 9], got 10"),
+            (lambda data: check_int("n", 0, 1, error=LookupError), LookupError, "n must be an integer >= 1, got 0"),
+            (lambda data: kfold_indices(10, 2.5), ValueError, "folds must be an integer >= 2, got 2.5"),
+            (lambda data: cv_weights(("knn", "naive_bayes"), data, True), ValueError,
+             "folds must be an integer >= 2, got True"),
+        ],
+    )
+    def test_check_int_refuses_all_but_an_exact_int_within_its_bounds(self, call, error, message, synthetic_encoded):
+        with pytest.raises(error, match=re.escape(message)):
+            call(synthetic_encoded)
+
+    def test_check_int_returns_an_exact_int_at_either_bound(self):
+        assert [check_int("n", 0, 0), check_int("n", 3, 3, 9), check_int("n", 9, 3, 9)] == [0, 3, 9]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown model kind"):
