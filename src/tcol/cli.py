@@ -50,9 +50,9 @@ def _typed(value, kind: type, what: str):
     return value
 
 
-def _check_out(value: str, name: str) -> str:
-    """``value`` if ``check_path`` takes it and its directory exists, else ``ConfigError``."""
-    if not Path(check_path(value, name)).parent.is_dir():
+def _check_out(value: str, name: str, stem: bool = False) -> str:
+    """``value`` if ``check_path`` takes it, its directory exists and, unless it is a ``stem``, it is no directory."""
+    if not Path(check_path(value, name)).parent.is_dir() or Path(value).is_dir() and not stem:
         raise ConfigError(f"{name} must be a file in an existing directory, got {value!r:.40}")
     return value
 
@@ -230,9 +230,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = ExperimentConfig.from_json(args.config)
-    # report.json keeps the file's out
-    out = _check_out(config.out, "config key 'out'") if args.out is None else _check_out(args.out, "--out")
+    config = ExperimentConfig.from_json(args.config)  # report.json keeps the file's out
+    name, out = ("config key 'out'", config.out) if args.out is None else ("--out", args.out)
+    _check_out(out, name, stem=True)  # a stem may name a directory: it writes out.csv and out.json
     record = run_experiment(config, measure_runtime=not args.no_timing)
     csv_path, json_path = emit_report(record, out)
     for row in record.rows:

@@ -35,7 +35,7 @@ CSV_COLUMNS = ("dataset", "generator", "preference", *metrics_mod.METRICS, "runt
 
 _RANDOM_PATH_ATTEMPTS = 200  # random fills drawn per query by the random-path baseline
 
-_FIELD_KINDS = {"int": "an integer", "str": "a string", "tuple": "a list of distinct strings"}
+_FIELD_KINDS = {"str": "a string", "tuple": "a list of distinct strings"}
 
 
 class ConfigError(ValueError):
@@ -43,8 +43,8 @@ class ConfigError(ValueError):
 
 
 def check_path(value: str, name: str) -> str:
-    """``value`` if it can name a file (no NUL, not ``""``, ``"."`` or ``"/"``), else ``ConfigError``."""
-    if "\0" in value or not Path(value).name:
+    """``value`` if it can name a file (no NUL, not ``""``, ``"."``, ``"/"`` or ending in ``..``), else ``ConfigError``."""
+    if "\0" in value or Path(value).name in ("", ".."):
         raise ConfigError(f"{name} must be a file path, got {value!r:.40}")
     return value
 
@@ -104,8 +104,8 @@ class ExperimentConfig:
             if f.type == "tuple":
                 ok = isinstance(value, (list, tuple)) and all(type(v) is str for v in value)
                 ok = ok and len(set(value)) == len(value)  # a repeated entry would run or count twice
-            else:  # exact types, so that true is no integer
-                ok = type(value) is {"int": int, "str": str}[f.type]
+            else:  # check_int, GenerationConfig and check_jury take the ints below
+                ok = f.type == "int" or type(value) is str
             if not ok:
                 raise ValueError(f"config key {f.name!r} must be {_FIELD_KINDS[f.type]}, got {value!r}")
             if f.name in ("dataset", "schema", "out"):

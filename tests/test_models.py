@@ -332,6 +332,17 @@ class TestJury:
             ThirdPartyJury(members=((StubModel(), 0.5), (StubModel(), 1.5)))
 
 
+def cut_stats(classes, width):
+    """An edit that keeps the first ``width`` features of the given classes' mean and var."""
+
+    def edit(params):
+        for label in classes:
+            for name in ("mean", "var"):
+                params["stats"][label][name] = params["stats"][label][name][:width]
+
+    return edit
+
+
 class TestPersistence:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_round_trip_preserves_predictions(self, kind, tmp_path, synthetic_encoded):
@@ -522,6 +533,40 @@ class TestPersistence:
             ("knn", lambda p: p["train_x"][0].__setitem__(0, 2**2000),
              f"knn train_x is not an array of numbers: {str(2**2000)[:40]}"),
             ("knn", lambda p: p["train_x"][3].__setitem__(1, True), "knn train_x is not an array of numbers: True"),
+            ("random_forest", lambda p: p["trees"][0]["threshold"].__setitem__(0, "x"),
+             "random_forest trees[0] threshold is not an array of numbers: 'x'"),
+            ("random_forest", lambda p: p["trees"][0]["threshold"].__setitem__(0, math.nan),
+             "random_forest trees[0] node 0: threshold must be a number other than NaN, got nan"),
+            ("decision_tree", lambda p: p["trees"][0]["threshold"].__setitem__(0, math.nan),
+             "decision_tree trees[0] node 0: threshold must be a number other than NaN, got nan"),
+            ("random_forest", lambda p: p["trees"][0]["feature"].__setitem__(0, -1),
+             "random_forest trees[0] node 0: feature -1 is no column index"),
+            ("random_forest", lambda p: p["trees"][0]["feature"].__setitem__(0, 1.5),
+             "random_forest trees[0] feature is not an array of integers: 1.5"),
+            ("random_forest", lambda p: p["trees"][0]["feature"].__setitem__(0, True),
+             "random_forest trees[0] feature is not an array of integers: True"),
+            ("naive_bayes", cut_stats(["approved"], 5),
+             "naive_bayes stats must give both classes one number of features"),
+            # the model file is sound, but check_width finds its width does not fit the data's 6 features
+            ("knn", lambda p: p.update(train_x=[row[:3] for row in p["train_x"]]),
+             "knn model reads rows of 3 features, the data has 6"),
+            ("naive_bayes", cut_stats(["approved", "denied"], 2),
+             "naive_bayes model reads rows of 2 features, the data has 6"),
+            ("random_forest", lambda p: p["trees"][0]["feature"].__setitem__(0, 6),
+             "random_forest splits on feature 6, so it reads rows of at least 7 features; the data has 6"),
+            ("decision_tree", lambda p: p["trees"][0]["feature"].__setitem__(0, 99),
+             "decision_tree splits on feature 99, so it reads rows of at least 100 features; the data has 6"),
+            ("random_forest", lambda p: p["trees"][0]["left"].__setitem__(0, 0),
+             "random_forest trees[0] node 0: left and right must both be 0 (a leaf) or lie in (0, "),
+            ("decision_tree", lambda p: p.update(trees=[[0.5]]), "decision_tree trees[0] must be an object, got [0.5]"),
+            ("random_forest", lambda p: p["trees"][0]["feature"].__setitem__(0, 2**70),
+             f"random_forest trees[0] feature is not an array of integers: {2**70}"),
+            ("random_forest", lambda p: p["trees"][0]["threshold"].__setitem__(0, 2**2000),
+             f"random_forest trees[0] threshold is not an array of numbers: {str(2**2000)[:40]}"),
+            ("random_forest", lambda p: p["trees"][0]["value"].__setitem__(first_leaf(p["trees"][0]), True),
+             "random_forest trees[0] value is not an array of numbers: True"),
+            ("random_forest", lambda p: p["trees"][0]["right"].__setitem__(1, 0),
+             "random_forest trees[0] node 1: left and right must both be 1 (a leaf) or lie in (1, 59), got 3 and 0"),
         ],
         ids=[
             "no-trees", "negative-leaf", "nan-leaf", "leaf-above-one", "child-below-parent", "leaf-links-up",
@@ -529,7 +574,10 @@ class TestPersistence:
             "feature-floats", "left-true", "right-int", "value-text", "knn-rows-cut", "knn-inf", "knn-1d",
             "knn-ragged", "zero-var", "nan-mean", "zero-prior", "prior-above-one", "prior-text", "short-mean",
             "stats-list", "class-stats-int", "prior-true", "mean-true", "train-y-int", "train-y-text",
-            "train-x-huge", "train-x-true",
+            "train-x-huge", "train-x-true", "threshold-text", "threshold-nan", "tree-threshold-nan",
+            "feature-negative", "feature-fraction", "feature-true", "stats-widths-differ", "knn-width",
+            "naive-bayes-width", "forest-feature-past-width", "tree-feature-past-width", "root-loop", "tree-list",
+            "feature-huge", "threshold-huge", "value-true", "cycle-to-the-root",
         ],
     )
     def test_file_that_would_predict_nonsense_fails_to_load(self, kind, edit, message, tmp_path, synthetic_encoded):
@@ -539,7 +587,7 @@ class TestPersistence:
         edit(payload["parameters"])
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ModelFileError, match=re.escape(message)):
-            load_model(path)
+            load_model(path).check_width(6)
 
     def test_unfitted_model_not_saved(self, tmp_path):
         with pytest.raises(ValueError, match="unfitted"):
