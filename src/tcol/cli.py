@@ -25,7 +25,7 @@ from .experiment import CSV_COLUMNS, ConfigError, ExperimentConfig, check_limits
 from .experiment import load, run_experiment
 from .models import MODEL_KINDS, VALIDATION_MODEL, ModelFileError, check_int, check_jury, cv_weights, fit_builtin
 from .models import load_model, save_model
-from .tabular import NUMERIC, CsvParseError, SchemaViolationError
+from .tabular import NUMERIC, CsvParseError, SchemaViolationError, json_value, read_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,14 +40,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _typed(value, kind: type, what: str):
-    """``value`` if its type is exactly ``kind``, or ``int`` for ``float``, else ``ConfigError``."""
-    if type(value) is not kind and (kind, type(value)) != (float, int):  # true is no number
-        name = {dict: "object", list: "list", str: "string", float: "number"}[kind]
-        raise ConfigError(f"{what} must be a JSON {name}, got {value!r:.40}")
-    return value
 
 
 def _check_out(value: str, name: str, stem: bool = False) -> str:
@@ -176,26 +168,26 @@ def _cmd_evaluate(args) -> int:
         raise _UsageError(exc) from None
     if args.out is not None:
         _check_out(args.out, "--out")
-    with open(args.ces, encoding="utf-8") as fh:
-        ce_file = _typed(json.load(fh), dict, "a counterfactual file")
-    ces = _typed(ce_file["ces"], list, "'ces'")
+    ce_file = read_json(args.ces, dict, "a counterfactual file", ConfigError)
+    ces = json_value(ce_file["ces"], list, "'ces'", ConfigError)
     if not ces:
         raise ConfigError("counterfactual file contains no counterfactuals")
-    rows = [_typed(_typed(ce, dict, "each CE")["values"], dict, "each CE's 'values'") for ce in ces]
+    rows = [json_value(json_value(ce, dict, "each CE", ConfigError)["values"], dict, "each CE's 'values'",
+                       ConfigError) for ce in ces]
     # each setting the user does not override is the one that made the file
     seed = check_int("'seed'", ce_file["seed"], 0, error=ConfigError) if args.seed is None else args.seed
     dataset, encoder, encoded = load(
-        args.data or check_path(_typed(ce_file["dataset"], str, "'dataset'"), "'dataset'"),
-        args.schema or check_path(_typed(ce_file["schema"], str, "'schema'"), "'schema'"),
-        _typed(ce_file["target"], str, "'target'"),
-        _typed(ce_file["target_class"], str, "'target_class'"),
+        args.data or check_path(json_value(ce_file["dataset"], str, "'dataset'", ConfigError), "'dataset'"),
+        args.schema or check_path(json_value(ce_file["schema"], str, "'schema'", ConfigError), "'schema'"),
+        json_value(ce_file["target"], str, "'target'", ConfigError),
+        json_value(ce_file["target_class"], str, "'target_class'", ConfigError),
     )
     check_limits(encoded, folds=("--folds", args.folds), seed=seed, evaluates=True)
 
     def cells(row: dict, key: str) -> list:  # each of the JSON type that generate writes, in its fitted range
         out = []
         for f, fit_lo, fit_hi in zip(dataset.schema, encoder.mins, encoder.maxs):
-            value = _typed(row[f.name], float if f.kind == NUMERIC else str, f"'{key}.{f.name}'")
+            value = json_value(row[f.name], float if f.kind == NUMERIC else str, f"'{key}.{f.name}'", ConfigError)
             if f.kind == NUMERIC:  # the encoder would clamp it: the metrics would not describe the file
                 fitted = fit_lo, fit_hi, "the range of the data the encoder was fitted on"
                 for lo, hi, name in ((*f.domain, "the domain"), fitted):
@@ -206,7 +198,7 @@ def _cmd_evaluate(args) -> int:
         return out
 
     vectors = encoder.encode_rows(cells(row, "values") for row in rows)
-    query = encoder.encode(cells(_typed(ce_file["query"], dict, "'query'"), "query"))
+    query = encoder.encode(cells(json_value(ce_file["query"], dict, "'query'", ConfigError), "query"))
 
     if args.validation_model:
         model = load_model(args.validation_model)
@@ -263,6 +255,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "seed", None) is not None:
             check_int("--seed", args.seed, 0, error=_UsageError)
+        for flag in ("data", "schema", "ces", "config", "validation_model", "out_dir"):  # --out: _check_out
+            if getattr(args, flag, None) is not None:  # None: another command's flag, or one not given
+                check_path(getattr(args, flag), "--" + flag.replace("_", "-"), directory=flag == "out_dir")
         return args.run(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

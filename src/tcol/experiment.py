@@ -28,6 +28,7 @@ from .models import MIN_FIT_ROWS, VALIDATION_MODEL, ClassifierModel, check_int, 
 from .models import fit_builtin, kfold_indices
 from .scoring import euclidean
 from .tabular import Dataset, EncodedDataset, Encoder, encode_dataset, fit_encoder, load_csv, load_schema
+from .tabular import json_value, read_json
 
 GENERATORS = ("tcol", "nearest_target", "random_path")
 
@@ -35,17 +36,18 @@ CSV_COLUMNS = ("dataset", "generator", "preference", *metrics_mod.METRICS, "runt
 
 _RANDOM_PATH_ATTEMPTS = 200  # random fills drawn per query by the random-path baseline
 
-_FIELD_KINDS = {"str": "a string", "tuple": "a list of distinct strings"}
-
 
 class ConfigError(ValueError):
     """A setting that is refused: of a bench config, a counterfactual file or a command flag."""
 
 
-def check_path(value: str, name: str) -> str:
-    """``value`` if it can name a file (no NUL, not ``""``, ``"."``, ``"/"`` or ending in ``..``), else ``ConfigError``."""
-    if "\0" in value or Path(value).name in ("", ".."):
-        raise ConfigError(f"{name} must be a file path, got {value!r:.40}")
+def check_path(value: str, name: str, directory: bool = False) -> str:
+    """``value`` if it can name a file (no NUL, not ``""``, ``"."``, ``"/"`` or ending in ``..``) or, for a
+    ``directory``, a directory (no NUL; the nearest of it and its parents that exists is one), else ``ConfigError``."""
+    path = Path(value)
+    if "\0" in value or (not next(filter(Path.exists, (path, *path.parents)), path).is_dir() if directory
+                         else path.name in ("", "..")):
+        raise ConfigError(f"{name} must be a {'directory' if directory else 'file'} path, got {value!r:.40}")
     return value
 
 
@@ -99,19 +101,17 @@ class ExperimentConfig:
     out: str = "report"
 
     def __post_init__(self):
-        for f in fields(self):  # f.type is the annotation's name: int, str or tuple
-            value = getattr(self, f.name)
-            if f.type == "tuple":
-                ok = isinstance(value, (list, tuple)) and all(type(v) is str for v in value)
-                ok = ok and len(set(value)) == len(value)  # a repeated entry would run or count twice
-            else:  # check_int, GenerationConfig and check_jury take the ints below
-                ok = f.type == "int" or type(value) is str
-            if not ok:
-                raise ValueError(f"config key {f.name!r} must be {_FIELD_KINDS[f.type]}, got {value!r}")
-            if f.name in ("dataset", "schema", "out"):
-                check_path(value, f"config key {f.name!r}")
-            if f.type == "tuple":
+        for f in fields(self):  # f.type is the annotation's name: int (checked below), str or tuple
+            value, name = getattr(self, f.name), f"config key {f.name!r}"
+            if f.type == "str":
+                json_value(value, str, name, ValueError)
+            elif f.type == "tuple":  # a repeated entry would run or count twice
+                if not (isinstance(value, (list, tuple)) and all(type(v) is str for v in value)
+                        and len(set(value)) == len(value)):
+                    raise ValueError(f"{name} must be a list of distinct strings, got {value!r}")
                 object.__setattr__(self, f.name, tuple(value))
+            if f.name in ("dataset", "schema", "out"):
+                check_path(value, name)
         check_int("queries", self.queries, 1)
         check_int("seed", self.seed, 0)
         for gen in self.generators:
@@ -128,16 +128,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if type(raw) is not dict:
-            raise ConfigError(f"config must be a JSON object, got {raw!r:.40}")
-        keys = fields(cls)
-        unknown = set(raw) - {f.name for f in keys}
-        if unknown:
+        raw = read_json(path, dict, "config", ConfigError)
+        if unknown := set(raw) - {f.name for f in fields(cls)}:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = {f.name for f in keys if f.default is MISSING} - set(raw)
-        if missing:
+        if missing := {f.name for f in fields(cls) if f.default is MISSING} - set(raw):
             raise ConfigError(f"missing config keys: {sorted(missing)}")
         try:
             return cls(**raw)

@@ -63,7 +63,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .scoring import sigmoid
-from .tabular import EncodedDataset
+from .tabular import EncodedDataset, is_number, json_value, read_json
 
 _VAR_FLOOR = 1e-9
 _KNN_BLOCK = 2**15  # most (probe, training row) pairs in one block of knn's filter
@@ -299,29 +299,17 @@ class Knn(ClassifierModel):
 def _number_array(values, field: str, dtype=float) -> np.ndarray:
     """A fitted record's array as it is, or a loaded file's (nested) lists as
     one of ``dtype``; ``ModelFileError`` naming ``field`` and the value for a
-    cell that is no number by ``_is_number`` (``true``, text, a ragged row),
+    cell that is no number by ``is_number`` (``true``, text, a ragged row),
     or for an ``intp`` array, no exact ``int`` below 2**62 in size (``1.0``)."""
     if type(values) is np.ndarray:
         return values
     cells = np.array(values, dtype=object)
-    exact = _is_number if dtype is float else lambda v: type(v) is int and v.bit_length() < 63
+    exact = is_number if dtype is float else lambda v: type(v) is int and v.bit_length() < 63
     ok = np.array(np.frompyfunc(exact, 1, 1)(cells), dtype=bool)
     if not ok.all():
         kind = "numbers" if dtype is float else "integers"
         raise ModelFileError(f"{field} is not an array of {kind}: {cells[~ok].flat[0]!r:.40}")
     return cells.astype(dtype)
-
-
-def _object(value, field: str) -> dict:
-    """``value`` if it is a JSON object, else ``ModelFileError`` naming ``field``."""
-    if type(value) is not dict:
-        raise ModelFileError(f"{field} must be an object, got {value!r:.40}")
-    return value
-
-
-def _is_number(value) -> bool:
-    """An exact ``float``, or ``int`` below 2**1023 in size: ``true`` is no number."""
-    return type(value) is float or type(value) is int and value.bit_length() < 1024
 
 
 def _knn_error_bound(n_features: int, norms: np.ndarray) -> np.ndarray:
@@ -377,10 +365,11 @@ class NaiveBayes(ClassifierModel):
 
     def _restore(self, params):
         # a file that lacks a class's statistics fails here, not at the first prediction
+        by_label = json_value(params["stats"], dict, "naive_bayes stats", ModelFileError)
         stats = []  # (log prior, mean, var) of the target class, then the other
         for label in (self.target_class, self.other_class):
             field = f"naive_bayes stats[{str(label)!r}]"
-            s = _object(_object(params["stats"], "naive_bayes stats")[str(label)], field)
+            s = json_value(by_label[str(label)], dict, field, ModelFileError)
             prior = _number_array(s["prior"], f"{field} prior")
             mean = _number_array(s["mean"], f"{field} mean")
             var = _number_array(s["var"], f"{field} var")
@@ -423,7 +412,7 @@ class _FlatTrees:
     def __init__(self, trees: Sequence[dict], field: str):
         parts = []
         for t, tree in enumerate(trees):
-            tree = _object(tree, name := f"{field}[{t}]")
+            tree = json_value(tree, dict, name := f"{field}[{t}]", ModelFileError)
             arrays = [_number_array(tree[key], f"{name} {key}", dtype) for key, dtype in _TREE_ARRAYS.items()]
             if arrays[0].ndim != 1 or not len(arrays[0]) or any(a.shape != arrays[0].shape for a in arrays):
                 raise ModelFileError(f"{name} needs {', '.join(_TREE_ARRAYS)} lists of one length, at least 1")
@@ -680,8 +669,7 @@ class _CartModel(ClassifierModel):
         return self._flat.proba(X)
 
     def _restore(self, params):
-        trees = params["trees"]
-        if type(trees) is not list or not trees:
+        if not (trees := json_value(params["trees"], list, f"{self.kind} trees", ModelFileError)):
             raise ModelFileError(f"{self.kind} trees must hold at least one tree")
         self._flat = _FlatTrees(trees, f"{self.kind} trees")
         self._width = self._flat.width
@@ -838,20 +826,19 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> ClassifierModel:
     """Read a file from ``save_model``; ``ModelFileError`` for a bad version, kind or hyperparameter."""
-    with open(path, encoding="utf-8") as fh:
-        payload = _object(json.load(fh), "a model file")
+    payload = read_json(path, dict, "a model file", ModelFileError)
     version = payload.get("format_version", "missing")
     if type(version) is not int or version != 2:  # exact type, so that true and 2.0 are refused
         raise ModelFileError(f"model file version {version!r:.40} is not 2: run tcol train again")
-    kind = payload["kind"]
-    if type(kind) is not str or kind not in _MODEL_CLASSES:
+    kind = json_value(payload["kind"], str, "model kind", ModelFileError)
+    if kind not in _MODEL_CLASSES:
         raise ModelFileError(f"unknown model kind {kind!r} in file")
     try:
         model = _MODEL_CLASSES[kind](**payload["hyperparameters"])
     except (TypeError, ValueError) as exc:
         raise ModelFileError(f"bad {kind} hyperparameters in file: {exc}") from None
     for key in ("target_class", "other_class"):
-        if type(payload[key]) not in (str, int, float):
+        if not (type(payload[key]) is str or is_number(payload[key])):
             raise ModelFileError(f"{key} must be a string or a number, got {payload[key]!r:.40}")
         setattr(model, key, payload[key])
-    return model._install(_object(payload["parameters"], "parameters"))
+    return model._install(json_value(payload["parameters"], dict, "parameters", ModelFileError))

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -29,6 +28,7 @@ NUMERIC = "numeric"
 MUTABLE = "mutable"
 IMMUTABLE = "immutable"
 _SCHEMA_FIELDS = ("name", "kind", "mutability", "domain")  # of a schema file entry
+_JSON_KINDS = {dict: "object", list: "list", str: "string", float: "number"}
 
 
 class SchemaViolationError(ValueError):
@@ -48,7 +48,7 @@ class FeatureSchema:
     """One feature: name, categorical/numeric kind, mutability, and domain.
 
     ``domain`` is the category list for categorical features and a
-    ``(min, max)`` pair for numeric ones.
+    ``(min, max)`` pair of finite numbers (``is_number``) for numeric ones.
     """
 
     name: str
@@ -57,8 +57,7 @@ class FeatureSchema:
     domain: tuple = ()
 
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise SchemaViolationError(f"feature name {self.name!r} is not a string")
+        json_value(self.name, str, "feature name", SchemaViolationError)
         if self.kind not in (CATEGORICAL, NUMERIC):
             raise SchemaViolationError(f"unknown feature kind {self.kind!r} for {self.name!r}")
         if self.mutability not in (MUTABLE, IMMUTABLE):
@@ -68,9 +67,7 @@ class FeatureSchema:
         object.__setattr__(self, "domain", tuple(self.domain))
         if self.kind == CATEGORICAL:
             if not self.domain:
-                raise SchemaViolationError(
-                    f"categorical feature {self.name!r} needs a non-empty domain"
-                )
+                raise SchemaViolationError(f"categorical feature {self.name!r} needs a non-empty domain")
             try:
                 distinct = len(set(self.domain))
             except TypeError:
@@ -81,14 +78,8 @@ class FeatureSchema:
                 raise SchemaViolationError(f"duplicate categories in domain of {self.name!r}")
         else:
             if len(self.domain) != 2:
-                raise SchemaViolationError(
-                    f"numeric feature {self.name!r} needs a (min, max) domain"
-                )
-            # _to_float gives NaN for an integer past the float range, such as 10**400
-            if not all(
-                isinstance(b, numbers.Real) and not isinstance(b, bool) and math.isfinite(_to_float(b))
-                for b in self.domain
-            ):
+                raise SchemaViolationError(f"numeric feature {self.name!r} needs a (min, max) domain")
+            if not all(is_number(b) and math.isfinite(b) for b in self.domain):
                 raise SchemaViolationError(f"numeric domain of {self.name!r} is not two finite numbers")
             lo, hi = self.domain
             if lo > hi:
@@ -99,19 +90,39 @@ class FeatureSchema:
         return self.mutability == IMMUTABLE
 
 
-def load_schema(path: str | Path) -> tuple[FeatureSchema, ...]:
-    """Read a schema file: a JSON list of {name, kind, mutability, domain}."""
+def is_number(value) -> bool:
+    """An exact ``float``, or ``int`` below 2**1023 in size: ``true`` is no number."""
+    return type(value) is float or type(value) is int and value.bit_length() < 1024
+
+
+def json_value(value, kind: type, what: str, error: type[Exception]):
+    """``value`` if its JSON kind is ``kind``: ``dict``, ``list``, ``str``, or
+    ``float`` for a number by ``is_number``; else ``error`` naming ``what``."""
+    if not (is_number(value) if kind is float else type(value) is kind):
+        raise error(f"{what} must be a JSON {_JSON_KINDS[kind]}, got {value!r:.40}")
+    return value
+
+
+def read_json(path: str | Path, kind: type, what: str, error: type[Exception]):
+    """The UTF-8 JSON file ``path``, its top level of the JSON kind ``kind`` by ``json_value``."""
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, list) or not raw:
+        return json_value(json.load(fh), kind, what, error)
+
+
+def load_schema(path: str | Path) -> tuple[FeatureSchema, ...]:
+    """Read a schema file: a non-empty JSON list of objects, each with the fields name, kind,
+    mutability and domain of a ``FeatureSchema``, categories as strings; other fields are ignored."""
+    raw = read_json(path, list, "a schema file", SchemaViolationError)
+    if not raw:
         raise SchemaViolationError("schema file must contain a non-empty JSON list of features")
     features = []
     for entry in raw:
-        if not isinstance(entry, dict):
-            raise SchemaViolationError(f"schema entry {entry!r} is not a JSON object")
-        missing = set(_SCHEMA_FIELDS) - set(entry)
+        missing = set(_SCHEMA_FIELDS) - set(json_value(entry, dict, "each schema entry", SchemaViolationError))
         if missing:
             raise SchemaViolationError(f"schema entry missing fields: {sorted(missing)}")
+        domain = json_value(entry["domain"], list, f"domain of {entry['name']!r}", SchemaViolationError)
+        for category in domain if entry["kind"] == CATEGORICAL else ():  # only a string can match a CSV cell
+            json_value(category, str, f"a category of {entry['name']!r}", SchemaViolationError)
         features.append(FeatureSchema(**{k: entry[k] for k in _SCHEMA_FIELDS}))
     return tuple(features)
 

@@ -405,9 +405,9 @@ class TestPersistence:
             ("format_version", 1, "run tcol train again"),
             ("kind", "svm", "unknown model kind 'svm'"),
             ("hyperparameters", {"k": 3}, "bad decision_tree hyperparameters"),
-            ("kind", [1], "unknown model kind [1]"),
-            ("parameters", 5, "parameters must be an object, got 5"),
-            ("parameters", [], "parameters must be an object, got []"),
+            ("kind", [1], "model kind must be a JSON string, got [1]"),
+            ("parameters", 5, "parameters must be a JSON object, got 5"),
+            ("parameters", [], "parameters must be a JSON object, got []"),
             ("target_class", ["x"], "target_class must be a string or a number, got ['x']"),
             ("other_class", True, "other_class must be a string or a number, got True"),
         ],
@@ -448,7 +448,7 @@ class TestPersistence:
     def test_a_file_that_is_not_a_json_object_fails_to_load(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("5", encoding="utf-8")
-        with pytest.raises(ModelFileError, match="a model file must be an object, got 5"):
+        with pytest.raises(ModelFileError, match="a model file must be a JSON object, got 5"):
             load_model(path)
 
     @pytest.mark.parametrize(
@@ -498,7 +498,7 @@ class TestPersistence:
              "decision_tree trees[0] needs feature, threshold, left, right, value lists of one length, at least 1"),
             ("decision_tree", lambda p: p["trees"][0].update(threshold=[[t] for t in p["trees"][0]["threshold"]]),
              "decision_tree trees[0] needs feature, threshold, left, right, value lists of one length, at least 1"),
-            ("random_forest", lambda p: p["trees"].__setitem__(1, 5), "random_forest trees[1] must be an object, got 5"),
+            ("random_forest", lambda p: p["trees"].__setitem__(1, 5), "random_forest trees[1] must be a JSON object, got 5"),
             ("decision_tree", lambda p: p["trees"][0].update(feature=[float(f) for f in p["trees"][0]["feature"]]),
              "decision_tree trees[0] feature is not an array of integers: 5.0"),
             ("random_forest", lambda p: p["trees"][0]["left"].__setitem__(first_leaf(p["trees"][0]), True),
@@ -521,9 +521,9 @@ class TestPersistence:
             ("naive_bayes", lambda p: p["stats"]["denied"].update(prior="x"), "stats['denied'] prior is not"),
             ("naive_bayes", lambda p: p["stats"]["approved"]["mean"].pop(),
              "stats['approved'] mean and var must be lists of one length"),
-            ("naive_bayes", lambda p: p.update(stats=[1]), "naive_bayes stats must be an object, got [1]"),
+            ("naive_bayes", lambda p: p.update(stats=[1]), "naive_bayes stats must be a JSON object, got [1]"),
             ("naive_bayes", lambda p: p["stats"].update(approved=5),
-             "naive_bayes stats['approved'] must be an object, got 5"),
+             "naive_bayes stats['approved'] must be a JSON object, got 5"),
             ("naive_bayes", lambda p: p["stats"]["denied"].update(prior=True),
              "naive_bayes stats['denied'] prior is not an array of numbers: True"),
             ("naive_bayes", lambda p: p["stats"]["approved"]["mean"].__setitem__(2, True),
@@ -558,7 +558,7 @@ class TestPersistence:
              "decision_tree splits on feature 99, so it reads rows of at least 100 features; the data has 6"),
             ("random_forest", lambda p: p["trees"][0]["left"].__setitem__(0, 0),
              "random_forest trees[0] node 0: left and right must both be 0 (a leaf) or lie in (0, "),
-            ("decision_tree", lambda p: p.update(trees=[[0.5]]), "decision_tree trees[0] must be an object, got [0.5]"),
+            ("decision_tree", lambda p: p.update(trees=[[0.5]]), "decision_tree trees[0] must be a JSON object, got [0.5]"),
             ("random_forest", lambda p: p["trees"][0]["feature"].__setitem__(0, 2**70),
              f"random_forest trees[0] feature is not an array of integers: {2**70}"),
             ("random_forest", lambda p: p["trees"][0]["threshold"].__setitem__(0, 2**2000),

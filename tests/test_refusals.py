@@ -16,6 +16,9 @@ the ``tcol`` script beside ``sys.executable`` imports this checkout's
 run checks the exit code, an empty stdout, a one-line stderr that holds the
 fragment, the absent files, and that the row's directory holds what it held
 before the run.
+
+``test_the_readers_agree_on_what_is_a_number`` checks that the schema, the
+CE file and the model file take the same values as JSON numbers.
 """
 
 import csv
@@ -35,6 +38,8 @@ import pytest
 from tcol import cli, experiment
 from tcol.cli import main
 from tcol.data import synthetic_paths
+from tcol.models import ModelFileError, load_model
+from tcol.tabular import SchemaViolationError, load_schema
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA, SCHEMA = map(str, synthetic_paths())
@@ -193,12 +198,17 @@ WRITING = {
     "generate": ("generate --query-index 1 --preference a --out ces.json", CES),
     "evaluate": ("evaluate --ces {ces} --out metrics.json", METRICS),
 }
-MALFORMED_SCHEMAS = {
-    "no-features": "[]",
-    "non-object-entry": "[7]",
-    "string-domain": '[{"name": "job", "kind": "categorical", "mutability": "mutable", "domain": "ab"}]',
-    "list-category": '[{"name": "job", "kind": "categorical", "mutability": "mutable", "domain": [["a"], "b"]}]',
+JOB = '[{"name": "job", "kind": "categorical", "mutability": "mutable", "domain": %s}]'
+MALFORMED_SCHEMAS = {  # each schema file, and the error
+    "no-features": ("[]", "schema file must contain a non-empty JSON list of features"),
+    "non-object-entry": ("[7]", "each schema entry must be a JSON object, got 7"),
+    "string-domain": (JOB % '"ab"', "domain of 'job' must be a JSON list, got 'ab'"),
+    "list-category": (JOB % '[["a"], "b"]', "a category of 'job' must be a JSON string, got ['a']"),
+    # a CSV cell is a string: every row would fail with "value '1' not in domain"
+    "number-category": (JOB % "[1, 2]", "a category of 'job' must be a JSON string, got 1"),
 }
+PATH_FLAGS = {"train": ("data", "schema", "out-dir"), "generate": ("data", "schema"),
+              "evaluate": ("ces", "data", "schema", "validation-model"), "bench": ("config",)}
 OUT_COMMANDS = {
     "generate": ("generate --query-index 1 --preference a", (), CES),
     "evaluate": ("evaluate --ces {ces}", (), ()),
@@ -251,6 +261,15 @@ ROWS = [
           "data/schema error: --out must be a file in an existing directory, got 'src'\n",
           (folder("src"),), before="read", script=True)
       for command, (argv, _, _) in OUT_COMMANDS.items() if command != "bench"],
+    # a path flag that holds a NUL, or a train --out-dir that names no directory: refused before anything is read
+    *[Row(f"{command}-{flag}-nul", f"{argv} --{flag} {shlex.quote(flag + chr(0))}", 2,
+          f"data/schema error: --{flag} must be a {'directory' if flag == 'out-dir' else 'file'} path, "
+          f"got {flag + chr(0)!r}\n", absent=absent, before="read")
+      for command, (argv, absent) in {**WRITING, "bench": ("bench", REPORT)}.items() for flag in PATH_FLAGS[command]],
+    *[Row(f"train-out-dir-{name}", f"train --kind naive_bayes --out-dir {out_dir}", 2,
+          f"data/schema error: --out-dir must be a directory path, got {out_dir!r}\n", (text_file("afile", "x"),),
+          before="read", script=name == "a-file")
+      for name, out_dir in [("a-file", "afile"), ("in-a-file", "afile/models")]],
     Row("bench-config-out-nul", BENCH, 2,
         "data/schema error: config key 'out' must be a file path, got 'report\\x00'\n",
         (config_file(out="report\0"),), REPORT, before="read"),
@@ -282,7 +301,7 @@ ROWS = [
           ("queries-a-string", {"queries": "2"}, "queries must be an integer >= 1, got '2'"),
           ("depth-a-fraction", {"depth": 3.5}, "depth must be an integer in [3, 9], got 3.5"),
           ("seed-true", {"seed": True}, "seed must be an integer >= 0, got True"),
-          ("target-class-a-number", {"target_class": 1}, "config key 'target_class' must be a string, got 1"),
+          ("target-class-a-number", {"target_class": 1}, "config key 'target_class' must be a JSON string, got 1"),
           ("preference-twice", {"preferences": ["a", "c", "a"]},  # would write each tcol/a row twice
            "config key 'preferences' must be a list of distinct strings, got ['a', 'c', 'a']"),
           ("generator-twice", {"generators": ["tcol", "nearest_target", "tcol"]},  # would run T-COL twice
@@ -324,9 +343,9 @@ ROWS = [
     Row("generate-unknown-feature-kind", "generate --query-index 1 --preference a --schema schema.json --out ces.json",
         2, "data/schema error: unknown feature kind 'ordinal'",
         (edited("{schema}", "schema.json", lambda entries: entries[0].update(kind="ordinal")),), CES),
-    *[Row(f"{command}-schema-{name}", f"{argv} --data {{data}} --schema schema.json", 2, "data/schema error: ",
-          (text_file("schema.json", text),), absent)
-      for command, (argv, absent) in WRITING.items() for name, text in MALFORMED_SCHEMAS.items()],
+    *[Row(f"{command}-schema-{name}", f"{argv} --data {{data}} --schema schema.json", 2,
+          f"data/schema error: {message}\n", (text_file("schema.json", text),), absent)
+      for command, (argv, absent) in WRITING.items() for name, (text, message) in MALFORMED_SCHEMAS.items()],
     *[on_local_data(command, name, message, inputs)
       for name, (inputs, message) in UNLOADABLE.items() for command in ("train", "bench")],
     *[on_local_data(command, "too-wide", "numeric feature 'x' spans -1e+308 to 1e+308, too wide to scale\n", TOO_WIDE)
@@ -407,7 +426,7 @@ ROWS = [
           ("kind-svm", "random_forest", {"kind": "svm"}, "unknown model kind 'svm'"),
           ("unknown-hyperparameter", "random_forest", {"hyperparameters": {"k": 3}},
            "bad random_forest hyperparameters in file: random_forest got an unexpected keyword argument 'k'"),
-          ("parameters-a-number", "random_forest", {"parameters": 5}, "parameters must be an object, got 5"),
+          ("parameters-a-number", "random_forest", {"parameters": 5}, "parameters must be a JSON object, got 5"),
           ("target-class-a-list", "random_forest", {"target_class": ["x"]},
            "target_class must be a string or a number, got ['x']"),
           ("knn-target-class-unseen", "knn", {"target_class": "maybe"},
@@ -456,7 +475,7 @@ ROWS = [
           ("root-loop", "random_forest", lambda p: p["trees"][0]["left"].__setitem__(0, 0),
            "random_forest trees[0] node 0: left and right must both be 0 (a leaf) or lie in (0, "),
           ("tree-list", "decision_tree", lambda p: p.update(trees=[[0.5]]),
-           "decision_tree trees[0] must be an object, got [0.5]"),
+           "decision_tree trees[0] must be a JSON object, got [0.5]"),
           ("feature-huge", "random_forest", lambda p: p["trees"][0]["feature"].__setitem__(0, 2**70),
            f"random_forest trees[0] feature is not an array of integers: {2**70}"),
           ("threshold-huge", "random_forest", lambda p: p["trees"][0]["threshold"].__setitem__(0, 2**2000),
@@ -566,3 +585,33 @@ def test_the_console_script_writes_strict_json(script, tmp_path):
     assert len(written) == 6
     for path in written:
         json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse_constant)
+
+
+def loads(load, path, error, message) -> bool:
+    """Whether ``load(path)`` returns; a refusal must be an ``error`` that holds ``message``."""
+    try:
+        load(path)
+    except error as exc:
+        assert message in str(exc)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("value, number", [
+    (2**1023 - 1, True), (2**1023, False), (-(2**1023), False), (10**400, False), (True, False), (1.5, True),
+    ("1", False),
+], ids=["2**1023-1", "2**1023", "-2**1023", "10**400", "true", "1.5", "text"])
+def test_the_readers_agree_on_what_is_a_number(value, number, sources, tmp_path, capsys):
+    """A schema's numeric bound, a CE file's numeric cell and a model file's
+    tree threshold are each a number, or each refused as none."""
+    (tmp_path / "schema.json").write_text(json.dumps([numeric("x", value, value)]), encoding="utf-8")
+    bound = loads(load_schema, tmp_path / "schema.json", SchemaViolationError,
+                  "numeric domain of 'x' is not two finite numbers")
+    # a number is refused too, as outside the domain, but not as no number
+    ce_cell("values", "income", value)(tmp_path, sources)
+    assert main(["evaluate", "--ces", str(tmp_path / "ces.json"), "--folds", "5"]) == 2
+    cell = "'values.income' must be a JSON number" not in capsys.readouterr().err
+    parameters("random_forest", lambda p: p["trees"][0]["threshold"].__setitem__(0, value))(tmp_path, sources)
+    threshold = loads(load_model, tmp_path / "model.json", ModelFileError,
+                      "random_forest trees[0] threshold is not an array of numbers")
+    assert (bound, cell, threshold) == (number,) * 3

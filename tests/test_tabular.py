@@ -412,11 +412,18 @@ def test_load_schema_requires_fields(tmp_path):
     "text, message",
     [
         ("[]", "non-empty JSON list"),
-        ('{"name": "x"}', "non-empty JSON list"),
-        ('["x"]', "schema entry 'x' is not a JSON object"),
-        ('[{"name": "x", "kind": "numeric", "mutability": "mutable", "domain": [0, 1]}, 7]', "entry 7"),
-        ('[{"name": "x", "kind": "categorical", "mutability": "mutable", "domain": "ab"}]', "not a list"),
-        ('[{"name": "x", "kind": "categorical", "mutability": "mutable", "domain": [["a"], "b"]}]', "a list"),
+        ('{"name": "x"}', "a schema file must be a JSON list, got {'name': 'x'}"),
+        ('["x"]', "each schema entry must be a JSON object, got 'x'"),
+        ('[{"name": "x", "kind": "numeric", "mutability": "mutable", "domain": [0, 1]}, 7]',
+         "each schema entry must be a JSON object, got 7"),
+        ('[{"name": "x", "kind": "categorical", "mutability": "mutable", "domain": "ab"}]',
+         "domain of 'x' must be a JSON list, got 'ab'"),
+        ('[{"name": "x", "kind": "numeric", "mutability": "mutable", "domain": {"a": 1}}]',
+         "domain of 'x' must be a JSON list, got {'a': 1}"),
+        ('[{"name": "x", "kind": "categorical", "mutability": "mutable", "domain": [["a"], "b"]}]',
+         r"a category of 'x' must be a JSON string, got \['a'\]"),
+        ('[{"name": "x", "kind": "categorical", "mutability": "mutable", "domain": ["a", 2]}]',
+         "a category of 'x' must be a JSON string, got 2"),
         ('[{"name": "x", "kind": "numeric", "mutability": "frozen", "domain": [0, 1]}]', "unknown mutability 'frozen'"),
         ('[{"name": "x", "kind": "categorical", "mutability": "mutable", "domain": ["a", "b", "a"]}]',
          "duplicate categories in domain of 'x'"),
