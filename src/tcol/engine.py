@@ -13,16 +13,19 @@ whose filled slice, or whose prototype slice, has zero norm cannot be
 scored by any rule and is never drawn. A full-length path's total is the
 left-to-right sum of its group scores. The top ``budget`` paths by total
 are drawn for every prototype at once with an exact merge, one group at a
-time, so a prototype's first draw is the splice of its per-group winners.
-A draw is a row of path bits; every prototype gets as many rows, and a
--inf total marks a row that is no draw. The fallback is the immutable
-mask, the generator's last row: the prototype with its immutable features
-pinned to the query, its total the sum of each group's immutable-only
-score. One model call checks every prototype's draws, each distinct
-vector once: a draw that takes the prototype's value where the query
-holds the same bytes fills an earlier draw's vector and is skipped. Per
-prototype, the first draw the model accepts, in draw order, is the
-counterfactual, and the fallback stands unvalidated when it accepts none.
+time, so a prototype's first draw is the splice of its per-group winners;
+the first group's ranked masks seed the merge. A draw is a row of path
+bits; every prototype gets as many rows, and a -inf total marks a row
+that is no draw. The fallback is the immutable mask, the last row: the
+prototype with its immutable features pinned to the query, its total the
+sum of each group's immutable-only score. The generator yields once, the
+draws of every prototype as one array, which stays whole up to the picks.
+One model call checks every prototype's draws, each distinct vector once:
+a draw that takes the prototype's value where the query holds the same
+bytes fills an earlier draw's vector and is skipped, and only the rows
+sent are filled. Per prototype, the first draw the model accepts, in draw
+order, is the counterfactual, and the fallback stands unvalidated when it
+accepts none.
 
 Immutable features always keep the query's value: their path bits are
 forced to 1 in every mask considered.
@@ -110,7 +113,8 @@ def select_prototypes(
     Rows that differ from the query on an immutable feature rank after
     conforming rows regardless of the preference score. Preference ``c``
     ranks by ``model.target_proba(data)``, the target rows' probabilities,
-    which the model computes once per fit and data set.
+    which the model computes once per fit and data set; preference ``e`` by
+    ``data.centroid_distances``, which the data set computes once.
     """
     check_int("count", count, 1)
     if preference not in PREFERENCES:
@@ -137,7 +141,7 @@ def select_prototypes(
         if norm(query) != 0.0:
             keys[scoreable] = -cosine(rows[scoreable], query)
     else:
-        keys = euclidean(rows, data.target_centroid)
+        keys = data.centroid_distances
     immutable = data.immutable_mask()
     conflicts = np.any(rows[:, immutable] != query[immutable], axis=1)
     # lexsort is stable and candidates ascend, so ties keep the lower row index
@@ -150,14 +154,17 @@ def _fill(prototype: np.ndarray, query: np.ndarray, path) -> np.ndarray:
     return np.where(np.asarray(path) == 1, query, prototype)
 
 
-def _check_verbatim(vector, path, prototype, query, proto_idx) -> None:
-    """Raise ``RuntimeError`` unless every component of ``vector`` is, bit
-    for bit, the query's where ``path`` has a 1 and the prototype's where
+def _check_verbatim(vectors, paths, rows, query, prototypes) -> None:
+    """Raise ``RuntimeError``, naming the first bad row's prototype, unless
+    every component of each row of ``vectors`` is, bit for bit, the query's
+    where that row of ``paths`` has a 1 and the same row of ``rows``' where
     it has a 0."""
-    if vector.tobytes() != np.where(np.asarray(path) == 1, query, prototype).tobytes():
+    expected = np.where(paths == 1, query, rows)
+    if vectors.tobytes() != expected.tobytes():
+        i = np.argmax((vectors.view(np.int64) != expected.view(np.int64)).any(axis=1))
         raise RuntimeError(
-            f"counterfactual from prototype {proto_idx} is not a verbatim copy of "
-            f"the query and the prototype along its path {path}"
+            f"counterfactual from prototype {prototypes[i]} is not a verbatim copy of "
+            f"the query and the prototype along its path {tuple(paths[i].tolist())}"
         )
 
 
@@ -185,12 +192,14 @@ def _local_masks(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @functools.cache
 def _merge_candidates(n_prefixes: int, n_masks: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
     """The (prefix i, mask j) rank pairs, in row-major order, whose sum can
-    be among the ``budget`` best: those with ``(i + 1) * (j + 1) <= budget``.
-    Both rankings descend, so each of the other pairs at or before (i, j) in
-    both sums to at least as much and ranks before it on ties."""
-    prefix, rank = np.divmod(np.arange(n_prefixes * n_masks), n_masks)
-    pairs = (prefix + 1) * (rank + 1) <= budget
-    prefix, rank = prefix[pairs], rank[pairs]
+    be among the ``budget`` best: those with ``(i + 1) * (j + 1) <= budget``,
+    so prefix i pairs with its first ``min(n_masks, budget // (i + 1))``
+    masks. Both rankings descend, so each of the other pairs at or before
+    (i, j) in both sums to at least as much and ranks before it on ties.
+    Only the kept pairs are built."""
+    counts = np.minimum(n_masks, budget // np.arange(1, n_prefixes + 1))
+    prefix = np.repeat(np.arange(n_prefixes), counts)
+    rank = np.arange(len(prefix)) - np.repeat(np.cumsum(counts) - counts, counts)
     prefix.flags.writeable = rank.flags.writeable = False
     return prefix, rank
 
@@ -198,9 +207,12 @@ def _merge_candidates(n_prefixes: int, n_masks: int, budget: int) -> tuple[np.nd
 def ranked_path_combinations(
     rows: np.ndarray, query: np.ndarray, immutable: np.ndarray, depth: int, rule: ScoreRule, budget: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield, per prototype (a row of ``rows``), its ``budget`` best
-    full-length paths, best total first, then its fallback, as ``(paths,
-    totals)``: one row of path bits per draw, ``budget + 1`` rows at most.
+    """Yield once, for every prototype (a row of ``rows``) at once, its
+    ``budget`` best full-length paths, best total first, then its fallback,
+    as ``(paths, totals)`` of shapes ``(P, R, L)`` and ``(P, R)``: one row of
+    path bits per draw, ``R <= budget + 1`` rows per prototype. It is a
+    generator only so that a caller can time its one ``next`` (perfbench
+    spans it as ``engine.group_score``); all the work runs before the yield.
 
     Every local mask of every group is scored for every prototype with one
     rule call per group width. A group ranks its masks by descending
@@ -226,10 +238,17 @@ def ranked_path_combinations(
     holds per prototype, and every prototype is merged at once: every real
     score is finite and at least 0, so a sum with a -inf score ranks after
     every real path.
+
+    The first group's ranked masks and scores seed the paths and totals,
+    with no merge against the 0.0 start, and this is exact too: a real
+    score is never -0.0 (each rule is a product or quotient of positive
+    terms, with ``fcs``'s count at least 0), so ``0.0 + s`` is ``s`` bit
+    for bit, ``0.0 + -inf`` is -inf, and the stable sort of an already
+    ranked row is the identity.
     """
     n_protos = len(rows)
     protos = np.arange(n_protos)[:, None]
-    totals, paths = np.zeros((n_protos, 1)), np.zeros((n_protos, 1, 0), dtype=int)
+    totals = paths = None
     fallback = 0.0
     for start, k, n in _blocks(len(query), depth):
         # row i * n + j: prototype i's slice of group j of this width
@@ -256,13 +275,16 @@ def ranked_path_combinations(
         masks = masks.reshape(n_protos, n, -1)
         for j in range(n):
             fallback = fallback + fallbacks[:, j]
+            if paths is None:  # the first group seeds the merge (see above)
+                totals, paths = scores[:, j], bits[masks[:, j]]
+                continue
             prefix, rank = _merge_candidates(totals.shape[1], scores.shape[2], budget)
             sums = totals[:, prefix] + scores[:, j, rank]
             keep = np.argsort(-sums, axis=1, kind="stable")[:, :budget]
             totals, prefix, rank = sums[protos, keep], prefix[keep], rank[keep]
             paths = np.concatenate((paths[protos, prefix], bits[masks[protos, j, rank]]), axis=2)
     paths = np.concatenate((paths, np.broadcast_to(immutable, (n_protos, 1, len(query)))), axis=1)
-    yield from zip(paths, np.column_stack((totals, fallback)))
+    yield paths, np.column_stack((totals, fallback))
 
 
 def generate(
@@ -284,6 +306,12 @@ def generate(
     the query and the prototype along its path raises ``RuntimeError``, and
     a query with a non-finite component raises ``ValueError``.
 
+    The merge hands over every prototype's draws at once, as ``(P, R, L)``
+    path bits and ``(P, R)`` totals. Only the rows sent to the model are
+    filled, in row-major order, which is the batch's order; each candidate's
+    vector is its pick's row of that judged batch, and one array comparison
+    checks every pick for a verbatim copy.
+
     The model sees each distinct draw of a prototype once. Where the
     prototype and the query hold the same bytes (-0.0 is not 0.0), a draw
     with bit 0 is a copy: it fills the vector of its canonical path, which
@@ -304,31 +332,37 @@ def generate(
         data, query, config.preference, validation_model, config.num_ces
     )
     rows = data.X[prototypes]
-    # One row per prototype: its draws, then its fallback, the immutable
-    # mask. Only the fallbacks and the real draws that are no copy of an
-    # earlier draw (see above) go to the model.
-    drawn = ranked_path_combinations(
+    # One row of ``paths`` per prototype: its draws, then its fallback, the
+    # immutable mask. Only the fallbacks and the real draws that are no copy
+    # of an earlier draw (see above) go to the model.
+    [(paths, totals)] = ranked_path_combinations(
         rows, query, data.immutable_mask(), config.depth, config.score_rule(), config.budget
     )
-    paths, totals = map(np.stack, zip(*drawn))
     last = np.arange(totals.shape[1]) == totals.shape[1] - 1
-    vectors = _fill(rows[:, None], query, paths)
     same = rows.view(np.int64) == query.view(np.int64)
-    copy = (same[:, None] & (paths == 0)).any(axis=2)
+    # a copy has bit 0 where the prototype holds the query's bytes
+    copy = ((paths == 0) @ same[:, :, None])[..., 0]
     sent = ((totals > -np.inf) & ~copy) | last
+    # only the sent rows are filled, in row-major order, the batch's order
+    owner, draw = np.nonzero(sent)
+    batch = _fill(rows[owner], query, paths[owner, draw])
     accepted = np.zeros_like(sent)
-    accepted[sent] = validation_model.predicts_target(vectors[sent])
+    accepted[sent] = validation_model.predicts_target(batch)
     # Per prototype, the first accepted draw wins, else the fallback: a real
     # target-class row, which the model may still reject (``validated``).
     first = np.argmax(accepted | last, axis=1)
+    each = np.arange(len(prototypes))
+    picked = paths[each, first]
+    # a pick is always sent, so its place in the batch counts the sent rows up to it
+    vectors = batch[np.cumsum(sent).reshape(sent.shape)[each, first] - 1]
+    _check_verbatim(vectors, picked, rows, query, prototypes)
 
     deduped, seen = [], set()
-    for i, (proto_idx, j) in enumerate(zip(prototypes, first.tolist())):
-        path, vector = tuple(paths[i, j].tolist()), vectors[i, j]
-        _check_verbatim(vector, path, rows[i], query, proto_idx)
+    for proto_idx, vector, path, score, validated, fallback in zip(
+        prototypes, vectors, picked.tolist(), totals[each, first].tolist(),
+        accepted[each, first].tolist(), last[first].tolist(),
+    ):
         if vector.tobytes() not in seen:
             seen.add(vector.tobytes())
-            deduped.append(
-                CandidateCE(vector, path, proto_idx, float(totals[i, j]), bool(accepted[i, j]), bool(last[j]))
-            )
+            deduped.append(CandidateCE(vector, tuple(path), proto_idx, score, validated, fallback))
     return deduped

@@ -435,13 +435,19 @@ class EncodedDataset:
         return rows.mean(axis=0)
 
     @cached_property
+    def centroid_distances(self) -> np.ndarray:
+        """Each target-class row's Euclidean distance to ``target_centroid``,
+        in ``target_rows`` order; read-only."""
+        to_center = euclidean(self.target_rows[1], self.target_centroid)
+        to_center.flags.writeable = False
+        return to_center
+
+    @cached_property
     def centroid_neighbors(self) -> tuple[np.ndarray, np.ndarray]:
-        """The target-class rows in stable order of Euclidean distance to
-        ``target_centroid``, and those distances."""
-        rows = self.target_rows[1]
-        to_center = euclidean(rows, self.target_centroid)
-        order = np.argsort(to_center, kind="stable")
-        return rows[order], to_center[order]
+        """The target-class rows in stable order of ``centroid_distances``,
+        and those distances."""
+        order = np.argsort(self.centroid_distances, kind="stable")
+        return self.target_rows[1][order], self.centroid_distances[order]
 
 
 def encode_dataset(encoder: Encoder, data: Dataset) -> EncodedDataset:

@@ -46,11 +46,13 @@ def draw_combinations(prototype, query, groups, rule, immutable_mask, budget):
     combinations, without the -inf rows that are no draw and without the
     fallback row."""
     depth = len(groups[0])
-    drawn = ranked_path_combinations(prototype[np.newaxis], query, immutable_mask, depth, rule, budget)
-    # one prototype, so one yield; its last row is the fallback
-    for paths, totals in drawn:
-        real = totals[:-1] > -np.inf
-        yield from zip(map(tuple, paths[:-1][real].tolist()), totals[:-1][real].tolist())
+    [(paths, totals)] = ranked_path_combinations(
+        prototype[np.newaxis], query, immutable_mask, depth, rule, budget
+    )
+    # one yield for all prototypes, here one; its last row is the fallback
+    paths, totals = paths[0, :-1], totals[0, :-1]
+    real = totals > -np.inf
+    yield from zip(map(tuple, paths[real].tolist()), totals[real].tolist())
 
 
 def select_local_path(proto_slice, query_slice, rule, immutable_mask=None):

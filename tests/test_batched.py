@@ -1135,3 +1135,72 @@ def test_fit_reports_a_non_finite_cell_as_the_per_cell_fit_does(case, bad, where
     rows[where.draw(st.integers(0, len(rows) - 1))][where.draw(st.sampled_from(slots))] = bad
     broken = Dataset(data.schema, tuple(map(tuple, rows)), data.target, "loan", "yes")
     assert outcome(fit_encoder, broken) == outcome(fit_per_cell, broken)
+
+
+SEED_EDGES = (
+    "budget-one",
+    "budget-above-the-first-group",
+    "first-group-unscoreable",
+    "immutable-in-the-first-group",
+    "two-blocks",
+    "negative-zero",
+)
+
+
+@st.composite
+def seed_edge_cases(draw, edge):
+    """Grid data on {0, 0.5, 1} at one edge of the merge's seed, the first
+    feature group's ranked masks and scores: a budget of 1 or above the
+    group's mask count, a zero first slice in every target row but one, an
+    immutable feature in the first group, a feature count that is no
+    multiple of the depth, or a query whose first component is -0.0 where
+    every target row holds 0.0."""
+    depth = draw(st.integers(3, 5))
+    if edge == "two-blocks":
+        n_features = depth * draw(st.integers(1, 2)) + draw(st.integers(1, depth - 1))
+    else:
+        n_features = depth * draw(st.integers(1, 3))
+    num_ces = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_target = draw(st.integers(num_ces, 10))
+    n_rows = n_target + draw(st.integers(2, 8))
+    X = rng.integers(0, 3, size=(n_rows, n_features)) / 2.0
+    y = np.array(["yes"] * n_target + ["no"] * (n_rows - n_target), dtype=object)
+    query = rng.integers(0, 3, size=n_features) / 2.0
+    immutable = rng.random(n_features) < draw(st.sampled_from([0.0, 0.2]))
+    if edge == "first-group-unscoreable":
+        X[1:n_target, :depth] = 0.0
+    elif edge == "immutable-in-the-first-group":
+        immutable[rng.integers(0, depth)] = True
+    elif edge == "negative-zero":
+        X[:n_target, 0], query[0] = 0.0, -0.0
+    budgets = {
+        "budget-one": st.just(1),
+        "budget-above-the-first-group": st.integers(2**depth + 1, 2 ** (depth + 1)),
+    }
+    config = GenerationConfig(
+        preference=draw(st.sampled_from(["a", "b", "c", "d", "e"])),
+        depth=depth,
+        num_ces=num_ces,
+        budget=draw(budgets.get(edge, st.sampled_from([1, 7, 64]))),
+    )
+    if draw(st.booleans()):
+        model = models.RandomForest(n_trees=5, max_depth=4, seed=draw(st.integers(0, 3)))
+    else:
+        model = ByteHashModel(draw(st.integers(2, 6)))
+    return make_encoded(X, y, immutable=tuple(np.flatnonzero(immutable))), query, config, model
+
+
+@pytest.mark.parametrize("edge", SEED_EDGES)
+@settings(max_examples=30, deadline=None)
+@given(draws=st.data())
+def test_the_first_group_seeds_the_merge_as_the_reference_merges_it(edge, draws):
+    data, query, config, model = draws.draw(seed_edge_cases(edge))
+    if not model.fitted:
+        model.fit(data.X, data.y, "yes")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert_same_ces(
+            generate(data, query, config, model),
+            sequential_generate(data, query, config, model),
+        )

@@ -17,6 +17,7 @@ from conftest import (
 )
 from tcol import engine, models
 from tcol.engine import (
+    PREFERENCES,
     AlreadyTargetWarning,
     GenerationConfig,
     _blocks,
@@ -25,7 +26,7 @@ from tcol.engine import (
     select_prototypes,
 )
 from tcol.models import ClassifierModel, load_model, save_model
-from tcol.scoring import ScoreRule
+from tcol.scoring import ScoreRule, euclidean
 from tcol.tabular import EncodedDataset
 
 PROTO = np.array([0.6, 0.89, 0.49])
@@ -103,6 +104,28 @@ class TestSelectPrototypes:
         # target centroid is about [0.483, 0.483]
         order = select_prototypes(data, np.array([0.9, 0.1]), "e", StubModel(always=False), count=3)
         assert order[0] == 2
+
+    def test_preference_e_ranks_by_the_cached_centroid_distances(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        X = rng.integers(0, 5, size=(40, 6)) / 4.0  # a coarse grid, so distances tie
+        data = make_encoded(X, ["yes"] * 25 + ["no"] * 15, immutable=(2,))
+        query = X[30]
+        _, rows = data.target_rows
+        expected = euclidean(rows, data.target_centroid)
+        distances = data.centroid_distances
+        assert distances.tobytes() == expected.tobytes() and not distances.flags.writeable
+        neighbors, to_center = data.centroid_neighbors
+        order = np.argsort(expected, kind="stable")
+        assert neighbors.tobytes() == rows[order].tobytes()
+        assert to_center.tobytes() == expected[order].tobytes()
+        conflicts = rows[:, 2] != query[2]
+        assert conflicts.any()
+        reference = np.lexsort((expected, conflicts))
+        # the distances are computed once per data set, not once per query
+        monkeypatch.setattr(engine, "euclidean", None)
+        model = StubModel(always=False)
+        for count in (1, 7, 25):
+            assert select_prototypes(data, query, "e", model, count) == reference[:count].tolist()
 
     def test_immutable_conflicts_rank_last(self):
         query = np.array([0.5, 0.5])
@@ -358,6 +381,34 @@ class TestRankedCombinations:
         assert list(drawn) == []
 
 
+def all_merge_pairs(n_prefixes, n_masks, budget):
+    """The pairs ``_merge_candidates`` keeps, picked out of every (prefix,
+    rank) pair in row-major order."""
+    prefix, rank = np.divmod(np.arange(n_prefixes * n_masks), n_masks)
+    pairs = (prefix + 1) * (rank + 1) <= budget
+    return prefix[pairs], rank[pairs]
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 7, 8, 9, 64, 100, 512, 513])
+def test_merge_candidates_build_only_the_kept_pairs(budget):
+    for n_prefixes in sorted({1, 2, 3, 8, 9, min(budget, 64), budget}):
+        for n_masks in sorted({1, 2, 4, 8, 9, 64, 512} | {min(budget, 512)}):
+            prefix, rank = engine._merge_candidates(n_prefixes, n_masks, budget)
+            expected = all_merge_pairs(n_prefixes, n_masks, budget)
+            assert prefix.dtype == rank.dtype == expected[0].dtype
+            assert prefix.tolist() == expected[0].tolist() and rank.tolist() == expected[1].tolist()
+            kept = sum(min(n_masks, budget // i) for i in range(1, n_prefixes + 1))
+            assert prefix.size == rank.size == kept
+            assert not prefix.flags.writeable and not rank.flags.writeable
+
+
+def test_merge_candidates_at_a_large_budget_stay_small():
+    # every (prefix, rank) pair would be 4,194,304 entries per array
+    prefix, rank = engine._merge_candidates(8192, 512, 8192)
+    assert prefix.size == rank.size == 55609
+    assert prefix[-1] == 8191 and rank.max() == 511
+
+
 class StaticModel(StubModel):
     """Accepts exactly the vectors in its yes-set."""
 
@@ -474,6 +525,18 @@ class TestGenerate:
         with pytest.raises(RuntimeError, match="prototype 0 is not a verbatim copy"):
             generate(data, np.array([0.5, 0.4, 0.6, 0.3]), config, StubModel(always=True))
 
+    def test_the_verbatim_check_names_the_first_bad_prototype(self):
+        rows = np.array([[0.1, 0.2, 0.3], [0.0, 0.5, 0.6], [0.7, 0.8, 0.9]])
+        query = np.array([0.9, 0.9, 0.9])
+        paths = np.array([[1, 0, 0], [0, 1, 1], [0, 0, 1]])
+        vectors = np.where(paths == 1, query, rows)
+        engine._check_verbatim(vectors, paths, rows, query, [4, 7, 2])
+        # rows 1 and 2 are bad; row 1 only in its bits, -0.0 for the prototype's 0.0
+        vectors[1, 0], vectors[2, 0] = -0.0, np.nextafter(0.7, 1.0)
+        message = "prototype 7 is not a verbatim copy of the query and the prototype along its path (0, 1, 1)"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            engine._check_verbatim(vectors, paths, rows, query, [4, 7, 2])
+
     def test_validated_flag_means_model_agreement(self, synthetic_encoded, validation_model):
         qi = int(np.flatnonzero(~synthetic_encoded.target_mask())[1])
         config = GenerationConfig(preference="b")
@@ -588,11 +651,11 @@ def test_the_validation_batch_sends_each_distinct_draw_of_a_prototype_once():
     assert len(already_target) == 1
     immutable = data.immutable_mask()
     prototypes = select_prototypes(data, query, "a", model, config.num_ces)
-    drawn = engine.ranked_path_combinations(
+    [drawn] = engine.ranked_path_combinations(
         X[prototypes], query, immutable, config.depth, config.score_rule(), config.budget
     )
     start, repeats = 0, 0
-    for proto_idx, (paths, totals) in zip(prototypes, drawn):
+    for proto_idx, paths, totals in zip(prototypes, *drawn):
         real = paths[:-1][totals[:-1] > -np.inf]
         distinct = {_fill(X[proto_idx], query, path).tobytes() for path in real}
         repeats += len(real) - len(distinct)
@@ -622,7 +685,54 @@ def test_a_negative_zero_against_a_zero_is_no_copy():
 
 
 @pytest.mark.filterwarnings("ignore::tcol.engine.AlreadyTargetWarning")
-def test_the_merge_yields_once_per_prototype_even_when_it_draws_nothing(monkeypatch):
+@pytest.mark.parametrize("budget", [1, 7, 64])
+def test_every_ce_is_the_judged_row_at_its_pick(monkeypatch, budget, synthetic_encoded, validation_model):
+    data, model = synthetic_encoded, validation_model
+    batches = []
+    judge = model.predicts_target
+
+    def spy(X):
+        answers = judge(X)
+        batches.append((np.array(X), answers.copy()))
+        return answers
+
+    monkeypatch.setattr(model, "predicts_target", spy)
+    picked_a_draw = False
+    for qi in np.flatnonzero(~data.target_mask())[:8]:
+        query = data.X[qi]
+        for preference in PREFERENCES:
+            config = GenerationConfig(preference=preference, budget=budget)
+            batches.clear()
+            ces = generate(data, query, config, model)
+            [(batch, answers)] = batches
+            prototypes = select_prototypes(data, query, preference, model, config.num_ces)
+            rows = data.X[prototypes]
+            [(paths, totals)] = engine.ranked_path_combinations(
+                rows, query, data.immutable_mask(), config.depth, config.score_rule(), budget
+            )
+            # the batch is the sent cells of the whole (prototype, draw) grid, row for row
+            last = np.arange(totals.shape[1]) == totals.shape[1] - 1
+            same = rows.view(np.int64) == query.view(np.int64)
+            copy = (same[:, None] & (paths == 0)).any(axis=2)
+            sent = ((totals > -np.inf) & ~copy) | last
+            assert batch.tobytes() == _fill(rows[:, None], query, paths)[sent].tobytes()
+            owner, draw = np.nonzero(sent)
+            for ce in ces:
+                i = prototypes.index(ce.prototype_index)
+                mine = np.flatnonzero(owner == i)
+                accepted = mine[answers[mine]]
+                at = accepted[0] if len(accepted) else mine[-1]
+                assert ce.vector.tobytes() == batch[at].tobytes()
+                assert ce.validated is bool(answers[at])
+                assert ce.fallback is bool(last[draw[at]])
+                assert ce.path == tuple(paths[i, draw[at]].tolist())
+                assert np.float64(ce.score).tobytes() == totals[i, draw[at]].tobytes()
+                picked_a_draw |= ce.validated and not ce.fallback
+    assert picked_a_draw
+
+
+@pytest.mark.filterwarnings("ignore::tcol.engine.AlreadyTargetWarning")
+def test_the_merge_yields_once_for_all_prototypes_even_when_one_draws_nothing(monkeypatch):
     # Target row 1's first group is zero, so none of its masks can be scored.
     X = np.array(
         [
@@ -646,15 +756,16 @@ def test_the_merge_yields_once_per_prototype_even_when_it_draws_nothing(monkeypa
     config = GenerationConfig(preference="a", num_ces=3, budget=5)
     ces = generate(data, X[3], config, StubModel(always=False))
     assert len(calls) == 1
-    assert len(yields) == 3
+    [(all_paths, all_totals)] = yields
+    assert all_paths.shape == (3, 6, 6) and all_totals.shape == (3, 6)
+    per_prototype = list(zip(all_paths, all_totals))
     # every prototype gets the same rows, its fallback, the immutable mask, last;
     # a -inf total is no draw
-    assert all(paths.shape == (6, 6) and totals.shape == (6,) for paths, totals in yields)
-    assert all(set(paths.ravel().tolist()) <= {0, 1} for paths, _ in yields)
-    assert all(np.array_equal(paths[-1], data.immutable_mask()) for paths, _ in yields)
-    empty = [i for i, (_, totals) in enumerate(yields) if np.all(totals[:-1] == -np.inf)]
+    assert all(set(paths.ravel().tolist()) <= {0, 1} for paths, _ in per_prototype)
+    assert all(np.array_equal(paths[-1], data.immutable_mask()) for paths, _ in per_prototype)
+    empty = [i for i, (_, totals) in enumerate(per_prototype) if np.all(totals[:-1] == -np.inf)]
     assert len(empty) == 1
-    assert all(np.all(totals > -np.inf) for i, (_, totals) in enumerate(yields) if i not in empty)
+    assert all(np.all(totals > -np.inf) for i, (_, totals) in enumerate(per_prototype) if i not in empty)
     (zero,) = [ce for ce in ces if ce.prototype_index == 1]
     assert zero.fallback and zero.score == float("-inf")
 
