@@ -7,6 +7,10 @@ from tcol.engine import ranked_path_combinations
 from tcol.models import ClassifierModel, cv_weights, fit_builtin
 from tcol.tabular import EncodedDataset, FeatureSchema, encode_dataset, fit_encoder
 
+# pytest rewrites asserts only in test modules and conftest files; the
+# shared reference's own, such as ``assert_same_ces``, print both sides too.
+pytest.register_assert_rewrite("reference")
+
 # `pytest --hypothesis-profile=ci` draws the same examples on every run and
 # keeps no example database, so a failure in CI reproduces locally.
 settings.register_profile("ci", derandomize=True)
@@ -35,17 +39,11 @@ def make_encoded(X, y, target_class="yes", immutable=()):
     )
 
 
-def feature_groups(n_features, depth):
-    """The documented grouping: contiguous runs of ``depth`` features, then a shorter remainder."""
-    return [list(range(s, min(s + depth, n_features))) for s in range(0, n_features, depth)]
-
-
-def draw_combinations(prototype, query, groups, rule, immutable_mask, budget):
+def draw_combinations(prototype, query, depth, rule, immutable_mask, budget):
     """The engine's draw over one prototype, as ``(path, total)`` pairs:
-    each group ranked as ``generate`` ranks it, then the ``budget`` best
-    combinations, without the -inf rows that are no draw and without the
-    fallback row."""
-    depth = len(groups[0])
+    each group of ``depth`` contiguous features ranked as ``generate`` ranks
+    it, then the ``budget`` best combinations, without the -inf rows that
+    are no draw and without the fallback row."""
     [(paths, totals)] = ranked_path_combinations(
         prototype[np.newaxis], query, immutable_mask, depth, rule, budget
     )
@@ -63,7 +61,7 @@ def select_local_path(proto_slice, query_slice, rule, immutable_mask=None):
     ranked = draw_combinations(
         proto_slice,
         np.asarray(query_slice, dtype=float),
-        [list(range(len(proto_slice)))],
+        len(proto_slice),
         rule,
         np.asarray(immutable, dtype=bool),
         budget=1,
@@ -71,22 +69,10 @@ def select_local_path(proto_slice, query_slice, rule, immutable_mask=None):
     return next(ranked)[0]
 
 
-def path_total(prototype, query, groups, rule, path):
-    """A path's total, scored group by group outside the engine: the
-    left-to-right sum of its group scores from 0.0, where a group whose
-    prototype slice or fill has zero norm adds -inf."""
-    total = 0.0
-    for g in groups:
-        candidate = np.where(np.asarray(path)[g] == 1, query[g], prototype[g])
-        if np.linalg.norm(prototype[g]) == 0.0 or np.linalg.norm(candidate) == 0.0:
-            total += float("-inf")
-        else:
-            total += rule.score(candidate, prototype[g], query[g])
-    return total
-
-
 class StubModel(ClassifierModel):
-    """Predicts the target class exactly for vectors in a fixed 'yes' set."""
+    """Predicts the target class exactly for vectors in a fixed 'yes' set,
+    or for every vector (``always=True``) or none (``always=False``), and
+    keeps a copy of each matrix it is called on in ``batches``."""
 
     kind = "stub"
 
@@ -97,6 +83,7 @@ class StubModel(ClassifierModel):
         self.always = always
         self._yes = {np.asarray(v, dtype=float).tobytes() for v in (yes_vectors or [])}
         self.fitted = True
+        self.batches = []
 
     def _fit(self, X, y):
         return {}
@@ -106,6 +93,7 @@ class StubModel(ClassifierModel):
 
     def predict_proba_rows(self, X):
         X = np.asarray(X, dtype=float)
+        self.batches.append(X.copy())
         if self.always is not None:
             return np.full(len(X), 1.0 if self.always else 0.0)
         return np.array([1.0 if row.tobytes() in self._yes else 0.0 for row in X])

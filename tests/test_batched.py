@@ -4,12 +4,10 @@ replaced, the decision tree's batched cross-validation fits against
 fits on each fold alone, the flat forest walk against the level-by-level
 kernel it replaced, a preorder model file of earlier versions against the
 fitted model it was written from, knn's filter and refine against the blocked 3-D-norm
-kernel it replaced, ``generate`` against a sequential reference that draws for
-one prototype at a time and validates one drawn combination at a time,
-and the column-wise encoder against the per-cell one it replaced.
-The generation reference keeps its own fill and fallback-score helpers,
-independent of the engine's, and its own copy of the per-group scorer and
-the per-prototype merge that the width-batched ones replaced."""
+kernel it replaced, ``generate`` against ``reference.sequential_generate``,
+which draws for one prototype at a time and validates one drawn
+combination at a time, and the column-wise encoder against the per-cell
+one it replaced."""
 
 import copy
 import json
@@ -17,7 +15,6 @@ import math
 import re
 import tempfile
 import warnings
-import zlib
 from dataclasses import replace
 from functools import partial
 from unittest.mock import patch
@@ -27,12 +24,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import feature_groups, make_encoded
+from conftest import make_encoded
+from reference import SEED_EDGES, assert_same_ces, feature_groups, grid_cases, sequential_generate
 from tcol import models
-from tcol.engine import CandidateCE, GenerationConfig, generate
+from tcol.engine import GenerationConfig, generate
 from tcol.models import MODEL_KINDS, ClassifierModel, DecisionTree, cross_val_f1, make_model, save_model
-from tcol.scoring import cosine, count_diffs, euclidean, norm
-from tcol.tabular import Dataset, Encoder, FeatureSchema, SchemaViolationError, fit_encoder
+from tcol.tabular import Dataset, EncodedDataset, Encoder, FeatureSchema, SchemaViolationError, fit_encoder
 
 
 @st.composite
@@ -682,126 +679,11 @@ def test_a_preorder_file_with_infinite_leaves_predicts_as_the_fitted_model(kind,
     assert loaded.predict_proba_rows(data.X).tobytes() == model.predict_proba_rows(data.X).tobytes()
 
 
-def _fill(prototype: np.ndarray, query: np.ndarray, path) -> np.ndarray:
-    bits = np.asarray(path)
-    return np.where(bits == 1, query, prototype)
-
-
-def _immutable_only_path(immutable_mask: np.ndarray):
-    return tuple(1 if imm else 0 for imm in immutable_mask)
-
-
-def _total_score(prototype, query, groups, rule, path) -> float:
-    total = 0.0
-    for g in groups:
-        candidate = _fill(prototype[g], query[g], [path[i] for i in g])
-        try:
-            total += rule.score(candidate, prototype[g], query[g])
-        except ValueError:  # zero-norm slice: contributes the worst score
-            total += float("-inf")
-    return total
-
-
-def reference_ranked_masks(proto_slice, query_slice, immutable, rule):
-    """One group's admissible masks for one prototype, as ``(scores,
-    masks)`` ranked by descending score, then more query-side bits, then
-    ascending binary order. No rule can score a zero-norm vector, so a
-    zero-norm prototype slice gives no masks and a mask whose fill has zero
-    norm is dropped."""
-    k = len(immutable)
-    local = np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1) & 1
-    masks = local[np.all(local >= immutable, axis=1)]
-    fills = _fill(proto_slice, query_slice, masks)
-    keep = (norm(fills) != 0.0) & (norm(proto_slice) != 0.0)
-    if not keep.any():
-        return np.zeros(0), masks[:0]
-    masks, scores = masks[keep], rule.score(fills[keep], proto_slice, query_slice)
-    order = np.lexsort((-masks.sum(axis=1), -scores))
-    return scores[order], masks[order]
-
-
-def reference_merge(ranked, budget):
-    """Yield one prototype's ``budget`` best paths and their totals, best
-    first, one group at a time; nothing when a group has no mask."""
-    totals, paths = np.zeros(1), np.zeros((1, 0), dtype=int)
-    for scores, masks in ranked:
-        if len(scores) == 0:
-            return
-        scores, masks = scores[:budget], masks[:budget]
-        totals = (totals[:, None] + scores).ravel()
-        keep = np.argsort(-totals, kind="stable")[:budget]
-        prefix, rank = np.divmod(keep, len(scores))
-        totals, paths = totals[keep], np.hstack((paths[prefix], masks[rank]))
-    for path, total in zip(paths.tolist(), totals.tolist()):
-        yield tuple(path), total
-
-
-def sequential_generate(data, query, config, model):
-    """Reference: scalar prototype ranking, then one ``next`` and one
-    ``predict`` per drawn combination until one validates."""
-    query = np.asarray(query, dtype=float)
-    center = data.X[data.target_mask()].mean(axis=0)
-    immutable = data.immutable_mask()
-
-    def rank_key(idx):
-        row = data.X[idx]
-        if config.preference == "a":
-            return float(count_diffs(row, query))
-        if config.preference == "b":
-            return euclidean(row, query)
-        if config.preference == "c":
-            return -model.predict_proba(row)
-        if config.preference == "d":
-            if np.linalg.norm(row) == 0.0 or np.linalg.norm(query) == 0.0:
-                return 2.0
-            return -cosine(row, query)
-        return euclidean(row, center)
-
-    def conflicts(idx):
-        return bool(np.any(data.X[idx][immutable] != query[immutable]))
-
-    candidates = np.flatnonzero(data.target_mask()).tolist()
-    prototypes = sorted(candidates, key=lambda i: (conflicts(i), rank_key(i), i))[: config.num_ces]
-    groups = feature_groups(data.n_features, config.depth)
-    rule = config.score_rule()
-    results = []
-    for proto_idx in prototypes:
-        prototype = data.X[proto_idx]
-        chosen = None
-        ranked = [reference_ranked_masks(prototype[g], query[g], immutable[g], rule) for g in groups]
-        drawn = reference_merge(ranked, config.budget)
-        for _ in range(config.budget):
-            try:
-                path, total = next(drawn)
-            except StopIteration:
-                break
-            vector = _fill(prototype, query, path)
-            if model.predict(vector) == data.target_class:
-                chosen = CandidateCE(vector, path, proto_idx, total, validated=True)
-                break
-        if chosen is None:
-            path = _immutable_only_path(immutable)
-            vector = _fill(prototype, query, path)
-            total = _total_score(prototype, query, groups, rule, path)
-            validated = model.predict(vector) == data.target_class
-            chosen = CandidateCE(vector, path, proto_idx, total, validated=validated, fallback=True)
-        results.append(chosen)
-    deduped, seen = [], set()
-    for ce in results:
-        if ce.vector.tobytes() not in seen:
-            seen.add(ce.vector.tobytes())
-            deduped.append(ce)
-    return deduped
-
-
-def assert_same_ces(actual, expected):
-    assert len(actual) == len(expected)
-    for a, e in zip(actual, expected):
-        assert a.vector.tobytes() == e.vector.tobytes()
-        assert (a.path, a.prototype_index, a.validated, a.fallback) == (
-            e.path, e.prototype_index, e.validated, e.fallback,
-        )
-        assert np.float64(a.score).tobytes() == np.float64(e.score).tobytes()
+def assert_matches_the_reference(data, query, config, model):
+    """``generate`` gives ``sequential_generate``'s CEs, bit for bit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert_same_ces(generate(data, query, config, model), sequential_generate(data, query, config, model))
 
 
 @pytest.mark.parametrize("budget", [1, 3, 64])
@@ -810,15 +692,8 @@ def test_generate_matches_sequential_reference_on_credit(
     preference, budget, synthetic_encoded, validation_model
 ):
     config = GenerationConfig(preference=preference, depth=3, budget=budget)
-    denied = np.flatnonzero(~synthetic_encoded.target_mask())
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for qi in denied[::7]:
-            query = synthetic_encoded.X[qi]
-            assert_same_ces(
-                generate(synthetic_encoded, query, config, validation_model),
-                sequential_generate(synthetic_encoded, query, config, validation_model),
-            )
+    for qi in np.flatnonzero(~synthetic_encoded.target_mask())[::7]:
+        assert_matches_the_reference(synthetic_encoded, synthetic_encoded.X[qi], config, validation_model)
 
 
 @pytest.mark.parametrize("preference", ["a", "c", "e"])
@@ -830,67 +705,18 @@ def test_generate_matches_sequential_reference_with_immutables(preference):
     model = make_model("random_forest", seed=2).fit(data.X, data.y, "yes")
     for depth, budget in ((3, 8), (4, 64)):
         config = GenerationConfig(preference=preference, depth=depth, budget=budget)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for qi in np.flatnonzero(y == "no")[:6]:
-                assert_same_ces(
-                    generate(data, X[qi], config, model),
-                    sequential_generate(data, X[qi], config, model),
-                )
-
-
-@st.composite
-def grid_generation_cases(draw):
-    """Grid data on {0, 0.5, 1} where some target rows, but not all, have a
-    zero slice in one feature group, some target rows are copies of others,
-    and the query may have a zero group, so that some prototype slices and
-    some fills have zero norm and equal prototypes are deduplicated. Most
-    feature counts leave a shorter remainder group, so that two group
-    widths share a query."""
-    depth = draw(st.integers(3, 9))
-    n_features = draw(st.integers(depth + 1, 2 * depth + 2))
-    num_ces = draw(st.integers(1, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_target = draw(st.integers(max(num_ces, 2), 12))
-    n_rows = n_target + draw(st.integers(2, 12))
-    X = rng.integers(0, 3, size=(n_rows, n_features)) / 2.0
-    y = np.array(["yes"] * n_target + ["no"] * (n_rows - n_target), dtype=object)
-    groups = feature_groups(n_features, depth)
-    zeroed = rng.random(n_target) < 0.4
-    zeroed[rng.integers(0, n_target)] = False
-    for i in np.flatnonzero(zeroed):
-        X[i, groups[rng.integers(0, len(groups))]] = 0.0
-    copies = draw(st.integers(0, n_target // 2))
-    X[rng.choice(n_target, copies, replace=False)] = X[rng.integers(0, n_target)]
-    query = rng.integers(0, 3, size=n_features) / 2.0
-    if draw(st.booleans()):
-        query[groups[rng.integers(0, len(groups))]] = 0.0
-    immutable = np.flatnonzero(rng.random(n_features) < draw(st.sampled_from([0.0, 0.2, 0.5])))
-    config = GenerationConfig(
-        preference=draw(st.sampled_from(["a", "b", "c", "d", "e"])),
-        depth=depth,
-        num_ces=num_ces,
-        budget=draw(st.sampled_from([1, 2, 7, 64])),
-    )
-    forest = models.RandomForest(n_trees=5, max_depth=4, seed=draw(st.integers(0, 3)))
-    return make_encoded(X, y, immutable=tuple(immutable)), query, config, forest
+        for qi in np.flatnonzero(y == "no")[:6]:
+            assert_matches_the_reference(data, X[qi], config, model)
 
 
 @settings(max_examples=80, deadline=None)
-@given(case=grid_generation_cases())
+@given(case=grid_cases(byte_hash=False))
 def test_batched_pass_matches_the_sequential_reference_on_grid_data(case):
-    data, query, config, forest = case
-    model = forest.fit(data.X, data.y, "yes")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert_same_ces(
-            generate(data, query, config, model),
-            sequential_generate(data, query, config, model),
-        )
+    assert_matches_the_reference(*case)
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=grid_generation_cases(), seed=st.integers(0, 2**32 - 1), n_queries=st.integers(2, 4))
+@given(case=grid_cases(byte_hash=False), seed=st.integers(0, 2**32 - 1), n_queries=st.integers(2, 4))
 def test_two_forests_alternating_on_one_data_set_rank_c_from_their_own_fit(case, seed, n_queries):
     """Preference ``c`` ranks from target-row probabilities that each model
     keeps between calls; the reference ranks from per-row calls, so a
@@ -898,84 +724,67 @@ def test_two_forests_alternating_on_one_data_set_rank_c_from_their_own_fit(case,
     before, shows as a different CE set."""
     data, query, config, forest = case
     config = replace(config, preference="c")
-    forests = forest.fit(data.X, data.y, "yes"), models.RandomForest(
-        n_trees=5, max_depth=4, seed=forest.seed + 4
-    ).fit(data.X, data.y, "yes")
+    forests = forest, models.RandomForest(n_trees=5, max_depth=4, seed=forest.seed + 4).fit(data.X, data.y, "yes")
     rng = np.random.default_rng(seed)
     queries = [query, *(rng.integers(0, 3, size=(n_queries - 1, data.n_features)) / 2.0)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for q in queries:
-            for model in forests:
-                assert_same_ces(
-                    generate(data, q, config, model),
-                    sequential_generate(data, q, config, model),
-                )
+    for q in queries:
+        for model in forests:
+            assert_matches_the_reference(data, q, config, model)
 
 
-class ByteHashModel(ClassifierModel):
-    """Accepts a row when the CRC-32 of its bytes is divisible by ``m``: the
-    first accepted draw falls anywhere in the draw order, and a -0.0 and a
-    0.0 fill, equal as numbers, may get different answers."""
+@settings(max_examples=120, deadline=None)
+@given(case=grid_cases())
+def test_skipping_copies_matches_the_sequential_reference(case):
+    assert_matches_the_reference(*case)
 
-    kind = "byte_hash"
 
-    def __init__(self, m):
+class Unpermuted(ClassifierModel):
+    """``model`` on rows whose columns are permuted: it reorders each row's
+    columns by ``inverse`` before ``model`` sees it."""
+
+    kind = "unpermuted"
+
+    def __init__(self, model, inverse):
         super().__init__()
-        self.target_class, self.other_class = "yes", "no"
+        self.target_class, self.other_class = model.target_class, model.other_class
         self.fitted = True
-        self.m = m
+        self.model, self.inverse = model, inverse
 
     def _fit(self, X, y):
         pass
 
     def predict_proba_rows(self, X):
-        X = np.asarray(X, dtype=float)
-        return np.array([float(zlib.crc32(row.tobytes()) % self.m == 0) for row in X])
+        return self.model.predict_proba_rows(np.asarray(X, dtype=float)[:, self.inverse])
 
 
-@st.composite
-def shared_component_cases(draw):
-    """Grid data on {0, 0.5, 1}, so that a prototype and the query often
-    hold the same component and many draws fill the same vector, with -0.0
-    in place of some of the query's zeros, which a prototype's 0.0 does not
-    copy."""
-    depth = draw(st.integers(3, 5))
-    n_features = draw(st.integers(depth, 3 * depth + 1))
-    num_ces = draw(st.integers(1, 5))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_target = draw(st.integers(num_ces, 10))
-    n_rows = n_target + draw(st.integers(2, 8))
-    X = rng.integers(0, 3, size=(n_rows, n_features)) / 2.0
-    y = np.array(["yes"] * n_target + ["no"] * (n_rows - n_target), dtype=object)
-    query = rng.integers(0, 3, size=n_features) / 2.0
-    query[(query == 0.0) & (rng.random(n_features) < draw(st.sampled_from([0.0, 0.5, 1.0])))] = -0.0
-    immutable = np.flatnonzero(rng.random(n_features) < draw(st.sampled_from([0.0, 0.2])))
-    config = GenerationConfig(
-        preference=draw(st.sampled_from(["a", "b", "c", "d", "e"])),
-        depth=depth,
-        num_ces=num_ces,
-        budget=draw(st.sampled_from([1, 7, 64])),
-    )
-    if draw(st.booleans()):
-        model = models.RandomForest(n_trees=5, max_depth=4, seed=draw(st.integers(0, 3)))
-    else:
-        model = ByteHashModel(draw(st.integers(2, 6)))
-    return make_encoded(X, y, immutable=tuple(immutable)), query, config, model
+@settings(max_examples=100, deadline=None)
+@given(case=grid_cases(), preference=st.sampled_from("abcd"), seed=st.integers(0, 2**32 - 1))
+def test_generate_on_permuted_columns_is_the_reference_on_the_permuted_partition(case, preference, seed):
+    """The groups are contiguous runs of ``depth`` columns in schema order:
+    ``generate`` on permuted columns, with the model wrapped to undo the
+    permutation, gives, once un-permuted, the reference's CEs on the
+    original columns with the permuted contiguous partition.
 
-
-@settings(max_examples=120, deadline=None)
-@given(case=shared_component_cases())
-def test_skipping_copies_matches_the_sequential_reference(case):
+    Preference ``e`` is left out: its centroid distance sums its squares in
+    column order, so a permutation may change its prototype ranking. On
+    the grid, every ranking key of ``a`` to ``d`` is exact in any order."""
     data, query, config, model = case
-    if not model.fitted:
-        model.fit(data.X, data.y, "yes")
+    config = replace(config, preference=preference)
+    order = np.random.default_rng(seed).permutation(data.n_features)
+    inverse = np.argsort(order)
+    permuted = EncodedDataset(
+        X=data.X[:, order], y=data.y, target_class=data.target_class,
+        schema=tuple(data.schema[i] for i in order),
+    )
+    groups = [order[g].tolist() for g in feature_groups(data.n_features, config.depth)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert_same_ces(
-            generate(data, query, config, model),
-            sequential_generate(data, query, config, model),
-        )
+        ces = generate(permuted, query[order], config, Unpermuted(model, inverse))
+        expected = sequential_generate(data, query, config, model, groups)
+    unpermuted = [
+        replace(ce, vector=ce.vector[inverse], path=tuple(np.asarray(ce.path)[inverse].tolist())) for ce in ces
+    ]
+    assert_same_ces(unpermuted, expected)
 
 
 def _scale_one(value, lo, hi):
@@ -1137,70 +946,8 @@ def test_fit_reports_a_non_finite_cell_as_the_per_cell_fit_does(case, bad, where
     assert outcome(fit_encoder, broken) == outcome(fit_per_cell, broken)
 
 
-SEED_EDGES = (
-    "budget-one",
-    "budget-above-the-first-group",
-    "first-group-unscoreable",
-    "immutable-in-the-first-group",
-    "two-blocks",
-    "negative-zero",
-)
-
-
-@st.composite
-def seed_edge_cases(draw, edge):
-    """Grid data on {0, 0.5, 1} at one edge of the merge's seed, the first
-    feature group's ranked masks and scores: a budget of 1 or above the
-    group's mask count, a zero first slice in every target row but one, an
-    immutable feature in the first group, a feature count that is no
-    multiple of the depth, or a query whose first component is -0.0 where
-    every target row holds 0.0."""
-    depth = draw(st.integers(3, 5))
-    if edge == "two-blocks":
-        n_features = depth * draw(st.integers(1, 2)) + draw(st.integers(1, depth - 1))
-    else:
-        n_features = depth * draw(st.integers(1, 3))
-    num_ces = draw(st.integers(2, 5))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_target = draw(st.integers(num_ces, 10))
-    n_rows = n_target + draw(st.integers(2, 8))
-    X = rng.integers(0, 3, size=(n_rows, n_features)) / 2.0
-    y = np.array(["yes"] * n_target + ["no"] * (n_rows - n_target), dtype=object)
-    query = rng.integers(0, 3, size=n_features) / 2.0
-    immutable = rng.random(n_features) < draw(st.sampled_from([0.0, 0.2]))
-    if edge == "first-group-unscoreable":
-        X[1:n_target, :depth] = 0.0
-    elif edge == "immutable-in-the-first-group":
-        immutable[rng.integers(0, depth)] = True
-    elif edge == "negative-zero":
-        X[:n_target, 0], query[0] = 0.0, -0.0
-    budgets = {
-        "budget-one": st.just(1),
-        "budget-above-the-first-group": st.integers(2**depth + 1, 2 ** (depth + 1)),
-    }
-    config = GenerationConfig(
-        preference=draw(st.sampled_from(["a", "b", "c", "d", "e"])),
-        depth=depth,
-        num_ces=num_ces,
-        budget=draw(budgets.get(edge, st.sampled_from([1, 7, 64]))),
-    )
-    if draw(st.booleans()):
-        model = models.RandomForest(n_trees=5, max_depth=4, seed=draw(st.integers(0, 3)))
-    else:
-        model = ByteHashModel(draw(st.integers(2, 6)))
-    return make_encoded(X, y, immutable=tuple(np.flatnonzero(immutable))), query, config, model
-
-
 @pytest.mark.parametrize("edge", SEED_EDGES)
 @settings(max_examples=30, deadline=None)
 @given(draws=st.data())
 def test_the_first_group_seeds_the_merge_as_the_reference_merges_it(edge, draws):
-    data, query, config, model = draws.draw(seed_edge_cases(edge))
-    if not model.fitted:
-        model.fit(data.X, data.y, "yes")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert_same_ces(
-            generate(data, query, config, model),
-            sequential_generate(data, query, config, model),
-        )
+    assert_matches_the_reference(*draws.draw(grid_cases(edge)))

@@ -7,14 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (
-    StubModel,
-    draw_combinations,
-    feature_groups,
-    make_encoded,
-    path_total,
-    select_local_path,
-)
+from conftest import StubModel, draw_combinations, make_encoded, select_local_path
+from reference import assert_same_ces, feature_groups, path_total, ranked_masks
 from tcol import engine, models
 from tcol.engine import (
     PREFERENCES,
@@ -33,19 +27,10 @@ PROTO = np.array([0.6, 0.89, 0.49])
 QUERY = np.array([0.8, 0.45, 0.87])
 
 
-def brute_force_path(proto, query, rule, immutable=None):
-    """Independent argmax over every mask, with the documented tie rules."""
-    best_key, best_mask = None, None
-    for index, mask in enumerate(product((0, 1), repeat=len(proto))):
-        if immutable is not None and any(i and b == 0 for i, b in zip(immutable, mask)):
-            continue
-        candidate = np.where(np.array(mask) == 1, query, proto)
-        if np.linalg.norm(candidate) == 0.0:
-            continue
-        key = (rule.score(candidate, proto, query), sum(mask), -index)
-        if best_key is None or key > best_key:
-            best_key, best_mask = key, mask
-    return best_mask
+def best_path(proto, query, groups, rule, immutable=None):
+    """The splice of each group's best mask, as the reference ranks it."""
+    immutable = np.zeros(len(proto), dtype=bool) if immutable is None else np.asarray(immutable)
+    return tuple(bit for g in groups for bit in ranked_masks(proto[g], query[g], immutable[g], rule)[1][0].tolist())
 
 
 class TestSelectPrototypes:
@@ -211,11 +196,8 @@ class TestPartition:
 
 def group_masks(proto, query):
     """Every local mask the engine ranks when the slices form the only group."""
-    groups = [list(range(len(proto)))]
     immutable = np.zeros(len(proto), dtype=bool)
-    ranked = draw_combinations(
-        proto, query, groups, ScoreRule("rss"), immutable, 2 ** len(proto)
-    )
+    ranked = draw_combinations(proto, query, len(proto), ScoreRule("rss"), immutable, 2 ** len(proto))
     return [path for path, _ in ranked]
 
 
@@ -291,7 +273,7 @@ class TestSelectLocalPath:
             query = rng.random(n) + 0.01
             immutable = rng.random(n) < 0.2
             got = select_local_path(proto, query, rule, immutable_mask=immutable)
-            assert got == brute_force_path(proto, query, rule, immutable)
+            assert got == best_path(proto, query, [list(range(n))], rule, immutable)
 
 
 class TestSpliceAndFill:
@@ -316,19 +298,20 @@ def combination_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     proto, query = rng.integers(0, 3, size=(2, n_features)) / 2.0
     immutable = rng.random(n_features) < draw(st.sampled_from([0.0, 0.3, 1.0]))
-    groups = feature_groups(n_features, draw(st.integers(3, 4)))
+    depth = draw(st.integers(3, 4))
     rule = ScoreRule(draw(st.sampled_from(["fcs", "ncs", "rss"])))
-    return proto, query, groups, rule, immutable, draw(st.integers(1, 70))
+    return proto, query, depth, rule, immutable, draw(st.integers(1, 70))
 
 
 class TestRankedCombinations:
     @settings(max_examples=200, deadline=None)
     @given(case=combination_cases())
     def test_budgeted_draw_is_the_head_of_the_exact_enumeration(self, case):
-        proto, query, groups, rule, immutable, budget = case
+        proto, query, depth, rule, immutable, budget = case
         n = len(proto)
-        everything = list(draw_combinations(proto, query, groups, rule, immutable, 2**n))
-        drawn = list(draw_combinations(proto, query, groups, rule, immutable, budget))
+        groups = feature_groups(n, depth)
+        everything = list(draw_combinations(proto, query, depth, rule, immutable, 2**n))
+        drawn = list(draw_combinations(proto, query, depth, rule, immutable, budget))
         assert drawn == everything[:budget]
         totals = [total for _, total in everything]
         assert totals == sorted(totals, reverse=True)
@@ -352,32 +335,25 @@ class TestRankedCombinations:
             groups = feature_groups(7, 3)
             rule = ScoreRule("rss")
             immutable = np.zeros(7, dtype=bool)
-            first, _ = next(draw_combinations(proto, query, groups, rule, immutable, 1))
-            expected = tuple(
-                bit for g in groups for bit in brute_force_path(proto[g], query[g], rule)
-            )
-            assert first == expected
+            first, _ = next(draw_combinations(proto, query, 3, rule, immutable, 1))
+            assert first == best_path(proto, query, groups, rule)
 
     def test_scores_non_increasing_and_exhaustive(self):
         rng = np.random.default_rng(18)
         proto = rng.random(6) + 0.01
         query = rng.random(6) + 0.01
-        groups = feature_groups(6, 3)
         immutable = np.zeros(6, dtype=bool)
-        drawn = list(
-            draw_combinations(proto, query, groups, ScoreRule("ncs"), immutable, 2**6)
-        )
+        drawn = list(draw_combinations(proto, query, 3, ScoreRule("ncs"), immutable, 2**6))
         scores = [s for _, s in drawn]
         assert scores == sorted(scores, reverse=True)
         assert len({p for p, _ in drawn}) == 64  # full product space, no repeats
 
     def test_all_immutable_zero_query_group_yields_nothing(self):
         # every admissible mask of the first group fills to the query's zero slice
-        groups = feature_groups(6, 3)
         query = np.array([0.0, 0.0, 0.0, 0.7, 0.2, 0.9])
         immutable = np.array([True, True, True, False, False, False])
         proto = np.tile(PROTO, 2)
-        drawn = draw_combinations(proto, query, groups, ScoreRule("ncs"), immutable, 2**6)
+        drawn = draw_combinations(proto, query, 3, ScoreRule("ncs"), immutable, 2**6)
         assert list(drawn) == []
 
 
@@ -409,10 +385,6 @@ def test_merge_candidates_at_a_large_budget_stay_small():
     assert prefix[-1] == 8191 and rank.max() == 511
 
 
-class StaticModel(StubModel):
-    """Accepts exactly the vectors in its yes-set."""
-
-
 def single_prototype_data(rng, n_features):
     proto = rng.random(n_features) * 0.8 + 0.1
     filler = rng.random((3, n_features))
@@ -432,11 +404,7 @@ class TestGenerate:
             rule = config.score_rule()
             ces = generate(data, query, config, StubModel(always=True))
             assert len(ces) == 1
-            groups = feature_groups(6, 3)
-            expected = tuple(
-                bit for g in groups for bit in brute_force_path(proto[g], query[g], rule)
-            )
-            assert ces[0].path == expected
+            assert ces[0].path == best_path(proto, query, feature_groups(6, 3), rule)
             assert ces[0].validated and not ces[0].fallback
 
     def test_single_group_equals_argmax_over_all_masks(self):
@@ -445,19 +413,14 @@ class TestGenerate:
         query = rng.random(5) * 0.8 + 0.1
         config = GenerationConfig(preference="c", depth=5, num_ces=1, budget=1)
         ces = generate(data, query, config, StubModel(always=True))
-        assert ces[0].path == brute_force_path(proto, query, ScoreRule("rss"))
+        assert ces[0].path == best_path(proto, query, [list(range(5))], ScoreRule("rss"))
 
     def test_fallback_ladder_walks_down_ranked_candidates(self):
         rng = np.random.default_rng(23)
         data, proto = single_prototype_data(rng, 6)
         query = rng.random(6) * 0.8 + 0.1
         config = GenerationConfig(preference="c", depth=3, num_ces=1, budget=64)
-        groups = feature_groups(6, 3)
-        ranked = list(
-            draw_combinations(
-                proto, query, groups, ScoreRule("rss"), np.zeros(6, dtype=bool), 2**6
-            )
-        )
+        ranked = list(draw_combinations(proto, query, 3, ScoreRule("rss"), np.zeros(6, dtype=bool), 2**6))
         # validation accepts only the third-best candidate
         third = np.where(np.array(ranked[2][0]) == 1, query, proto)
         model = StubModel(yes_vectors=[third])
@@ -580,25 +543,6 @@ class TestGenerate:
         assert len(ces) >= 1  # fallbacks guarantee at least one candidate
 
 
-class RejectingRowsModel(ClassifierModel):
-    """Knows only whole matrices, rejects every row and counts its calls."""
-
-    kind = "rejecting_rows"
-
-    def __init__(self):
-        super().__init__()
-        self.target_class, self.other_class = "yes", "no"
-        self.fitted = True
-        self.calls = 0
-
-    def _fit(self, X, y):
-        pass
-
-    def predict_proba_rows(self, X):
-        self.calls += 1
-        return np.zeros(len(X))
-
-
 @pytest.mark.parametrize("k", [1, 3])
 def test_each_group_is_scored_once_and_the_model_called_once_per_query(monkeypatch, k):
     rng = np.random.default_rng(26)
@@ -615,27 +559,15 @@ def test_each_group_is_scored_once_and_the_model_called_once_per_query(monkeypat
         return score(self, *args, **kwargs)
 
     monkeypatch.setattr(ScoreRule, "score", counting_score)
-    model = RejectingRowsModel()
+    model = StubModel(always=False)
     ces = generate(data, query, config, model)
     widths = {len(g) for g in feature_groups(n_features, config.depth)}
     # one call for every prototype's draws, plus the already-target check
-    assert model.calls == 2
+    assert len(model.batches) == 2
     # two groups of three and a remainder group of one
     assert len(score_calls) == len(widths) == 2
     assert len(ces) == k
     assert all(ce.fallback is True and ce.validated is False for ce in ces)
-
-
-class RecordingRowsModel(RejectingRowsModel):
-    """Rejects every row and keeps each matrix it is called on."""
-
-    def __init__(self):
-        super().__init__()
-        self.batches = []
-
-    def predict_proba_rows(self, X):
-        self.batches.append(np.array(X))
-        return super().predict_proba_rows(X)
 
 
 def test_the_validation_batch_sends_each_distinct_draw_of_a_prototype_once():
@@ -645,7 +577,7 @@ def test_the_validation_batch_sends_each_distinct_draw_of_a_prototype_once():
     data = make_encoded(X, ["yes"] * 8 + ["no"] * 6, immutable=(4,))
     query = X[10]
     config = GenerationConfig(preference="a", depth=3, num_ces=5, budget=64)
-    model = RecordingRowsModel()
+    model = StubModel(always=False)
     generate(data, query, config, model)
     already_target, batch = model.batches
     assert len(already_target) == 1
@@ -675,7 +607,7 @@ def test_a_negative_zero_against_a_zero_is_no_copy():
     X = np.array([[0.0, 0.4, 0.9], [0.8, 0.1, 0.3]])
     data = make_encoded(X, ["yes", "no"])
     query = np.array([-0.0, 0.4, 0.2])
-    model = RecordingRowsModel()
+    model = StubModel(always=False)
     generate(data, query, GenerationConfig(preference="a", num_ces=1, budget=64), model)
     batch = model.batches[-1]
     # four distinct draws, over components 0 and 2, then the fallback
@@ -902,13 +834,6 @@ def ranked_by_own_proba(data, model):
     return candidates[np.argsort(-model.proba(rows), kind="stable")].tolist()
 
 
-def ce_bytes(ces):
-    return [
-        (ce.vector.tobytes(), ce.path, ce.prototype_index, np.float64(ce.score).tobytes(), ce.validated, ce.fallback)
-        for ce in ces
-    ]
-
-
 @pytest.mark.filterwarnings("ignore::tcol.engine.AlreadyTargetWarning")
 class TestTargetProbaMemo:
     CONFIG = GenerationConfig(preference="c")
@@ -978,5 +903,5 @@ class TestTargetProbaMemo:
         ces = generate(data, query, self.CONFIG, model)
         clone = pickle.loads(pickle.dumps(model))
         clone.calls.clear()
-        assert ce_bytes(generate(data, query, self.CONFIG, clone)) == ce_bytes(ces)
+        assert_same_ces(generate(data, query, self.CONFIG, clone), ces)
         assert clone.calls[:2] == [1, len(data.target_rows[0])]

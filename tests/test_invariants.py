@@ -12,7 +12,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import StubModel, feature_groups, make_encoded, path_total
+from conftest import StubModel, make_encoded
+from reference import feature_groups, path_total
 from tcol.data import synthetic_paths
 from tcol.engine import PREFERENCES, GenerationConfig, generate
 from tcol.models import make_model
